@@ -16,9 +16,11 @@ Two derived operations drive the streaming matcher:
   contributing at z together with r^z, recover the fingerprint of the
   sequence with those positions replaced by 0.  Costs O(|Z|).
 
-A FieldContext also carries the monotone power state (r^i and r^-i for
-the current clock i), advanced by one multiplication per arriving symbol
-so the streaming layer never exponentiates in its hot loop.
+A FieldContext also carries a monotone power state (r^i and r^-i at its
+clock i), which `advance()` moves by one multiplication per position for
+the streaming form `fp_append`.  The matching engines never advance a
+context: they read only p, r and r^-1 and keep their own powers, so one
+context may back any number of matchers.
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ EMPTY_FP = Fingerprint(0, 0)
 
 
 class FieldContext:
-    """Field parameters plus the incremental power state for one matcher.
+    """Field parameters plus an incremental power state.
 
-    The context is mutated single-threaded: `advance()` moves both
-    r^clock and r^-clock forward by one position.  Everything else is
-    read-only after construction.
+    Only `advance()` mutates the context: it moves both r^clock and
+    r^-clock forward by one position.  Everything else is read-only after
+    construction, and the engines read nothing but p, r and r_inv.
     """
 
     __slots__ = ("p", "r", "r_inv", "clock", "r_pow", "r_neg_pow")

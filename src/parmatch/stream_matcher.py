@@ -4,9 +4,10 @@ Per arriving symbol four cooperative phases run inside one single-threaded
 step:
 
 * the base phase maintains the global predecessor value, the running
-  prefix fingerprint of the predecessor string, and circular histories of
-  the last 4*delta fingerprints, powers and predecessor values
-  (delta = |alphabet| * ceil(log2 m) is the scheduling slack);
+  prefix fingerprint of the predecessor string, the power r^i, and
+  circular histories of the last 4*delta fingerprints, powers r^i and
+  predecessor values (delta = |alphabet| * ceil(log2 m) is the scheduling
+  slack);
 * phase A runs the deterministic matcher on the ladder base minus its
   last symbol, applies the final-character rule, and enqueues base-prefix
   matches with their prefix fingerprints;
@@ -15,10 +16,19 @@ step:
   are distributed to the per-level queues one level per arrival (Bdelta);
   one ladder level per arrival advances its candidate check (Bphi):
   fingerprint split, a bounded batch of zeroing-queue entries, then the
-  comparison against the precomputed level fingerprint;
+  comparison.  The split is never rebased: the difference of the two
+  prefix fingerprints, minus each zeroed value times its r^pos, still
+  carries the weight r^lo of the level's first second-half position lo,
+  so it is compared against the precomputed level fingerprint times r^lo;
 * phase C extends final-level matches over the last 4*delta positions by
   direct predecessor comparison, a bounded number per arrival, and emits
   the verdict exactly at the arrival where the window closes.
+
+`step` runs the phases for one arrival.  `scan` runs the same phases over
+a chunk with every table and scalar held in local variables, written back
+once when the chunk ends, so consecutive chunks continue one stream.  The
+matcher owns its power state; the FieldContext it is built with is only
+read, so matchers may share one.
 
 Every capacity and deadline the analysis guarantees is asserted at
 runtime; a breach raises StructuralViolation rather than degrading
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from .det_matcher import _IDLE as _DET_IDLE
 from .det_matcher import DetCore, DetMatcher
 from .errors import AlphabetError, ConfigError, StructuralViolation
 from .fingerprint import FieldContext, context_new
@@ -62,6 +73,7 @@ class StreamMatcher:
         "mode",
         "ctx",
         "p",
+        "r",
         "det",
         "delta",
         "H",
@@ -69,10 +81,10 @@ class StreamMatcher:
         "mlen",
         "m0",
         "i",
+        "rpow",
         "phi",
         "table",
         "hist_fp",
-        "hist_rneg",
         "hist_rpow",
         "hist_pred",
         "suba",
@@ -89,10 +101,10 @@ class StreamMatcher:
         "lv_fpprev",
         "lv_fpl",
         "lv_acc",
-        "lv_rnb",
+        "lv_rlo",
         "lv_cur",
         "lv_end",
-        "gap_pow",
+        "gap_inv",
         "level_fp",
         "mq",
         "c_ip",
@@ -152,11 +164,14 @@ class StreamMatcher:
         self.mlen = lens
         self.m0 = lens[0]
         self.i = -1
+        r = ctx.r
+        p = ctx.p
+        self.r = r
+        self.rpow = 1  # r^(i+1): the power the next arrival takes
         self.phi = 0
         self.table = [-1] * sigma
         H = self.H
         self.hist_fp = [0] * H
-        self.hist_rneg = [0] * H
         self.hist_rpow = [0] * H
         self.hist_pred = [0] * H
 
@@ -182,14 +197,13 @@ class StreamMatcher:
         self.lv_fpprev = [0] * (s + 1)
         self.lv_fpl = [0] * (s + 1)
         self.lv_acc = [0] * (s + 1)
-        self.lv_rnb = [0] * (s + 1)
+        self.lv_rlo = [0] * (s + 1)
         self.lv_cur = [0] * (s + 1)
         self.lv_end = [0] * (s + 1)
 
-        r = ctx.r
-        p = ctx.p
-        self.gap_pow = [0] + [
-            pow(r, lens[l] - lens[l - 1], p) for l in range(1, s + 1)
+        # r^-(m_l - m_(l-1)): takes r^(ip + m_l) to r^lo, lo = ip + m_(l-1).
+        self.gap_inv = [0] + [
+            pow(ctx.r_inv, lens[l] - lens[l - 1], p) for l in range(1, s + 1)
         ]
         self.level_fp = [0] + [fps.level_fps[l].value for l in range(1, s + 1)]
         budget = 6 * sigma + 2
@@ -208,7 +222,7 @@ class StreamMatcher:
         self.tail_len = 4 * delta
         self.mq_words = 0
         self.static_words = (
-            4 * H
+            3 * H
             + self.tail_len
             + sigma
             + 3 * cap * s
@@ -221,7 +235,7 @@ class StreamMatcher:
         self.words_peak = 0
         self.b_peak = 0
         # When set to a list, every completed level check appends
-        # (level, candidate, computed second-half fingerprint).
+        # (level, candidate, computed second-half fingerprint rebased to r^0).
         self.debug_checks = None
 
     # ------------------------------------------------------------------
@@ -233,16 +247,10 @@ class StreamMatcher:
 
         sigma = self.sigma
         p = self.p
-        ctx = self.ctx
         i = self.i + 1
         self.i = i
-        if i > 0:
-            ctx.clock = i
-            rpow = ctx.r_pow = ctx.r_pow * ctx.r % p
-            rneg = ctx.r_neg_pow = ctx.r_neg_pow * ctx.r_inv % p
-        else:
-            rpow = ctx.r_pow
-            rneg = ctx.r_neg_pow
+        rpow = self.rpow
+        self.rpow = rpow * self.r % p
         ops = 7
 
         if sym < 0 or sym >= sigma:
@@ -258,17 +266,46 @@ class StreamMatcher:
         H = self.H
         slot = i % H
         self.hist_fp[slot] = phi
-        self.hist_rneg[slot] = rneg
         self.hist_rpow[slot] = rpow
         self.hist_pred[slot] = pv
 
-        # Phase A: base-prefix matches.
+        # Phase A: base-prefix matches.  DetCore's common case (idle,
+        # nothing deferred, the first comparison succeeds) runs inline.
         m0 = self.m0
         prev = self.a_prev
         suba = self.suba
-        c0 = suba.consumed
-        self.a_prev = suba.step_pred(pv)
-        ops += 1 + suba.consumed - c0
+        fast = False
+        if suba.phase == _DET_IDLE and not suba.pending:
+            cand = suba.r
+            cp_rho = suba.cp_rho
+            j = cand % cp_rho
+            pv_p = 0 if cand // cp_rho < suba.cp_ks[j] else suba.cp_cs[j]
+            fast = (pv_p == pv) if 0 < pv <= cand else (pv_p == 0)
+        if fast:
+            suba.appended += 1
+            suba.consumed += 1
+            suba.shifts_last = 0
+            suba.units_last = 0
+            cand += 1
+            if cand == suba.q:
+                suba.r = cand - suba.rho_full
+                self.a_prev = True
+            else:
+                runs = suba.runs
+                ri = suba.run_i
+                if cand > runs[ri][2] and ri + 1 < len(runs):
+                    suba.run_i = ri + 1
+                occ = suba.occ
+                oi = suba.occ_i
+                if oi + 1 < len(occ) and occ[oi + 1] <= cand:
+                    suba.occ_i = oi + 1
+                suba.r = cand
+                self.a_prev = False
+            ops += 2
+        else:
+            c0 = suba.consumed
+            self.a_prev = suba.step_pred(pv)
+            ops += 1 + suba.consumed - c0
         if prev:
             pp = self.p0_last
             if (pp == pv) if 0 < pv <= m0 - 1 else (pp == 0):
@@ -331,10 +368,9 @@ class StreamMatcher:
                         f"fingerprint history expired for level {ell}"
                     )
                 fpl = self.hist_fp[idx % H]
-                rnb = self.hist_rneg[(idx + 1) % H] * self.gap_pow[ell] % p
                 self.lv_fpl[ell] = fpl
-                self.lv_rnb[ell] = rnb
-                self.lv_acc[ell] = (fpl - self.lv_fpprev[ell]) * rnb % p
+                self.lv_rlo[ell] = self.hist_rpow[(idx + 1) % H] * self.gap_inv[ell] % p
+                self.lv_acc[ell] = (fpl - self.lv_fpprev[ell]) % p
                 front = self.dq_next[ell] - self.dq_cap
                 self.lv_cur[ell] = front if front > 0 else 0
                 self.lv_end[ell] = self.dq_next[ell]
@@ -367,20 +403,20 @@ class StreamMatcher:
             if stop > end:
                 stop = end
             acc = self.lv_acc[ell]
-            rnb = self.lv_rnb[ell]
             scanned = stop - cur
             while cur < stop:
                 pos, pvj, rj = buf[cur % cap]
                 if lo <= pos <= hi and pvj > pos - ip:
-                    acc = (acc - pvj * rj % p * rnb) % p
+                    acc = (acc - pvj * rj) % p
                 cur += 1
             self.lv_acc[ell] = acc
             self.lv_cur[ell] = cur
             ops += 1 + scanned
             if cur >= end:
+                rlo = self.lv_rlo[ell]
                 if self.debug_checks is not None:
-                    self.debug_checks.append((ell, ip, acc))
-                if acc == self.level_fp[ell]:
+                    self.debug_checks.append((ell, ip, acc * pow(rlo, -1, p) % p))
+                if acc == self.level_fp[ell] * rlo % p:
                     if i >= ip + self.mlen[ell] + 3 * self.delta:
                         raise StructuralViolation(
                             f"level {ell} missed its reporting deadline"
@@ -459,12 +495,332 @@ class StreamMatcher:
     # ------------------------------------------------------------------
 
     def scan(self, text) -> list[int]:
-        """Match end positions over a whole text."""
+        """Match end indices over the next chunk of the stream.
+
+        The same phases as `step`, run with the matcher's state in local
+        variables and written back once, also when a symbol is rejected or
+        a bound is breached.  Consecutive calls continue one stream, and
+        may be mixed with `step`.
+        """
+        if self.det is not None:
+            return self.det.scan(text)
+
         out = []
-        step = self.step
-        for sym in text:
-            if step(sym):
-                out.append(self.i if self.det is None else self.det.i)
+        sigma = self.sigma
+        p = self.p
+        r = self.r
+        H = self.H
+        table = self.table
+        hist_fp = self.hist_fp
+        hist_rpow = self.hist_rpow
+        hist_pred = self.hist_pred
+        m = self.m
+        m0 = self.m0
+        p0_last = self.p0_last
+        mq = self.mq
+        segs = [q.segs for q in mq]
+        q0 = mq[0]
+        bbuf = self.bbuf
+        mlen = self.mlen
+        s = self.s
+        delta = self.delta
+        dq_bufs = self.dq_bufs
+        dq_next = self.dq_next
+        dq_cap = self.dq_cap
+        lv_phase = self.lv_phase
+        lv_ip = self.lv_ip
+        lv_fpprev = self.lv_fpprev
+        lv_fpl = self.lv_fpl
+        lv_acc = self.lv_acc
+        lv_rlo = self.lv_rlo
+        lv_cur = self.lv_cur
+        lv_end = self.lv_end
+        gap_inv = self.gap_inv
+        level_fp = self.level_fp
+        tail_len = self.tail_len
+        target = self.tail_target
+        static_words = self.static_words
+        debug = self.debug_checks
+
+        suba = self.suba
+        step_pred = suba.step_pred
+        pending = suba.pending
+        cp_rho = suba.cp_rho
+        cp_ks = suba.cp_ks
+        cp_cs = suba.cp_cs
+        a_q = suba.q
+        a_rho = suba.rho_full
+        runs = suba.runs
+        runs_last = len(runs) - 1
+        occ = suba.occ
+        occ_last = len(occ) - 1
+        a_phase = suba.phase
+        a_r = suba.r
+        run_i = suba.run_i
+        occ_i = suba.occ_i
+        appended = suba.appended
+        consumed = suba.consumed
+        # False while DetCore's own step owns its scalars.
+        a_live = True
+        a_fast = None
+
+        i = self.i
+        rpow = self.rpow
+        phi = self.phi
+        a_prev = self.a_prev
+        bcur = self.bcur
+        bnext = self.bnext
+        c_ip = self.c_ip
+        c_k = self.c_k
+        mq_words = self.mq_words
+        ops_last = self.ops_last
+        ops_max = self.ops_max
+        words_peak = self.words_peak
+        b_peak = self.b_peak
+        try:
+            for sym in text:
+                i += 1
+                pw = rpow
+                rpow = pw * r % p
+                if sym < 0 or sym >= sigma:
+                    raise AlphabetError(sym, i, sigma)
+                t = table[sym]
+                table[sym] = i
+                if t >= 0:
+                    pv = i - t
+                    if pv >= p:
+                        raise ConfigError(f"stream length {i} too large for prime {p}")
+                    phi = (phi + pv * pw) % p
+                else:
+                    pv = NEVER
+                slot = i % H
+                hist_fp[slot] = phi
+                hist_rpow[slot] = pw
+                hist_pred[slot] = pv
+
+                # Phase A.
+                prev = a_prev
+                fast = False
+                if a_phase == _DET_IDLE and not pending:
+                    j = a_r % cp_rho
+                    pv_p = 0 if a_r // cp_rho < cp_ks[j] else cp_cs[j]
+                    fast = (pv_p == pv) if 0 < pv <= a_r else (pv_p == 0)
+                if fast:
+                    appended += 1
+                    consumed += 1
+                    a_r += 1
+                    if a_r == a_q:
+                        a_r -= a_rho
+                        a_prev = True
+                    else:
+                        if a_r > runs[run_i][2] and run_i < runs_last:
+                            run_i += 1
+                        if occ_i < occ_last and occ[occ_i + 1] <= a_r:
+                            occ_i += 1
+                        a_prev = False
+                    a_fast = True
+                    ops = 9
+                else:
+                    suba.r = a_r
+                    suba.run_i = run_i
+                    suba.occ_i = occ_i
+                    suba.appended = appended
+                    suba.consumed = consumed
+                    a_live = False
+                    a_prev = step_pred(pv)
+                    a_phase = suba.phase
+                    a_r = suba.r
+                    run_i = suba.run_i
+                    occ_i = suba.occ_i
+                    appended = suba.appended
+                    ops = 8 + suba.consumed - consumed
+                    consumed = suba.consumed
+                    a_live = True
+                    a_fast = False
+                if prev and ((p0_last == pv) if 0 < pv < m0 else (p0_last == 0)):
+                    w0 = q0.words
+                    q0.push(i - m0 + 1, phi)
+                    mq_words += q0.words - w0
+                    ops += 3
+
+                # Phase Bdelta.
+                if m0 < pv < NEVER:
+                    bbuf.append((i, pv, pw))
+                    lb = len(bbuf)
+                    if lb > sigma:
+                        raise StructuralViolation(
+                            f"distance buffer exceeded {sigma} entries"
+                        )
+                    if lb > b_peak:
+                        b_peak = lb
+                    ops += 2
+                if bcur is None and bbuf:
+                    bcur = bbuf.popleft()
+                    bnext = 1
+                if bcur is not None:
+                    if bcur[1] > mlen[bnext - 1]:
+                        nxt = dq_next[bnext]
+                        dq_bufs[bnext][nxt % dq_cap] = bcur
+                        dq_next[bnext] = nxt + 1
+                        ops += 2
+                    if bnext >= s:
+                        bcur = None
+                    else:
+                        bnext += 1
+                    ops += 1
+
+                # Phase Bphi.
+                ell = 1 + i % s
+                ph = lv_phase[ell]
+                if ph == _IDLE:
+                    if segs[ell - 1]:
+                        ql = mq[ell - 1]
+                        w0 = ql.words
+                        got = ql.pop()
+                        mq_words += ql.words - w0
+                        lv_ip[ell] = got[0]
+                        lv_fpprev[ell] = got[1]
+                        ph = _WAIT
+                        lv_phase[ell] = _WAIT
+                        ops += 2
+                if ph == _WAIT:
+                    ip = lv_ip[ell]
+                    ml = mlen[ell]
+                    if i > ip + ml + delta:
+                        idx = ip + ml - 1
+                        if i - idx >= H:
+                            raise StructuralViolation(
+                                f"fingerprint history expired for level {ell}"
+                            )
+                        fpl = hist_fp[idx % H]
+                        lv_fpl[ell] = fpl
+                        lv_rlo[ell] = hist_rpow[(idx + 1) % H] * gap_inv[ell] % p
+                        lv_acc[ell] = (fpl - lv_fpprev[ell]) % p
+                        front = dq_next[ell] - dq_cap
+                        lv_cur[ell] = front if front > 0 else 0
+                        lv_end[ell] = dq_next[ell]
+                        lv_phase[ell] = _SCAN
+                        ops += 5
+                elif ph == _SCAN:
+                    ip = lv_ip[ell]
+                    lo = ip + mlen[ell - 1]
+                    hi = ip + mlen[ell] - 1
+                    cur = lv_cur[ell]
+                    end = lv_end[ell]
+                    front = dq_next[ell] - dq_cap
+                    if front < 0:
+                        front = 0
+                    buf = dq_bufs[ell]
+                    if cur < front:
+                        if front >= end or front >= dq_next[ell]:
+                            raise StructuralViolation(
+                                f"level {ell} zeroing queue evicted unscanned entries"
+                            )
+                        if buf[front % dq_cap][0] > lo:
+                            raise StructuralViolation(
+                                f"level {ell} may have lost zeroing candidates"
+                            )
+                        cur = front
+                    stop = cur + _SCAN_BATCH
+                    if stop > end:
+                        stop = end
+                    acc = lv_acc[ell]
+                    ops += 1 + stop - cur
+                    while cur < stop:
+                        pos, pvj, rj = buf[cur % dq_cap]
+                        if lo <= pos <= hi and pvj > pos - ip:
+                            acc = (acc - pvj * rj) % p
+                        cur += 1
+                    lv_acc[ell] = acc
+                    lv_cur[ell] = cur
+                    if cur >= end:
+                        rlo = lv_rlo[ell]
+                        if debug is not None:
+                            debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
+                        if acc == level_fp[ell] * rlo % p:
+                            if i >= ip + mlen[ell] + 3 * delta:
+                                raise StructuralViolation(
+                                    f"level {ell} missed its reporting deadline"
+                                )
+                            qn = mq[ell]
+                            w0 = qn.words
+                            qn.push(ip, lv_fpl[ell])
+                            mq_words += qn.words - w0
+                            ops += 2
+                        lv_phase[ell] = _IDLE
+
+                # Phase C.
+                if c_ip < 0 and segs[s]:
+                    qs = mq[s]
+                    w0 = qs.words
+                    c_ip = qs.pop()[0]
+                    mq_words += qs.words - w0
+                    c_k = 0
+                    if i - c_ip - mlen[s] >= H:
+                        raise StructuralViolation("predecessor history expired")
+                    ops += 2
+                if c_ip >= 0:
+                    k = c_k
+                    base = c_ip + m - tail_len
+                    budget = _C_BUDGET
+                    while budget > 0 and k < tail_len:
+                        j = base + k
+                        if j > i:
+                            break
+                        pvj = hist_pred[j % H]
+                        w = pvj if 0 < pvj <= j - c_ip else 0
+                        if w != target[k]:
+                            c_ip = -1
+                            break
+                        k += 1
+                        budget -= 1
+                    ops += _C_BUDGET - budget
+                    if c_ip >= 0:
+                        if k >= tail_len:
+                            if i != c_ip + m - 1:
+                                raise StructuralViolation(
+                                    "tail check completed off schedule"
+                                )
+                            out.append(i)
+                            c_ip = -1
+                        else:
+                            c_k = k
+                            if i >= c_ip + m - 1:
+                                raise StructuralViolation("tail check behind schedule")
+
+                ops_last = ops
+                if ops > ops_max:
+                    ops_max = ops
+                    if ops > OP_BUDGET:
+                        raise StructuralViolation(
+                            f"arrival {i} used {ops} ops, budget {OP_BUDGET}"
+                        )
+                words = static_words + 3 * len(bbuf) + mq_words + len(pending)
+                if words > words_peak:
+                    words_peak = words
+        finally:
+            self.i = i
+            self.rpow = rpow
+            self.phi = phi
+            self.a_prev = a_prev
+            self.bcur = bcur
+            self.bnext = bnext
+            self.c_ip = c_ip
+            self.c_k = c_k
+            self.mq_words = mq_words
+            self.ops_last = ops_last
+            self.ops_max = ops_max
+            self.words_peak = words_peak
+            self.b_peak = b_peak
+            if a_live:
+                suba.r = a_r
+                suba.run_i = run_i
+                suba.occ_i = occ_i
+                suba.appended = appended
+                suba.consumed = consumed
+                if a_fast:
+                    suba.shifts_last = 0
+                    suba.units_last = 0
         return out
 
     def live_words_peak(self) -> int:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from parmatch.det_matcher import det_matcher_for
+from parmatch.det_matcher import DetCore, det_matcher_for
 from parmatch.errors import AlphabetError, ConfigError
 from parmatch.fingerprint import FieldContext, context_new, fp_of_sequence
 from parmatch.gen import make_instance, periodic_instance
@@ -243,3 +243,99 @@ def test_det_and_rand_agree_on_long_streams():
     a = starts(rand, 600, t)
     b = [e - 600 + 1 for e in det.scan(t)]
     assert a == b
+
+
+def test_matchers_sharing_a_context_both_report():
+    # Engines only read the FieldContext: two matchers built on one
+    # context and fed in turn must each find every match.
+    inst = make_instance("planted", 4096, 12288, 4, seed=1)
+    want = [s + 4096 - 1 for s in naive_all_matches(inst.pattern, inst.text)]
+    assert want == [5133, 10898]
+    ctx = context_new(61, 5)
+    a = StreamMatcher(inst.pattern, 4, ctx=ctx)
+    b = StreamMatcher(inst.pattern, 4, ctx=ctx)
+    assert a.mode == b.mode == "rand"
+    ends_a, ends_b = [], []
+    for j, sym in enumerate(inst.text):
+        if a.step(sym):
+            ends_a.append(j)
+        if b.step(sym):
+            ends_b.append(j)
+    assert ends_a == ends_b == want
+    c = StreamMatcher(inst.pattern, 4, ctx=ctx)
+    d = StreamMatcher(inst.pattern, 4, ctx=ctx)
+    ends_c, ends_d = [], []
+    for k in range(0, len(inst.text), 1000):
+        ends_c += c.scan(inst.text[k : k + 1000])
+        ends_d += d.scan(inst.text[k : k + 1000])
+    assert ends_c == ends_d == want
+    assert (ctx.clock, ctx.r_pow, ctx.r_neg_pow) == (0, 1, 1)
+
+
+def matcher_state(sm):
+    """Everything a randomized matcher carries between arrivals."""
+    core = sm.suba
+    return {
+        "matcher": {
+            name: getattr(sm, name)
+            for name in StreamMatcher.__slots__
+            if name not in ("ctx", "det", "suba", "bbuf", "mq", "debug_checks")
+        },
+        "bbuf": list(sm.bbuf),
+        "mq": [(list(map(list, q.segs)), q.last_pos, q.words) for q in sm.mq],
+        "d_fill_max": sm.d_fill_max(),
+        "suba": {
+            name: getattr(core, name) for name in DetCore.__slots__ if name != "pending"
+        },
+        "pending": list(core.pending),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, m, n, seed",
+    [("planted", 3000, 9000, 5), ("periodic", 2500, 10000, 2), ("long_gap", 2100, 9000, 8)],
+)
+def test_scan_chunks_equal_step(kind, m, n, seed):
+    # A matcher fed chunk by chunk through scan and one stepped through
+    # the same chunks agree on every answer and on their whole state
+    # after each chunk.
+    inst = make_instance(kind, m, n, 4, seed=seed)
+    text = inst.text
+    want = [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
+    for chunk in (1, 7, 4096, n):
+        stepped = StreamMatcher(inst.pattern, 4, seed=12)
+        scanned = StreamMatcher(inst.pattern, 4, seed=12)
+        assert stepped.mode == "rand"
+        stepped.debug_checks = []
+        scanned.debug_checks = []
+        by_step, by_scan = [], []
+        for k in range(0, n, chunk):
+            piece = text[k : k + chunk]
+            by_step += [k + j for j, sym in enumerate(piece) if stepped.step(sym)]
+            by_scan += scanned.scan(piece)
+            assert matcher_state(scanned) == matcher_state(stepped), (chunk, k)
+        assert by_step == by_scan == want, chunk
+        assert scanned.debug_checks == stepped.debug_checks, chunk
+    if kind == "periodic":
+        assert want and len(stepped.debug_checks) > 10
+    if kind == "long_gap":
+        assert stepped.b_peak > 0 and stepped.d_fill_max() > 0
+
+
+def test_scan_rejects_a_symbol_like_step():
+    inst = make_instance("planted", 2048, 6000, 4, seed=2)
+    bad = 3001
+    text = list(inst.text)
+    text[bad] = 4
+    stepped = StreamMatcher(inst.pattern, 4, seed=3)
+    assert stepped.mode == "rand"
+    with pytest.raises(AlphabetError) as by_step:
+        for sym in text:
+            stepped.step(sym)
+    scanned = StreamMatcher(inst.pattern, 4, seed=3)
+    scanned.scan(text[:2990])
+    with pytest.raises(AlphabetError) as by_scan:
+        scanned.scan(text[2990:3100])
+    assert by_step.value.index == by_scan.value.index == bad
+    assert scanned.i == bad
+    assert matcher_state(scanned) == matcher_state(stepped)
