@@ -61,6 +61,47 @@ class AlphabetFilter:
         live[raw] = [t, code]
         return code
 
+    def scan(self, raws) -> list[int]:
+        """Dense codes for the next chunk of raw symbols.
+
+        `step` over the chunk with the state in local variables; `t` is
+        written back once, also when a symbol cannot be looked up.
+        """
+        live = self.live
+        items = live.items
+        get = live.get
+        to_tail = live.move_to_end
+        pop_head = live.popitem
+        release = self.free.append
+        take = self.free.pop
+        cap = self.cap
+        window = self.window
+        out = []
+        emit = out.append
+        t = self.t
+        try:
+            for raw in raws:
+                t += 1
+                if live:
+                    head, slot = next(iter(items()))
+                    if slot[0] <= t - window:
+                        del live[head]
+                        release(slot[1])
+                slot = get(raw)
+                if slot is not None:
+                    slot[0] = t
+                    to_tail(raw)
+                    emit(slot[1])
+                    continue
+                if len(live) >= cap:
+                    release(pop_head(last=False)[1][1])
+                code = take()
+                live[raw] = [t, code]
+                emit(code)
+        finally:
+            self.t = t
+        return out
+
 
 def filter_step(state: AlphabetFilter, raw, t: int) -> int:
     if t != state.t + 1:

@@ -35,8 +35,13 @@ class _InputError(Exception):
     pass
 
 
-def _iter_tokens(fobj):
-    """Whitespace-separated unsigned base-10 integers, streamed."""
+def _token_chunks(fobj):
+    """Whitespace-separated unsigned base-10 integers, one list per read.
+
+    A token split by a read boundary is carried into the next read.  When
+    a token does not parse, the valid tokens before it come as one more
+    list, and `_InputError` follows on the next iteration.
+    """
     carry = ""
     index = 0
     while True:
@@ -44,15 +49,31 @@ def _iter_tokens(fobj):
         if not chunk:
             break
         parts = (carry + chunk).split()
-        if chunk[-1] not in " \t\r\n" and parts:
-            carry = parts.pop()
-        else:
-            carry = ""
-        for tok in parts:
-            yield _parse_token(tok, index)
-            index += 1
+        carry = parts.pop() if parts and not chunk[-1].isspace() else ""
+        yield from _parse_tokens(parts, index)
+        index += len(parts)
     if carry:
-        yield _parse_token(carry, index)
+        yield from _parse_tokens([carry], index)
+
+
+def _parse_tokens(parts: list[str], index: int):
+    """Yield the tokens as one list; on a bad one, the tokens before it."""
+    try:
+        vals = list(map(int, parts))
+        ok = not vals or min(vals) >= 0
+    except ValueError:
+        ok = False
+    if ok:
+        yield vals
+        return
+    # Failure path: find the first bad token and name its stream index.
+    good = []
+    for k, tok in enumerate(parts):
+        try:
+            good.append(_parse_token(tok, index + k))
+        except _InputError:
+            yield good
+            raise
 
 
 def _parse_token(tok: str, index: int) -> int:
@@ -65,12 +86,8 @@ def _parse_token(tok: str, index: int) -> int:
     return v
 
 
-def _iter_raw(fobj):
-    while True:
-        chunk = fobj.read(65536)
-        if not chunk:
-            break
-        yield from chunk
+def _raw_chunks(fobj):
+    return iter(lambda: fobj.read(65536), b"")
 
 
 def _read_all(path: str, raw: bool) -> list[int]:
@@ -78,17 +95,15 @@ def _read_all(path: str, raw: bool) -> list[int]:
         with open(path, "rb") as f:
             return list(f.read())
     with open(path, "r") as f:
-        return list(_iter_tokens(f))
+        return [v for chunk in _token_chunks(f) for v in chunk]
 
 
 def _open_text_stream(path: str, raw: bool):
+    chunks = _raw_chunks if raw else _token_chunks
     if path == "-":
-        return (_iter_raw(sys.stdin.buffer) if raw else _iter_tokens(sys.stdin)), None
-    if raw:
-        f = open(path, "rb")
-        return _iter_raw(f), f
-    f = open(path, "r")
-    return _iter_tokens(f), f
+        return chunks(sys.stdin.buffer if raw else sys.stdin), None
+    f = open(path, "rb" if raw else "r")
+    return chunks(f), f
 
 
 def _add_common(p: _Parser) -> None:
@@ -166,31 +181,35 @@ def cmd_match(args) -> int:
     matcher = StreamMatcher(
         pattern, sigma, mode=args.mode, prime_bits=args.prime_bits, seed=args.seed
     )
-    symbols, fobj = _open_text_stream(args.text, args.raw)
+    chunks, fobj = _open_text_stream(args.text, args.raw)
     out = sys.stdout
     arrivals = 0
     matches = 0
+    ends = []
+
+    def emit():
+        nonlocal matches
+        out.write("".join([f"{e - m + 1}\n" for e in ends]))
+        matches += len(ends)
+        ends.clear()
+
     t0 = time.perf_counter()
     try:
-        step = matcher.step
-        if filt is None:
-            for sym in symbols:
-                if step(sym):
-                    out.write(f"{arrivals - m + 1}\n")
-                    matches += 1
-                    if args.unbuffered:
-                        out.flush()
-                arrivals += 1
-        else:
-            fstep = filt.step
-            for sym in symbols:
-                if step(fstep(sym)):
-                    out.write(f"{arrivals - m + 1}\n")
-                    matches += 1
-                    if args.unbuffered:
-                        out.flush()
-                arrivals += 1
+        # Each read is matched as one batch; the filter, if any, first
+        # maps the whole read to dense codes.
+        scan = matcher.scan
+        for chunk in chunks:
+            if filt is not None:
+                chunk = filt.scan(chunk)
+            scan(chunk, ends)
+            arrivals += len(chunk)
+            if ends:
+                emit()
+                if args.unbuffered:
+                    out.flush()
     finally:
+        # When an error stops a read, the matches before it still print.
+        emit()
         if fobj is not None:
             fobj.close()
     elapsed = time.perf_counter() - t0

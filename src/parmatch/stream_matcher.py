@@ -494,18 +494,21 @@ class StreamMatcher:
 
     # ------------------------------------------------------------------
 
-    def scan(self, text) -> list[int]:
+    def scan(self, text, out=None) -> list[int]:
         """Match end indices over the next chunk of the stream.
 
         The same phases as `step`, run with the matcher's state in local
         variables and written back once, also when a symbol is rejected or
         a bound is breached.  Consecutive calls continue one stream, and
-        may be mixed with `step`.
+        may be mixed with `step`.  The indices are appended to `out` (a
+        new list by default), which is returned; when an error stops the
+        chunk, `out` holds the matches that ended before it.
         """
         if self.det is not None:
-            return self.det.scan(text)
+            return self.det.scan(text, out)
 
-        out = []
+        if out is None:
+            out = []
         sigma = self.sigma
         p = self.p
         r = self.r
@@ -848,7 +851,3 @@ class StreamMatcher:
 
 def stream_new(pattern, sigma: int, **cfg) -> StreamMatcher:
     return StreamMatcher(pattern, sigma, **cfg)
-
-
-def stream_step(matcher: StreamMatcher, sym: int) -> bool:
-    return matcher.step(sym)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern, filter_step
@@ -108,3 +109,39 @@ def test_composition_matches_oracle_on_raw_stream():
             if sm.step(f.step(s)):
                 got.append(idx - m + 1)
         assert got == naive_all_matches(pattern_raw, text_raw), (trial, m, n)
+
+
+def filter_state(f):
+    return list(f.live.items()), list(f.free), f.t
+
+
+@pytest.mark.parametrize("distinct, window, width", [(1, 5, 3), (3, 8, 5), (8, 64, 3000)])
+def test_scan_chunks_equal_step(distinct, window, width):
+    # Narrow and wide raw alphabets: every code, expiry and eviction of a
+    # chunked scan equals the stepped filter's, chunk by chunk.
+    rng = random.Random(width)
+    vocab = rng.sample(range(10**9), width)
+    raw = rng.choices(vocab, [1 / (k + 1) for k in range(width)], k=20000)
+    for chunk in (1, 7, 4096, len(raw)):
+        stepped = AlphabetFilter(distinct, window)
+        scanned = AlphabetFilter(distinct, window)
+        by_step, by_scan = [], []
+        for k in range(0, len(raw), chunk):
+            piece = raw[k : k + chunk]
+            by_step += [stepped.step(s) for s in piece]
+            by_scan += scanned.scan(piece)
+            assert filter_state(scanned) == filter_state(stepped), (chunk, k)
+        assert by_scan == by_step, chunk
+
+
+def test_scan_stops_like_step_on_an_unhashable_symbol():
+    raw = ["a", "b", "c", "a", ["x"], "b"]
+    stepped = AlphabetFilter(pattern_distinct=1, window=3)
+    with pytest.raises(TypeError):
+        for s in raw:
+            stepped.step(s)
+    scanned = AlphabetFilter(pattern_distinct=1, window=3)
+    with pytest.raises(TypeError):
+        scanned.scan(raw)
+    assert filter_state(scanned) == filter_state(stepped)
+    assert scanned.t == 4

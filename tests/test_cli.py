@@ -1,17 +1,42 @@
 import io
+import os
+import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from parmatch.cli import main
+from parmatch.errors import AlphabetError, ConfigError
+from parmatch.oracle import naive_all_matches
+from parmatch.stream_matcher import StreamMatcher
 
 
-def run_cli(argv, stdin_text=None, stdin_bytes=None):
+class Reads:
+    """Standard input that returns the given pieces, one per read."""
+
+    def __init__(self, pieces):
+        self.pieces = list(pieces)
+        self.empty = self.pieces[0][:0]
+        self.buffer = self
+
+    def read(self, size=-1):
+        return self.pieces.pop(0) if self.pieces else self.empty
+
+
+def pieces_of(data, size):
+    return [data[k : k + size] for k in range(0, len(data), size)]
+
+
+def run_cli(argv, stdin_text=None, stdin_bytes=None, stdin=None):
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdout, sys.stderr, sys.stdin
     try:
         sys.stdout, sys.stderr = out, err
-        if stdin_bytes is not None:
+        if stdin is not None:
+            sys.stdin = stdin
+        elif stdin_bytes is not None:
             sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_bytes))
         elif stdin_text is not None:
             sys.stdin = io.StringIO(stdin_text)
@@ -165,3 +190,138 @@ def test_bench_emits_metrics():
     assert keys["mode"] in ("rand", "det")
     assert int(keys["peak_live_words"]) > 0
     assert float(keys["throughput_sym_per_s"]) > 0
+
+
+@pytest.mark.parametrize("space", ["\v", "\f", "\x1c", "\u2003"])
+def test_token_split_at_read_boundary_on_any_whitespace(tmp_path, space):
+    # A read that ends in whitespace other than " \t\r\n" must still end
+    # its last token: "12", "34", "5" are three distinct tokens, not two.
+    pat = write(tmp_path, "p.txt", "0 1 2")
+    code, out, err = run_cli(
+        ["match", "--pattern", pat, "--text", "-"], stdin=Reads(["12" + space, "34 5"])
+    )
+    assert (code, out, err) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize(
+    "bad, flags, message",
+    [
+        (["x"], [], "token 'x' at position 250 is not an integer"),
+        (["-3"], [], "token '-3' at position 250 is negative"),
+        (["x"], ["--alphabet-size", "2"], "token 'x' at position 250 is not an integer"),
+        (["2", "x"], ["--alphabet-size", "2"], str(AlphabetError(2, 250, 2))),
+    ],
+)
+def test_error_in_a_later_read_keeps_earlier_matches(tmp_path, bad, flags, message):
+    # The bad symbol sits in the sixth of seven reads; every match that
+    # ends before it is printed, and the message names its stream index.
+    rng = random.Random(5)
+    pattern = [0, 1, 1, 0]
+    text = [rng.randrange(2) for _ in range(300)]
+    tokens = [str(x) for x in text]
+    tokens[250:251] = bad
+    pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
+    code, out, err = run_cli(
+        ["match", "--pattern", pat, "--text", "-", *flags],
+        stdin=Reads(pieces_of(" ".join(tokens), 97)),
+    )
+    want = naive_all_matches(pattern, text[:250])
+    assert want and code == 2
+    assert out == "".join(f"{s}\n" for s in want)
+    assert err == f"input error: {message}\n"
+
+
+def test_engine_error_inside_a_read_keeps_earlier_matches(tmp_path):
+    # With a 13-bit prime the randomized engine stops at the first
+    # distance >= p (index 9000), in the middle of the only read; the
+    # matches it reported before that are printed.
+    rng = random.Random(6)
+    pattern = [rng.randrange(3) for _ in range(600)]
+    text = [rng.randrange(3) for _ in range(12000)]
+    for at in range(50, 12000 - 600, 1400):
+        text[at : at + 600] = [(x + 1) % 3 for x in pattern]
+    text[100] = text[9000] = 3
+    args = dict(mode="rand", prime_bits=13, seed=4)
+    sm = StreamMatcher(pattern, 4, **args)
+    want = []
+    with pytest.raises(ConfigError) as stop:
+        for i, sym in enumerate(text):
+            if sm.step(sym):
+                want.append(i - 599)
+    assert len(want) >= 3
+    pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
+    txt = write(tmp_path, "t.txt", " ".join(map(str, text)))
+    code, out, err = run_cli(
+        ["match", "--pattern", pat, "--text", txt, "--alphabet-size", "4",
+         "--mode", "rand", "--prime-bits", "13", "--seed", "4"]
+    )
+    assert (code, err) == (1, f"error: {stop.value}\n")
+    assert out == "".join(f"{s}\n" for s in want)
+
+
+def test_multi_read_token_stream_through_filter(tmp_path):
+    rng = random.Random(8)
+    ids = rng.sample(range(10**9), 6)
+    pattern = [rng.choice(ids[:3]) for _ in range(30)]
+    text = [rng.choice(ids) for _ in range(3000)]
+    for at in (100, 1700, 2950):
+        relabel = dict(zip(ids[:3], rng.sample(ids, 3)))
+        text[at : at + 30] = [relabel[x] for x in pattern]
+    pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
+    code, out, _ = run_cli(
+        ["match", "--pattern", pat, "--text", "-"],
+        stdin=Reads(pieces_of(" ".join(map(str, text)), 4093)),
+    )
+    want = naive_all_matches(pattern, text)
+    assert len(want) >= 3 and code == 0
+    assert out == "".join(f"{s}\n" for s in want)
+
+
+def test_multi_read_raw_stream(tmp_path):
+    rng = random.Random(9)
+    pattern = bytes(rng.choice(b"abc") for _ in range(20))
+    text = bytearray(rng.choice(b"abcd") for _ in range(5000))
+    for at in (10, 2500, 4980):
+        text[at : at + 20] = pattern.translate(bytes.maketrans(b"abc", b"dab"))
+    pat = tmp_path / "p.bin"
+    pat.write_bytes(pattern)
+    code, out, _ = run_cli(
+        ["match", "--pattern", str(pat), "--text", "-", "--raw"],
+        stdin=Reads(pieces_of(bytes(text), 999)),
+    )
+    want = naive_all_matches(list(pattern), list(text))
+    assert len(want) >= 3 and code == 0
+    assert out == "".join(f"{s}\n" for s in want)
+
+
+def test_text_file_longer_than_three_reads(tmp_path):
+    # Real 64 KiB reads from a file; tokens of mixed width straddle them.
+    rng = random.Random(10)
+    pattern = [rng.randrange(4) * 1000003 for _ in range(40)]
+    text = [rng.randrange(5) * 1000003 + rng.choice((0, 7)) for _ in range(40000)]
+    for at in (5, 20000, 39960):
+        text[at : at + 40] = [x + 1 for x in pattern]
+    pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
+    data = " ".join(map(str, text)) + "\n"
+    assert len(data) > 3 * 65536
+    txt = write(tmp_path, "t.txt", data)
+    code, out, _ = run_cli(["match", "--pattern", pat, "--text", txt])
+    want = naive_all_matches(pattern, text)
+    assert len(want) >= 3 and code == 0
+    assert out == "".join(f"{s}\n" for s in want)
+
+
+def test_python_m_parmatch(tmp_path):
+    pat = write(tmp_path, "p.txt", "1 2 2 3 1\n")
+    txt = write(tmp_path, "t.txt", "2 4 4 3 2\n7 9 9 3 7\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "parmatch", "match", "--pattern", pat, "--text", txt],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n5\n", "")

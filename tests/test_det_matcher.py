@@ -1,8 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from parmatch.det_matcher import det_matcher_for
+from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
+from parmatch.det_matcher import DetCore, det_matcher_for
+from parmatch.errors import AlphabetError
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
@@ -98,3 +101,116 @@ def test_live_words_independent_of_m_at_fixed_period():
     small.scan(text)
     large.scan(text)
     assert small.live_words() == large.live_words()
+
+
+def det_state(dm):
+    """Everything a deterministic matcher carries between arrivals."""
+    core = dm.core
+    return {
+        "i": dm.i,
+        "table": list(dm.tracker.table),
+        "core": {
+            name: getattr(core, name) for name in DetCore.__slots__ if name != "pending"
+        },
+        "pending": list(core.pending),
+    }
+
+
+def zipf_tokens(n, m, seed, plants=6):
+    """Zipf-like wide token IDs with relabelled copies of an 8-ID pattern."""
+    rng = random.Random(seed)
+    vocab = rng.sample(range(2**32), 3000)
+    text = rng.choices(vocab, [1 / (k + 1) for k in range(len(vocab))], k=n)
+    ids = rng.sample(vocab, 8)
+    pattern = [rng.choice(ids) for _ in range(m)]
+    for _ in range(plants):
+        relabel = dict(zip(ids, rng.sample(vocab, 8)))
+        at = rng.randrange(n - m + 1)
+        text[at : at + m] = [relabel[x] for x in pattern]
+    return pattern, text
+
+
+DET_INSTANCES = {
+    "random": ("random", 300, 6000, 2, 1),
+    "periodic": ("periodic", 1000, 8000, 3, 3),
+    "planted": ("planted", 1500, 9000, 4, 5),
+    "planted_binary": ("planted", 600, 6000, 2, 6),
+}
+
+
+def det_instance(name):
+    """(dense pattern, sigma, symbols fed to the matcher, match starts)."""
+    if name == "zipf":
+        raw_pattern, raw_text = zipf_tokens(20000, 64, seed=7)
+        dense, distinct = densify_pattern(raw_pattern)
+        codes = AlphabetFilter(distinct, len(dense)).scan(raw_text)
+        return dense, distinct + 1, codes, naive_all_matches(raw_pattern, raw_text)
+    kind, m, n, sigma, seed = DET_INSTANCES[name]
+    inst = make_instance(kind, m, n, sigma, seed=seed)
+    return inst.pattern, sigma, inst.text, naive_all_matches(inst.pattern, inst.text)
+
+
+@pytest.mark.parametrize("name", [*DET_INSTANCES, "zipf"])
+def test_scan_chunks_equal_step(name):
+    # A matcher fed chunk by chunk through scan and one stepped through
+    # the same chunks agree on every answer and on their whole state
+    # after each chunk.
+    pattern, sigma, text, want = det_instance(name)
+    m, n = len(pattern), len(text)
+    want = [s + m - 1 for s in want]
+    slow = 0
+    for chunk in (1, 7, 4096, n):
+        stepped = det_matcher_for(pattern, sigma)
+        scanned = det_matcher_for(pattern, sigma)
+        by_step, by_scan = [], []
+        for k in range(0, n, chunk):
+            piece = text[k : k + chunk]
+            for j, sym in enumerate(piece):
+                if stepped.step(sym):
+                    by_step.append(k + j)
+                slow += stepped.shifts_last > 0
+            by_scan += scanned.scan(piece)
+            assert det_state(scanned) == det_state(stepped), (chunk, k)
+        assert by_step == by_scan == want, chunk
+    # Each instance leaves the fast path; the planted ones defer arrivals.
+    assert slow > 0 or name == "periodic"
+    if name.startswith("planted"):
+        assert stepped.pend_peak > 0
+    if name in ("periodic", "zipf"):
+        assert want
+
+
+def test_scan_rejects_a_symbol_like_step():
+    pattern, sigma, text, _ = det_instance("planted")
+    bad = 4205  # arrives while earlier arrivals are deferred
+    text = list(text)
+    text[bad] = sigma
+    stepped = det_matcher_for(pattern, sigma)
+    with pytest.raises(AlphabetError) as by_step:
+        for sym in text:
+            stepped.step(sym)
+    scanned = det_matcher_for(pattern, sigma)
+    scanned.scan(text[:4190])
+    with pytest.raises(AlphabetError) as by_scan:
+        scanned.scan(text[4190:4300])
+    assert by_step.value.index == by_scan.value.index == bad
+    assert scanned.i == bad and scanned.core.pending
+    assert det_state(scanned) == det_state(stepped)
+    # The stream goes on after the rejected symbol, through either path.
+    rest = text[bad + 1 :]
+    tail = [bad + 1 + j for j, sym in enumerate(rest) if stepped.step(sym)]
+    assert scanned.scan(rest) == tail
+    assert det_state(scanned) == det_state(stepped)
+
+
+def test_scan_keeps_matches_found_before_an_error():
+    pattern, sigma, text, want = det_instance("periodic")
+    end = want[1] + len(pattern) - 1
+    text = list(text)
+    text[end + 5] = -1
+    dm = det_matcher_for(pattern, sigma)
+    dm.scan(text[: end - 10])
+    ends = []
+    with pytest.raises(AlphabetError):
+        dm.scan(text[end - 10 : end + 20], ends)
+    assert ends == [end]

@@ -339,3 +339,17 @@ def test_scan_rejects_a_symbol_like_step():
     assert by_step.value.index == by_scan.value.index == bad
     assert scanned.i == bad
     assert matcher_state(scanned) == matcher_state(stepped)
+
+
+def test_scan_keeps_matches_found_before_an_error():
+    inst = make_instance("planted", 2048, 6000, 4, seed=2)
+    end = naive_all_matches(inst.pattern, inst.text)[0] + 2047
+    text = list(inst.text)
+    text[end + 5] = 4
+    sm = StreamMatcher(inst.pattern, 4, seed=3)
+    assert sm.mode == "rand"
+    sm.scan(text[: end - 10])
+    ends = []
+    with pytest.raises(AlphabetError):
+        sm.scan(text[end - 10 : end + 20], ends)
+    assert ends == [end]
