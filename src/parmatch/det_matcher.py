@@ -22,11 +22,8 @@ in time wait in the FIFO and are reported as non-matches immediately;
 the buffer provably drains before the next true match, which is asserted
 whenever a match is reported.
 
-`DetMatcher.step` handles one arrival; `DetMatcher.scan` is the batch
-path.  It runs the last-occurrence tracker and the engine's common case
-(idle, nothing deferred, the first comparison succeeds) inline over a
-chunk, with their state in local variables written back once, and hands
-every other arrival to `DetCore.step_pred`.  Consecutive chunks continue
+`DetMatcher.step` handles one arrival; `DetMatcher.scan` feeds a chunk
+through `step` and collects the match ends.  Consecutive chunks continue
 one stream, so `scan` and `step` may be mixed freely.
 """
 
@@ -34,9 +31,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import AlphabetError, StructuralViolation
+from .errors import StructuralViolation
 from .pattern import PatternProfile, build_profile
-from .predecessor import NEVER, LastOccurrence
+from .predecessor import LastOccurrence
 
 # Per-arrival budgets.  SHIFTS is pinned by the deamortization argument;
 # UNITS and CONSUMES only need to be constants comfortably above the
@@ -303,93 +300,17 @@ class DetMatcher:
     def scan(self, text, out=None) -> list[int]:
         """Match end indices over the next chunk of the stream.
 
-        `step` with the tracker and DetCore's common case (idle, nothing
-        deferred, the first comparison succeeds) inline and their state in
-        local variables, written back once, also when a symbol is rejected
-        or a bound is breached.  Every other arrival goes through
-        `step_pred`.  Consecutive calls continue one stream, and may be
-        mixed with `step`.  The indices are appended to `out` (a new list
-        by default), which is returned; when an error stops the chunk,
-        `out` holds the matches that ended before it.
+        `step` per symbol; consecutive calls continue one stream, and may
+        be mixed with `step`.  The indices are appended to `out` (a new
+        list by default), which is returned; when an error stops the
+        chunk, `out` holds the matches that ended before it.
         """
         if out is None:
             out = []
-        sigma = self.sigma
-        table = self.tracker.table
-        core = self.core
-        step_pred = core.step_pred
-        pending = core.pending
-        cp_rho = core.cp_rho
-        cp_ks = core.cp_ks
-        cp_cs = core.cp_cs
-        q = core.q
-        rho = core.rho_full
-        runs = core.runs
-        runs_last = len(runs) - 1
-        occ = core.occ
-        occ_last = len(occ) - 1
-        phase = core.phase
-        r = core.r
-        run_i = core.run_i
-        occ_i = core.occ_i
-        appended = core.appended
-        consumed = core.consumed
-        # False while step_pred owns the core's scalars.
-        live = True
-        fast = None
-        i = self.i
-        try:
-            for sym in text:
-                i += 1
-                if sym < 0 or sym >= sigma:
-                    raise AlphabetError(sym, i, sigma)
-                t = table[sym]
-                table[sym] = i
-                pv = i - t if t >= 0 else NEVER
-                if phase == _IDLE and not pending:
-                    j = r % cp_rho
-                    pv_p = 0 if r // cp_rho < cp_ks[j] else cp_cs[j]
-                    if (pv_p == pv) if 0 < pv <= r else (pv_p == 0):
-                        appended += 1
-                        consumed += 1
-                        r += 1
-                        if r == q:
-                            r -= rho
-                            out.append(i)
-                        else:
-                            if r > runs[run_i][2] and run_i < runs_last:
-                                run_i += 1
-                            if occ_i < occ_last and occ[occ_i + 1] <= r:
-                                occ_i += 1
-                        fast = True
-                        continue
-                core.r = r
-                core.run_i = run_i
-                core.occ_i = occ_i
-                core.appended = appended
-                core.consumed = consumed
-                live = False
-                if step_pred(pv):
-                    out.append(i)
-                phase = core.phase
-                r = core.r
-                run_i = core.run_i
-                occ_i = core.occ_i
-                appended = core.appended
-                consumed = core.consumed
-                live = True
-                fast = False
-        finally:
-            self.i = i
-            if live:
-                core.r = r
-                core.run_i = run_i
-                core.occ_i = occ_i
-                core.appended = appended
-                core.consumed = consumed
-                if fast:
-                    core.shifts_last = 0
-                    core.units_last = 0
+        step = self.step
+        for sym in text:
+            if step(sym):
+                out.append(self.i)
         return out
 
     def live_words(self) -> int:
