@@ -28,7 +28,7 @@ from .predecessor import (
     pred_string,
     window_relative,
 )
-from .stream_matcher import StreamMatcher, stream_new
+from .stream_matcher import StreamMatcher
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,5 @@ __all__ = [
     "fp_zero",
     "pmatch_compare",
     "pred_string",
-    "stream_new",
     "window_relative",
 ]

@@ -81,6 +81,7 @@ class DetCore:
     def __init__(self, profile: PatternProfile, pend_cap: int):
         self.q = profile.m
         self.rho_full = profile.rho
+        # The profile builds each of these three tables when it is read.
         self.runs = profile.run_table.runs
         self.occ = profile.first_occ
         cp = profile.compressed

@@ -121,11 +121,3 @@ class MatchQueue:
             segs.popleft()
             self.words -= _PROG
         return pos, fp
-
-
-def mq_push(q: MatchQueue, pos: int, fp: int) -> None:
-    q.push(pos, fp)
-
-
-def mq_pop(q: MatchQueue):
-    return q.pop()

@@ -14,6 +14,13 @@ and is immutable afterwards:
 * for the randomized matcher, the prefix ladder P_0..P_s and the
   per-level fingerprints of the second halves of the ladder prefixes.
 
+The period run table, the compressed pred(P) and the first occurrences
+are read only by the deterministic engine, so a profile builds them when
+they are read, which only a `DetCore` does, once each: the standalone
+deterministic matcher, forced det mode, and phase A of the randomized
+matcher on its own sub-profile.  A randomized matcher's main profile never
+builds them.
+
 Preprocessing may use O(m) memory; only streaming-phase state is
 space-bounded, so matchers keep references to the compressed tables but
 never to the full period or predecessor arrays.
@@ -22,10 +29,11 @@ never to the full period or predecessor arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import StructuralViolation, UsageError
 from .fingerprint import FieldContext, Fingerprint, fp_of_sequence
-from .predecessor import pred_string, window_relative
+from .predecessor import pred_string
 
 
 def ceil_log2(m: int) -> int:
@@ -33,30 +41,33 @@ def ceil_log2(m: int) -> int:
     return max(1, (m - 1).bit_length())
 
 
-def compute_prefix_pperiods(pattern) -> list[int]:
+def compute_prefix_pperiods(pattern, pred: list[int] | None = None) -> list[int]:
     """Parameterized period of every prefix; entry [r] is for length r.
 
     Index 0 is unused.  Built from the parameterized failure function:
     the longest proper border of P[0..r-1] under p-matching, extended one
     position at a time exactly as in classic KMP but comparing
-    window-relative predecessor values.
+    window-relative predecessor values.  `pred` is pred_string(pattern)
+    when the caller already has it.
     """
     m = len(pattern)
     if m == 0:
         raise UsageError("empty pattern")
-    pp = pred_string(pattern)
-    fail = [0] * (m + 1)  # longest proper p-border per prefix length
-    for r in range(2, m + 1):
-        j = r - 1  # index of the prefix's last symbol
-        b = fail[r - 1]
-        while b > 0 and window_relative(pp[j], b) != pp[b]:
-            b = fail[b]
+    pp = pred_string(pattern) if pred is None else pred
+    # The longest proper border of the length-b prefix is b - periods[b],
+    # so the period table is the only O(m) list the construction needs.
+    periods = [0] * (m + 1)
+    periods[1] = 1
+    b = 0  # longest proper p-border of the previous prefix
+    for r, v in enumerate(islice(pp, 1, None), 2):
+        # v is the prefix's last predecessor value; window_relative(v, b)
+        # is v when v <= b, else 0 (v >= 0 here).
+        while b > 0 and (v if v <= b else 0) != pp[b]:
+            b -= periods[b]
         # Extending at b == 0 always succeeds: two single symbols p-match,
         # so every prefix of length >= 2 has a border of at least 1.
-        fail[r] = b + 1
-    periods = [0] * (m + 1)
-    for r in range(1, m + 1):
-        periods[r] = r - fail[r]
+        b += 1
+        periods[r] = r - b
     return periods
 
 
@@ -87,28 +98,21 @@ def build_compressed_pred(pattern, rho: int, pred=None) -> CompressedPred:
         pred = pred_string(pattern)
     m = len(pred)
     ks = [0] * rho
-    cs = [0] * rho
-    seen_const = [False] * rho
+    cs = [0] * rho  # 0 until the column's constant is seen; constants are > 0
     for i, v in enumerate(pred):
         j = i % rho
-        if not seen_const[j]:
+        c = cs[j]
+        if c == 0:
             if v == 0:
                 ks[j] += 1
             else:
-                seen_const[j] = True
                 cs[j] = v
-        else:
-            if v != cs[j]:
-                raise StructuralViolation(
-                    f"residue {j}: pred column not zeros-then-constant "
-                    f"({v} after {cs[j]}); rho={rho} is not the period"
-                )
+        elif v != c:
+            raise StructuralViolation(
+                f"residue {j}: pred column not zeros-then-constant "
+                f"({v} after {c}); rho={rho} is not the period"
+            )
     return CompressedPred(rho=rho, m=m, ks=ks, cs=cs)
-
-
-def pred_access(cp: CompressedPred, i: int) -> int:
-    """pred(P)[i] from the compressed form in O(1)."""
-    return cp.value(i)
 
 
 @dataclass(frozen=True)
@@ -197,24 +201,21 @@ def build_ladder(
 ):
     """Build the prefix ladder, or decide the deterministic fallback.
 
-    Returns (ladder, fingerprints-or-None, run_table, first_occurrences).
+    Returns (ladder, fingerprints-or-None).
     Fallback triggers when m <= 14*delta, when the whole pattern's period
     is at most 3*delta, and in the corner where the shortest qualifying
     prefix sits too close to the end of the pattern for the ladder gaps
     to stay at least 3*delta.
     """
     m = len(pattern)
-    if periods is None:
-        periods = compute_prefix_pperiods(pattern)
     if pred is None:
         pred = pred_string(pattern)
-    run_table = build_run_table(periods)
-    first_occ = build_first_occurrences(pred)
+    if periods is None:
+        periods = compute_prefix_pperiods(pattern, pred)
     delta = sigma * ceil_log2(m)
 
     def fallback(reason: str):
-        ladder = PrefixLadder(delta=delta, mode="det", reason=reason)
-        return ladder, None, run_table, first_occ
+        return PrefixLadder(delta=delta, mode="det", reason=reason), None
 
     if m <= 14 * delta:
         return fallback(f"m={m} <= 14*delta={14 * delta}")
@@ -241,9 +242,8 @@ def build_ladder(
     if ctx is None:
         # Deterministic-only callers need the routing decision but no
         # fingerprints.
-        return ladder, None, run_table, first_occ
-    fps = _build_fingerprints(ctx, ladder, pred, m, delta)
-    return ladder, fps, run_table, first_occ
+        return ladder, None
+    return ladder, _build_fingerprints(ctx, ladder, pred, m, delta)
 
 
 def _check_ladder(ladder: PrefixLadder, m: int, periods: list[int]) -> None:
@@ -273,7 +273,7 @@ def _build_fingerprints(
     return PatternFingerprints(
         level_fps=level_fps,
         p0_last=pred[lens[0] - 1],
-        tail_pred=list(pred[m - 4 * delta :]),
+        tail_pred=pred[m - 4 * delta :],
     )
 
 
@@ -282,22 +282,33 @@ class PatternProfile:
     """Everything preprocessing produces, bundled.
 
     The full period and predecessor arrays are preprocessing artifacts;
-    matchers only hold the compressed pieces.
+    matchers only hold the compressed pieces.  Those pieces serve only the
+    deterministic engine and are built, in O(m), on each access: a
+    `DetCore` reads each once, and the profile keeps no copy.
     """
 
     m: int
     sigma: int
     periods: list[int]
     pred: list[int]
-    compressed: CompressedPred
-    run_table: RunLengthPeriodTable
-    first_occ: list[int]
     ladder: PrefixLadder
     fingerprints: PatternFingerprints | None
 
     @property
     def rho(self) -> int:
         return self.periods[self.m]
+
+    @property
+    def compressed(self) -> CompressedPred:
+        return build_compressed_pred(None, self.rho, pred=self.pred)
+
+    @property
+    def run_table(self) -> RunLengthPeriodTable:
+        return build_run_table(self.periods)
+
+    @property
+    def first_occ(self) -> list[int]:
+        return build_first_occurrences(self.pred)
 
 
 def build_profile(
@@ -306,24 +317,18 @@ def build_profile(
     m = len(pattern)
     if m == 0:
         raise UsageError("empty pattern")
-    for j, sym in enumerate(pattern):
-        if not 0 <= sym < sigma:
-            raise UsageError(f"pattern symbol {sym} at {j} outside [0, {sigma})")
-    periods = compute_prefix_pperiods(pattern)
+    if min(pattern) < 0 or max(pattern) >= sigma:
+        for j, sym in enumerate(pattern):
+            if not 0 <= sym < sigma:
+                raise UsageError(f"pattern symbol {sym} at {j} outside [0, {sigma})")
     pred = pred_string(pattern)
-    rho = periods[m]
-    compressed = build_compressed_pred(pattern, rho, pred=pred)
-    ladder, fps, run_table, first_occ = build_ladder(
-        pattern, sigma, ctx, periods=periods, pred=pred
-    )
+    periods = compute_prefix_pperiods(pattern, pred)
+    ladder, fps = build_ladder(pattern, sigma, ctx, periods=periods, pred=pred)
     return PatternProfile(
         m=m,
         sigma=sigma,
         periods=periods,
         pred=pred,
-        compressed=compressed,
-        run_table=run_table,
-        first_occ=first_occ,
         ladder=ladder,
         fingerprints=fps,
     )

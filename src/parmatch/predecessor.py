@@ -55,11 +55,6 @@ class LastOccurrence:
         return i - t if t >= 0 else NEVER
 
 
-def pred_stream_step(tracker: LastOccurrence, sym: int, i: int) -> int:
-    """One streaming predecessor step; NEVER encodes a first occurrence."""
-    return tracker.step(sym, i)
-
-
 def render(pv: int) -> int:
     """Map the internal convention to the offline one (NEVER -> 0)."""
     return 0 if pv >= NEVER else pv

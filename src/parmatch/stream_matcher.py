@@ -142,7 +142,8 @@ class StreamMatcher:
             )
         self.ctx = ctx
         self.p = ctx.p
-        profile = build_profile(pattern, sigma, ctx)
+        # Forced det mode needs the routing decision but no fingerprints.
+        profile = build_profile(pattern, sigma, None if mode == "det" else ctx)
         ladder = profile.ladder
 
         if mode == "rand" and ladder.mode != "rand":
@@ -847,7 +848,3 @@ class StreamMatcher:
             return 0
         cap = self.dq_cap
         return max(min(n, cap) for n in self.dq_next[1:]) if self.s else 0
-
-
-def stream_new(pattern, sigma: int, **cfg) -> StreamMatcher:
-    return StreamMatcher(pattern, sigma, **cfg)

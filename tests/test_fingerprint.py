@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from parmatch import fingerprint
 from parmatch.errors import ConfigError, UsageError
 from parmatch.fingerprint import (
     EMPTY_FP,
@@ -60,6 +61,44 @@ def test_fp_of_sequence_empty_and_zeros():
 def test_fp_of_sequence_rejects_large_values():
     with pytest.raises(UsageError):
         fp_of_sequence(ctx101(), [101])
+
+
+K = fingerprint._BLOCK
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([0, 1, K - 1, K, K + 1, 3 * K + 5]),
+    st.sampled_from([5, 7, 13, 17, 19, 31, 61]),
+    st.data(),
+)
+def test_fp_of_sequence_equals_defining_sum(n, bits, data):
+    # Block boundaries on both sides, prime widths from 5 to 61 bits.
+    c = context_new(bits, data.draw(st.integers(0, 2**32), label="seed"))
+    p, r = c.p, c.r
+    seq = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    want = 0
+    for k, v in enumerate(seq):
+        want = (want + v * pow(r, k, p)) % p
+    assert fp_of_sequence(c, seq) == Fingerprint(want, n)
+    assert fp_of_sequence(c, iter(seq)) == Fingerprint(want, n)
+
+
+@pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 3 * K + 5])
+@pytest.mark.parametrize("bad", [101, 500, -1])
+def test_fp_of_sequence_rejects_value_in_last_block(n, bad):
+    seq = [100] * n
+    seq[-1] = bad
+    with pytest.raises(UsageError, match=f"value {bad} outside \\[0, 101\\)"):
+        fp_of_sequence(ctx101(), seq)
+
+
+def test_fp_of_sequence_names_first_bad_value():
+    seq = [1] * (2 * K)
+    seq[3] = -4
+    seq[-1] = 200
+    with pytest.raises(UsageError, match="value -4 outside"):
+        fp_of_sequence(ctx101(), seq)
 
 
 def test_fp_append_matches_batch():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from parmatch.errors import StructuralViolation, UsageError
-from parmatch.match_queue import MatchQueue, mq_pop, mq_push
+from parmatch.match_queue import MatchQueue
 
 P61 = (1 << 61) - 1
 
@@ -27,7 +27,7 @@ def test_progression_forms():
     q = make_queue()
     fps = law_fps(101, 7, 3, 11, 29, 4)
     for k, fp in enumerate(fps):
-        mq_push(q, 100 + 3 * k, fp)
+        q.push(100 + 3 * k, fp)
     assert len(q.segs) == 1
     seg = q.segs[0]
     assert len(seg) == 9 and seg[1] == 4
@@ -36,8 +36,8 @@ def test_progression_forms():
 
 def test_non_extending_gap_two_segments():
     q = make_queue(diff=3)
-    mq_push(q, 5, 1)
-    mq_push(q, 11, 2)  # gap 6 = 2*diff: not an extension
+    q.push(5, 1)
+    q.push(11, 2)  # gap 6 = 2*diff: not an extension
     assert len(q.segs) == 2
     assert all(len(s) == 2 for s in q.segs)
 
@@ -47,20 +47,20 @@ def test_pop_replays_pushed_pairs():
     fps = law_fps(101, 7, 3, 42, 17, 6)
     pushed = [(100 + 3 * k, fp) for k, fp in enumerate(fps)]
     for pos, fp in pushed:
-        mq_push(q, pos, fp)
-    got = [mq_pop(q) for _ in range(len(pushed))]
+        q.push(pos, fp)
+    got = [q.pop() for _ in range(len(pushed))]
     assert got == pushed
-    assert mq_pop(q) is None
+    assert q.pop() is None
 
 
 def test_pop_empty():
-    assert mq_pop(make_queue()) is None
+    assert make_queue().pop() is None
 
 
 def test_single_round_trip():
     q = make_queue()
-    mq_push(q, 9, 77)
-    assert mq_pop(q) == (9, 77)
+    q.push(9, 77)
+    assert q.pop() == (9, 77)
 
 
 def test_interleaved_push_pop():
@@ -96,22 +96,22 @@ def test_interleaved_push_pop():
 
 def test_law_mismatch_starts_new_segment():
     q = make_queue()
-    mq_push(q, 0, 10)
-    mq_push(q, 3, 20)
-    mq_push(q, 6, 99)  # exact gap but wrong fingerprint
+    q.push(0, 10)
+    q.push(3, 20)
+    q.push(6, 99)  # exact gap but wrong fingerprint
     assert q.law_mismatches == 1
-    assert [mq_pop(q) for _ in range(3)] == [(0, 10), (3, 20), (6, 99)]
+    assert [q.pop() for _ in range(3)] == [(0, 10), (3, 20), (6, 99)]
 
 
 def test_monotonic_positions_required():
     q = make_queue()
-    mq_push(q, 10, 1)
+    q.push(10, 1)
     with pytest.raises(UsageError):
-        mq_push(q, 10, 2)
+        q.push(10, 2)
 
 
 def test_budget_violation_raises():
     q = make_queue(budget=3)
     with pytest.raises(StructuralViolation):
         for k in range(10):
-            mq_push(q, 7 * k, k)  # gap 7 never extends diff 3
+            q.push(7 * k, k)  # gap 7 never extends diff 3

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parmatch.errors import StructuralViolation
+from parmatch import pattern as pattern_mod
+from parmatch.errors import StructuralViolation, UsageError
 from parmatch.fingerprint import context_new, fp_of_sequence
 from parmatch.oracle import naive_pperiod
 from parmatch.pattern import (
@@ -14,9 +15,9 @@ from parmatch.pattern import (
     build_run_table,
     ceil_log2,
     compute_prefix_pperiods,
-    pred_access,
 )
 from parmatch.predecessor import pred_string
+from parmatch.stream_matcher import StreamMatcher
 
 patterns = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60)
 
@@ -55,13 +56,40 @@ def test_compressed_pred_rejects_wrong_period():
         build_compressed_pred([0, 0, 1, 0, 1], 1)
 
 
+def test_compressed_pred_rejects_zero_or_second_constant():
+    # pred(ababc) = 0,0,2,2,0: with rho=2, residue 0 reads 0, 2, then 0.
+    with pytest.raises(StructuralViolation, match=r"residue 0: .*\(0 after 2\)"):
+        build_compressed_pred([0, 1, 0, 1, 2], 2)
+    # pred(aabaabb) = 0,1,0,2,1,3,1: with rho=3, residue 0 reads 0, 2, 1.
+    with pytest.raises(StructuralViolation, match=r"residue 0: .*\(1 after 2\)"):
+        build_compressed_pred([0, 0, 1, 0, 0, 1, 1], 3)
+
+
+def test_wrong_period_raises_through_the_profile():
+    # The on-demand table keeps the check: a profile whose period table
+    # lies about rho raises on first access.
+    prof = build_profile([0, 0, 1, 0, 1], 2)
+    periods = list(prof.periods)
+    periods[5] = 1
+    bad = pattern_mod.PatternProfile(
+        m=5,
+        sigma=2,
+        periods=periods,
+        pred=prof.pred,
+        ladder=prof.ladder,
+        fingerprints=None,
+    )
+    with pytest.raises(StructuralViolation, match="rho=1 is not the period"):
+        bad.compressed
+
+
 @given(patterns)
 def test_pred_access_equals_pred_string(p):
     rho = compute_prefix_pperiods(p)[len(p)]
     cp = build_compressed_pred(p, rho)
     pp = pred_string(p)
     for i in range(len(p)):
-        assert pred_access(cp, i) == pp[i]
+        assert cp.value(i) == pp[i]
 
 
 @given(patterns)
@@ -99,20 +127,86 @@ def test_first_occurrences(p):
     assert len(occ) == len(set(p))
 
 
+@given(patterns)
+def test_on_demand_det_tables_equal_direct_builds(p):
+    prof = build_profile(p, 4)
+    pp = pred_string(p)
+    periods = compute_prefix_pperiods(p)
+    assert prof.pred == pp and prof.periods == periods
+    assert prof.compressed == build_compressed_pred(p, periods[len(p)])
+    assert prof.run_table == build_run_table(periods)
+    assert prof.first_occ == build_first_occurrences(pp)
+
+
+@given(patterns)
+def test_prefix_pperiods_reuses_given_pred(p):
+    assert compute_prefix_pperiods(p, pred_string(p)) == compute_prefix_pperiods(p)
+
+
+def test_profile_symbol_check_names_first_bad_symbol():
+    with pytest.raises(UsageError, match="pattern symbol 4 at 2 outside"):
+        build_profile([0, 1, 4, 3, -1], 4)
+    with pytest.raises(UsageError, match="pattern symbol -1 at 1 outside"):
+        build_profile([0, -1, 2, 7], 4)
+    with pytest.raises(UsageError, match="pattern symbol -2 at 2 outside"):
+        build_profile([0, 1, -2, 3], 4)
+
+
+def test_rand_matcher_builds_no_det_tables_for_the_whole_pattern(monkeypatch):
+    # Only phase A's sub-profile (the base prefix minus one) needs the
+    # deterministic tables; the main profile must not build them.
+    sizes = []
+
+    def counted(builder, size_of):
+        def wrapper(*args, **kw):
+            sizes.append((builder.__name__, size_of(*args, **kw)))
+            return builder(*args, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        pattern_mod,
+        "build_compressed_pred",
+        counted(build_compressed_pred, lambda pat, rho, pred=None: len(pred)),
+    )
+    monkeypatch.setattr(
+        pattern_mod,
+        "build_run_table",
+        counted(build_run_table, lambda periods: len(periods) - 1),
+    )
+    monkeypatch.setattr(
+        pattern_mod,
+        "build_first_occurrences",
+        counted(build_first_occurrences, len),
+    )
+    rng = random.Random(11)
+    m = 2000
+    p = [rng.randrange(4) for _ in range(m)]
+    sm = StreamMatcher(p, 4, seed=3)
+    assert sm.mode == "rand"
+    built = {name for name, _ in sizes}
+    assert built == {
+        "build_compressed_pred",
+        "build_run_table",
+        "build_first_occurrences",
+    }
+    assert all(size == sm.m0 - 1 for _, size in sizes), sizes
+
+
 def test_ladder_gate_small_period():
-    ladder, fps, _, _ = build_ladder([0] * 1000, 4, None)
+    ladder, fps = build_ladder([0] * 1000, 4, None)
     assert ladder.mode == "det" and fps is None
 
 
 def test_ladder_gate_short_pattern():
     # delta = 8 * 7 = 56, 14*delta = 784 > 100
     p = [random.Random(1).randrange(8) for _ in range(100)]
-    ladder, _, _, _ = build_ladder(p, 8, None)
+    ladder, _ = build_ladder(p, 8, None)
     assert ladder.mode == "det"
 
 
 def test_ladder_unary_alphabet_always_det():
-    ladder, _, _, _ = build_ladder([0] * 5000, 1, None)
+    ladder, _ = build_ladder([0] * 5000, 1, None)
     assert ladder.mode == "det"
 
 
@@ -122,7 +216,7 @@ def test_ladder_large_random_binary():
     p = [rng.randrange(2) for _ in range(m)]
     ctx = context_new(61, 1)
     periods = compute_prefix_pperiods(p)
-    ladder, fps, _, _ = build_ladder(p, 2, ctx, periods=periods)
+    ladder, fps = build_ladder(p, 2, ctx, periods=periods)
     delta = 2 * ceil_log2(m)
     assert ladder.mode == "rand"
     lens = ladder.lengths
@@ -144,7 +238,7 @@ def test_ladder_gaps_at_least_three_delta():
         sigma = rng.choice([2, 4])
         m = rng.randint(300, 1200) if sigma == 2 else rng.randint(550, 1500)
         p = [rng.randrange(sigma) for _ in range(m)]
-        ladder, _, _, _ = build_ladder(p, sigma, context_new(61, 1))
+        ladder, _ = build_ladder(p, sigma, context_new(61, 1))
         if ladder.mode != "rand":
             continue
         d = ladder.delta

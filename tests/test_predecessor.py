@@ -7,7 +7,6 @@ from parmatch.predecessor import (
     NEVER,
     LastOccurrence,
     pmatch_compare,
-    pred_stream_step,
     pred_string,
     render,
     window_relative,
@@ -30,7 +29,7 @@ def test_pred_string_unary():
 
 def test_stream_matches_offline():
     tr = LastOccurrence(2)
-    vals = [pred_stream_step(tr, s, i) for i, s in enumerate([0, 0, 1, 0])]
+    vals = [tr.step(s, i) for i, s in enumerate([0, 0, 1, 0])]
     assert [render(v) for v in vals] == [0, 1, 0, 2]
     assert vals[0] == NEVER and vals[2] == NEVER
 

@@ -35,6 +35,33 @@ def test_forced_det_equals_auto():
     assert starts(auto, 400, t) == starts(det, 400, t)
 
 
+def test_forced_det_builds_no_fingerprints(monkeypatch):
+    # A rand-eligible pattern in forced det mode: the same matches as the
+    # randomized route and the oracle, and no level fingerprint computed.
+    from parmatch import pattern as pattern_mod
+
+    calls = []
+
+    def counted(ctx, seq):
+        calls.append(len(seq))
+        return fp_of_sequence(ctx, seq)
+
+    monkeypatch.setattr(pattern_mod, "fp_of_sequence", counted)
+    inst = make_instance("planted", 1024, 4096, 4, seed=9)
+    det = StreamMatcher(inst.pattern, 4, mode="det", seed=5)
+    assert det.mode == "det" and calls == []
+    auto = StreamMatcher(inst.pattern, 4, seed=5)
+    assert auto.mode == "rand" and len(calls) == auto.s
+    want = naive_all_matches(inst.pattern, inst.text)
+    assert want
+    assert starts(det, 1024, inst.text) == starts(auto, 1024, inst.text) == want
+
+
+def test_forced_det_keeps_the_prime_check():
+    with pytest.raises(ConfigError, match="must exceed the alphabet size"):
+        StreamMatcher([0, 1] * 300, 8, mode="det", prime_bits=3)
+
+
 def test_mode_rand_rejects_ineligible():
     with pytest.raises(ConfigError):
         StreamMatcher([0] * 50, 2, mode="rand")
