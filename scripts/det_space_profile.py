@@ -2,14 +2,18 @@
 """Deterministic matcher footprint as the pattern period grows.
 
 Peak live words should track sigma + rho, not the pattern length; the
-shift budget stays at 2 per arrival throughout.
+shift budget stays at 2 per arrival throughout.  Run from the repo root,
+either after `pip install -e .` or straight from a checkout:
+
+    PYTHONPATH=src python3 scripts/det_space_profile.py --rhos 1 10 100
 """
 
 import argparse
 import random
 
-from parmatch.det_matcher import det_matcher_for
+from parmatch.det_matcher import DetMatcher
 from parmatch.oracle import naive_pperiod
+from parmatch.pattern import build_profile
 
 
 def main():
@@ -31,12 +35,12 @@ def main():
         m = len(pattern)
         text = [rng.randrange(args.sigma) for _ in range(6 * m)]
         text[m : 2 * m] = pattern
-        dm = det_matcher_for(pattern, args.sigma)
+        dm = DetMatcher(build_profile(pattern, args.sigma))
         peak = 0
         shifts = 0
         for sym in text:
             dm.step(sym)
-            shifts = max(shifts, dm.shifts_last)
+            shifts = max(shifts, dm.core.shifts_last)
             peak = max(peak, dm.live_words())
         print(f"{rho:>6} {m:>7} {peak:>10} {peak / (args.sigma + rho):>6.1f} "
               f"{shifts:>10}")

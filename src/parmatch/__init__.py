@@ -8,26 +8,11 @@ parameterized period.
 """
 
 from .alphabet_filter import AlphabetFilter, densify_pattern
-from .det_matcher import DetMatcher, det_matcher_for
+from .det_matcher import DetMatcher
 from .errors import AlphabetError, ConfigError, StructuralViolation, UsageError
-from .fingerprint import (
-    FieldContext,
-    Fingerprint,
-    ZeroEntry,
-    context_new,
-    fp_append,
-    fp_of_sequence,
-    fp_split,
-    fp_zero,
-)
+from .fingerprint import FieldContext, Fingerprint, context_new, fp_of_sequence
 from .pattern import PatternProfile, build_profile
-from .predecessor import (
-    NEVER,
-    LastOccurrence,
-    pmatch_compare,
-    pred_string,
-    window_relative,
-)
+from .predecessor import NEVER, LastOccurrence, pred_string
 from .stream_matcher import StreamMatcher
 
 __version__ = "0.1.0"
@@ -45,16 +30,9 @@ __all__ = [
     "StreamMatcher",
     "StructuralViolation",
     "UsageError",
-    "ZeroEntry",
     "build_profile",
     "context_new",
     "densify_pattern",
-    "det_matcher_for",
-    "fp_append",
     "fp_of_sequence",
-    "fp_split",
-    "fp_zero",
-    "pmatch_compare",
     "pred_string",
-    "window_relative",
 ]

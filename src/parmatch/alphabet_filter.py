@@ -103,12 +103,6 @@ class AlphabetFilter:
         return out
 
 
-def filter_step(state: AlphabetFilter, raw, t: int) -> int:
-    if t != state.t + 1:
-        raise ValueError(f"arrival time {t} out of order, expected {state.t + 1}")
-    return state.step(raw)
-
-
 def densify_pattern(pattern) -> tuple[list[int], int]:
     """Relabel pattern symbols by first appearance; returns (codes, distinct)."""
     codes: dict = {}

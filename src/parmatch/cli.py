@@ -21,6 +21,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_STRUCTURAL = 3
 
+_KINDS = ("random", "planted", "periodic", "long_gap")
+
 
 class _UsageExit(Exception):
     pass
@@ -106,6 +108,23 @@ def _open_text_stream(path: str, raw: bool):
     return chunks(f), f
 
 
+def _count(least: int):
+    """argparse type: a base-10 integer of at least `least`."""
+
+    def parse(tok: str) -> int:
+        v = int(tok, 10)
+        if v < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {v}")
+        return v
+
+    parse.__name__ = "positive int" if least == 1 else "non-negative int"
+    return parse
+
+
+_POSITIVE = _count(1)
+_NON_NEGATIVE = _count(0)
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=1, help="PRNG seed (u64)")
     p.add_argument("--prime-bits", type=int, default=61, dest="prime_bits")
@@ -132,28 +151,28 @@ def build_parser() -> _Parser:
     _add_common(m)
 
     v = sub.add_parser("verify", help="matcher vs brute-force oracle")
-    v.add_argument("--trials", type=int, default=200)
-    v.add_argument("--max-m", type=int, default=256, dest="max_m")
-    v.add_argument("--sigma", type=int, default=4)
+    v.add_argument("--trials", type=_POSITIVE, default=200)
+    v.add_argument("--max-m", type=_POSITIVE, default=256, dest="max_m")
+    v.add_argument("--sigma", type=_POSITIVE, default=4)
     v.add_argument("--mode", choices=("auto", "det"), default="auto")
     _add_common(v)
 
     b = sub.add_parser("bench", help="time/space instrumentation")
-    b.add_argument("--m", type=int, default=4096)
-    b.add_argument("--n", type=int, default=0, help="default 3*m")
-    b.add_argument("--sigma", type=int, default=4)
-    b.add_argument("--kind", default="planted")
+    b.add_argument("--m", type=_POSITIVE, default=4096)
+    b.add_argument("--n", type=_NON_NEGATIVE, default=0, help="default 3*m")
+    b.add_argument("--sigma", type=_POSITIVE, default=4)
+    b.add_argument("--kind", default="planted", choices=_KINDS)
     b.add_argument("--mode", choices=("auto", "det", "rand"), default="auto")
     _add_common(b)
 
     g = sub.add_parser("gen", help="write a deterministic instance")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--sigma", type=int, default=4)
+    g.add_argument("--m", type=_POSITIVE, required=True)
+    g.add_argument("--n", type=_NON_NEGATIVE, required=True)
+    g.add_argument("--sigma", type=_POSITIVE, default=4)
+    g.add_argument("--kind", default="random", choices=_KINDS)
     g.add_argument(
-        "--kind", default="random", choices=("random", "planted", "periodic", "long_gap")
+        "--period", type=_POSITIVE, default=None, help="block length (periodic)"
     )
-    g.add_argument("--period", type=int, default=None, help="block length (periodic)")
     g.add_argument("--out-pattern", required=True, dest="out_pattern")
     g.add_argument("--out-text", required=True, dest="out_text")
     _add_common(g)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import StructuralViolation
-from .pattern import PatternProfile, build_profile
+from .pattern import PatternProfile
 from .predecessor import LastOccurrence
 
 # Per-arrival budgets.  SHIFTS is pinned by the deamortization argument;
@@ -82,7 +82,7 @@ class DetCore:
         self.q = profile.m
         self.rho_full = profile.rho
         # The profile builds each of these three tables when it is read.
-        self.runs = profile.run_table.runs
+        self.runs = profile.run_table
         self.occ = profile.first_occ
         cp = profile.compressed
         self.cp_rho = cp.rho
@@ -316,16 +316,3 @@ class DetMatcher:
 
     def live_words(self) -> int:
         return self.core.live_words() + self.sigma
-
-    @property
-    def shifts_last(self) -> int:
-        return self.core.shifts_last
-
-    @property
-    def pend_peak(self) -> int:
-        return self.core.pend_peak
-
-
-def det_matcher_for(pattern, sigma: int) -> DetMatcher:
-    return DetMatcher(build_profile(pattern, sigma))
-

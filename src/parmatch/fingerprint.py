@@ -1,4 +1,4 @@
-"""Rabin-Karp fingerprints over a prime field, with splitting and zeroing.
+"""Rabin-Karp fingerprints over a prime field.
 
 The fingerprint of a sequence S of non-negative values less than p is
 
@@ -8,18 +8,14 @@ for a prime p and a base r drawn uniformly at random from [1, p-1].
 Two distinct equal-length sequences collide with probability at most
 |S|/(p-1) over the choice of r.
 
-Two derived operations drive the streaming matcher:
-
-* splitting: from phi(S[0..a]) and phi(S[0..b]) (b > a) and r^-(a+1),
-  recover phi(S[a+1..b]) rebased so its first symbol carries r^0;
-* zeroing: from phi(S) and, for selected positions z, the value currently
-  contributing at z together with r^z, recover the fingerprint of the
-  sequence with those positions replaced by 0.  Costs O(|Z|).
-
-A FieldContext also carries a monotone power state (r^i and r^-i at its
-clock i), which `advance()` moves by one multiplication per position for
-the streaming form `fp_append`.  The matching engines never advance a
-context: they read only p, r and r^-1 and keep their own powers, so one
+`fp_of_sequence` evaluates phi during preprocessing, for the per-level
+targets of the prefix ladder.  The streaming matcher does its field
+arithmetic inline: it keeps the running prefix fingerprint and its own
+powers r^i, splits by subtracting two prefix fingerprints without
+rebasing (the difference still carries the weight r^lo of its first
+position lo, so it is compared with the level target times r^lo), and
+zeroes a position z by subtracting its value times r^z.  A FieldContext
+is only (p, r, r^-1) and is never changed after construction, so one
 context may back any number of matchers.
 """
 
@@ -93,26 +89,10 @@ class Fingerprint(NamedTuple):
     length: int
 
 
-class ZeroEntry(NamedTuple):
-    """One position to zero out: its value and the matching power of r."""
-
-    position: int
-    symbol_value: int
-    r_pow: int
-
-
-EMPTY_FP = Fingerprint(0, 0)
-
-
 class FieldContext:
-    """Field parameters plus an incremental power state.
+    """Field parameters: the prime p, the base r and its inverse r^-1."""
 
-    Only `advance()` mutates the context: it moves both r^clock and
-    r^-clock forward by one position.  Everything else is read-only after
-    construction, and the engines read nothing but p, r and r_inv.
-    """
-
-    __slots__ = ("p", "r", "r_inv", "clock", "r_pow", "r_neg_pow")
+    __slots__ = ("p", "r", "r_inv")
 
     def __init__(self, p: int, r: int):
         if not _is_prime(p):
@@ -122,21 +102,6 @@ class FieldContext:
         self.p = p
         self.r = r
         self.r_inv = pow(r, p - 2, p)
-        self.clock = 0
-        self.r_pow = 1
-        self.r_neg_pow = 1
-
-    def advance(self) -> None:
-        """Move the power state from clock i to i+1."""
-        self.clock += 1
-        self.r_pow = self.r_pow * self.r % self.p
-        self.r_neg_pow = self.r_neg_pow * self.r_inv % self.p
-
-    def pow_r(self, k: int) -> int:
-        """r^k mod p for arbitrary k (preprocessing only; not O(1))."""
-        if k >= 0:
-            return pow(self.r, k, self.p)
-        return pow(self.r_inv, -k, self.p)
 
     def __eq__(self, other) -> bool:
         return (
@@ -146,7 +111,7 @@ class FieldContext:
         )
 
     def __repr__(self) -> str:
-        return f"FieldContext(p={self.p}, r={self.r}, clock={self.clock})"
+        return f"FieldContext(p={self.p}, r={self.r})"
 
 
 def context_new(prime_bits: int = DEFAULT_PRIME_BITS, seed: int = 0) -> FieldContext:
@@ -187,64 +152,3 @@ def fp_of_sequence(ctx: FieldContext, seq: Iterable[int]) -> Fingerprint:
     for a in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
         acc = (acc * r_block + sum(map(mul, seq[a : a + _BLOCK], powers))) % p
     return Fingerprint(acc, n)
-
-
-def fp_append(ctx: FieldContext, fp: Fingerprint, v: int, i: int) -> Fingerprint:
-    """Extend phi(S[0..i-1]) with S[i] = v using the current power state.
-
-    Requires the context clock to sit at i; this is the one-multiplication
-    streaming form of the fingerprint sum.
-    """
-    if fp.length != i:
-        raise UsageError(f"fingerprint covers {fp.length} positions, expected {i}")
-    if ctx.clock != i:
-        raise UsageError(f"power state at clock {ctx.clock}, expected {i}")
-    if v >= ctx.p or v < 0:
-        raise UsageError(f"value {v} outside [0, {ctx.p})")
-    return Fingerprint((fp.value + v * ctx.r_pow) % ctx.p, i + 1)
-
-
-def fp_split(
-    ctx: FieldContext, fp_b: Fingerprint, fp_a: Fingerprint, r_neg_pow: int
-) -> Fingerprint:
-    """phi(S[a+1..b]) from phi(S[0..b]), phi(S[0..a]) and r^-(a+1).
-
-    The difference of the two prefix fingerprints carries the suffix terms
-    still weighted by r^(a+1)..r^b; multiplying by r^-(a+1) rebases them
-    so the suffix starts at r^0.
-    """
-    if fp_a.length >= fp_b.length:
-        raise UsageError(
-            f"split needs a shorter prefix: {fp_a.length} >= {fp_b.length}"
-        )
-    value = (fp_b.value - fp_a.value) * r_neg_pow % ctx.p
-    return Fingerprint(value, fp_b.length - fp_a.length)
-
-
-def fp_zero(
-    ctx: FieldContext,
-    fp: Fingerprint,
-    zeros: Iterable[ZeroEntry],
-    base: int,
-    r_neg_base: int | None = None,
-) -> Fingerprint:
-    """phi(S) with the given positions replaced by 0.
-
-    `base` is the absolute index of the fingerprint's first position; each
-    entry's stored r_pow is r^position, so the contribution to remove is
-    symbol_value * r^position * r^-base.  Streaming callers pass r^-base
-    from their power history; if omitted it is computed by exponentiation
-    (fine outside hot paths).
-    """
-    p = ctx.p
-    if r_neg_base is None:
-        r_neg_base = pow(ctx.r_inv, base, p)
-    removed = 0
-    for z in zeros:
-        if not base <= z.position < base + fp.length:
-            raise UsageError(
-                f"zero position {z.position} outside span [{base}, {base + fp.length})"
-            )
-        removed = (removed + z.symbol_value * z.r_pow) % p
-    value = (fp.value - removed * r_neg_base) % p
-    return Fingerprint(value, fp.length)

@@ -60,8 +60,8 @@ def compute_prefix_pperiods(pattern, pred: list[int] | None = None) -> list[int]
     periods[1] = 1
     b = 0  # longest proper p-border of the previous prefix
     for r, v in enumerate(islice(pp, 1, None), 2):
-        # v is the prefix's last predecessor value; window_relative(v, b)
-        # is v when v <= b, else 0 (v >= 0 here).
+        # v is the prefix's last predecessor value; read in the window of
+        # the length-b border it is v when v <= b, else 0 (v >= 0 here).
         while b > 0 and (v if v <= b else 0) != pp[b]:
             b -= periods[b]
         # Extending at b == 0 always succeeds: two single symbols p-match,
@@ -115,26 +115,13 @@ def build_compressed_pred(pattern, rho: int, pred=None) -> CompressedPred:
     return CompressedPred(rho=rho, m=m, ks=ks, cs=cs)
 
 
-@dataclass(frozen=True)
-class RunLengthPeriodTable:
+def build_run_table(periods: list[int]) -> list[tuple[int, int, int]]:
     """Equal-period intervals of prefix lengths, ascending.
 
-    runs[k] = (period, lo, hi): every prefix length in [lo, hi] has this
+    Entry k is (period, lo, hi): every prefix length in [lo, hi] has this
     parameterized period.  Intervals partition [1, m] and period values
     strictly increase run to run.
     """
-
-    runs: list[tuple[int, int, int]]
-
-    def expand(self, m: int) -> list[int]:
-        out = [0] * (m + 1)
-        for rho, lo, hi in self.runs:
-            for r in range(lo, hi + 1):
-                out[r] = rho
-        return out
-
-
-def build_run_table(periods: list[int]) -> RunLengthPeriodTable:
     m = len(periods) - 1
     runs: list[tuple[int, int, int]] = []
     lo = 1
@@ -145,7 +132,7 @@ def build_run_table(periods: list[int]) -> RunLengthPeriodTable:
             runs.append((periods[lo], lo, r - 1))
             lo = r
     runs.append((periods[lo], lo, m))
-    return RunLengthPeriodTable(runs=runs)
+    return runs
 
 
 def build_first_occurrences(pred: list[int]) -> list[int]:
@@ -167,10 +154,6 @@ class PrefixLadder:
     mode: str
     reason: str = ""
     lengths: list[int] = field(default_factory=list)
-
-    @property
-    def m0(self) -> int:
-        return self.lengths[0]
 
     @property
     def s(self) -> int:
@@ -303,7 +286,7 @@ class PatternProfile:
         return build_compressed_pred(None, self.rho, pred=self.pred)
 
     @property
-    def run_table(self) -> RunLengthPeriodTable:
+    def run_table(self) -> list[tuple[int, int, int]]:
         return build_run_table(self.periods)
 
     @property

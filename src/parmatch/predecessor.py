@@ -1,4 +1,4 @@
-"""Predecessor strings and the comparisons built on them.
+"""Predecessor strings and the streaming last-occurrence tracker.
 
 pred(S)[j] is the distance back to the previous occurrence of S[j] in S,
 or 0 when there is none.  Two equal-length strings parameterize-match
@@ -10,8 +10,9 @@ Streaming convention: a symbol never seen before is carried internally
 as the distance NEVER (effectively +infinity), because the comparison
 rule "the pattern expects a first occurrence and the text's previous
 occurrence is out of the window" must also cover "the text symbol has no
-previous occurrence at all".  NEVER is rendered as 0 at output
-boundaries, matching the offline definition.
+previous occurrence at all".  The engines read a global value v at
+window offset j as `v if 0 < v <= j else 0`, which maps NEVER, like any
+distance reaching past the window, to the offline first-occurrence 0.
 """
 
 from __future__ import annotations
@@ -53,29 +54,3 @@ class LastOccurrence:
         t = self.table[sym]
         self.table[sym] = i
         return i - t if t >= 0 else NEVER
-
-
-def render(pv: int) -> int:
-    """Map the internal convention to the offline one (NEVER -> 0)."""
-    return 0 if pv >= NEVER else pv
-
-
-def window_relative(global_pv: int, j: int) -> int:
-    """Reinterpret a global predecessor value at window offset j.
-
-    A predecessor further back than j symbols lies before the window, so
-    within the window the position is a first occurrence.  Accepts both
-    conventions for "no predecessor" (0 and NEVER).
-    """
-    return global_pv if 0 < global_pv <= j else 0
-
-
-def pmatch_compare(pred_p: int, global_t: int, r: int) -> bool:
-    """Does the text symbol extend a match of length r by one position?
-
-    True iff the pattern's predecessor value at offset r equals the
-    window-relative reinterpretation of the text's global value.
-    """
-    if 0 < global_t <= r:
-        return pred_p == global_t
-    return pred_p == 0

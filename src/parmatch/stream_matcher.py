@@ -71,7 +71,6 @@ class StreamMatcher:
         "m",
         "sigma",
         "mode",
-        "ctx",
         "p",
         "r",
         "det",
@@ -140,7 +139,6 @@ class StreamMatcher:
             raise ConfigError(
                 f"prime {ctx.p} must exceed the alphabet size {sigma}"
             )
-        self.ctx = ctx
         self.p = ctx.p
         # Forced det mode needs the routing decision but no fingerprints.
         profile = build_profile(pattern, sigma, None if mode == "det" else ctx)
@@ -837,10 +835,6 @@ class StreamMatcher:
         if self.det is not None:
             return 0
         return self.ops_max
-
-    def op_budget(self) -> int:
-        """Enforced per-arrival ceiling; a constant independent of m."""
-        return OP_BUDGET
 
     def d_fill_max(self) -> int:
         """Largest live occupancy reached by any zeroing queue."""

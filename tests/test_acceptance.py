@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from parmatch.det_matcher import det_matcher_for
+from parmatch.det_matcher import DetMatcher
 from parmatch.errors import StructuralViolation
 from parmatch.gen import (
     long_gap_instance,
@@ -28,9 +28,13 @@ from parmatch.oracle import (
     naive_pperiod,
     verify_match_structure,
 )
-from parmatch.pattern import build_compressed_pred, compute_prefix_pperiods
+from parmatch.pattern import (
+    build_compressed_pred,
+    build_profile,
+    compute_prefix_pperiods,
+)
 from parmatch.predecessor import pred_string
-from parmatch.stream_matcher import StreamMatcher
+from parmatch.stream_matcher import OP_BUDGET, StreamMatcher
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -60,9 +64,8 @@ def test_c01_det_oracle_equivalence():
         m = log_uniform(rng, 1, 500)
         inst = make_instance(kind, m, 10 * m, sigma, seed=rng.randrange(2**31))
         want = naive_all_matches(inst.pattern, inst.text)
-        got = [
-            e - m + 1 for e in det_matcher_for(inst.pattern, sigma).scan(inst.text)
-        ]
+        dm = DetMatcher(build_profile(inst.pattern, sigma))
+        got = [e - m + 1 for e in dm.scan(inst.text)]
         if got != want:
             bad += 1
     # adversarial shapes at full size
@@ -76,7 +79,7 @@ def test_c01_det_oracle_equivalence():
         text = [rng.randrange(sigma) for _ in range(10 * m)]
         text[m : 2 * m] = pattern
         want = naive_all_matches(pattern, text)
-        got = [e - m + 1 for e in det_matcher_for(pattern, sigma).scan(text)]
+        got = [e - m + 1 for e in DetMatcher(build_profile(pattern, sigma)).scan(text)]
         if got != want:
             bad += 1
     elapsed = time.perf_counter() - t0
@@ -174,7 +177,7 @@ def scaling_runs():
             "peak": sm.live_words_peak(),
             "delta": delta,
             "max_ops": sm.max_ops(),
-            "budget": sm.op_budget(),
+            "budget": OP_BUDGET,
         }
     return out
 
@@ -228,12 +231,12 @@ def test_c05_det_bounds():
         m = len(pattern)
         text = [rng.randrange(sigma) for _ in range(6 * m)]
         text[m : 2 * m] = pattern
-        dm = det_matcher_for(pattern, sigma)
+        dm = DetMatcher(build_profile(pattern, sigma))
         peak = 0
         for sym in text:
             dm.step(sym)
-            if dm.shifts_last > max_shift_seen:
-                max_shift_seen = dm.shifts_last
+            if dm.core.shifts_last > max_shift_seen:
+                max_shift_seen = dm.core.shifts_last
             w = dm.live_words()
             if w > peak:
                 peak = w

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parmatch.alphabet_filter import AlphabetFilter, densify_pattern, filter_step
+from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
 from parmatch.oracle import naive_all_matches
 from parmatch.predecessor import pred_string
 from parmatch.stream_matcher import StreamMatcher
@@ -42,17 +42,6 @@ def test_capacity_eviction_reuses_code():
     c = f.step("c")  # evicts a, reuses its code
     assert sorted([b, c]) == sorted([a, b])
     assert "a" not in f.live and len(f.live) == 2
-
-
-def test_filter_step_wrapper_checks_time():
-    f = AlphabetFilter(pattern_distinct=2, window=5)
-    assert filter_step(f, "q", 0) == 0
-    try:
-        filter_step(f, "q", 5)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("out-of-order time accepted")
 
 
 def test_densify_pattern():

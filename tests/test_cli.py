@@ -311,17 +311,44 @@ def test_text_file_longer_than_three_reads(tmp_path):
     assert out == "".join(f"{s}\n" for s in want)
 
 
-def test_python_m_parmatch(tmp_path):
-    pat = write(tmp_path, "p.txt", "1 2 2 3 1\n")
-    txt = write(tmp_path, "t.txt", "2 4 4 3 2\n7 9 9 3 7\n")
+def run_module(argv):
+    """`python -m parmatch` in a child process, parmatch taken from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "parmatch", "match", "--pattern", pat, "--text", txt],
+    return subprocess.run(
+        [sys.executable, "-m", "parmatch", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_python_m_parmatch(tmp_path):
+    pat = write(tmp_path, "p.txt", "1 2 2 3 1\n")
+    txt = write(tmp_path, "t.txt", "2 4 4 3 2\n7 9 9 3 7\n")
+    done = run_module(["match", "--pattern", pat, "--text", txt])
     assert (done.returncode, done.stdout, done.stderr) == (0, "0\n5\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--kind", "bogus", "--m", "64"],
+        ["bench", "--sigma", "0"],
+        ["verify", "--sigma", "0", "--trials", "1"],
+        ["verify", "--max-m", "0"],
+        ["gen", "--m", "8", "--n", "16", "--sigma", "0"],
+        ["gen", "--kind", "periodic", "--period", "0", "--m", "8", "--n", "16"],
+        ["bench", "--m", "64", "--n", "-3"],
+    ],
+)
+def test_bad_count_or_kind_is_a_usage_error(tmp_path, argv):
+    if argv[0] == "gen":
+        argv = argv + ["--out-pattern", str(tmp_path / "p")]
+        argv = argv + ["--out-text", str(tmp_path / "t")]
+    done = run_module(argv)
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage error: ")
+    assert "Traceback" not in done.stderr

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
-from parmatch.det_matcher import DetCore, det_matcher_for
+from parmatch.det_matcher import DetCore, DetMatcher
 from parmatch.errors import AlphabetError
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
@@ -13,13 +13,13 @@ from parmatch.pattern import build_profile
 
 def starts(pattern, sigma, text):
     m = len(pattern)
-    return [e - m + 1 for e in det_matcher_for(pattern, sigma).scan(text)]
+    return [e - m + 1 for e in DetMatcher(build_profile(pattern, sigma)).scan(text)]
 
 
 def test_simple_examples():
-    dm = det_matcher_for([0, 1], 2)
+    dm = DetMatcher(build_profile([0, 1], 2))
     assert dm.scan([0, 0, 1, 0, 1]) == [2, 3, 4]
-    dm = det_matcher_for([0, 0], 2)
+    dm = DetMatcher(build_profile([0, 0], 2))
     assert dm.scan([1, 1, 1, 1]) == [1, 2, 3]
 
 
@@ -31,19 +31,19 @@ def test_window_example():
 
 
 def test_single_symbol_pattern_matches_everywhere():
-    dm = det_matcher_for([0], 3)
+    dm = DetMatcher(build_profile([0], 3))
     assert dm.scan([2, 0, 1, 1]) == [0, 1, 2, 3]
 
 
 def test_reports_nothing_before_full_window():
-    dm = det_matcher_for([0, 1, 0], 2)
+    dm = DetMatcher(build_profile([0, 1, 0], 2))
     assert dm.step(0) is False
     assert dm.step(1) is False
 
 
 def test_profile_runs_for_aabb():
     prof = build_profile([0, 0, 1, 1], 2)
-    assert prof.run_table.runs == [(1, 1, 2), (2, 3, 4)]
+    assert prof.run_table == [(1, 1, 2), (2, 3, 4)]
 
 
 @settings(max_examples=250)
@@ -74,21 +74,21 @@ def test_shift_budget_and_buffer():
     rng = random.Random(9)
     for kind in ("random", "periodic", "planted"):
         inst = make_instance(kind, 80, 1200, 3, seed=rng.randrange(2**31))
-        dm = det_matcher_for(inst.pattern, 3)
+        dm = DetMatcher(build_profile(inst.pattern, 3))
         max_shifts = 0
         for sym in inst.text:
             dm.step(sym)
-            if dm.shifts_last > max_shifts:
-                max_shifts = dm.shifts_last
+            if dm.core.shifts_last > max_shifts:
+                max_shifts = dm.core.shifts_last
         assert max_shifts <= 2
-        assert dm.pend_peak <= 4 * (3 + 80) + 16
+        assert dm.core.pend_peak <= 4 * (3 + 80) + 16
 
 
 def test_live_words_independent_of_m_at_fixed_period():
     # Doubling m at a fixed period must not change the footprint.
     text = [0, 1] * 400
-    small = det_matcher_for([0] * 100, 2)
-    large = det_matcher_for([0] * 200, 2)
+    small = DetMatcher(build_profile([0] * 100, 2))
+    large = DetMatcher(build_profile([0] * 200, 2))
     small.scan(text)
     large.scan(text)
     assert small.live_words() == large.live_words()
@@ -96,8 +96,8 @@ def test_live_words_independent_of_m_at_fixed_period():
     rng = random.Random(8)
     block = [rng.randrange(3) for _ in range(10)]
     text = [rng.randrange(3) for _ in range(2000)]
-    small = det_matcher_for([block[j % 10] for j in range(400)], 3)
-    large = det_matcher_for([block[j % 10] for j in range(800)], 3)
+    small = DetMatcher(build_profile([block[j % 10] for j in range(400)], 3))
+    large = DetMatcher(build_profile([block[j % 10] for j in range(800)], 3))
     small.scan(text)
     large.scan(text)
     assert small.live_words() == large.live_words()
@@ -160,22 +160,22 @@ def test_scan_chunks_equal_step(name):
     want = [s + m - 1 for s in want]
     slow = 0
     for chunk in (1, 7, 4096, n):
-        stepped = det_matcher_for(pattern, sigma)
-        scanned = det_matcher_for(pattern, sigma)
+        stepped = DetMatcher(build_profile(pattern, sigma))
+        scanned = DetMatcher(build_profile(pattern, sigma))
         by_step, by_scan = [], []
         for k in range(0, n, chunk):
             piece = text[k : k + chunk]
             for j, sym in enumerate(piece):
                 if stepped.step(sym):
                     by_step.append(k + j)
-                slow += stepped.shifts_last > 0
+                slow += stepped.core.shifts_last > 0
             by_scan += scanned.scan(piece)
             assert det_state(scanned) == det_state(stepped), (chunk, k)
         assert by_step == by_scan == want, chunk
     # Each instance leaves the fast path; the planted ones defer arrivals.
     assert slow > 0 or name == "periodic"
     if name.startswith("planted"):
-        assert stepped.pend_peak > 0
+        assert stepped.core.pend_peak > 0
     if name in ("periodic", "zipf"):
         assert want
 
@@ -185,11 +185,11 @@ def test_scan_rejects_a_symbol_like_step():
     bad = 4205  # arrives while earlier arrivals are deferred
     text = list(text)
     text[bad] = sigma
-    stepped = det_matcher_for(pattern, sigma)
+    stepped = DetMatcher(build_profile(pattern, sigma))
     with pytest.raises(AlphabetError) as by_step:
         for sym in text:
             stepped.step(sym)
-    scanned = det_matcher_for(pattern, sigma)
+    scanned = DetMatcher(build_profile(pattern, sigma))
     scanned.scan(text[:4190])
     with pytest.raises(AlphabetError) as by_scan:
         scanned.scan(text[4190:4300])
@@ -208,7 +208,7 @@ def test_scan_keeps_matches_found_before_an_error():
     end = want[1] + len(pattern) - 1
     text = list(text)
     text[end + 5] = -1
-    dm = det_matcher_for(pattern, sigma)
+    dm = DetMatcher(build_profile(pattern, sigma))
     dm.scan(text[: end - 10])
     ends = []
     with pytest.raises(AlphabetError):

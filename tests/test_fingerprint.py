@@ -4,15 +4,10 @@ from hypothesis import given, settings, strategies as st
 from parmatch import fingerprint
 from parmatch.errors import ConfigError, UsageError
 from parmatch.fingerprint import (
-    EMPTY_FP,
     FieldContext,
     Fingerprint,
-    ZeroEntry,
     context_new,
-    fp_append,
     fp_of_sequence,
-    fp_split,
-    fp_zero,
     prime_for_bits,
 )
 
@@ -54,7 +49,7 @@ def test_fp_of_sequence_direct():
 
 def test_fp_of_sequence_empty_and_zeros():
     c = ctx101()
-    assert fp_of_sequence(c, []) == EMPTY_FP
+    assert fp_of_sequence(c, []) == Fingerprint(0, 0)
     assert fp_of_sequence(c, [0, 0, 0]) == Fingerprint(0, 3)
 
 
@@ -101,119 +96,98 @@ def test_fp_of_sequence_names_first_bad_value():
         fp_of_sequence(ctx101(), seq)
 
 
+# The engines run the field arithmetic inline; the tests below state each
+# identity they rely on over `fp_of_sequence` alone.
+
+
 def test_fp_append_matches_batch():
+    # Appending v at position i adds v * r^i: the running prefix
+    # fingerprint of the base phase.
     c = ctx101()
     fp = fp_of_sequence(c, [1, 2])
-    c.advance()
-    c.advance()
-    assert fp_append(c, fp, 3, 2) == Fingerprint(61, 3)
+    assert (fp.value + 3 * 7**2) % 101 == fp_of_sequence(c, [1, 2, 3]).value == 61
 
 
 def test_fp_append_zero_keeps_value():
     c = ctx101()
     fp = fp_of_sequence(c, [5, 6])
-    c.advance()
-    c.advance()
-    out = fp_append(c, fp, 0, 2)
+    out = fp_of_sequence(c, [5, 6, 0])
     assert out.value == fp.value and out.length == 3
-
-
-def test_fp_append_requires_power_position():
-    c = ctx101()
-    fp = fp_of_sequence(c, [1, 2])
-    with pytest.raises(UsageError):
-        fp_append(c, fp, 3, 2)  # context clock still at 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40))
 def test_fp_append_chain_equals_batch(seq):
+    # One multiplication per position keeps r^i, as the matcher does.
     c = ctx101()
-    fp = EMPTY_FP
-    for i, v in enumerate(seq):
-        if i > 0:
-            c.advance()
-        fp = fp_append(c, fp, v, i)
-    assert fp == fp_of_sequence(FieldContext(101, 7), seq)
+    acc, rpow = 0, 1
+    for v in seq:
+        acc = (acc + v * rpow) % c.p
+        rpow = rpow * c.r % c.p
+    assert Fingerprint(acc, len(seq)) == fp_of_sequence(FieldContext(101, 7), seq)
 
 
 def test_fp_split_example():
     c = ctx101()
     fp_b = fp_of_sequence(c, [1, 2, 3])
     fp_a = fp_of_sequence(c, [1])
-    r_inv = pow(7, 99, 101)
-    assert r_inv == 29
-    assert fp_split(c, fp_b, fp_a, r_inv) == Fingerprint(23, 2)
-    assert fp_of_sequence(c, [2, 3]).value == 23
+    suffix = fp_of_sequence(c, [2, 3]).value
+    assert suffix == 23
+    # Unrebased, the difference still carries r^1; rebasing divides it out.
+    assert (fp_b.value - fp_a.value) % 101 == suffix * 7 % 101
+    assert pow(7, 99, 101) == c.r_inv == 29
+    assert (fp_b.value - fp_a.value) * c.r_inv % 101 == suffix
 
 
-def test_fp_split_degenerate():
-    c = ctx101()
-    fp = fp_of_sequence(c, [1, 2])
-    with pytest.raises(UsageError):
-        fp_split(c, fp, fp, 29)
+def draw_case(data):
+    """A context and a sequence of length 0-300, across the 128-symbol block."""
+    bits = data.draw(st.sampled_from([13, 31, 61]), label="bits")
+    c = context_new(bits, data.draw(st.integers(0, 2**32), label="seed"))
+    n = data.draw(st.integers(0, 300), label="n")
+    return c, data.draw(st.lists(st.integers(0, c.p - 1), min_size=n, max_size=n))
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=50),
-    st.data(),
-)
-def test_fp_split_round_trip(seq, data):
-    cut = data.draw(st.integers(min_value=0, max_value=len(seq) - 2))
-    c = ctx101()
-    fp_b = fp_of_sequence(c, seq)
-    fp_a = fp_of_sequence(c, seq[: cut + 1])
-    rn = pow(c.r_inv, cut + 1, c.p)
-    assert fp_split(c, fp_b, fp_a, rn) == fp_of_sequence(c, seq[cut + 1 :])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fp_split_round_trip(data):
+    # Phase Bphi splits without rebasing: for prefix lengths a <= b,
+    # phi(S[:b]) - phi(S[:a]) == phi(S[a:b]) * r^a, so it compares the
+    # difference with the level target times r^lo.
+    c, seq = draw_case(data)
+    b = data.draw(st.integers(0, len(seq)), label="b")
+    a = data.draw(st.integers(0, b), label="a")
+    diff = (fp_of_sequence(c, seq[:b]).value - fp_of_sequence(c, seq[:a]).value) % c.p
+    assert diff == fp_of_sequence(c, seq[a:b]).value * pow(c.r, a, c.p) % c.p
 
 
 def test_fp_zero_example():
     c = ctx101()
     fp = fp_of_sequence(c, [1, 2, 3])
-    out = fp_zero(c, fp, [ZeroEntry(1, 2, 7)], base=0)
-    assert out == Fingerprint(47, 3)
-    assert fp_of_sequence(c, [1, 0, 3]).value == 47
+    # Zeroing position 1 removes 2 * r^1.
+    assert (fp.value - 2 * 7) % 101 == fp_of_sequence(c, [1, 0, 3]).value == 47
 
 
 def test_fp_zero_identity_and_all():
     c = ctx101()
-    fp = fp_of_sequence(c, [4, 5, 6])
-    assert fp_zero(c, fp, [], base=0) == fp
-    zeros = [ZeroEntry(k, v, pow(7, k, 101)) for k, v in enumerate([4, 5, 6])]
-    assert fp_zero(c, fp, zeros, base=0) == Fingerprint(0, 3)
+    seq = [4, 5, 6]
+    fp = fp_of_sequence(c, seq).value
+    removed = sum(v * pow(7, k, 101) for k, v in enumerate(seq))
+    # Zeroing no position keeps the value; zeroing all of them leaves the
+    # fingerprint of the all-zero sequence.
+    assert fp == fp_of_sequence(c, seq).value
+    assert (fp - removed) % 101 == fp_of_sequence(c, [0, 0, 0]).value == 0
 
 
-def test_fp_zero_out_of_span():
-    c = ctx101()
-    fp = fp_of_sequence(c, [1, 2])
-    with pytest.raises(UsageError):
-        fp_zero(c, fp, [ZeroEntry(5, 1, 1)], base=0)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=100), min_size=3, max_size=30),
-    st.data(),
-)
-def test_fp_zero_rebased_window(seq, data):
-    # Zero a position inside a rebased suffix window, checking against a
-    # direct fingerprint of the modified window.
-    base = data.draw(st.integers(min_value=1, max_value=len(seq) - 2))
-    z = data.draw(st.integers(min_value=base, max_value=len(seq) - 1))
-    c = ctx101()
-    window = seq[base:]
-    fp_win = fp_of_sequence(c, window)
-    entry = ZeroEntry(z, seq[z], pow(c.r, z, c.p))
-    out = fp_zero(c, fp_win, [entry], base=base)
-    modified = list(window)
-    modified[z - base] = 0
-    assert out == fp_of_sequence(c, modified)
-
-
-def test_power_state_inverse():
-    c = context_new(31, seed=5)
-    for _ in range(200):
-        c.advance()
-    assert c.r_pow * c.r_neg_pow % c.p == 1
-    assert c.r_pow == pow(c.r, 200, c.p)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fp_zero_round_trip(data):
+    # Zeroing a set Z subtracts S[z] * r^z for each z in Z.
+    c, seq = draw_case(data)
+    zeros = data.draw(st.sets(st.integers(0, len(seq) - 1)) if seq else st.just(set()))
+    removed = sum(seq[z] * pow(c.r, z, c.p) for z in zeros)
+    zeroed = [0 if k in zeros else v for k, v in enumerate(seq)]
+    assert (fp_of_sequence(c, seq).value - removed) % c.p == fp_of_sequence(
+        c, zeroed
+    ).value
 
 
 def test_collision_bound_mechanism():

@@ -95,13 +95,17 @@ def test_pred_access_equals_pred_string(p):
 @given(patterns)
 def test_run_table_expansion(p):
     periods = compute_prefix_pperiods(p)
-    table = build_run_table(periods)
-    assert table.expand(len(p))[1:] == periods[1:]
-    values = [rho for rho, _, _ in table.runs]
+    runs = build_run_table(periods)
+    expanded = [0] * (len(p) + 1)
+    for rho, lo, hi in runs:
+        for r in range(lo, hi + 1):
+            expanded[r] = rho
+    assert expanded[1:] == periods[1:]
+    values = [rho for rho, _, _ in runs]
     assert values == sorted(set(values))
-    assert len(table.runs) <= periods[len(p)]
+    assert len(runs) <= periods[len(p)]
     # intervals partition [1, m]
-    spans = [(lo, hi) for _, lo, hi in table.runs]
+    spans = [(lo, hi) for _, lo, hi in runs]
     assert spans[0][0] == 1 and spans[-1][1] == len(p)
     for (_, h), (l2, _) in zip(spans, spans[1:]):
         assert l2 == h + 1

@@ -3,14 +3,7 @@ from hypothesis import given, strategies as st
 
 from parmatch.errors import AlphabetError
 from parmatch.oracle import relabelling_pmatch
-from parmatch.predecessor import (
-    NEVER,
-    LastOccurrence,
-    pmatch_compare,
-    pred_string,
-    render,
-    window_relative,
-)
+from parmatch.predecessor import NEVER, LastOccurrence, pred_string
 
 seqs = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40)
 
@@ -30,7 +23,7 @@ def test_pred_string_unary():
 def test_stream_matches_offline():
     tr = LastOccurrence(2)
     vals = [tr.step(s, i) for i, s in enumerate([0, 0, 1, 0])]
-    assert [render(v) for v in vals] == [0, 1, 0, 2]
+    assert [0 if v == NEVER else v for v in vals] == [0, 1, 0, 2]
     assert vals[0] == NEVER and vals[2] == NEVER
 
 
@@ -41,7 +34,8 @@ def test_stream_first_arrivals_never():
 
 def test_stream_unary():
     tr = LastOccurrence(1)
-    vals = [render(tr.step(0, i)) for i in range(5)]
+    vals = [tr.step(0, i) for i in range(5)]
+    vals = [0 if v == NEVER else v for v in vals]
     assert vals == [0, 1, 1, 1, 1]
 
 
@@ -54,33 +48,64 @@ def test_stream_alphabet_violation():
 @given(seqs)
 def test_stream_batch_agreement(seq):
     tr = LastOccurrence(6)
-    got = [render(tr.step(s, i)) for i, s in enumerate(seq)]
+    got = [tr.step(s, i) for i, s in enumerate(seq)]
+    got = [0 if v == NEVER else v for v in got]
     assert got == pred_string(seq)
 
 
 def test_window_relative_cases():
-    assert window_relative(5, 3) == 0
-    assert window_relative(2, 3) == 2
-    assert window_relative(NEVER, 100) == 0
-    assert window_relative(0, 3) == 0
+    # (global value, offset): further back than the offset, never seen and
+    # no predecessor all read as a first occurrence inside the window.
+    cases = [((5, 3), 0), ((2, 3), 2), ((NEVER, 100), 0), ((0, 3), 0)]
+    got = [v if 0 < v <= j else 0 for (v, j), _ in cases]
+    assert got == [want for _, want in cases]
+    # The same reading on concrete streams: the window "dea" of "abcdea",
+    # and the window "abab" of "ccabab".
+    g = pred_string("abcdea")
+    assert g[5] == 5 and pred_string("dea")[2] == 0  # 5 > 2: reads as 0
+    assert pred_string("ccabab")[5] == pred_string("abab")[3] == 2  # 2 <= 3
 
 
 @given(seqs, st.data())
 def test_window_relative_recovers_window_pred(seq, data):
     start = data.draw(st.integers(min_value=0, max_value=len(seq) - 1))
-    g = pred_string(seq)
+    tr = LastOccurrence(6)
+    g = [tr.step(s, i) for i, s in enumerate(seq)]  # global, NEVER for new
     window = seq[start:]
     want = pred_string(window)
-    got = [window_relative(g[start + j], j) for j in range(len(window))]
+    # The engines' rule: a value v at window offset j reads as v if
+    # 0 < v <= j, else as a first occurrence.
+    got = [v if 0 < v <= j else 0 for j, v in enumerate(g[start:])]
     assert got == want
 
 
 def test_pmatch_compare_cases():
-    assert pmatch_compare(0, NEVER, 5) is True
-    assert pmatch_compare(0, 3, 5) is False
-    assert pmatch_compare(4, 4, 7) is True
-    assert pmatch_compare(4, 4, 3) is False  # distance reaches past the window
-    assert pmatch_compare(0, 6, 5) is True
+    # A match of length r extends by one symbol iff the pattern's value at
+    # offset r equals the text's global value g read at offset r.
+    cases = [
+        (0, NEVER, 5, True),
+        (0, 3, 5, False),
+        (4, 4, 7, True),
+        (4, 4, 3, False),  # distance reaches past the window
+        (0, 6, 5, True),
+        (2, 4, 3, False),
+    ]
+    for pred_p, g, r, extends in cases:
+        assert (pred_p == (g if 0 < g <= r else 0)) is extends
+        if pred_p > r:
+            continue  # no pattern has such a value; the rule alone is checked
+        # The same case as concrete strings, decided by the oracle.
+        pattern = list(range(r)) + [r - pred_p if pred_p else r]
+        window = [100 + k for k in range(r)]
+        if g == NEVER:
+            text = window + [-1]
+        elif g <= r:
+            text = window + [window[r - g]]
+        else:
+            text = [-1] + [200 + k for k in range(g - r - 1)] + window + [-1]
+        assert pred_string(pattern)[r] == pred_p
+        assert pred_string(text)[-1] == (0 if g == NEVER else g)
+        assert relabelling_pmatch(pattern, text[-(r + 1) :]) is extends
 
 
 @given(seqs, seqs)

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from parmatch.det_matcher import DetCore, det_matcher_for
+from parmatch.det_matcher import DetCore, DetMatcher
 from parmatch.errors import AlphabetError, ConfigError
 from parmatch.fingerprint import FieldContext, context_new, fp_of_sequence
 from parmatch.gen import make_instance, periodic_instance
 from parmatch.oracle import naive_all_matches
+from parmatch.pattern import build_profile
 from parmatch.predecessor import pred_string
-from parmatch.stream_matcher import StreamMatcher
+from parmatch.stream_matcher import OP_BUDGET, StreamMatcher
 
 
 def starts(matcher, m, text):
@@ -137,7 +138,7 @@ def test_running_fingerprint_invariant_small_scale():
     sm = StreamMatcher(p, 2, seed=6)
     assert sm.mode == "rand"
     text = [rng.randrange(2) for _ in range(900)]
-    ref = FieldContext(sm.ctx.p, sm.ctx.r)
+    ref = FieldContext(sm.p, sm.r)
     for i, sym in enumerate(text):
         sm.step(sym)
         if i % 97 == 0:
@@ -205,7 +206,7 @@ def test_level_checks_compute_window_relative_fingerprints():
     sm.scan(inst.text)
     assert len(checks) > 10
     lens = sm.mlen
-    ref = FieldContext(sm.ctx.p, sm.ctx.r)
+    ref = FieldContext(sm.p, sm.r)
     for ell, ip, acc in checks:
         window = inst.text[ip : ip + lens[ell]]
         want = fp_of_sequence(ref, pred_string(window)[lens[ell - 1] :])
@@ -229,7 +230,7 @@ def test_ops_within_budget_and_space_gauge():
     sm = StreamMatcher(inst.pattern, 4, seed=2)
     assert sm.mode == "rand"
     sm.scan(inst.text)
-    assert 0 < sm.max_ops() <= sm.op_budget()
+    assert 0 < sm.max_ops() <= OP_BUDGET
     assert sm.live_words_peak() > 0
 
 
@@ -259,13 +260,67 @@ def test_ladder_corner_routes_are_exact():
         assert got == want and len(got) >= 2
 
 
+def tiled(rng, sigma, block, m):
+    b = [rng.randrange(sigma) for _ in range(block)]
+    return [b[j % block] for j in range(m)]
+
+
+def noise(rng, sigma, n):
+    return [rng.randrange(sigma) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "sigma, pattern_of, edge, want_mode",
+    [
+        # m = 14*delta routes det and m = 14*delta + 1 rand (delta = 16).
+        (2, lambda rng: noise(rng, 2, 224), ("m", 0), "det"),
+        (2, lambda rng: noise(rng, 2, 225), ("m", 1), "rand"),
+        # rho = 3*delta routes det and rho = 3*delta + 1 rand (delta = 18).
+        (2, lambda rng: tiled(rng, 2, 54, 300), ("rho", 0), "det"),
+        (2, lambda rng: tiled(rng, 2, 55, 300), ("rho", 1), "rand"),
+        # The degenerate two-level ladder, and just past it.
+        (2, lambda rng: tiled(rng, 2, 10, 600) + noise(rng, 2, 400), None, "rand"),
+        (2, lambda rng: tiled(rng, 2, 10, 960) + noise(rng, 2, 40), None, "det"),
+        # A unary alphabet always routes det.
+        (1, lambda rng: [0] * 300, None, "det"),
+    ],
+    ids=[
+        "m=14d", "m=14d+1", "rho=3d", "rho=3d+1", "degenerate", "past-degenerate",
+        "sigma=1",
+    ],
+)
+def test_routing_boundaries_agree_with_oracle(sigma, pattern_of, edge, want_mode):
+    # Auto and forced det agree with the oracle on both sides of each
+    # routing edge, over a text with two relabelled plants.
+    rng = random.Random(13)
+    pattern = pattern_of(rng)
+    m = len(pattern)
+    prof = build_profile(pattern, sigma)
+    delta = prof.ladder.delta
+    if edge is not None:
+        what, offset = edge
+        value, bound = (m, 14 * delta) if what == "m" else (prof.rho, 3 * delta)
+        assert value == bound + offset
+    text = noise(rng, sigma, 6 * m)
+    for start in (m, 4 * m):
+        perm = list(range(sigma))
+        rng.shuffle(perm)
+        text[start : start + m] = [perm[sym] for sym in pattern]
+    auto = StreamMatcher(pattern, sigma, seed=5)
+    det = StreamMatcher(pattern, sigma, mode="det", seed=5)
+    assert auto.mode == want_mode and det.mode == "det"
+    want = naive_all_matches(pattern, text)
+    assert len(want) >= 2
+    assert starts(auto, m, text) == starts(det, m, text) == want
+
+
 def test_det_and_rand_agree_on_long_streams():
     rng = random.Random(77)
     p = [rng.randrange(4) for _ in range(600)]
     t = [rng.randrange(4) for _ in range(6000)]
     t[2000:2600] = p
     rand = StreamMatcher(p, 4, seed=10)
-    det = det_matcher_for(p, 4)
+    det = DetMatcher(build_profile(p, 4))
     assert rand.mode == "rand"
     a = starts(rand, 600, t)
     b = [e - 600 + 1 for e in det.scan(t)]
@@ -279,6 +334,7 @@ def test_matchers_sharing_a_context_both_report():
     want = [s + 4096 - 1 for s in naive_all_matches(inst.pattern, inst.text)]
     assert want == [5133, 10898]
     ctx = context_new(61, 5)
+    field = (ctx.p, ctx.r, ctx.r_inv)
     a = StreamMatcher(inst.pattern, 4, ctx=ctx)
     b = StreamMatcher(inst.pattern, 4, ctx=ctx)
     assert a.mode == b.mode == "rand"
@@ -296,7 +352,7 @@ def test_matchers_sharing_a_context_both_report():
         ends_c += c.scan(inst.text[k : k + 1000])
         ends_d += d.scan(inst.text[k : k + 1000])
     assert ends_c == ends_d == want
-    assert (ctx.clock, ctx.r_pow, ctx.r_neg_pow) == (0, 1, 1)
+    assert (ctx.p, ctx.r, ctx.r_inv) == field
 
 
 def matcher_state(sm):
@@ -306,7 +362,7 @@ def matcher_state(sm):
         "matcher": {
             name: getattr(sm, name)
             for name in StreamMatcher.__slots__
-            if name not in ("ctx", "det", "suba", "bbuf", "mq", "debug_checks")
+            if name not in ("det", "suba", "bbuf", "mq", "debug_checks")
         },
         "bbuf": list(sm.bbuf),
         "mq": [(list(map(list, q.segs)), q.last_pos, q.words) for q in sm.mq],
