@@ -41,8 +41,9 @@ def planted_instance(
     rng = random.Random(seed)
     pattern = [rng.randrange(sigma) for _ in range(m)]
     text = [rng.randrange(sigma) for _ in range(n)]
-    for _ in range(plants):
-        start = rng.randrange(0, max(1, n - m + 1))
+    # A plant needs room for the whole pattern; a shorter text gets none.
+    for _ in range(plants if n >= m else 0):
+        start = rng.randrange(0, n - m + 1)
         # A random bijective relabelling keeps the plant a p-match without
         # making it a literal copy.
         perm = list(range(sigma))

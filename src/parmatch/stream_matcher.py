@@ -24,11 +24,13 @@ step:
   direct predecessor comparison, a bounded number per arrival, and emits
   the verdict exactly at the arrival where the window closes.
 
-`step` runs the phases for one arrival.  `scan` runs the same phases over
-a chunk with every table and scalar held in local variables, written back
-once when the chunk ends, so consecutive chunks continue one stream.  The
-matcher owns its power state; the FieldContext it is built with is only
-read, so matchers may share one.
+The phases are written once, as the body of a generator that holds the
+matcher's tables and scalars in local variables and runs one chunk of the
+stream per `send`.  `scan` sends the chunk it is given and `step` a chunk
+of one symbol; after each chunk the scalars are written back to the
+attributes, so the two may be mixed and the matcher copied between calls.
+The matcher owns its power state; the FieldContext it is built with is
+only read, so matchers may share one.
 
 Every capacity and deadline the analysis guarantees is asserted at
 runtime; a breach raises StructuralViolation rather than degrading
@@ -117,6 +119,7 @@ class StreamMatcher:
         "words_peak",
         "b_peak",
         "debug_checks",
+        "run",
     )
 
     def __init__(
@@ -132,6 +135,7 @@ class StreamMatcher:
             raise ConfigError(f"unknown mode {mode!r}")
         m = len(pattern)
         self.m = m
+        self.run = None
         self.sigma = sigma
         if ctx is None:
             ctx = context_new(prime_bits, seed)
@@ -237,277 +241,62 @@ class StreamMatcher:
         # (level, candidate, computed second-half fingerprint rebased to r^0).
         self.debug_checks = None
 
+    def __getstate__(self):
+        # A generator cannot be copied; the copy builds its own.
+        state = {k: getattr(self, k) for k in self.__slots__ if hasattr(self, k)}
+        state["run"] = None
+        return None, state
+
     # ------------------------------------------------------------------
 
     def step(self, sym: int) -> bool:
         """Process one arriving symbol; True iff a full match ends here."""
         if self.det is not None:
             return self.det.step(sym)
-
-        sigma = self.sigma
-        p = self.p
-        i = self.i + 1
-        self.i = i
-        rpow = self.rpow
-        self.rpow = rpow * self.r % p
-        ops = 7
-
-        if sym < 0 or sym >= sigma:
-            raise AlphabetError(sym, i, sigma)
-        t = self.table[sym]
-        self.table[sym] = i
-        pv = i - t if t >= 0 else NEVER
-        rendered = pv if pv != NEVER else 0
-        if rendered >= p:
-            raise ConfigError(f"stream length {i} too large for prime {p}")
-        phi = (self.phi + rendered * rpow) % p
-        self.phi = phi
-        H = self.H
-        slot = i % H
-        self.hist_fp[slot] = phi
-        self.hist_rpow[slot] = rpow
-        self.hist_pred[slot] = pv
-
-        # Phase A: base-prefix matches.  DetCore's common case (idle,
-        # nothing deferred, the first comparison succeeds) runs inline.
-        m0 = self.m0
-        prev = self.a_prev
-        suba = self.suba
-        fast = False
-        if suba.phase == _DET_IDLE and not suba.pending:
-            cand = suba.r
-            cp_rho = suba.cp_rho
-            j = cand % cp_rho
-            pv_p = 0 if cand // cp_rho < suba.cp_ks[j] else suba.cp_cs[j]
-            fast = (pv_p == pv) if 0 < pv <= cand else (pv_p == 0)
-        if fast:
-            suba.appended += 1
-            suba.consumed += 1
-            suba.shifts_last = 0
-            suba.units_last = 0
-            cand += 1
-            if cand == suba.q:
-                suba.r = cand - suba.rho_full
-                self.a_prev = True
-            else:
-                runs = suba.runs
-                ri = suba.run_i
-                if cand > runs[ri][2] and ri + 1 < len(runs):
-                    suba.run_i = ri + 1
-                occ = suba.occ
-                oi = suba.occ_i
-                if oi + 1 < len(occ) and occ[oi + 1] <= cand:
-                    suba.occ_i = oi + 1
-                suba.r = cand
-                self.a_prev = False
-            ops += 2
-        else:
-            c0 = suba.consumed
-            self.a_prev = suba.step_pred(pv)
-            ops += 1 + suba.consumed - c0
-        if prev:
-            pp = self.p0_last
-            if (pp == pv) if 0 < pv <= m0 - 1 else (pp == 0):
-                q0 = self.mq[0]
-                w0 = q0.words
-                q0.push(i - m0 + 1, phi)
-                self.mq_words += q0.words - w0
-                ops += 3
-
-        # Phase Bdelta: buffer long-distance arrivals, distribute one level.
-        if m0 < pv < NEVER:
-            self.bbuf.append((i, pv, rpow))
-            lb = len(self.bbuf)
-            if lb > sigma:
-                raise StructuralViolation(
-                    f"distance buffer exceeded {sigma} entries"
-                )
-            if lb > self.b_peak:
-                self.b_peak = lb
-            ops += 2
-        if self.bcur is None and self.bbuf:
-            self.bcur = self.bbuf.popleft()
-            self.bnext = 1
-        if self.bcur is not None:
-            lvl = self.bnext
-            entry = self.bcur
-            if entry[1] > self.mlen[lvl - 1]:
-                nxt = self.dq_next[lvl]
-                self.dq_bufs[lvl][nxt % self.dq_cap] = entry
-                self.dq_next[lvl] = nxt + 1
-                ops += 2
-            if lvl >= self.s:
-                self.bcur = None
-            else:
-                self.bnext = lvl + 1
-            ops += 1
-
-        # Phase Bphi: one level per arrival advances its candidate check.
-        s = self.s
-        ell = 1 + i % s
-        ph = self.lv_phase[ell]
-        if ph == _IDLE:
-            ql = self.mq[ell - 1]
-            if ql.segs:
-                w0 = ql.words
-                got = ql.pop()
-                self.mq_words += ql.words - w0
-                self.lv_ip[ell] = got[0]
-                self.lv_fpprev[ell] = got[1]
-                ph = _WAIT
-                self.lv_phase[ell] = _WAIT
-                ops += 2
-        if ph == _WAIT:
-            ip = self.lv_ip[ell]
-            ml = self.mlen[ell]
-            if i > ip + ml + self.delta:
-                idx = ip + ml - 1
-                if i - idx >= H:
-                    raise StructuralViolation(
-                        f"fingerprint history expired for level {ell}"
-                    )
-                fpl = self.hist_fp[idx % H]
-                self.lv_fpl[ell] = fpl
-                self.lv_rlo[ell] = self.hist_rpow[(idx + 1) % H] * self.gap_inv[ell] % p
-                self.lv_acc[ell] = (fpl - self.lv_fpprev[ell]) % p
-                front = self.dq_next[ell] - self.dq_cap
-                self.lv_cur[ell] = front if front > 0 else 0
-                self.lv_end[ell] = self.dq_next[ell]
-                self.lv_phase[ell] = _SCAN
-                ops += 5
-        elif ph == _SCAN:
-            ip = self.lv_ip[ell]
-            lo = ip + self.mlen[ell - 1]
-            hi = ip + self.mlen[ell] - 1
-            cur = self.lv_cur[ell]
-            end = self.lv_end[ell]
-            front = self.dq_next[ell] - self.dq_cap
-            if front < 0:
-                front = 0
-            buf = self.dq_bufs[ell]
-            cap = self.dq_cap
-            if cur < front:
-                # Entries were evicted before being scanned; safe only if
-                # everything lost sat below the zeroing range.
-                if front >= self.lv_end[ell] or front >= self.dq_next[ell]:
-                    raise StructuralViolation(
-                        f"level {ell} zeroing queue evicted unscanned entries"
-                    )
-                if buf[front % cap][0] > lo:
-                    raise StructuralViolation(
-                        f"level {ell} may have lost zeroing candidates"
-                    )
-                cur = front
-            stop = cur + _SCAN_BATCH
-            if stop > end:
-                stop = end
-            acc = self.lv_acc[ell]
-            scanned = stop - cur
-            while cur < stop:
-                pos, pvj, rj = buf[cur % cap]
-                if lo <= pos <= hi and pvj > pos - ip:
-                    acc = (acc - pvj * rj) % p
-                cur += 1
-            self.lv_acc[ell] = acc
-            self.lv_cur[ell] = cur
-            ops += 1 + scanned
-            if cur >= end:
-                rlo = self.lv_rlo[ell]
-                if self.debug_checks is not None:
-                    self.debug_checks.append((ell, ip, acc * pow(rlo, -1, p) % p))
-                if acc == self.level_fp[ell] * rlo % p:
-                    if i >= ip + self.mlen[ell] + 3 * self.delta:
-                        raise StructuralViolation(
-                            f"level {ell} missed its reporting deadline"
-                        )
-                    qn = self.mq[ell]
-                    w0 = qn.words
-                    qn.push(ip, self.lv_fpl[ell])
-                    self.mq_words += qn.words - w0
-                    ops += 2
-                self.lv_phase[ell] = _IDLE
-
-        # Phase C: extend final-level matches across the explicit tail.
-        verdict = False
-        m = self.m
-        if self.c_ip < 0:
-            qs = self.mq[s]
-            if qs.segs:
-                w0 = qs.words
-                got = qs.pop()
-                self.mq_words += qs.words - w0
-                self.c_ip = got[0]
-                self.c_k = 0
-                base = self.c_ip + self.mlen[s]
-                if i - base >= H:
-                    raise StructuralViolation("predecessor history expired")
-                ops += 2
-        if self.c_ip >= 0:
-            ip = self.c_ip
-            k = self.c_k
-            tail_len = self.tail_len
-            base = ip + m - tail_len
-            target = self.tail_target
-            hist_pred = self.hist_pred
-            budget = _C_BUDGET
-            while budget > 0 and k < tail_len:
-                j = base + k
-                if j > i:
-                    break
-                pvj = hist_pred[j % H]
-                o = j - ip
-                w = pvj if 0 < pvj <= o else 0
-                if w != target[k]:
-                    self.c_ip = -1
-                    break
-                k += 1
-                budget -= 1
-            ops += _C_BUDGET - budget
-            if self.c_ip >= 0:
-                if k >= tail_len:
-                    if i != ip + m - 1:
-                        raise StructuralViolation("tail check completed off schedule")
-                    verdict = True
-                    self.c_ip = -1
-                else:
-                    self.c_k = k
-                    if i >= ip + m - 1:
-                        raise StructuralViolation("tail check behind schedule")
-
-        self.ops_last = ops
-        if ops > self.ops_max:
-            self.ops_max = ops
-            if ops > OP_BUDGET:
-                raise StructuralViolation(
-                    f"arrival {i} used {ops} ops, budget {OP_BUDGET}"
-                )
-        words = (
-            self.static_words
-            + 3 * len(self.bbuf)
-            + self.mq_words
-            + len(suba.pending)
-        )
-        if words > self.words_peak:
-            self.words_peak = words
-        return verdict
-
-    # ------------------------------------------------------------------
+        run = self.run or self._start()
+        try:
+            return run.send(((sym,), None))
+        except BaseException:
+            self.run = None
+            raise
 
     def scan(self, text, out=None) -> list[int]:
         """Match end indices over the next chunk of the stream.
 
-        The same phases as `step`, run with the matcher's state in local
-        variables and written back once, also when a symbol is rejected or
-        a bound is breached.  Consecutive calls continue one stream, and
-        may be mixed with `step`.  The indices are appended to `out` (a
-        new list by default), which is returned; when an error stops the
-        chunk, `out` holds the matches that ended before it.
+        Consecutive calls continue one stream, and may be mixed with
+        `step`.  The indices are appended to `out` (a new list by
+        default), which is returned; when an error stops the chunk, `out`
+        holds the matches that ended before it, and the next call goes on
+        from the symbol after the error.
         """
         if self.det is not None:
             return self.det.scan(text, out)
-
         if out is None:
             out = []
+        run = self.run or self._start()
+        try:
+            run.send((text, out))
+        except BaseException:
+            self.run = None
+            raise
+        return out
+
+    def _start(self):
+        run = self.run = self._phases()
+        next(run)
+        return run
+
+    def _phases(self):
+        """The four phases, run over each chunk sent as (text, out).
+
+        Every table and scalar of the matcher is held in this frame's
+        locals between chunks; the scalars are written back to the
+        attributes after each chunk, also when a symbol is rejected or a
+        bound is breached (the peaks as soon as they rise).  An error ends
+        the generator, and the next call builds a new one from the
+        attributes.  Match end indices are appended to `out` unless it is
+        None; yields whether the chunk had any.
+        """
         sigma = self.sigma
         p = self.p
         r = self.r
@@ -542,7 +331,6 @@ class StreamMatcher:
         tail_len = self.tail_len
         target = self.tail_target
         static_words = self.static_words
-        debug = self.debug_checks
 
         suba = self.suba
         step_pred = suba.step_pred
@@ -556,15 +344,6 @@ class StreamMatcher:
         runs_last = len(runs) - 1
         occ = suba.occ
         occ_last = len(occ) - 1
-        a_phase = suba.phase
-        a_r = suba.r
-        run_i = suba.run_i
-        occ_i = suba.occ_i
-        appended = suba.appended
-        consumed = suba.consumed
-        # False while DetCore's own step owns its scalars.
-        a_live = True
-        a_fast = None
 
         i = self.i
         rpow = self.rpow
@@ -579,251 +358,246 @@ class StreamMatcher:
         ops_max = self.ops_max
         words_peak = self.words_peak
         b_peak = self.b_peak
-        try:
-            for sym in text:
-                i += 1
-                pw = rpow
-                rpow = pw * r % p
-                if sym < 0 or sym >= sigma:
-                    raise AlphabetError(sym, i, sigma)
-                t = table[sym]
-                table[sym] = i
-                if t >= 0:
-                    pv = i - t
-                    if pv >= p:
-                        raise ConfigError(f"stream length {i} too large for prime {p}")
-                    phi = (phi + pv * pw) % p
-                else:
-                    pv = NEVER
-                slot = i % H
-                hist_fp[slot] = phi
-                hist_rpow[slot] = pw
-                hist_pred[slot] = pv
-
-                # Phase A.
-                prev = a_prev
-                fast = False
-                if a_phase == _DET_IDLE and not pending:
-                    j = a_r % cp_rho
-                    pv_p = 0 if a_r // cp_rho < cp_ks[j] else cp_cs[j]
-                    fast = (pv_p == pv) if 0 < pv <= a_r else (pv_p == 0)
-                if fast:
-                    appended += 1
-                    consumed += 1
-                    a_r += 1
-                    if a_r == a_q:
-                        a_r -= a_rho
-                        a_prev = True
+        hit = False
+        while True:
+            text, out = yield hit
+            hit = False
+            try:
+                for sym in text:
+                    i += 1
+                    pw = rpow
+                    rpow = pw * r % p
+                    if sym < 0 or sym >= sigma:
+                        raise AlphabetError(sym, i, sigma)
+                    t = table[sym]
+                    table[sym] = i
+                    if t >= 0:
+                        pv = i - t
+                        if pv >= p:
+                            raise ConfigError(
+                                f"stream length {i} too large for prime {p}"
+                            )
+                        phi = (phi + pv * pw) % p
                     else:
-                        if a_r > runs[run_i][2] and run_i < runs_last:
-                            run_i += 1
-                        if occ_i < occ_last and occ[occ_i + 1] <= a_r:
-                            occ_i += 1
-                        a_prev = False
-                    a_fast = True
-                    ops = 9
-                else:
-                    suba.r = a_r
-                    suba.run_i = run_i
-                    suba.occ_i = occ_i
-                    suba.appended = appended
-                    suba.consumed = consumed
-                    a_live = False
-                    a_prev = step_pred(pv)
-                    a_phase = suba.phase
-                    a_r = suba.r
-                    run_i = suba.run_i
-                    occ_i = suba.occ_i
-                    appended = suba.appended
-                    ops = 8 + suba.consumed - consumed
-                    consumed = suba.consumed
-                    a_live = True
-                    a_fast = False
-                if prev and ((p0_last == pv) if 0 < pv < m0 else (p0_last == 0)):
-                    w0 = q0.words
-                    q0.push(i - m0 + 1, phi)
-                    mq_words += q0.words - w0
-                    ops += 3
+                        pv = NEVER
+                    slot = i % H
+                    hist_fp[slot] = phi
+                    hist_rpow[slot] = pw
+                    hist_pred[slot] = pv
 
-                # Phase Bdelta.
-                if m0 < pv < NEVER:
-                    bbuf.append((i, pv, pw))
-                    lb = len(bbuf)
-                    if lb > sigma:
-                        raise StructuralViolation(
-                            f"distance buffer exceeded {sigma} entries"
-                        )
-                    if lb > b_peak:
-                        b_peak = lb
-                    ops += 2
-                if bcur is None and bbuf:
-                    bcur = bbuf.popleft()
-                    bnext = 1
-                if bcur is not None:
-                    if bcur[1] > mlen[bnext - 1]:
-                        nxt = dq_next[bnext]
-                        dq_bufs[bnext][nxt % dq_cap] = bcur
-                        dq_next[bnext] = nxt + 1
-                        ops += 2
-                    if bnext >= s:
-                        bcur = None
-                    else:
-                        bnext += 1
-                    ops += 1
-
-                # Phase Bphi.
-                ell = 1 + i % s
-                ph = lv_phase[ell]
-                if ph == _IDLE:
-                    if segs[ell - 1]:
-                        ql = mq[ell - 1]
-                        w0 = ql.words
-                        got = ql.pop()
-                        mq_words += ql.words - w0
-                        lv_ip[ell] = got[0]
-                        lv_fpprev[ell] = got[1]
-                        ph = _WAIT
-                        lv_phase[ell] = _WAIT
-                        ops += 2
-                if ph == _WAIT:
-                    ip = lv_ip[ell]
-                    ml = mlen[ell]
-                    if i > ip + ml + delta:
-                        idx = ip + ml - 1
-                        if i - idx >= H:
-                            raise StructuralViolation(
-                                f"fingerprint history expired for level {ell}"
-                            )
-                        fpl = hist_fp[idx % H]
-                        lv_fpl[ell] = fpl
-                        lv_rlo[ell] = hist_rpow[(idx + 1) % H] * gap_inv[ell] % p
-                        lv_acc[ell] = (fpl - lv_fpprev[ell]) % p
-                        front = dq_next[ell] - dq_cap
-                        lv_cur[ell] = front if front > 0 else 0
-                        lv_end[ell] = dq_next[ell]
-                        lv_phase[ell] = _SCAN
-                        ops += 5
-                elif ph == _SCAN:
-                    ip = lv_ip[ell]
-                    lo = ip + mlen[ell - 1]
-                    hi = ip + mlen[ell] - 1
-                    cur = lv_cur[ell]
-                    end = lv_end[ell]
-                    front = dq_next[ell] - dq_cap
-                    if front < 0:
-                        front = 0
-                    buf = dq_bufs[ell]
-                    if cur < front:
-                        if front >= end or front >= dq_next[ell]:
-                            raise StructuralViolation(
-                                f"level {ell} zeroing queue evicted unscanned entries"
-                            )
-                        if buf[front % dq_cap][0] > lo:
-                            raise StructuralViolation(
-                                f"level {ell} may have lost zeroing candidates"
-                            )
-                        cur = front
-                    stop = cur + _SCAN_BATCH
-                    if stop > end:
-                        stop = end
-                    acc = lv_acc[ell]
-                    ops += 1 + stop - cur
-                    while cur < stop:
-                        pos, pvj, rj = buf[cur % dq_cap]
-                        if lo <= pos <= hi and pvj > pos - ip:
-                            acc = (acc - pvj * rj) % p
-                        cur += 1
-                    lv_acc[ell] = acc
-                    lv_cur[ell] = cur
-                    if cur >= end:
-                        rlo = lv_rlo[ell]
-                        if debug is not None:
-                            debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
-                        if acc == level_fp[ell] * rlo % p:
-                            if i >= ip + mlen[ell] + 3 * delta:
-                                raise StructuralViolation(
-                                    f"level {ell} missed its reporting deadline"
-                                )
-                            qn = mq[ell]
-                            w0 = qn.words
-                            qn.push(ip, lv_fpl[ell])
-                            mq_words += qn.words - w0
-                            ops += 2
-                        lv_phase[ell] = _IDLE
-
-                # Phase C.
-                if c_ip < 0 and segs[s]:
-                    qs = mq[s]
-                    w0 = qs.words
-                    c_ip = qs.pop()[0]
-                    mq_words += qs.words - w0
-                    c_k = 0
-                    if i - c_ip - mlen[s] >= H:
-                        raise StructuralViolation("predecessor history expired")
-                    ops += 2
-                if c_ip >= 0:
-                    k = c_k
-                    base = c_ip + m - tail_len
-                    budget = _C_BUDGET
-                    while budget > 0 and k < tail_len:
-                        j = base + k
-                        if j > i:
-                            break
-                        pvj = hist_pred[j % H]
-                        w = pvj if 0 < pvj <= j - c_ip else 0
-                        if w != target[k]:
-                            c_ip = -1
-                            break
-                        k += 1
-                        budget -= 1
-                    ops += _C_BUDGET - budget
-                    if c_ip >= 0:
-                        if k >= tail_len:
-                            if i != c_ip + m - 1:
-                                raise StructuralViolation(
-                                    "tail check completed off schedule"
-                                )
-                            out.append(i)
-                            c_ip = -1
+                    # Phase A: base-prefix matches.  DetCore's common case (idle,
+                    # nothing deferred, the first comparison succeeds) runs inline.
+                    # Its cursor stays in the DetCore's attributes, which
+                    # step_pred reads and writes on each arrival outside it.
+                    prev = a_prev
+                    fast = False
+                    if suba.phase == _DET_IDLE and not pending:
+                        a_r = suba.r
+                        j = a_r % cp_rho
+                        pv_p = 0 if a_r // cp_rho < cp_ks[j] else cp_cs[j]
+                        fast = (pv_p == pv) if 0 < pv <= a_r else (pv_p == 0)
+                    if fast:
+                        suba.appended += 1
+                        suba.consumed += 1
+                        suba.shifts_last = 0
+                        suba.units_last = 0
+                        a_r += 1
+                        if a_r == a_q:
+                            suba.r = a_r - a_rho
+                            a_prev = True
                         else:
-                            c_k = k
-                            if i >= c_ip + m - 1:
-                                raise StructuralViolation("tail check behind schedule")
+                            run_i = suba.run_i
+                            if a_r > runs[run_i][2] and run_i < runs_last:
+                                suba.run_i = run_i + 1
+                            occ_i = suba.occ_i
+                            if occ_i < occ_last and occ[occ_i + 1] <= a_r:
+                                suba.occ_i = occ_i + 1
+                            suba.r = a_r
+                            a_prev = False
+                        ops = 9
+                    else:
+                        consumed = suba.consumed
+                        a_prev = step_pred(pv)
+                        ops = 8 + suba.consumed - consumed
+                    if prev and ((p0_last == pv) if 0 < pv < m0 else (p0_last == 0)):
+                        w0 = q0.words
+                        q0.push(i - m0 + 1, phi)
+                        mq_words += q0.words - w0
+                        ops += 3
 
-                ops_last = ops
-                if ops > ops_max:
-                    ops_max = ops
-                    if ops > OP_BUDGET:
-                        raise StructuralViolation(
-                            f"arrival {i} used {ops} ops, budget {OP_BUDGET}"
-                        )
-                words = static_words + 3 * len(bbuf) + mq_words + len(pending)
-                if words > words_peak:
-                    words_peak = words
-        finally:
-            self.i = i
-            self.rpow = rpow
-            self.phi = phi
-            self.a_prev = a_prev
-            self.bcur = bcur
-            self.bnext = bnext
-            self.c_ip = c_ip
-            self.c_k = c_k
-            self.mq_words = mq_words
-            self.ops_last = ops_last
-            self.ops_max = ops_max
-            self.words_peak = words_peak
-            self.b_peak = b_peak
-            if a_live:
-                suba.r = a_r
-                suba.run_i = run_i
-                suba.occ_i = occ_i
-                suba.appended = appended
-                suba.consumed = consumed
-                if a_fast:
-                    suba.shifts_last = 0
-                    suba.units_last = 0
-        return out
+                    # Phase Bdelta: buffer long-distance arrivals, distribute one level.
+                    if m0 < pv < NEVER:
+                        bbuf.append((i, pv, pw))
+                        lb = len(bbuf)
+                        if lb > sigma:
+                            raise StructuralViolation(
+                                f"distance buffer exceeded {sigma} entries"
+                            )
+                        if lb > b_peak:
+                            b_peak = self.b_peak = lb
+                        ops += 2
+                    if bcur is None and bbuf:
+                        bcur = bbuf.popleft()
+                        bnext = 1
+                    if bcur is not None:
+                        if bcur[1] > mlen[bnext - 1]:
+                            nxt = dq_next[bnext]
+                            dq_bufs[bnext][nxt % dq_cap] = bcur
+                            dq_next[bnext] = nxt + 1
+                            ops += 2
+                        if bnext >= s:
+                            bcur = None
+                        else:
+                            bnext += 1
+                        ops += 1
+
+                    # Phase Bphi: one level per arrival advances its candidate check.
+                    ell = 1 + i % s
+                    ph = lv_phase[ell]
+                    if ph == _IDLE:
+                        if segs[ell - 1]:
+                            ql = mq[ell - 1]
+                            w0 = ql.words
+                            got = ql.pop()
+                            mq_words += ql.words - w0
+                            lv_ip[ell] = got[0]
+                            lv_fpprev[ell] = got[1]
+                            ph = _WAIT
+                            lv_phase[ell] = _WAIT
+                            ops += 2
+                    if ph == _WAIT:
+                        ip = lv_ip[ell]
+                        ml = mlen[ell]
+                        if i > ip + ml + delta:
+                            idx = ip + ml - 1
+                            if i - idx >= H:
+                                raise StructuralViolation(
+                                    f"fingerprint history expired for level {ell}"
+                                )
+                            fpl = hist_fp[idx % H]
+                            lv_fpl[ell] = fpl
+                            lv_rlo[ell] = hist_rpow[(idx + 1) % H] * gap_inv[ell] % p
+                            lv_acc[ell] = (fpl - lv_fpprev[ell]) % p
+                            front = dq_next[ell] - dq_cap
+                            lv_cur[ell] = front if front > 0 else 0
+                            lv_end[ell] = dq_next[ell]
+                            lv_phase[ell] = _SCAN
+                            ops += 5
+                    elif ph == _SCAN:
+                        ip = lv_ip[ell]
+                        lo = ip + mlen[ell - 1]
+                        hi = ip + mlen[ell] - 1
+                        cur = lv_cur[ell]
+                        end = lv_end[ell]
+                        front = dq_next[ell] - dq_cap
+                        if front < 0:
+                            front = 0
+                        buf = dq_bufs[ell]
+                        if cur < front:
+                            # Entries were evicted before being scanned; safe only if
+                            # everything lost sat below the zeroing range.
+                            if front >= end or front >= dq_next[ell]:
+                                raise StructuralViolation(
+                                    f"level {ell} zeroing queue evicted unscanned entries"
+                                )
+                            if buf[front % dq_cap][0] > lo:
+                                raise StructuralViolation(
+                                    f"level {ell} may have lost zeroing candidates"
+                                )
+                            cur = front
+                        stop = cur + _SCAN_BATCH
+                        if stop > end:
+                            stop = end
+                        acc = lv_acc[ell]
+                        ops += 1 + stop - cur
+                        while cur < stop:
+                            pos, pvj, rj = buf[cur % dq_cap]
+                            if lo <= pos <= hi and pvj > pos - ip:
+                                acc = (acc - pvj * rj) % p
+                            cur += 1
+                        lv_acc[ell] = acc
+                        lv_cur[ell] = cur
+                        if cur >= end:
+                            rlo = lv_rlo[ell]
+                            debug = self.debug_checks
+                            if debug is not None:
+                                debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
+                            if acc == level_fp[ell] * rlo % p:
+                                if i >= ip + mlen[ell] + 3 * delta:
+                                    raise StructuralViolation(
+                                        f"level {ell} missed its reporting deadline"
+                                    )
+                                qn = mq[ell]
+                                w0 = qn.words
+                                qn.push(ip, lv_fpl[ell])
+                                mq_words += qn.words - w0
+                                ops += 2
+                            lv_phase[ell] = _IDLE
+
+                    # Phase C: extend final-level matches across the explicit tail.
+                    if c_ip < 0 and segs[s]:
+                        qs = mq[s]
+                        w0 = qs.words
+                        c_ip = qs.pop()[0]
+                        mq_words += qs.words - w0
+                        c_k = 0
+                        if i - c_ip - mlen[s] >= H:
+                            raise StructuralViolation("predecessor history expired")
+                        ops += 2
+                    if c_ip >= 0:
+                        k = c_k
+                        base = c_ip + m - tail_len
+                        budget = _C_BUDGET
+                        while budget > 0 and k < tail_len:
+                            j = base + k
+                            if j > i:
+                                break
+                            pvj = hist_pred[j % H]
+                            w = pvj if 0 < pvj <= j - c_ip else 0
+                            if w != target[k]:
+                                c_ip = -1
+                                break
+                            k += 1
+                            budget -= 1
+                        ops += _C_BUDGET - budget
+                        if c_ip >= 0:
+                            if k >= tail_len:
+                                if i != c_ip + m - 1:
+                                    raise StructuralViolation(
+                                        "tail check completed off schedule"
+                                    )
+                                hit = True
+                                if out is not None:
+                                    out.append(i)
+                                c_ip = -1
+                            else:
+                                c_k = k
+                                if i >= c_ip + m - 1:
+                                    raise StructuralViolation(
+                                        "tail check behind schedule"
+                                    )
+
+                    ops_last = ops
+                    if ops > ops_max:
+                        ops_max = self.ops_max = ops
+                        if ops > OP_BUDGET:
+                            raise StructuralViolation(
+                                f"arrival {i} used {ops} ops, budget {OP_BUDGET}"
+                            )
+                    words = static_words + 3 * len(bbuf) + mq_words + len(pending)
+                    if words > words_peak:
+                        words_peak = self.words_peak = words
+            finally:
+                self.i = i
+                self.rpow = rpow
+                self.phi = phi
+                self.a_prev = a_prev
+                self.bcur = bcur
+                self.bnext = bnext
+                self.c_ip = c_ip
+                self.c_k = c_k
+                self.mq_words = mq_words
+                self.ops_last = ops_last
 
     def live_words_peak(self) -> int:
         if self.det is not None:

@@ -9,6 +9,7 @@ import pytest
 
 from parmatch.cli import main
 from parmatch.errors import AlphabetError, ConfigError
+from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.stream_matcher import StreamMatcher
 
@@ -174,6 +175,15 @@ def test_gen_then_match_round_trip(tmp_path):
         [int(x) for x in open(txt).read().split()],
     )
     assert [int(line) for line in out.splitlines()] == want
+
+
+@pytest.mark.parametrize("kind", ["random", "planted", "periodic", "long_gap"])
+@pytest.mark.parametrize("n", [0, 10, 63, 64, 100])
+def test_instance_text_has_n_symbols(kind, n):
+    inst = make_instance(kind, 64, n, 4, seed=1)
+    assert len(inst.text) == n
+    if kind == "planted" and n >= 64:
+        assert naive_all_matches(inst.pattern, inst.text)
 
 
 def test_verify_clean_exit_0():

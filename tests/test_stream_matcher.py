@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -362,7 +364,7 @@ def matcher_state(sm):
         "matcher": {
             name: getattr(sm, name)
             for name in StreamMatcher.__slots__
-            if name not in ("det", "suba", "bbuf", "mq", "debug_checks")
+            if name not in ("det", "suba", "bbuf", "mq", "debug_checks", "run")
         },
         "bbuf": list(sm.bbuf),
         "mq": [(list(map(list, q.segs)), q.last_pos, q.words) for q in sm.mq],
@@ -406,22 +408,105 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
 
 
 def test_scan_rejects_a_symbol_like_step():
+    # Both matchers stop at the rejected symbol in the same state, and go
+    # on from the next one with the same answers.
     inst = make_instance("planted", 2048, 6000, 4, seed=2)
     bad = 3001
     text = list(inst.text)
     text[bad] = 4
+    text[3500 : 3500 + 2048] = [(x + 1) % 4 for x in inst.pattern]
     stepped = StreamMatcher(inst.pattern, 4, seed=3)
     assert stepped.mode == "rand"
-    with pytest.raises(AlphabetError) as by_step:
-        for sym in text:
-            stepped.step(sym)
+    by_step = []
+    with pytest.raises(AlphabetError) as step_err:
+        for i, sym in enumerate(text):
+            if stepped.step(sym):
+                by_step.append(i)
     scanned = StreamMatcher(inst.pattern, 4, seed=3)
-    scanned.scan(text[:2990])
-    with pytest.raises(AlphabetError) as by_scan:
-        scanned.scan(text[2990:3100])
-    assert by_step.value.index == by_scan.value.index == bad
+    by_scan = scanned.scan(text[:2990])
+    with pytest.raises(AlphabetError) as scan_err:
+        scanned.scan(text[2990:3100], by_scan)
+    assert step_err.value.index == scan_err.value.index == bad
     assert scanned.i == bad
     assert matcher_state(scanned) == matcher_state(stepped)
+    by_step += [i for i in range(bad + 1, len(text)) if stepped.step(text[i])]
+    scanned.scan(text[bad + 1 :], by_scan)
+    assert by_step == by_scan == [2760, 5547]
+    assert matcher_state(scanned) == matcher_state(stepped)
+
+
+def feed_past_errors(sm, text, chunk):
+    """Feed `text` in chunks (through `step` when chunk is 1), going on
+    from the symbol after each error; returns (match ends, [(error type,
+    index)])."""
+    ends, errors = [], []
+    k = 0
+    while k < len(text):
+        try:
+            if chunk == 1:
+                if sm.step(text[k]):
+                    ends.append(k)
+            else:
+                sm.scan(text[k : k + chunk], ends)
+        except (AlphabetError, ConfigError) as e:
+            errors.append((type(e), sm.i))
+        k = sm.i + 1
+    return ends, errors
+
+
+def test_scan_stops_at_a_distance_beyond_the_prime_like_step():
+    # With a 13-bit prime (p = 8191), symbol 3 returning after 8400
+    # arrivals raises at index 8500 through both step and scan; both go
+    # on to the end of the text with the same answers and state.
+    rng = random.Random(6)
+    pattern = [rng.randrange(3) for _ in range(600)]
+    text = [rng.randrange(3) for _ in range(12000)]
+    for at in range(50, 12000 - 600, 1400):
+        text[at : at + 600] = [(x + 1) % 3 for x in pattern]
+    text[100] = text[8500] = 3
+    stepped = StreamMatcher(pattern, 4, mode="rand", prime_bits=13, seed=4)
+    scanned = StreamMatcher(pattern, 4, mode="rand", prime_bits=13, seed=4)
+    assert stepped.p == 8191
+    by_step = feed_past_errors(stepped, text, 1)
+    by_scan = feed_past_errors(scanned, text, 4096)
+    assert by_step == by_scan
+    ends, errors = by_step
+    assert errors == [(ConfigError, 8500)]
+    assert ends[0] < 8500 < ends[-1]
+    assert matcher_state(scanned) == matcher_state(stepped)
+
+
+def test_copies_made_mid_stream_go_on_like_the_original():
+    # deepcopy and pickle leave out the running phase generator; each
+    # copy builds its own from the copied state.
+    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    assert sm.mode == "rand"
+    sm.scan(inst.text[:5000])
+    copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
+    rest = inst.text[5000:]
+    want = sm.scan(rest)
+    assert want
+    for other in copies:
+        assert other.scan(rest) == want
+        assert matcher_state(other) == matcher_state(sm)
+
+
+def test_debug_checks_set_after_the_first_scan():
+    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    stepped = StreamMatcher(inst.pattern, 4, seed=12)
+    scanned = StreamMatcher(inst.pattern, 4, seed=12)
+    head, rest = inst.text[:3000], inst.text[3000:]
+    for sym in head:
+        stepped.step(sym)
+    scanned.scan(head)
+    stepped.debug_checks = []
+    scanned.debug_checks = []
+    for sym in rest:
+        stepped.step(sym)
+    scanned.scan(rest)
+    assert len(scanned.debug_checks) > 10
+    assert scanned.debug_checks == stepped.debug_checks
 
 
 def test_scan_keeps_matches_found_before_an_error():
