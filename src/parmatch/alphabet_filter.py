@@ -15,6 +15,13 @@ expected time per symbol:
   of the m-window.  Last occurrences have distinct times, so at most one
   entry expires per arrival and a single lazy head check suffices.
 
+Each code lives in one [last arrival, code] slot that moves between the
+list and the free pool and keeps its time there, so the filter knows
+every code's last arrival.  `scan_pred` therefore returns the codes'
+predecessor distances, the values a last-occurrence table over the codes
+would give, and a deterministic matcher takes them without keeping that
+table itself.
+
 Windows with at most distinct(P) distinct raw symbols filter to windows
 with an identical predecessor string; windows with more distinct symbols
 than the pattern cannot match it and keep that property after filtering.
@@ -23,6 +30,8 @@ than the pattern cannot match it and keep that property after filtering.
 from __future__ import annotations
 
 from collections import OrderedDict
+
+from .predecessor import NEVER
 
 
 class AlphabetFilter:
@@ -33,8 +42,11 @@ class AlphabetFilter:
     def __init__(self, pattern_distinct: int, window: int):
         self.cap = pattern_distinct + 1
         self.window = window
-        self.live: OrderedDict = OrderedDict()  # raw -> [time, code], recency order
-        self.free = list(range(self.cap - 1, -1, -1))
+        # raw -> [last arrival, code], in recency order.  A code's slot is
+        # never copied: it moves between `live` and the `free` stack with
+        # the code's last arrival in it (-1 before its first use).
+        self.live: OrderedDict = OrderedDict()
+        self.free = [[-1, code] for code in range(self.cap - 1, -1, -1)]
         self.t = -1
 
     def step(self, raw) -> int:
@@ -48,25 +60,39 @@ class AlphabetFilter:
             head, slot = next(iter(live.items()))
             if slot[0] <= t - self.window:
                 del live[head]
-                self.free.append(slot[1])
+                self.free.append(slot)
         slot = live.get(raw)
         if slot is not None:
-            slot[0] = t
             live.move_to_end(raw)
-            return slot[1]
-        if len(live) >= self.cap:
-            _, old = live.popitem(last=False)
-            self.free.append(old[1])
-        code = self.free.pop()
-        live[raw] = [t, code]
-        return code
+        else:
+            # A full list hands its head's slot to the new symbol.
+            if len(live) >= self.cap:
+                slot = live.popitem(last=False)[1]
+            else:
+                slot = self.free.pop()
+            live[raw] = slot
+        slot[0] = t
+        return slot[1]
 
     def scan(self, raws) -> list[int]:
-        """Dense codes for the next chunk of raw symbols.
+        """Dense codes for the next chunk of raw symbols (`step` per symbol)."""
+        return self._scan(raws, False)
 
-        `step` over the chunk with the state in local variables; `t` is
-        written back once, also when a symbol cannot be looked up.
+    def scan_pred(self, raws) -> list[int]:
+        """Predecessor distances of the codes of the next chunk of raw symbols.
+
+        The same values as `LastOccurrence` run over the codes `scan`
+        returns: the time since the code's last arrival, which for a new
+        symbol is the last arrival of the symbol that held its code, or
+        NEVER for a code not used before.  The filter advances as `scan`
+        advances it.
         """
+        return self._scan(raws, True)
+
+    def _scan(self, raws, pred: bool) -> list[int]:
+        """`step` over the chunk with the state in local variables,
+        emitting codes or, with `pred`, predecessor distances; `t` is
+        written back once, also when a symbol cannot be looked up."""
         live = self.live
         items = live.items
         get = live.get
@@ -86,18 +112,21 @@ class AlphabetFilter:
                     head, slot = next(iter(items()))
                     if slot[0] <= t - window:
                         del live[head]
-                        release(slot[1])
+                        release(slot)
                 slot = get(raw)
                 if slot is not None:
-                    slot[0] = t
                     to_tail(raw)
+                else:
+                    slot = pop_head(last=False)[1] if len(live) >= cap else take()
+                    live[raw] = slot
+                    if slot[0] < 0:
+                        # The code's first use: its distance is NEVER.
+                        slot[0] = t - NEVER
+                if pred:
+                    emit(t - slot[0])
+                else:
                     emit(slot[1])
-                    continue
-                if len(live) >= cap:
-                    release(pop_head(last=False)[1][1])
-                code = take()
-                live[raw] = [t, code]
-                emit(code)
+                slot[0] = t
         finally:
             self.t = t
         return out

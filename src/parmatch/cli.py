@@ -214,12 +214,24 @@ def cmd_match(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        # Each read is matched as one batch; the filter, if any, first
-        # maps the whole read to dense codes.
-        scan = matcher.scan
+        # Each read is matched as one batch.  The filter, if any, first
+        # maps the whole read to dense codes, or for the det engine
+        # straight to the codes' predecessor distances.
+        if filt is None:
+            scan = matcher.scan
+        elif matcher.det is not None:
+            feed, scan_pred = matcher.det.feed, filt.scan_pred
+
+            def scan(chunk, out):
+                feed(scan_pred(chunk), out)
+
+        else:
+            scan_codes, scan_dense = filt.scan, matcher.scan
+
+            def scan(chunk, out):
+                scan_dense(scan_codes(chunk), out)
+
         for chunk in chunks:
-            if filt is not None:
-                chunk = filt.scan(chunk)
             scan(chunk, ends)
             arrivals += len(chunk)
             if ends:

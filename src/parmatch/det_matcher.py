@@ -22,16 +22,27 @@ in time wait in the FIFO and are reported as non-matches immediately;
 the buffer provably drains before the next true match, which is asserted
 whenever a match is reported.
 
-`DetMatcher.step` handles one arrival; `DetMatcher.scan` feeds a chunk
-through `step` and collects the match ends.  Consecutive chunks continue
-one stream, so `scan` and `step` may be mixed freely.
+Most arrivals never reach that machinery.  With nothing deferred, the
+fresh symbol is compared at once; when that fails and the cursors as they
+stand name the next candidate (the top of the current run, or the first
+first-occurrence probe), that candidate is tested inline as well: the
+one-shift path.  Its outcome, cursors and counters are exactly those the
+machinery would produce, which it enters otherwise.
+
+`DetMatcher.step` handles one arrival.  `DetMatcher.scan` looks up a
+chunk's predecessor distances in the matcher's last-occurrence table and
+feeds them to the engine in one loop, which `DetMatcher.feed` runs on
+distances from elsewhere: `AlphabetFilter.scan_pred` knows them for a
+raw stream, which then needs no dense table at all.  Consecutive chunks
+continue one stream, so `scan` and `step` may be mixed freely.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 
-from .errors import StructuralViolation
+from .errors import AlphabetError, StructuralViolation, UsageError
 from .pattern import PatternProfile
 from .predecessor import LastOccurrence
 
@@ -43,6 +54,8 @@ UNITS_PER_ARRIVAL = 16
 CONSUMES_PER_ARRIVAL = 2
 
 _IDLE, _TEST, _SYNC, _SCAN = 0, 1, 2, 3
+
+_FED = "the matcher is fed predecessor distances: use feed, not step or scan"
 
 
 class DetCore:
@@ -136,15 +149,51 @@ class DetCore:
                     self.occ_i = oi + 1
                 self.r = r
                 return False
-            # First comparison failed: enter the shift machinery.
+            # First comparison failed.  Do what _SYNC would do with the
+            # cursors as they stand.  When that names the next candidate
+            # at once (the top of the run, or the first first-occurrence
+            # probe), test it here, as _TEST would: the one-shift path.
+            # Otherwise, or when the test fails, go on in the machinery
+            # from the phase reached.
+            shifts = SHIFTS_PER_ARRIVAL
+            rho_s, lo, hi = self.runs[self.run_i]
+            if lo > cand:
+                phase = _SYNC  # the run cursor has to descend
+            elif cand == hi:
+                cand -= rho_s
+                phase = _TEST
+            else:
+                xlow = cand - ((cand - lo) // rho_s) * rho_s
+                f = self.occ[self.occ_i]
+                if f < cand and (f < xlow or (f - xlow) % rho_s == 0):
+                    cand = f if f >= xlow else xlow - rho_s
+                    phase = _TEST
+                else:
+                    self.xlow = xlow
+                    self.srho = rho_s
+                    phase = _SCAN  # the first-occurrence cursor descends
+            if phase == _TEST:
+                shifts -= 1
+                j = cand % self.cp_rho
+                pv_p = 0 if cand // self.cp_rho < self.cp_ks[j] else self.cp_cs[j]
+                if (pv_p == pv) if 0 < pv <= cand else (pv_p == 0):
+                    # cand < r < q, so no match completes, and neither
+                    # cursor has to grow: an idle core's cursors never lag
+                    # behind r, and r does not rise.  The working slots
+                    # (g, cand, xlow, srho, first_test) are set before
+                    # they are next read, so they stay as they are.
+                    self.consumed += 1
+                    self.shifts_last = 1
+                    self.units_last = 0
+                    self.r = cand + 1
+                    return False
+                phase = _SYNC
             self.g = pv
             self.first_test = False
-            self.phase = _SYNC
-            shifts = SHIFTS_PER_ARRIVAL
+            self.cand = cand
+            self.phase = phase
             units = UNITS_PER_ARRIVAL
             consumes = CONSUMES_PER_ARRIVAL - 1
-            phase = _SYNC
-            self.cand = cand
         else:
             pending.append(pv)
             if len(pending) > self.pend_cap:
@@ -294,25 +343,57 @@ class DetMatcher:
         self.i = -1
 
     def step(self, sym: int) -> bool:
+        tracker = self.tracker
+        if tracker is None:
+            raise UsageError(_FED)
         self.i += 1
-        pv = self.tracker.step(sym, self.i)
-        return self.core.step_pred(pv)
+        return self.core.step_pred(tracker.step(sym, self.i))
 
     def scan(self, text, out=None) -> list[int]:
         """Match end indices over the next chunk of the stream.
 
-        `step` per symbol; consecutive calls continue one stream, and may
-        be mixed with `step`.  The indices are appended to `out` (a new
-        list by default), which is returned; when an error stops the
-        chunk, `out` holds the matches that ended before it.
+        The same answers and state as `step` per symbol; consecutive calls
+        continue one stream, and may be mixed with `step`.  The indices
+        are appended to `out` (a new list by default), which is returned;
+        when an error stops the chunk, `out` holds the matches that ended
+        before it.
         """
+        tracker = self.tracker
+        if tracker is None:
+            raise UsageError(_FED)
+        preds = map(tracker.step, text, count(self.i + 1))
+        try:
+            return self._feed(preds, out)
+        except AlphabetError as e:
+            self.i = e.index  # as `step` leaves it
+            raise
+
+    def feed(self, preds, out=None) -> list[int]:
+        """`scan` for a chunk given as the arrivals' predecessor distances.
+
+        The distances come from elsewhere (`AlphabetFilter.scan_pred`),
+        so the matcher's own last-occurrence table stops describing the
+        stream: it is dropped, and `step` and `scan` refuse to run after
+        the first call.
+        """
+        self.tracker = None
+        return self._feed(preds, out)
+
+    def _feed(self, preds, out) -> list[int]:
         if out is None:
             out = []
-        step = self.step
-        for sym in text:
-            if step(sym):
-                out.append(self.i)
+        step_pred = self.core.step_pred
+        i = self.i
+        try:
+            for pv in preds:
+                i += 1
+                if step_pred(pv):
+                    out.append(i)
+        finally:
+            self.i = i
         return out
 
     def live_words(self) -> int:
+        # The table's sigma last arrivals; a fed matcher's live in the
+        # filter's sigma slots instead.
         return self.core.live_words() + self.sigma

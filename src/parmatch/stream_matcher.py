@@ -81,7 +81,7 @@ class StreamMatcher:
         "s",
         "mlen",
         "m0",
-        "i",
+        "stream_i",
         "rpow",
         "phi",
         "table",
@@ -166,7 +166,7 @@ class StreamMatcher:
         self.s = ladder.s
         self.mlen = lens
         self.m0 = lens[0]
-        self.i = -1
+        self.stream_i = -1
         r = ctx.r
         p = ctx.p
         self.r = r
@@ -246,6 +246,11 @@ class StreamMatcher:
         state = {k: getattr(self, k) for k in self.__slots__ if hasattr(self, k)}
         state["run"] = None
         return None, state
+
+    @property
+    def i(self) -> int:
+        """Stream index of the last arrival (-1 before the first)."""
+        return self.stream_i if self.det is None else self.det.i
 
     # ------------------------------------------------------------------
 
@@ -345,7 +350,7 @@ class StreamMatcher:
         occ = suba.occ
         occ_last = len(occ) - 1
 
-        i = self.i
+        i = self.stream_i
         rpow = self.rpow
         phi = self.phi
         a_prev = self.a_prev
@@ -588,7 +593,7 @@ class StreamMatcher:
                     if words > words_peak:
                         words_peak = self.words_peak = words
             finally:
-                self.i = i
+                self.stream_i = i
                 self.rpow = rpow
                 self.phi = phi
                 self.a_prev = a_prev

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
 from parmatch.oracle import naive_all_matches
-from parmatch.predecessor import pred_string
+from parmatch.predecessor import NEVER, LastOccurrence, pred_string
 from parmatch.stream_matcher import StreamMatcher
 
 
@@ -134,3 +134,80 @@ def test_scan_stops_like_step_on_an_unhashable_symbol():
         scanned.scan(raw)
     assert filter_state(scanned) == filter_state(stepped)
     assert scanned.t == 4
+
+
+def test_freed_code_keeps_its_last_arrival():
+    f = AlphabetFilter(pattern_distinct=1, window=100)  # cap = 2
+    # a and b take fresh codes; c takes a's code, last used at 0; a comes
+    # back and takes b's code, last used at 1.
+    assert f.scan_pred(["a", "b", "c", "a", "a"]) == [NEVER, NEVER, 2, 2, 1]
+
+
+RAW_ALPHABETS = {
+    "u64": st.integers(min_value=0, max_value=2**64 - 1),
+    "unicode": st.text(max_size=4),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(sorted(RAW_ALPHABETS)))
+def test_scan_pred_is_last_occurrence_over_the_codes(data, kind):
+    # More raw symbols than the filter has codes, drawn with repeats, so
+    # evicted and expired symbols come back and take a freed code.
+    vocab = data.draw(
+        st.lists(RAW_ALPHABETS[kind], min_size=1, max_size=12, unique=True)
+    )
+    distinct = data.draw(st.integers(min_value=1, max_value=5))
+    window = data.draw(st.integers(min_value=1, max_value=30))
+    raw = data.draw(st.lists(st.sampled_from(vocab), max_size=300))
+    chunk = data.draw(st.integers(min_value=1, max_value=64))
+    stepped = AlphabetFilter(distinct, window)
+    scanned = AlphabetFilter(distinct, window)
+    tracker = LastOccurrence(distinct + 1)
+    for k in range(0, len(raw), chunk):
+        piece = raw[k : k + chunk]
+        want = [tracker.step(stepped.step(s), k + j) for j, s in enumerate(piece)]
+        assert scanned.scan_pred(piece) == want, k
+        assert filter_state(scanned) == filter_state(stepped), k
+
+
+def test_scan_pred_stops_like_step_on_an_unhashable_symbol():
+    raw = ["a", "b", "c", "a", ["x"], "b"]
+    stepped = AlphabetFilter(pattern_distinct=1, window=3)
+    with pytest.raises(TypeError):
+        for s in raw:
+            stepped.step(s)
+    scanned = AlphabetFilter(pattern_distinct=1, window=3)
+    with pytest.raises(TypeError):
+        scanned.scan_pred(raw)
+    assert filter_state(scanned) == filter_state(stepped)
+    assert scanned.scan_pred(["b"]) == [3]
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_unicode_tokens_through_the_filter_into_each_engine(mode):
+    # Unicode tokens, Zipf-weighted so that evicted tokens come back; the
+    # det engine is fed the filter's distances, the rand engine its codes.
+    rng = random.Random(12)
+    vocab = [
+        "".join(chr(rng.randrange(0x4E00, 0x9FFF)) for _ in range(3)) for _ in range(300)
+    ]
+    ids = rng.sample(vocab, 3)
+    pattern = ids + [rng.choice(ids) for _ in range(597)]
+    text = rng.choices(vocab, [1 / (k + 1) for k in range(len(vocab))], k=12000)
+    for at in (0, 5000, 11400):
+        relabel = dict(zip(ids, rng.sample(vocab, 3)))
+        text[at : at + 600] = [relabel[x] for x in pattern]
+    dense, distinct = densify_pattern(pattern)
+    f = AlphabetFilter(distinct, len(pattern))
+    sm = StreamMatcher(dense, distinct + 1, mode=mode, seed=3)
+    ends = []
+    for k in range(0, len(text), 5000):
+        chunk = text[k : k + 5000]
+        if mode == "det":
+            sm.det.feed(f.scan_pred(chunk), ends)
+        else:
+            sm.scan(f.scan(chunk), ends)
+    want = naive_all_matches(pattern, text)
+    assert len(want) >= 3
+    assert [e - len(pattern) + 1 for e in ends] == want

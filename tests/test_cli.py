@@ -321,6 +321,44 @@ def test_text_file_longer_than_three_reads(tmp_path):
     assert out == "".join(f"{s}\n" for s in want)
 
 
+def zipf_token_stream(m, distinct, n, seed, plants=5):
+    """Zipf token IDs over a wide vocabulary, with relabelled plants of an
+    m-token pattern over `distinct` IDs; popular tokens are evicted from
+    the filter and come back all the time."""
+    rng = random.Random(seed)
+    vocab = rng.sample(range(2**40), 500)
+    text = rng.choices(vocab, [1 / (k + 1) for k in range(len(vocab))], k=n)
+    ids = rng.sample(vocab, distinct)
+    pattern = ids + [rng.choice(ids) for _ in range(m - distinct)]
+    for slot in rng.sample(range(n // m), plants):
+        relabel = dict(zip(ids, rng.sample(vocab, distinct)))
+        text[slot * m : (slot + 1) * m] = [relabel[x] for x in pattern]
+    return pattern, text
+
+
+@pytest.mark.parametrize(
+    "m, distinct, mode, engine",
+    [(64, 8, "auto", "det"), (64, 8, "det", "det"), (600, 3, "rand", "rand"),
+     (600, 3, "det", "det")],
+)
+def test_zipf_tokens_through_the_filter(tmp_path, m, distinct, mode, engine):
+    # The det engine takes the filter's predecessor distances, the rand
+    # engine its codes; both against the oracle on the raw tokens, over
+    # more than three 64 KiB reads of a file.
+    pattern, text = zipf_token_stream(m, distinct, 30000, seed=m + len(mode))
+    pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
+    data = " ".join(map(str, text)) + "\n"
+    assert len(data) > 3 * 65536
+    txt = write(tmp_path, "t.txt", data)
+    code, out, err = run_cli(
+        ["match", "--pattern", pat, "--text", txt, "--mode", mode, "--stats"]
+    )
+    want = naive_all_matches(pattern, text)
+    assert len(want) >= 5 and code == 0
+    assert f"mode={engine}\n" in err
+    assert out == "".join(f"{s}\n" for s in want)
+
+
 def run_module(argv):
     """`python -m parmatch` in a child process, parmatch taken from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
-from parmatch.det_matcher import DetCore, DetMatcher
-from parmatch.errors import AlphabetError
+from parmatch.det_matcher import _IDLE, DetCore, DetMatcher
+from parmatch.errors import AlphabetError, UsageError
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
+from parmatch.predecessor import LastOccurrence
 
 
 def starts(pattern, sigma, text):
@@ -108,7 +109,7 @@ def det_state(dm):
     core = dm.core
     return {
         "i": dm.i,
-        "table": list(dm.tracker.table),
+        "table": None if dm.tracker is None else list(dm.tracker.table),
         "core": {
             name: getattr(core, name) for name in DetCore.__slots__ if name != "pending"
         },
@@ -214,3 +215,64 @@ def test_scan_keeps_matches_found_before_an_error():
     with pytest.raises(AlphabetError):
         dm.scan(text[end - 10 : end + 20], ends)
     assert ends == [end]
+
+
+def test_each_arrival_agrees_with_the_oracle_through_the_one_shift_path():
+    # Per arrival, on an idle core whose first comparison fails: the
+    # one-shift path commits (one shift, no cursor unit), or its test
+    # fails and the shift machinery goes on from there (a second shift).
+    # A wrong shortcut can keep every answer right and only cost more, so
+    # the totals of the work done and of the cursors are pinned as well,
+    # to the values the engine without the shortcut gives.
+    rng = random.Random(17)
+    one_shift = fall_through = 0
+    totals = dict.fromkeys(("shifts", "units", "run_i", "occ_i", "pending"), 0)
+    for t in range(240):
+        kind = ("random", "periodic")[t % 2]
+        sigma = rng.randint(1, 6)
+        m = rng.randint(1, 60)
+        inst = make_instance(kind, m, 8 * m, sigma, seed=rng.randrange(2**31))
+        ends = {s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)}
+        dm = DetMatcher(build_profile(inst.pattern, sigma))
+        core = dm.core
+        for j, sym in enumerate(inst.text):
+            idle = core.phase == _IDLE and not core.pending
+            consumed = core.consumed
+            assert dm.step(sym) == (j in ends), (t, j)
+            if idle and core.consumed == consumed + 1 and core.shifts_last == 1:
+                one_shift += core.units_last == 0
+            if idle and core.shifts_last == 2:
+                fall_through += 1
+            totals["shifts"] += core.shifts_last
+            totals["units"] += core.units_last
+            totals["run_i"] += core.run_i
+            totals["occ_i"] += core.occ_i
+            totals["pending"] += len(core.pending)
+    assert (one_shift, fall_through) == (8161, 3575)
+    assert totals == {
+        "shifts": 18450, "units": 10244, "run_i": 65621, "occ_i": 70596, "pending": 1
+    }
+
+
+@pytest.mark.parametrize("name", ["planted", "zipf"])
+def test_feed_equals_scan_and_retires_the_table(name):
+    # Fed its predecessor distances from elsewhere, a matcher answers and
+    # moves as one that scans the symbols; it drops its own table, which
+    # no longer describes the stream, and refuses step and scan after.
+    pattern, sigma, text, want = det_instance(name)
+    m = len(pattern)
+    tracker = LastOccurrence(sigma)
+    preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
+    scanned = DetMatcher(build_profile(pattern, sigma))
+    fed = DetMatcher(build_profile(pattern, sigma))
+    got = []
+    for k in range(0, len(text), 1000):
+        assert fed.feed(preds[k : k + 1000], got) is got
+        scanned.scan(text[k : k + 1000])
+        assert {**det_state(scanned), "table": None} == det_state(fed), k
+    assert [e - m + 1 for e in got] == want
+    with pytest.raises(UsageError):
+        fed.step(text[0])
+    with pytest.raises(UsageError):
+        fed.scan(text[:5])
+    assert det_state(fed) == {**det_state(scanned), "table": None}

@@ -38,6 +38,21 @@ def test_forced_det_equals_auto():
     assert starts(auto, 400, t) == starts(det, 400, t)
 
 
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_i_is_the_stream_index_in_both_modes(mode):
+    rng = random.Random(3)
+    p = [rng.randrange(2) for _ in range(400)]
+    sm = StreamMatcher(p, 2, mode=mode, seed=5)
+    assert sm.mode == mode and sm.i == -1
+    sm.step(0)
+    assert sm.i == 0
+    sm.scan([rng.randrange(2) for _ in range(99)])
+    assert sm.i == 99
+    with pytest.raises(AlphabetError):
+        sm.scan([0, 1, 2])
+    assert sm.i == 102
+
+
 def test_forced_det_builds_no_fingerprints(monkeypatch):
     # A rand-eligible pattern in forced det mode: the same matches as the
     # randomized route and the oracle, and no level fingerprint computed.
