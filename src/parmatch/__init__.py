@@ -10,7 +10,7 @@ parameterized period.
 from .alphabet_filter import AlphabetFilter, densify_pattern
 from .det_matcher import DetMatcher
 from .errors import AlphabetError, ConfigError, StructuralViolation, UsageError
-from .fingerprint import FieldContext, Fingerprint, context_new, fp_of_sequence
+from .fingerprint import FieldContext, context_new, fp_of_sequence
 from .pattern import PatternProfile, build_profile
 from .predecessor import NEVER, LastOccurrence, pred_string
 from .stream_matcher import StreamMatcher
@@ -23,7 +23,6 @@ __all__ = [
     "ConfigError",
     "DetMatcher",
     "FieldContext",
-    "Fingerprint",
     "LastOccurrence",
     "NEVER",
     "PatternProfile",

@@ -38,10 +38,11 @@ class _InputError(Exception):
 
 
 def _token_chunks(fobj):
-    """Whitespace-separated unsigned base-10 integers, one list per read.
+    """Whitespace-separated tokens of ASCII digits 0-9, as integers, one
+    list per read.
 
     A token split by a read boundary is carried into the next read.  When
-    a token does not parse, the valid tokens before it come as one more
+    a token is anything else, the valid tokens before it come as one more
     list, and `_InputError` follows on the next iteration.
     """
     carry = ""
@@ -50,25 +51,30 @@ def _token_chunks(fobj):
         chunk = fobj.read(65536)
         if not chunk:
             break
-        parts = (carry + chunk).split()
+        text = carry + chunk
+        parts = text.split()
         carry = parts.pop() if parts and not chunk[-1].isspace() else ""
-        yield from _parse_tokens(parts, index)
+        yield from _parse_tokens(parts, index, text)
         index += len(parts)
     if carry:
-        yield from _parse_tokens([carry], index)
+        yield from _parse_tokens([carry], index, carry)
 
 
-def _parse_tokens(parts: list[str], index: int):
-    """Yield the tokens as one list; on a bad one, the tokens before it."""
-    try:
-        vals = list(map(int, parts))
-        ok = not vals or min(vals) >= 0
-    except ValueError:
-        ok = False
-    if ok:
-        yield vals
-        return
-    # Failure path: find the first bad token and name its stream index.
+def _parse_tokens(parts: list[str], index: int, text: str):
+    """Yield the tokens of `text` as one list; on a bad one, the tokens
+    before it."""
+    # `int` also reads signs, underscores and non-ASCII digits, so it may
+    # only parse a read that has none of them; there it raises on any
+    # token that is not ASCII digits.
+    if text.isascii() and not ("+" in text or "-" in text or "_" in text):
+        try:
+            vals = list(map(int, parts))
+        except ValueError:
+            pass
+        else:
+            yield vals
+            return
+    # Slow path: check each token, and name the first bad one's index.
     good = []
     for k, tok in enumerate(parts):
         try:
@@ -76,16 +82,17 @@ def _parse_tokens(parts: list[str], index: int):
         except _InputError:
             yield good
             raise
+    yield good
 
 
 def _parse_token(tok: str, index: int) -> int:
+    if tok.isascii() and tok.isdigit():
+        return int(tok)
     try:
-        v = int(tok, 10)
+        what = "is negative" if int(tok, 10) < 0 else "is not in ASCII digits"
     except ValueError:
-        raise _InputError(f"token {tok!r} at position {index} is not an integer")
-    if v < 0:
-        raise _InputError(f"token {tok!r} at position {index} is negative")
-    return v
+        what = "is not an integer"
+    raise _InputError(f"token {tok!r} at position {index} {what}")
 
 
 def _raw_chunks(fobj):

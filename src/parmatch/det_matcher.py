@@ -43,7 +43,12 @@ from collections import deque
 from itertools import count
 
 from .errors import AlphabetError, StructuralViolation, UsageError
-from .pattern import PatternProfile
+from .pattern import (
+    PatternProfile,
+    build_compressed_pred,
+    build_first_occurrences,
+    build_run_table,
+)
 from .predecessor import LastOccurrence
 
 # Per-arrival budgets.  SHIFTS is pinned by the deamortization argument;
@@ -93,11 +98,11 @@ class DetCore:
 
     def __init__(self, profile: PatternProfile, pend_cap: int):
         self.q = profile.m
-        self.rho_full = profile.rho
-        # The profile builds each of these three tables when it is read.
-        self.runs = profile.run_table
-        self.occ = profile.first_occ
-        cp = profile.compressed
+        self.rho_full = rho = profile.rho
+        # Only this engine reads these tables; the profile keeps none.
+        cp = build_compressed_pred(None, rho, pred=profile.pred)
+        self.runs = build_run_table(profile.periods)
+        self.occ = build_first_occurrences(profile.pred)
         self.cp_rho = cp.rho
         self.cp_ks = cp.ks
         self.cp_cs = cp.cs

@@ -9,7 +9,7 @@ Two distinct equal-length sequences collide with probability at most
 |S|/(p-1) over the choice of r.
 
 `fp_of_sequence` evaluates phi during preprocessing, for the per-level
-targets of the prefix ladder.  The streaming matcher does its field
+targets of the prefix ladder, and returns the residue as a plain int.  The streaming matcher does its field
 arithmetic inline: it keeps the running prefix fingerprint and its own
 powers r^i, splits by subtracting two prefix fingerprints without
 rebasing (the difference still carries the weight r^lo of its first
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import ConfigError, UsageError
 
@@ -82,13 +82,6 @@ def prime_for_bits(bits: int) -> int:
     return p
 
 
-class Fingerprint(NamedTuple):
-    """A field residue together with the number of contributing positions."""
-
-    value: int
-    length: int
-
-
 class FieldContext:
     """Field parameters: the prime p, the base r and its inverse r^-1."""
 
@@ -127,8 +120,9 @@ def context_new(prime_bits: int = DEFAULT_PRIME_BITS, seed: int = 0) -> FieldCon
     return FieldContext(p, r)
 
 
-def fp_of_sequence(ctx: FieldContext, seq: Iterable[int]) -> Fingerprint:
-    """phi(seq), evaluated exactly in blocks of K = _BLOCK symbols.
+def fp_of_sequence(ctx: FieldContext, seq: Iterable[int]) -> int:
+    """phi(seq) as a residue in [0, p), evaluated exactly in blocks of
+    K = _BLOCK symbols.
 
     Each block B_b = seq[b*K .. b*K + K - 1] is summed as
     sum_k B_b[k] * r^k with one C-level `sum(map(mul, ...))`, and the
@@ -151,4 +145,4 @@ def fp_of_sequence(ctx: FieldContext, seq: Iterable[int]) -> Fingerprint:
     acc = 0
     for a in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
         acc = (acc * r_block + sum(map(mul, seq[a : a + _BLOCK], powers))) % p
-    return Fingerprint(acc, n)
+    return acc

@@ -14,7 +14,8 @@ covers, and both ends are O(1): the push side verifies each absorbed
 fingerprint against the predicted one (a position that breaks the law
 starts a fresh segment instead of corrupting the progression), and the
 pop side re-derives fingerprints with the same recurrence, so popped
-pairs always equal the pushed ones.
+pairs always equal the pushed ones.  A pop advances the progression's
+first position by diff, so its last one is next_pos + (cnt - 1) * diff.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from .errors import StructuralViolation, UsageError
 
 # Segment layouts (plain lists for speed):
 #   explicit:    [pos, fp]
-#   progression: [start, cnt, emit_e, emit_fp, emit_step,
-#                 tail_pos, tail_fp, tail_step, delta0]
+#   progression: [next_pos, cnt, emit_fp, emit_step, tail_fp, tail_step]
+# next_pos and emit_fp are the pair the next pop returns, emit_step the
+# difference to the fingerprint after it; tail_fp is the last pushed
+# fingerprint and tail_step the difference the next absorbed one must show.
 _EXPL = 2
-_PROG = 9
+_PROG = 6
 
 
 class MatchQueue:
@@ -58,7 +61,7 @@ class MatchQueue:
     def __len__(self) -> int:
         n = 0
         for s in self.segs:
-            n += 1 if len(s) == _EXPL else s[1] - s[2]
+            n += 1 if len(s) == _EXPL else s[1]
         return n
 
     def push(self, pos: int, fp: int) -> None:
@@ -70,28 +73,16 @@ class MatchQueue:
         if segs:
             tail = segs[-1]
             if len(tail) == _PROG:
-                if pos == tail[5] + self.diff:
-                    predicted = (tail[6] + tail[7]) % p
-                    if fp == predicted:
+                if pos == tail[0] + tail[1] * self.diff:
+                    if fp == (tail[4] + tail[5]) % p:
                         tail[1] += 1
-                        tail[5] = pos
-                        tail[6] = fp
-                        tail[7] = tail[7] * self.rpd % p
+                        tail[4] = fp
+                        tail[5] = tail[5] * self.rpd % p
                         return
                     self.law_mismatches += 1
             elif pos == tail[0] + self.diff:
                 delta0 = (fp - tail[1]) % p
-                segs[-1] = [
-                    tail[0],
-                    2,
-                    0,
-                    tail[1],
-                    delta0,
-                    pos,
-                    fp,
-                    delta0 * self.rpd % p,
-                    delta0,
-                ]
+                segs[-1] = [tail[0], 2, tail[1], delta0, fp, delta0 * self.rpd % p]
                 self.words += _PROG - _EXPL
                 return
         segs.append([pos, fp])
@@ -111,13 +102,15 @@ class MatchQueue:
             segs.popleft()
             self.words -= _EXPL
             return head[0], head[1]
-        e = head[2]
-        pos = head[0] + e * self.diff
-        fp = head[3]
-        head[2] = e + 1
-        head[3] = (fp + head[4]) % self.p
-        head[4] = head[4] * self.rpd % self.p
-        if head[2] >= head[1]:
+        pos = head[0]
+        fp = head[2]
+        cnt = head[1] - 1
+        if cnt:
+            head[0] = pos + self.diff
+            head[1] = cnt
+            head[2] = (fp + head[3]) % self.p
+            head[3] = head[3] * self.rpd % self.p
+        else:
             segs.popleft()
             self.words -= _PROG
         return pos, fp

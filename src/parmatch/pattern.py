@@ -15,11 +15,11 @@ and is immutable afterwards:
   per-level fingerprints of the second halves of the ladder prefixes.
 
 The period run table, the compressed pred(P) and the first occurrences
-are read only by the deterministic engine, so a profile builds them when
-they are read, which only a `DetCore` does, once each: the standalone
-deterministic matcher, forced det mode, and phase A of the randomized
-matcher on its own sub-profile.  A randomized matcher's main profile never
-builds them.
+are read only by the deterministic engine, so a profile does not hold
+them: each `DetCore` builds them from the profile's periods and pred,
+once each (the standalone deterministic matcher, forced det mode, and
+phase A of the randomized matcher on its own sub-profile).  A randomized
+matcher's main profile never has them built.
 
 Preprocessing may use O(m) memory; only streaming-phase state is
 space-bounded, so matchers keep references to the compressed tables but
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import StructuralViolation, UsageError
-from .fingerprint import FieldContext, Fingerprint, fp_of_sequence
+from .fingerprint import FieldContext, fp_of_sequence
 from .predecessor import pred_string
 
 
@@ -77,15 +77,8 @@ class CompressedPred:
     rows of the column, the constant cs[j] afterwards."""
 
     rho: int
-    m: int
     ks: list[int]
     cs: list[int]
-
-    def value(self, i: int) -> int:
-        if not 0 <= i < self.m:
-            raise UsageError(f"index {i} outside [0, {self.m})")
-        j = i % self.rho
-        return 0 if i // self.rho < self.ks[j] else self.cs[j]
 
 
 def build_compressed_pred(pattern, rho: int, pred=None) -> CompressedPred:
@@ -96,7 +89,6 @@ def build_compressed_pred(pattern, rho: int, pred=None) -> CompressedPred:
     """
     if pred is None:
         pred = pred_string(pattern)
-    m = len(pred)
     ks = [0] * rho
     cs = [0] * rho  # 0 until the column's constant is seen; constants are > 0
     for i, v in enumerate(pred):
@@ -112,7 +104,7 @@ def build_compressed_pred(pattern, rho: int, pred=None) -> CompressedPred:
                 f"residue {j}: pred column not zeros-then-constant "
                 f"({v} after {c}); rho={rho} is not the period"
             )
-    return CompressedPred(rho=rho, m=m, ks=ks, cs=cs)
+    return CompressedPred(rho=rho, ks=ks, cs=cs)
 
 
 def build_run_table(periods: list[int]) -> list[tuple[int, int, int]]:
@@ -164,13 +156,14 @@ class PrefixLadder:
 class PatternFingerprints:
     """Per-level comparison targets plus the explicit 4*delta tail.
 
-    level_fps[l] (1-based) is the fingerprint of pred(P)[m_{l-1} .. m_l - 1]
-    rebased to r^0; p0_last is pred(P)[m_0 - 1] for the final-character
-    rule; tail_pred holds pred(P)[m - 4*delta ..] for the direct check of
-    the last 4*delta positions.
+    level_fps[l] (1-based; entry 0 is 0) is the fingerprint of
+    pred(P)[m_{l-1} .. m_l - 1] rebased to r^0, as a residue; p0_last is
+    pred(P)[m_0 - 1] for the final-character rule; tail_pred holds
+    pred(P)[m - 4*delta ..] for the direct check of the last 4*delta
+    positions.
     """
 
-    level_fps: list[Fingerprint | None]
+    level_fps: list[int]
     p0_last: int
     tail_pred: list[int]
 
@@ -179,8 +172,9 @@ def build_ladder(
     pattern,
     sigma: int,
     ctx: FieldContext | None,
-    periods: list[int] | None = None,
-    pred: list[int] | None = None,
+    *,
+    periods: list[int],
+    pred: list[int],
 ):
     """Build the prefix ladder, or decide the deterministic fallback.
 
@@ -191,10 +185,6 @@ def build_ladder(
     to stay at least 3*delta.
     """
     m = len(pattern)
-    if pred is None:
-        pred = pred_string(pattern)
-    if periods is None:
-        periods = compute_prefix_pperiods(pattern, pred)
     delta = sigma * ceil_log2(m)
 
     def fallback(reason: str):
@@ -250,11 +240,9 @@ def _build_fingerprints(
     ctx: FieldContext, ladder: PrefixLadder, pred: list[int], m: int, delta: int
 ) -> PatternFingerprints:
     lens = ladder.lengths
-    level_fps: list[Fingerprint | None] = [None]
-    for prev, cur in zip(lens, lens[1:]):
-        level_fps.append(fp_of_sequence(ctx, pred[prev:cur]))
     return PatternFingerprints(
-        level_fps=level_fps,
+        level_fps=[0]
+        + [fp_of_sequence(ctx, pred[prev:cur]) for prev, cur in zip(lens, lens[1:])],
         p0_last=pred[lens[0] - 1],
         tail_pred=pred[m - 4 * delta :],
     )
@@ -266,8 +254,8 @@ class PatternProfile:
 
     The full period and predecessor arrays are preprocessing artifacts;
     matchers only hold the compressed pieces.  Those pieces serve only the
-    deterministic engine and are built, in O(m), on each access: a
-    `DetCore` reads each once, and the profile keeps no copy.
+    deterministic engine, so a `DetCore` builds them, in O(m), from
+    `periods` and `pred`, and the profile keeps no copy.
     """
 
     m: int
@@ -280,18 +268,6 @@ class PatternProfile:
     @property
     def rho(self) -> int:
         return self.periods[self.m]
-
-    @property
-    def compressed(self) -> CompressedPred:
-        return build_compressed_pred(None, self.rho, pred=self.pred)
-
-    @property
-    def run_table(self) -> list[tuple[int, int, int]]:
-        return build_run_table(self.periods)
-
-    @property
-    def first_occ(self) -> list[int]:
-        return build_first_occurrences(self.pred)
 
 
 def build_profile(

@@ -111,7 +111,6 @@ class StreamMatcher:
         "c_ip",
         "c_k",
         "tail_target",
-        "tail_len",
         "mq_words",
         "static_words",
         "ops_last",
@@ -208,7 +207,7 @@ class StreamMatcher:
         self.gap_inv = [0] + [
             pow(ctx.r_inv, lens[l] - lens[l - 1], p) for l in range(1, s + 1)
         ]
-        self.level_fp = [0] + [fps.level_fps[l].value for l in range(1, s + 1)]
+        self.level_fp = fps.level_fps
         budget = 6 * sigma + 2
         self.mq = [
             MatchQueue(
@@ -222,11 +221,9 @@ class StreamMatcher:
         self.c_ip = -1
         self.c_k = 0
         self.tail_target = fps.tail_pred
-        self.tail_len = 4 * delta
         self.mq_words = 0
         self.static_words = (
-            3 * H
-            + self.tail_len
+            4 * H  # three histories and the tail
             + sigma
             + 3 * cap * s
             + 8 * (s + 1)
@@ -333,7 +330,6 @@ class StreamMatcher:
         lv_end = self.lv_end
         gap_inv = self.gap_inv
         level_fp = self.level_fp
-        tail_len = self.tail_len
         target = self.tail_target
         static_words = self.static_words
 
@@ -551,9 +547,9 @@ class StreamMatcher:
                         ops += 2
                     if c_ip >= 0:
                         k = c_k
-                        base = c_ip + m - tail_len
+                        base = c_ip + m - H
                         budget = _C_BUDGET
-                        while budget > 0 and k < tail_len:
+                        while budget > 0 and k < H:
                             j = base + k
                             if j > i:
                                 break
@@ -566,7 +562,7 @@ class StreamMatcher:
                             budget -= 1
                         ops += _C_BUDGET - budget
                         if c_ip >= 0:
-                            if k >= tail_len:
+                            if k >= H:
                                 if i != c_ip + m - 1:
                                     raise StructuralViolation(
                                         "tail check completed off schedule"

@@ -116,6 +116,35 @@ def test_match_bad_token_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("token", ["+5", "1_0", "-0", "\u0663"])
+def test_tokens_int_reads_but_are_not_digits_exit_2(tmp_path, token):
+    # int() reads these as 5, 10, 0 and 3, which would merge two distinct
+    # tokens into one symbol: "+5 1_0 5" would match the pattern "1 2 1".
+    pat = write(tmp_path, "p.txt", "1 2 1")
+    txt = write(tmp_path, "t.txt", f"5 10 {token} 5")
+    code, out, err = run_cli(["match", "--pattern", pat, "--text", txt])
+    assert (code, out) == (2, "")
+    assert err == f"input error: token {token!r} at position 2 is not in ASCII digits\n"
+
+
+def test_unicode_whitespace_read_keeps_every_token(tmp_path):
+    # A read that is not ASCII takes the token-by-token path, which must
+    # still yield every token of the read when none is bad.
+    rng = random.Random(3)
+    pattern = [7, 3, 7, 7, 12]
+    text = [rng.choice([3, 7, 12, 40]) for _ in range(400)]
+    text[150:155] = [40, 12, 40, 40, 3]
+    pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
+    spaces = [" ", "\u2003", "\u3000", "\n"]
+    body = "".join(str(x) + rng.choice(spaces) for x in text)
+    code, out, _ = run_cli(
+        ["match", "--pattern", pat, "--text", "-"], stdin=Reads(pieces_of(body, 101))
+    )
+    want = naive_all_matches(pattern, text)
+    assert want and code == 0
+    assert out == "".join(f"{s}\n" for s in want)
+
+
 def test_match_missing_file_exit_1(tmp_path):
     pat = write(tmp_path, "p.txt", "0 1")
     code, _, _ = run_cli(["match", "--pattern", pat, "--text", str(tmp_path / "nope")])
@@ -220,6 +249,11 @@ def test_token_split_at_read_boundary_on_any_whitespace(tmp_path, space):
         (["-3"], [], "token '-3' at position 250 is negative"),
         (["x"], ["--alphabet-size", "2"], "token 'x' at position 250 is not an integer"),
         (["2", "x"], ["--alphabet-size", "2"], str(AlphabetError(2, 250, 2))),
+        # Tokens that int() reads but that are not plain ASCII digits.
+        (["+1"], [], "token '+1' at position 250 is not in ASCII digits"),
+        (["1_0"], [], "token '1_0' at position 250 is not in ASCII digits"),
+        (["-0"], [], "token '-0' at position 250 is not in ASCII digits"),
+        (["\u0661"], [], "token '\u0661' at position 250 is not in ASCII digits"),
     ],
 )
 def test_error_in_a_later_read_keeps_earlier_matches(tmp_path, bad, flags, message):

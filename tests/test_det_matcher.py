@@ -44,7 +44,7 @@ def test_reports_nothing_before_full_window():
 
 def test_profile_runs_for_aabb():
     prof = build_profile([0, 0, 1, 1], 2)
-    assert prof.run_table == [(1, 1, 2), (2, 3, 4)]
+    assert DetCore(prof, pend_cap=16).runs == [(1, 1, 2), (2, 3, 4)]
 
 
 @settings(max_examples=250)

@@ -5,7 +5,6 @@ from parmatch import fingerprint
 from parmatch.errors import ConfigError, UsageError
 from parmatch.fingerprint import (
     FieldContext,
-    Fingerprint,
     context_new,
     fp_of_sequence,
     prime_for_bits,
@@ -44,13 +43,13 @@ def test_context_small_prime_constructible():
 
 def test_fp_of_sequence_direct():
     fp = fp_of_sequence(ctx101(), [1, 2, 3])
-    assert fp == Fingerprint(61, 3)  # 1 + 2*7 + 3*49 mod 101
+    assert type(fp) is int and fp == 61  # 1 + 2*7 + 3*49 mod 101
 
 
 def test_fp_of_sequence_empty_and_zeros():
     c = ctx101()
-    assert fp_of_sequence(c, []) == Fingerprint(0, 0)
-    assert fp_of_sequence(c, [0, 0, 0]) == Fingerprint(0, 3)
+    assert fp_of_sequence(c, []) == 0
+    assert fp_of_sequence(c, [0, 0, 0]) == 0
 
 
 def test_fp_of_sequence_rejects_large_values():
@@ -75,8 +74,8 @@ def test_fp_of_sequence_equals_defining_sum(n, bits, data):
     want = 0
     for k, v in enumerate(seq):
         want = (want + v * pow(r, k, p)) % p
-    assert fp_of_sequence(c, seq) == Fingerprint(want, n)
-    assert fp_of_sequence(c, iter(seq)) == Fingerprint(want, n)
+    assert fp_of_sequence(c, seq) == want
+    assert fp_of_sequence(c, iter(seq)) == want
 
 
 @pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 3 * K + 5])
@@ -105,14 +104,13 @@ def test_fp_append_matches_batch():
     # fingerprint of the base phase.
     c = ctx101()
     fp = fp_of_sequence(c, [1, 2])
-    assert (fp.value + 3 * 7**2) % 101 == fp_of_sequence(c, [1, 2, 3]).value == 61
+    assert (fp + 3 * 7**2) % 101 == fp_of_sequence(c, [1, 2, 3]) == 61
 
 
 def test_fp_append_zero_keeps_value():
     c = ctx101()
     fp = fp_of_sequence(c, [5, 6])
-    out = fp_of_sequence(c, [5, 6, 0])
-    assert out.value == fp.value and out.length == 3
+    assert fp_of_sequence(c, [5, 6, 0]) == fp
 
 
 @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40))
@@ -123,19 +121,19 @@ def test_fp_append_chain_equals_batch(seq):
     for v in seq:
         acc = (acc + v * rpow) % c.p
         rpow = rpow * c.r % c.p
-    assert Fingerprint(acc, len(seq)) == fp_of_sequence(FieldContext(101, 7), seq)
+    assert acc == fp_of_sequence(FieldContext(101, 7), seq)
 
 
 def test_fp_split_example():
     c = ctx101()
     fp_b = fp_of_sequence(c, [1, 2, 3])
     fp_a = fp_of_sequence(c, [1])
-    suffix = fp_of_sequence(c, [2, 3]).value
+    suffix = fp_of_sequence(c, [2, 3])
     assert suffix == 23
     # Unrebased, the difference still carries r^1; rebasing divides it out.
-    assert (fp_b.value - fp_a.value) % 101 == suffix * 7 % 101
+    assert (fp_b - fp_a) % 101 == suffix * 7 % 101
     assert pow(7, 99, 101) == c.r_inv == 29
-    assert (fp_b.value - fp_a.value) * c.r_inv % 101 == suffix
+    assert (fp_b - fp_a) * c.r_inv % 101 == suffix
 
 
 def draw_case(data):
@@ -155,26 +153,26 @@ def test_fp_split_round_trip(data):
     c, seq = draw_case(data)
     b = data.draw(st.integers(0, len(seq)), label="b")
     a = data.draw(st.integers(0, b), label="a")
-    diff = (fp_of_sequence(c, seq[:b]).value - fp_of_sequence(c, seq[:a]).value) % c.p
-    assert diff == fp_of_sequence(c, seq[a:b]).value * pow(c.r, a, c.p) % c.p
+    diff = (fp_of_sequence(c, seq[:b]) - fp_of_sequence(c, seq[:a])) % c.p
+    assert diff == fp_of_sequence(c, seq[a:b]) * pow(c.r, a, c.p) % c.p
 
 
 def test_fp_zero_example():
     c = ctx101()
     fp = fp_of_sequence(c, [1, 2, 3])
     # Zeroing position 1 removes 2 * r^1.
-    assert (fp.value - 2 * 7) % 101 == fp_of_sequence(c, [1, 0, 3]).value == 47
+    assert (fp - 2 * 7) % 101 == fp_of_sequence(c, [1, 0, 3]) == 47
 
 
 def test_fp_zero_identity_and_all():
     c = ctx101()
     seq = [4, 5, 6]
-    fp = fp_of_sequence(c, seq).value
+    fp = fp_of_sequence(c, seq)
     removed = sum(v * pow(7, k, 101) for k, v in enumerate(seq))
     # Zeroing no position keeps the value; zeroing all of them leaves the
     # fingerprint of the all-zero sequence.
-    assert fp == fp_of_sequence(c, seq).value
-    assert (fp - removed) % 101 == fp_of_sequence(c, [0, 0, 0]).value == 0
+    assert fp == fp_of_sequence(c, seq)
+    assert (fp - removed) % 101 == fp_of_sequence(c, [0, 0, 0]) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,9 +183,7 @@ def test_fp_zero_round_trip(data):
     zeros = data.draw(st.sets(st.integers(0, len(seq) - 1)) if seq else st.just(set()))
     removed = sum(seq[z] * pow(c.r, z, c.p) for z in zeros)
     zeroed = [0 if k in zeros else v for k, v in enumerate(seq)]
-    assert (fp_of_sequence(c, seq).value - removed) % c.p == fp_of_sequence(
-        c, zeroed
-    ).value
+    assert (fp_of_sequence(c, seq) - removed) % c.p == fp_of_sequence(c, zeroed)
 
 
 def test_collision_bound_mechanism():

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parmatch import det_matcher as det_mod
 from parmatch import pattern as pattern_mod
+from parmatch.det_matcher import DetCore
 from parmatch.errors import StructuralViolation, UsageError
 from parmatch.fingerprint import context_new, fp_of_sequence
 from parmatch.oracle import naive_pperiod
@@ -66,8 +68,8 @@ def test_compressed_pred_rejects_zero_or_second_constant():
 
 
 def test_wrong_period_raises_through_the_profile():
-    # The on-demand table keeps the check: a profile whose period table
-    # lies about rho raises on first access.
+    # The det engine's own table build keeps the check: a profile whose
+    # period table lies about rho raises when a DetCore is built on it.
     prof = build_profile([0, 0, 1, 0, 1], 2)
     periods = list(prof.periods)
     periods[5] = 1
@@ -80,7 +82,7 @@ def test_wrong_period_raises_through_the_profile():
         fingerprints=None,
     )
     with pytest.raises(StructuralViolation, match="rho=1 is not the period"):
-        bad.compressed
+        DetCore(bad, pend_cap=16)
 
 
 @given(patterns)
@@ -89,7 +91,8 @@ def test_pred_access_equals_pred_string(p):
     cp = build_compressed_pred(p, rho)
     pp = pred_string(p)
     for i in range(len(p)):
-        assert cp.value(i) == pp[i]
+        j = i % rho
+        assert (0 if i // rho < cp.ks[j] else cp.cs[j]) == pp[i]
 
 
 @given(patterns)
@@ -133,13 +136,16 @@ def test_first_occurrences(p):
 
 @given(patterns)
 def test_on_demand_det_tables_equal_direct_builds(p):
+    # A DetCore builds its tables from the profile's periods and pred.
     prof = build_profile(p, 4)
     pp = pred_string(p)
     periods = compute_prefix_pperiods(p)
     assert prof.pred == pp and prof.periods == periods
-    assert prof.compressed == build_compressed_pred(p, periods[len(p)])
-    assert prof.run_table == build_run_table(periods)
-    assert prof.first_occ == build_first_occurrences(pp)
+    core = DetCore(prof, pend_cap=16)
+    cp = build_compressed_pred(p, periods[len(p)])
+    assert (core.cp_rho, core.cp_ks, core.cp_cs) == (cp.rho, cp.ks, cp.cs)
+    assert core.runs == build_run_table(periods)
+    assert core.occ == build_first_occurrences(pp)
 
 
 @given(patterns)
@@ -169,17 +175,17 @@ def test_rand_matcher_builds_no_det_tables_for_the_whole_pattern(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        pattern_mod,
+        det_mod,
         "build_compressed_pred",
         counted(build_compressed_pred, lambda pat, rho, pred=None: len(pred)),
     )
     monkeypatch.setattr(
-        pattern_mod,
+        det_mod,
         "build_run_table",
         counted(build_run_table, lambda periods: len(periods) - 1),
     )
     monkeypatch.setattr(
-        pattern_mod,
+        det_mod,
         "build_first_occurrences",
         counted(build_first_occurrences, len),
     )
@@ -197,20 +203,26 @@ def test_rand_matcher_builds_no_det_tables_for_the_whole_pattern(monkeypatch):
     assert all(size == sm.m0 - 1 for _, size in sizes), sizes
 
 
+def ladder_of(p, sigma, ctx=None):
+    pred = pred_string(p)
+    periods = compute_prefix_pperiods(p, pred)
+    return build_ladder(p, sigma, ctx, periods=periods, pred=pred)
+
+
 def test_ladder_gate_small_period():
-    ladder, fps = build_ladder([0] * 1000, 4, None)
+    ladder, fps = ladder_of([0] * 1000, 4)
     assert ladder.mode == "det" and fps is None
 
 
 def test_ladder_gate_short_pattern():
     # delta = 8 * 7 = 56, 14*delta = 784 > 100
     p = [random.Random(1).randrange(8) for _ in range(100)]
-    ladder, _ = build_ladder(p, 8, None)
+    ladder, _ = ladder_of(p, 8)
     assert ladder.mode == "det"
 
 
 def test_ladder_unary_alphabet_always_det():
-    ladder, _ = build_ladder([0] * 5000, 1, None)
+    ladder, _ = ladder_of([0] * 5000, 1)
     assert ladder.mode == "det"
 
 
@@ -219,8 +231,9 @@ def test_ladder_large_random_binary():
     m = 1 << 17
     p = [rng.randrange(2) for _ in range(m)]
     ctx = context_new(61, 1)
-    periods = compute_prefix_pperiods(p)
-    ladder, fps = build_ladder(p, 2, ctx, periods=periods)
+    pred = pred_string(p)
+    periods = compute_prefix_pperiods(p, pred)
+    ladder, fps = build_ladder(p, 2, ctx, periods=periods, pred=pred)
     delta = 2 * ceil_log2(m)
     assert ladder.mode == "rand"
     lens = ladder.lengths
@@ -242,7 +255,7 @@ def test_ladder_gaps_at_least_three_delta():
         sigma = rng.choice([2, 4])
         m = rng.randint(300, 1200) if sigma == 2 else rng.randint(550, 1500)
         p = [rng.randrange(sigma) for _ in range(m)]
-        ladder, _ = build_ladder(p, sigma, context_new(61, 1))
+        ladder, _ = ladder_of(p, sigma, context_new(61, 1))
         if ladder.mode != "rand":
             continue
         d = ladder.delta
@@ -262,5 +275,6 @@ def test_level_fingerprints_match_pred_windows():
     for level in range(1, len(lens)):
         want = fp_of_sequence(ctx, pp[lens[level - 1] : lens[level]])
         assert prof.fingerprints.level_fps[level] == want
+    assert prof.fingerprints.level_fps[0] == 0
     assert prof.fingerprints.p0_last == pp[lens[0] - 1]
     assert prof.fingerprints.tail_pred == pp[m - 4 * prof.ladder.delta :]

@@ -1,5 +1,7 @@
-"""The scripts under scripts/ run end to end at a small size."""
+"""The scripts under scripts/, and the benchmark's traced pass, run end
+to end at a small size."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(path, *args):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(path), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
 
 
 @pytest.mark.parametrize(
@@ -28,17 +43,20 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, args, header, rows):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
+    done = run_python(ROOT / "scripts" / script, *args)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].split() == header.split()
     assert len(lines) == 1 + rows
+
+
+def test_traced_benchmark_runs():
+    # The traced pass reads engine internals (match queue segments,
+    # positions, lengths and law mismatches, level fingerprints, the
+    # words gauge, phase A's core), so a change to them shows here.
+    done = run_python(
+        ROOT / "perfbench" / "run.py",
+        "--workload", "periodic_dense", "--seed", "5", "--seconds", "1", "--trace", "1",
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

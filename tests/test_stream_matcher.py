@@ -3,6 +3,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parmatch.det_matcher import DetCore, DetMatcher
 from parmatch.errors import AlphabetError, ConfigError
@@ -160,7 +161,7 @@ def test_running_fingerprint_invariant_small_scale():
         sm.step(sym)
         if i % 97 == 0:
             want = fp_of_sequence(ref, pred_string(text[: i + 1]))
-            assert sm.phi == want.value
+            assert sm.phi == want
 
 
 def test_stream_shorter_than_pattern_reports_nothing():
@@ -227,7 +228,7 @@ def test_level_checks_compute_window_relative_fingerprints():
     for ell, ip, acc in checks:
         window = inst.text[ip : ip + lens[ell]]
         want = fp_of_sequence(ref, pred_string(window)[lens[ell - 1] :])
-        assert acc == want.value, (ell, ip)
+        assert acc == want, (ell, ip)
 
 
 def test_bounds_on_adversarial_gaps():
@@ -318,6 +319,58 @@ def test_routing_boundaries_agree_with_oracle(sigma, pattern_of, edge, want_mode
         what, offset = edge
         value, bound = (m, 14 * delta) if what == "m" else (prof.rho, 3 * delta)
         assert value == bound + offset
+    text = noise(rng, sigma, 6 * m)
+    for start in (m, 4 * m):
+        perm = list(range(sigma))
+        rng.shuffle(perm)
+        text[start : start + m] = [perm[sym] for sym in pattern]
+    auto = StreamMatcher(pattern, sigma, seed=5)
+    det = StreamMatcher(pattern, sigma, mode="det", seed=5)
+    assert auto.mode == want_mode and det.mode == "det"
+    want = naive_all_matches(pattern, text)
+    assert len(want) >= 2
+    assert starts(auto, m, text) == starts(det, m, text) == want
+
+
+def routing_rule(prof):
+    """build_ladder's routing, restated from the profile's periods."""
+    m, d, periods = prof.m, prof.ladder.delta, prof.periods
+    if m <= 14 * d or periods[m] <= 3 * d:
+        return "det"
+    m0 = next(r for r in range(1, m + 1) if periods[r] > 3 * d)
+    return "rand" if m0 <= m - 7 * d else "det"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from(["m", "rho", "degenerate"]),
+    st.integers(-3, 3),
+    st.integers(0, 2**32),
+)
+def test_routing_edges_agree_with_oracle(sigma, edge, offset, seed):
+    # Patterns within a few symbols of each routing edge: m around
+    # 14*delta, a tiled block around 3*delta, and a tiled head that puts
+    # the ladder base around m - 7*delta (the degenerate ladder).  L is
+    # the smallest ceil(log2 m) that leaves room for m > 14*delta.
+    rng = random.Random(seed)
+    L = next(L for L in range(1, 64) if 14 * sigma * L + 3 <= 1 << L)
+    delta = sigma * L
+    if edge == "m":
+        pattern = noise(rng, sigma, 14 * delta + offset)
+    else:
+        m = rng.randint(14 * delta + 1, 1 << L)
+        if edge == "rho":
+            pattern = tiled(rng, sigma, 3 * delta + offset, m)
+        else:
+            head = m - 7 * delta + 3 * offset
+            pattern = tiled(rng, sigma, rng.randint(1, 3 * delta), head)
+            pattern += noise(rng, sigma, m - head)
+    m = len(pattern)
+    prof = build_profile(pattern, sigma)
+    assert prof.ladder.delta == delta
+    want_mode = routing_rule(prof)
+    assert prof.ladder.mode == want_mode
     text = noise(rng, sigma, 6 * m)
     for start in (m, 4 * m):
         perm = list(range(sigma))
@@ -469,25 +522,29 @@ def feed_past_errors(sm, text, chunk):
     return ends, errors
 
 
-def test_scan_stops_at_a_distance_beyond_the_prime_like_step():
-    # With a 13-bit prime (p = 8191), symbol 3 returning after 8400
-    # arrivals raises at index 8500 through both step and scan; both go
-    # on to the end of the text with the same answers and state.
+@pytest.mark.parametrize(
+    "bits, n, at", [(13, 12000, 8500), (17, 140000, 131300)], ids=["13", "17"]
+)
+def test_scan_stops_at_a_distance_beyond_the_prime_like_step(bits, n, at):
+    # With a small prime (p = 8191 or 131071), symbol 3 returning after
+    # more than p arrivals raises at index `at` through both step and
+    # scan; both go on to the end of the text with the same answers and
+    # state.
     rng = random.Random(6)
     pattern = [rng.randrange(3) for _ in range(600)]
-    text = [rng.randrange(3) for _ in range(12000)]
-    for at in range(50, 12000 - 600, 1400):
-        text[at : at + 600] = [(x + 1) % 3 for x in pattern]
-    text[100] = text[8500] = 3
-    stepped = StreamMatcher(pattern, 4, mode="rand", prime_bits=13, seed=4)
-    scanned = StreamMatcher(pattern, 4, mode="rand", prime_bits=13, seed=4)
-    assert stepped.p == 8191
+    text = [rng.randrange(3) for _ in range(n)]
+    for start in range(50, n - 600, 1400):
+        text[start : start + 600] = [(x + 1) % 3 for x in pattern]
+    text[100] = text[at] = 3
+    stepped = StreamMatcher(pattern, 4, mode="rand", prime_bits=bits, seed=4)
+    scanned = StreamMatcher(pattern, 4, mode="rand", prime_bits=bits, seed=4)
+    assert stepped.p == (1 << bits) - 1 <= at - 100
     by_step = feed_past_errors(stepped, text, 1)
     by_scan = feed_past_errors(scanned, text, 4096)
     assert by_step == by_scan
     ends, errors = by_step
-    assert errors == [(ConfigError, 8500)]
-    assert ends[0] < 8500 < ends[-1]
+    assert errors == [(ConfigError, at)]
+    assert ends[0] < at < ends[-1]
     assert matcher_state(scanned) == matcher_state(stepped)
 
 
