@@ -313,7 +313,9 @@ def cmd_bench(args) -> int:
 
     # Throughput comes from one scan on a fresh matcher; the op counters
     # from a second, stepped pass, whose per-arrival reads stay untimed.
+    t0 = time.perf_counter()
     matcher = build()
+    setup = time.perf_counter() - t0
     t0 = time.perf_counter()
     matches = len(matcher.scan(inst.text))
     elapsed = time.perf_counter() - t0
@@ -335,6 +337,7 @@ def cmd_bench(args) -> int:
     print(f"max_ops={ops_max}")
     print(f"mean_ops={ops_total / max(1, n):.3f}")
     print(f"peak_live_words={matcher.live_words_peak()}")
+    print(f"setup_s={setup:.6f}")
     print(f"elapsed_s={elapsed:.6f}")
     print(f"throughput_sym_per_s={n / max(elapsed, 1e-9):.0f}")
     return EXIT_OK

@@ -72,10 +72,9 @@ class DetCore:
 
     __slots__ = (
         "q",
-        "rho_full",
+        "rho",
         "runs",
         "occ",
-        "cp_rho",
         "cp_ks",
         "cp_cs",
         "pend_cap",
@@ -98,12 +97,13 @@ class DetCore:
 
     def __init__(self, profile: PatternProfile, pend_cap: int):
         self.q = profile.m
-        self.rho_full = rho = profile.rho
+        # The pattern's period: the shift after a full match, and the
+        # residue modulus of the compressed pred(P).
+        self.rho = rho = profile.rho
         # Only this engine reads these tables; the profile keeps none.
         cp = build_compressed_pred(None, rho, pred=profile.pred)
         self.runs = build_run_table(profile.periods)
         self.occ = build_first_occurrences(profile.pred)
-        self.cp_rho = cp.rho
         self.cp_ks = cp.ks
         self.cp_cs = cp.cs
         self.pend_cap = pend_cap
@@ -134,15 +134,15 @@ class DetCore:
         if self.phase == _IDLE and not pending:
             # Fast path: nothing deferred, test the fresh symbol directly.
             cand = self.r
-            j = cand % self.cp_rho
-            pv_p = 0 if cand // self.cp_rho < self.cp_ks[j] else self.cp_cs[j]
+            j = cand % self.rho
+            pv_p = 0 if cand // self.rho < self.cp_ks[j] else self.cp_cs[j]
             if (pv_p == pv) if 0 < pv <= cand else (pv_p == 0):
                 self.consumed += 1
                 self.shifts_last = 0
                 self.units_last = 0
                 r = cand + 1
                 if r == self.q:
-                    self.r = r - self.rho_full
+                    self.r = r - self.rho
                     return True
                 runs = self.runs
                 ri = self.run_i
@@ -179,8 +179,8 @@ class DetCore:
                     phase = _SCAN  # the first-occurrence cursor descends
             if phase == _TEST:
                 shifts -= 1
-                j = cand % self.cp_rho
-                pv_p = 0 if cand // self.cp_rho < self.cp_ks[j] else self.cp_cs[j]
+                j = cand % self.rho
+                pv_p = 0 if cand // self.rho < self.cp_ks[j] else self.cp_cs[j]
                 if (pv_p == pv) if 0 < pv <= cand else (pv_p == 0):
                     # cand < r < q, so no match completes, and neither
                     # cursor has to grow: an idle core's cursors never lag
@@ -232,8 +232,8 @@ class DetCore:
                         break
                     shifts -= 1
                 cand = self.cand
-                j = cand % self.cp_rho
-                pv_p = 0 if cand // self.cp_rho < self.cp_ks[j] else self.cp_cs[j]
+                j = cand % self.rho
+                pv_p = 0 if cand // self.rho < self.cp_ks[j] else self.cp_cs[j]
                 g = self.g
                 ok = (pv_p == g) if 0 < g <= cand else (pv_p == 0)
                 if ok:
@@ -246,7 +246,7 @@ class DetCore:
                                 "match completed on a deferred arrival"
                             )
                         verdict = True
-                        r -= self.rho_full
+                        r -= self.rho
                     else:
                         # Cursor growth: r advanced by one, so each cursor
                         # moves right by at most one.
@@ -329,7 +329,7 @@ class DetCore:
             len(self.pending)
             + 3 * len(self.runs)
             + len(self.occ)
-            + 2 * self.cp_rho
+            + 2 * self.rho
             + 16
         )
 

@@ -24,16 +24,33 @@ matcher's main profile never has them built.
 Preprocessing may use O(m) memory; only streaming-phase state is
 space-bounded, so matchers keep references to the compressed tables but
 never to the full period or predecessor arrays.
+
+The data-parallel passes run as numpy kernels: the symbol check and
+pred(P) (`predecessor.pred_array`) and the level fingerprints
+(`fingerprint.fp_of_sequence`).  The KMP loop stays sequential Python
+over the pred list.  What a profile keeps is Python ints and lists.
+
+Temporaries are bounded.  Once the period list exists, no step holds a
+temporary that grows with m: a fingerprint reads the pred list in
+fixed-size chunks and never copies a level.  Before it, the predecessor
+stage peaks at its symbol array, the sort's index array and a 4-byte
+result, at most 14 bytes a position for alphabets up to 2^16, below the
+16 of the pred and period lists that follow.  So the peak of
+`build_profile` is its own pred and period lists plus a fixed slack.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import index
+
+import numpy as np
 
 from .errors import StructuralViolation, UsageError
 from .fingerprint import FieldContext, fp_of_sequence
-from .predecessor import pred_string
+from .predecessor import pred_array, pred_string
 
 
 def ceil_log2(m: int) -> int:
@@ -242,7 +259,7 @@ def _build_fingerprints(
     lens = ladder.lengths
     return PatternFingerprints(
         level_fps=[0]
-        + [fp_of_sequence(ctx, pred[prev:cur]) for prev, cur in zip(lens, lens[1:])],
+        + [fp_of_sequence(ctx, pred, prev, cur) for prev, cur in zip(lens, lens[1:])],
         p0_last=pred[lens[0] - 1],
         tail_pred=pred[m - 4 * delta :],
     )
@@ -270,17 +287,43 @@ class PatternProfile:
         return self.periods[self.m]
 
 
+# array typecodes of unsigned ints, narrowest first, with their bounds.
+_SYMBOL_CODES = [(code, 1 << 8 * array(code).itemsize) for code in "BHIQ"]
+
+
+def _symbol_array(pattern, sigma: int) -> np.ndarray:
+    """The pattern as an array of the narrowest unsigned ints that hold
+    sigma - 1.
+
+    Raises UsageError naming the first symbol that is not an integer
+    (bool is one) in [0, sigma).
+    """
+    code = next((c for c, bound in _SYMBOL_CODES if sigma <= bound), "Q")
+    # array() reads bytes as raw machine words, so only a list goes in as is.
+    src = pattern if isinstance(pattern, list) else iter(pattern)
+    try:
+        sym = np.frombuffer(array(code, src), dtype=code)
+    except (TypeError, OverflowError):
+        sym = None
+    if sym is not None and np.maximum.reduce(sym) < sigma:
+        return sym
+    for j, x in enumerate(pattern):
+        try:
+            v = index(x)
+        except TypeError:
+            raise UsageError(f"pattern symbol {x!r} at {j} is not an integer") from None
+        if not 0 <= v < sigma:
+            raise UsageError(f"pattern symbol {x} at {j} outside [0, {sigma})")
+    raise UsageError(f"pattern symbols must be below 2**64 (alphabet size {sigma})")
+
+
 def build_profile(
     pattern, sigma: int, ctx: FieldContext | None = None
 ) -> PatternProfile:
     m = len(pattern)
     if m == 0:
         raise UsageError("empty pattern")
-    if min(pattern) < 0 or max(pattern) >= sigma:
-        for j, sym in enumerate(pattern):
-            if not 0 <= sym < sigma:
-                raise UsageError(f"pattern symbol {sym} at {j} outside [0, {sigma})")
-    pred = pred_string(pattern)
+    pred = pred_array(_symbol_array(pattern, sigma))
     periods = compute_prefix_pperiods(pattern, pred)
     ladder, fps = build_ladder(pattern, sigma, ctx, periods=periods, pred=pred)
     return PatternProfile(

@@ -13,9 +13,15 @@ occurrence is out of the window" must also cover "the text symbol has no
 previous occurrence at all".  The engines read a global value v at
 window offset j as `v if 0 < v <= j else 0`, which maps NEVER, like any
 distance reaching past the window, to the offline first-occurrence 0.
+
+`pred_string` is the definition, for any hashable symbols.  `pred_array`
+computes the same list from an array of integer symbols with numpy, which
+is how a pattern is preprocessed.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import AlphabetError
 
@@ -32,6 +38,35 @@ def pred_string(seq) -> list[int]:
         out.append(0 if prev is None else i - prev)
         last[sym] = i
     return out
+
+
+# Positions per step of `pred_array`'s scatter, which bounds its
+# temporaries to a few words per position of one step.
+_CHUNK = 1 << 12
+
+
+def pred_array(sym: np.ndarray) -> list[int]:
+    """pred_string(sym) for a 1-D array of integer symbols.
+
+    A stable sort by symbol puts the occurrences of each symbol next to
+    each other in increasing position, so a position's predecessor is the
+    position sorted just before it when that one holds the same symbol.
+    The cost is that of the sort, whatever the alphabet size.
+    """
+    return _pred_gaps(sym).tolist()
+
+
+def _pred_gaps(sym: np.ndarray) -> np.ndarray:
+    """pred(sym) in 4 bytes per position.  Besides it and the sort's index
+    array, which is freed on return, it holds O(_CHUNK) words."""
+    m = len(sym)
+    order = sym.argsort(kind="stable")
+    pred = np.zeros(m, np.int32 if m <= 1 << 31 else np.int64)
+    for a in range(1, m, _CHUNK):
+        cur = order[a : a + _CHUNK]
+        prev = order[a - 1 : a - 1 + len(cur)]
+        pred[cur] = np.where(sym[cur] == sym[prev], cur - prev, 0)
+    return pred
 
 
 class LastOccurrence:

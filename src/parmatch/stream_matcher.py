@@ -336,11 +336,10 @@ class StreamMatcher:
         suba = self.suba
         step_pred = suba.step_pred
         pending = suba.pending
-        cp_rho = suba.cp_rho
         cp_ks = suba.cp_ks
         cp_cs = suba.cp_cs
         a_q = suba.q
-        a_rho = suba.rho_full
+        a_rho = suba.rho
         runs = suba.runs
         runs_last = len(runs) - 1
         occ = suba.occ
@@ -394,8 +393,8 @@ class StreamMatcher:
                     fast = False
                     if suba.phase == _DET_IDLE and not pending:
                         a_r = suba.r
-                        j = a_r % cp_rho
-                        pv_p = 0 if a_r // cp_rho < cp_ks[j] else cp_cs[j]
+                        j = a_r % a_rho
+                        pv_p = 0 if a_r // a_rho < cp_ks[j] else cp_cs[j]
                         fast = (pv_p == pv) if 0 < pv <= a_r else (pv_p == 0)
                     if fast:
                         suba.appended += 1

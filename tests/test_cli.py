@@ -229,6 +229,7 @@ def test_bench_emits_metrics():
     assert keys["mode"] in ("rand", "det")
     assert int(keys["peak_live_words"]) > 0
     assert float(keys["throughput_sym_per_s"]) > 0
+    assert float(keys["setup_s"]) > 0
 
 
 @pytest.mark.parametrize("space", ["\v", "\f", "\x1c", "\u2003"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,28 +60,43 @@ def test_fp_of_sequence_rejects_large_values():
 
 
 K = fingerprint._BLOCK
+CH = fingerprint._CHUNK
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([0, 1, K - 1, K, K + 1, 3 * K + 5]),
-    st.sampled_from([5, 7, 13, 17, 19, 31, 61]),
+    st.sampled_from(
+        [0, 1, K - 1, K, K + 1, 3 * K + 5, CH - 1, CH, CH + 1, 2 * CH + K + 3]
+    ),
+    st.sampled_from([3, 5, 7, 13, 17, 19, 31, 61, 62]),
     st.data(),
 )
 def test_fp_of_sequence_equals_defining_sum(n, bits, data):
-    # Block boundaries on both sides, prime widths from 5 to 61 bits.
+    # Block and chunk boundaries on both sides, prime widths from 3 to 62
+    # bits, and values either all below 2^31 (one value limb) or anywhere
+    # in [0, p) with both ends present (two value limbs).
     c = context_new(bits, data.draw(st.integers(0, 2**32), label="seed"))
     p, r = c.p, c.r
-    seq = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
-    want = 0
-    for k, v in enumerate(seq):
-        want = (want + v * pow(r, k, p)) % p
+    if n <= 3 * K + 5:
+        seq = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="values"))
+        top = p if data.draw(st.booleans(), label="wide") else min(p, 1 << 31)
+        seq = [rng.choice((0, top - 1, rng.randrange(top))) for _ in range(n)]
+    want, rpow = 0, 1
+    for v in seq:
+        want = (want + v * rpow) % p
+        rpow = rpow * r % p
     assert fp_of_sequence(c, seq) == want
     assert fp_of_sequence(c, iter(seq)) == want
 
 
-@pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 3 * K + 5])
-@pytest.mark.parametrize("bad", [101, 500, -1])
+# Lengths: partial blocks (1, 127-389), the block's edges (K - 1 to
+# 3K + 5) and a bad value in the second chunk (CH + 1).
+@pytest.mark.parametrize(
+    "n", [1, 127, 128, 129, 389, K - 1, K, K + 1, 3 * K + 5, CH + 1]
+)
+@pytest.mark.parametrize("bad", [101, 500, -1, 2**64])
 def test_fp_of_sequence_rejects_value_in_last_block(n, bad):
     seq = [100] * n
     seq[-1] = bad
@@ -92,6 +109,9 @@ def test_fp_of_sequence_names_first_bad_value():
     seq[3] = -4
     seq[-1] = 200
     with pytest.raises(UsageError, match="value -4 outside"):
+        fp_of_sequence(ctx101(), seq)
+    seq[2] = 2.0
+    with pytest.raises(UsageError, match="value 2.0 is not an integer"):
         fp_of_sequence(ctx101(), seq)
 
 
@@ -155,6 +175,8 @@ def test_fp_split_round_trip(data):
     a = data.draw(st.integers(0, b), label="a")
     diff = (fp_of_sequence(c, seq[:b]) - fp_of_sequence(c, seq[:a])) % c.p
     assert diff == fp_of_sequence(c, seq[a:b]) * pow(c.r, a, c.p) % c.p
+    # A span of the sequence is read in place, as the level targets are.
+    assert fp_of_sequence(c, seq, a, b) == fp_of_sequence(c, seq[a:b])
 
 
 def test_fp_zero_example():
@@ -190,8 +212,6 @@ def test_collision_bound_mechanism():
     # Two sequences collide exactly when the base lands on a root of their
     # difference polynomial, so a pair built from k distinct roots collides
     # for exactly k of the p-1 possible bases: the |S|/(p-1) bound, exactly.
-    import random
-
     p = 101
     rng = random.Random(0)
     roots = rng.sample(range(p), 5)

@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from parmatch import pattern as pattern_mod
 from parmatch.det_matcher import DetCore
 from parmatch.errors import StructuralViolation, UsageError
 from parmatch.fingerprint import context_new, fp_of_sequence
+from parmatch.gen import periodic_instance
 from parmatch.oracle import naive_pperiod
 from parmatch.pattern import (
     build_compressed_pred,
@@ -143,7 +147,7 @@ def test_on_demand_det_tables_equal_direct_builds(p):
     assert prof.pred == pp and prof.periods == periods
     core = DetCore(prof, pend_cap=16)
     cp = build_compressed_pred(p, periods[len(p)])
-    assert (core.cp_rho, core.cp_ks, core.cp_cs) == (cp.rho, cp.ks, cp.cs)
+    assert (core.rho, core.cp_ks, core.cp_cs) == (cp.rho, cp.ks, cp.cs)
     assert core.runs == build_run_table(periods)
     assert core.occ == build_first_occurrences(pp)
 
@@ -160,6 +164,57 @@ def test_profile_symbol_check_names_first_bad_symbol():
         build_profile([0, -1, 2, 7], 4)
     with pytest.raises(UsageError, match="pattern symbol -2 at 2 outside"):
         build_profile([0, 1, -2, 3], 4)
+    big = rf"pattern symbol {2**70} at 1 outside \[0, 4\)"
+    with pytest.raises(UsageError, match=big):
+        build_profile([0, 2**70, 1.5], 4)
+    # A float is no symbol, even one with an integer value: an int kernel
+    # would read 1.5 as 1.
+    with pytest.raises(UsageError, match=r"pattern symbol 1\.5 at 1 is not an integer"):
+        build_profile([0, 1.5, 1], 4)
+    with pytest.raises(UsageError, match=r"pattern symbol 2\.0 at 5000 is not an"):
+        build_profile([1] * 5000 + [2.0, 7], 4)
+    with pytest.raises(UsageError, match="pattern symbol 'a' at 2 is not an integer"):
+        build_profile([0, 1, "a", -1], 4)
+    with pytest.raises(UsageError, match="pattern symbol -3 at 0 outside"):
+        build_profile([-3, "a"], 4)
+    # Wider alphabets take wider symbol arrays.
+    with pytest.raises(UsageError, match=r"pattern symbol 300 at 1 outside \[0, 300\)"):
+        build_profile([299, 300], 300)
+    with pytest.raises(UsageError, match="pattern symbol 70000 at 0 outside"):
+        build_profile([70000, 0], 70000)
+    # bool is an int; any sequence of ints is a pattern, bytes included.
+    assert build_profile([True, False, True], 2).pred == [0, 0, 2]
+    assert build_profile(b"abab", 300).pred == [0, 0, 2, 2]
+    assert build_profile((5, 6, 5), 70000).pred == [0, 0, 2]
+
+
+def _list_bytes(xs: list[int]) -> int:
+    """Bytes of a list and of the int objects it holds (small ints are
+    shared and cost nothing)."""
+    boxed = {id(v): v for v in xs if not -5 <= v <= 256}
+    return sys.getsizeof(xs) + sum(sys.getsizeof(v) for v in boxed.values())
+
+
+def test_profile_peak_is_its_own_lists_plus_fixed_slack():
+    # Once the period list exists no step holds a temporary that grows
+    # with m, and the predecessor stage holds less than that list will:
+    # the peak is the profile's pred and period lists plus a fixed slack.
+    # At m = 2^16 a full-length array of int32 (256 KiB) or a copy of the
+    # largest level (40320 words) exceeds the slack.
+    m = 1 << 16
+    pattern = periodic_instance(m, 0, 4, seed=1, block=256).pattern
+    ctx = context_new(61, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prof = build_profile(pattern, 4, ctx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert prof.ladder.mode == "rand" and prof.fingerprints is not None
+    own = _list_bytes(prof.pred) + _list_bytes(prof.periods)
+    assert peak <= own + 128 * 1024, (peak, own)
 
 
 def test_rand_matcher_builds_no_det_tables_for_the_whole_pattern(monkeypatch):
@@ -278,3 +333,7 @@ def test_level_fingerprints_match_pred_windows():
     assert prof.fingerprints.level_fps[0] == 0
     assert prof.fingerprints.p0_last == pp[lens[0] - 1]
     assert prof.fingerprints.tail_pred == pp[m - 4 * prof.ladder.delta :]
+    # The matcher is handed Python ints only, never numpy scalars.
+    fps = prof.fingerprints
+    kept = prof.pred + fps.level_fps + fps.tail_pred + [fps.p0_last]
+    assert {type(v) for v in kept} == {int}

@@ -1,9 +1,13 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from parmatch import predecessor
 from parmatch.errors import AlphabetError
-from parmatch.oracle import relabelling_pmatch
-from parmatch.predecessor import NEVER, LastOccurrence, pred_string
+from parmatch.oracle import _pred, relabelling_pmatch
+from parmatch.pattern import _symbol_array
+from parmatch.predecessor import NEVER, LastOccurrence, pred_array, pred_string
 
 seqs = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40)
 
@@ -18,6 +22,29 @@ def test_pred_string_all_distinct():
 
 def test_pred_string_unary():
     assert pred_string("aaaa") == [0, 1, 1, 1]
+
+
+C = predecessor._CHUNK
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 1 << 20),
+    st.sampled_from([1, 2, C - 1, C, C + 1, 2 * C + 3]),
+    st.sampled_from([1, 3, 8, None]),
+    st.integers(0, 2**32),
+)
+def test_pred_array_equals_oracle_pred(sigma, n, used, seed):
+    # Alphabets from unary to 2^20 symbols, so 8-, 16- and 32-bit symbol
+    # arrays, and lengths on both sides of the scatter's chunk.  The
+    # sequence draws from `used` symbols of the alphabet (all for None), so
+    # that a large alphabet also repeats symbols, near and far.
+    rng = random.Random(seed)
+    symbols = range(sigma)
+    if used is not None:
+        symbols = rng.sample(symbols, min(sigma, used))
+    seq = rng.choices(symbols, k=n)
+    assert pred_array(_symbol_array(seq, sigma)) == _pred(seq)
 
 
 def test_stream_matches_offline():

@@ -61,9 +61,9 @@ def test_forced_det_builds_no_fingerprints(monkeypatch):
 
     calls = []
 
-    def counted(ctx, seq):
-        calls.append(len(seq))
-        return fp_of_sequence(ctx, seq)
+    def counted(ctx, seq, *span):
+        calls.append(span)
+        return fp_of_sequence(ctx, seq, *span)
 
     monkeypatch.setattr(pattern_mod, "fp_of_sequence", counted)
     inst = make_instance("planted", 1024, 4096, 4, seed=9)
