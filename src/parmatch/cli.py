@@ -132,8 +132,12 @@ _POSITIVE = _count(1)
 _NON_NEGATIVE = _count(0)
 
 
-def _add_common(p: _Parser) -> None:
+def _add_seed(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=1, help="PRNG seed (u64)")
+
+
+def _add_common(p: _Parser) -> None:
+    _add_seed(p)
     p.add_argument("--prime-bits", type=int, default=61, dest="prime_bits")
 
 
@@ -182,7 +186,7 @@ def build_parser() -> _Parser:
     )
     g.add_argument("--out-pattern", required=True, dest="out_pattern")
     g.add_argument("--out-text", required=True, dest="out_text")
-    _add_common(g)
+    _add_seed(g)
     return top
 
 
@@ -345,7 +349,9 @@ def cmd_bench(args) -> int:
 
 def cmd_gen(args) -> int:
     kw = {}
-    if args.kind == "periodic" and args.period is not None:
+    if args.period is not None:
+        if args.kind != "periodic":
+            raise _UsageExit(f"--period applies to --kind periodic, not {args.kind}")
         kw["block"] = args.period
     inst = make_instance(args.kind, args.m, args.n, args.sigma, seed=args.seed, **kw)
     with open(args.out_pattern, "w") as f:

@@ -66,8 +66,11 @@ _FED = "the matcher is fed predecessor distances: use feed, not step or scan"
 class DetCore:
     """The budgeted engine, fed global predecessor values.
 
-    Decoupled from symbol handling so the randomized matcher can embed it
-    and share one last-occurrence tracker.
+    Decoupled from symbol handling so the randomized matcher can run it on
+    the ladder base and share one last-occurrence tracker: its phase A
+    calls `step_pred` on every arrival and reads only `consumed`,
+    `pending` and `live_words()` back.  The tables, cursors, counters and
+    the fast path all live here.
     """
 
     __slots__ = (
@@ -95,7 +98,7 @@ class DetCore:
         "pend_peak",
     )
 
-    def __init__(self, profile: PatternProfile, pend_cap: int):
+    def __init__(self, profile: PatternProfile, pend_cap: int | None = None):
         self.q = profile.m
         # The pattern's period: the shift after a full match, and the
         # residue modulus of the compressed pred(P).
@@ -106,6 +109,8 @@ class DetCore:
         self.occ = build_first_occurrences(profile.pred)
         self.cp_ks = cp.ks
         self.cp_cs = cp.cs
+        if pend_cap is None:
+            pend_cap = 4 * (profile.sigma + rho) + 16
         self.pend_cap = pend_cap
         self.r = 0
         self.run_i = 0
@@ -129,24 +134,25 @@ class DetCore:
         Returns whether a match of the whole pattern ends at this arrival.
         """
         self.appended += 1
-        arrival_seq = self.appended - 1
         pending = self.pending
         if self.phase == _IDLE and not pending:
             # Fast path: nothing deferred, test the fresh symbol directly.
             cand = self.r
-            j = cand % self.rho
-            pv_p = 0 if cand // self.rho < self.cp_ks[j] else self.cp_cs[j]
+            rho = self.rho
+            j = cand % rho
+            pv_p = 0 if cand // rho < self.cp_ks[j] else self.cp_cs[j]
             if (pv_p == pv) if 0 < pv <= cand else (pv_p == 0):
                 self.consumed += 1
                 self.shifts_last = 0
                 self.units_last = 0
                 r = cand + 1
                 if r == self.q:
-                    self.r = r - self.rho
+                    self.r = r - rho
                     return True
-                runs = self.runs
+                # Cursor growth.  Here and in _TEST's commit r < q, and the
+                # last run ends at q, so a run after run_i always exists.
                 ri = self.run_i
-                if r > runs[ri][2] and ri + 1 < len(runs):
+                if r > self.runs[ri][2]:
                     self.run_i = ri + 1
                 occ = self.occ
                 oi = self.occ_i
@@ -179,8 +185,8 @@ class DetCore:
                     phase = _SCAN  # the first-occurrence cursor descends
             if phase == _TEST:
                 shifts -= 1
-                j = cand % self.rho
-                pv_p = 0 if cand // self.rho < self.cp_ks[j] else self.cp_cs[j]
+                j = cand % rho
+                pv_p = 0 if cand // rho < self.cp_ks[j] else self.cp_cs[j]
                 if (pv_p == pv) if 0 < pv <= cand else (pv_p == 0):
                     # cand < r < q, so no match completes, and neither
                     # cursor has to grow: an idle core's cursors never lag
@@ -241,7 +247,7 @@ class DetCore:
                     self.consumed += 1
                     r = cand + 1
                     if r == q:
-                        if seq != arrival_seq or pending:
+                        if seq != self.appended - 1 or pending:
                             raise StructuralViolation(
                                 "match completed on a deferred arrival"
                             )
@@ -251,7 +257,7 @@ class DetCore:
                         # Cursor growth: r advanced by one, so each cursor
                         # moves right by at most one.
                         ri = self.run_i
-                        if r > runs[ri][2] and ri + 1 < len(runs):
+                        if r > runs[ri][2]:
                             self.run_i = ri + 1
                         oi = self.occ_i
                         if oi + 1 < len(occ) and occ[oi + 1] <= r:
@@ -341,8 +347,7 @@ class DetMatcher:
 
     def __init__(self, profile: PatternProfile):
         sigma = profile.sigma
-        cap = 4 * (sigma + profile.rho) + 16
-        self.core = DetCore(profile, pend_cap=cap)
+        self.core = DetCore(profile)
         self.tracker = LastOccurrence(sigma)
         self.sigma = sigma
         self.i = -1
@@ -402,3 +407,7 @@ class DetMatcher:
         # The table's sigma last arrivals; a fed matcher's live in the
         # filter's sigma slots instead.
         return self.core.live_words() + self.sigma
+
+    def live_words_peak(self) -> int:
+        core = self.core
+        return self.live_words() - len(core.pending) + core.pend_peak

@@ -9,8 +9,9 @@ step:
   predecessor values (delta = |alphabet| * ceil(log2 m) is the scheduling
   slack);
 * phase A runs the deterministic matcher on the ladder base minus its
-  last symbol, applies the final-character rule, and enqueues base-prefix
-  matches with their prefix fingerprints;
+  last symbol (one `DetCore.step_pred` call per arrival; the core owns
+  its tables, cursors and fast path), applies the final-character rule,
+  and enqueues base-prefix matches with their prefix fingerprints;
 * phase B prepares and consumes the zeroing queues: arrivals whose
   predecessor distance exceeds the base length enter a small buffer and
   are distributed to the per-level queues one level per arrival (Bdelta);
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from .det_matcher import _IDLE as _DET_IDLE
 from .det_matcher import DetCore, DetMatcher
 from .errors import AlphabetError, ConfigError, StructuralViolation
 from .fingerprint import FieldContext, context_new
@@ -180,7 +180,7 @@ class StreamMatcher:
         sub = build_profile(pattern[: lens[0] - 1], sigma)
         if sub.rho > 3 * delta:
             raise StructuralViolation("ladder base minus one exceeds 3*delta period")
-        self.suba = DetCore(sub, pend_cap=4 * (sigma + sub.rho) + 16)
+        self.suba = DetCore(sub)
         self.a_prev = False
         fps = profile.fingerprints
         self.p0_last = fps.p0_last
@@ -336,14 +336,6 @@ class StreamMatcher:
         suba = self.suba
         step_pred = suba.step_pred
         pending = suba.pending
-        cp_ks = suba.cp_ks
-        cp_cs = suba.cp_cs
-        a_q = suba.q
-        a_rho = suba.rho
-        runs = suba.runs
-        runs_last = len(runs) - 1
-        occ = suba.occ
-        occ_last = len(occ) - 1
 
         i = self.stream_i
         rpow = self.rpow
@@ -385,40 +377,13 @@ class StreamMatcher:
                     hist_rpow[slot] = pw
                     hist_pred[slot] = pv
 
-                    # Phase A: base-prefix matches.  DetCore's common case (idle,
-                    # nothing deferred, the first comparison succeeds) runs inline.
-                    # Its cursor stays in the DetCore's attributes, which
-                    # step_pred reads and writes on each arrival outside it.
+                    # Phase A: base-prefix matches.  The DetCore's fast path
+                    # (idle, nothing deferred, the first comparison succeeds)
+                    # consumes one symbol, so the common case costs 9 ops.
                     prev = a_prev
-                    fast = False
-                    if suba.phase == _DET_IDLE and not pending:
-                        a_r = suba.r
-                        j = a_r % a_rho
-                        pv_p = 0 if a_r // a_rho < cp_ks[j] else cp_cs[j]
-                        fast = (pv_p == pv) if 0 < pv <= a_r else (pv_p == 0)
-                    if fast:
-                        suba.appended += 1
-                        suba.consumed += 1
-                        suba.shifts_last = 0
-                        suba.units_last = 0
-                        a_r += 1
-                        if a_r == a_q:
-                            suba.r = a_r - a_rho
-                            a_prev = True
-                        else:
-                            run_i = suba.run_i
-                            if a_r > runs[run_i][2] and run_i < runs_last:
-                                suba.run_i = run_i + 1
-                            occ_i = suba.occ_i
-                            if occ_i < occ_last and occ[occ_i + 1] <= a_r:
-                                suba.occ_i = occ_i + 1
-                            suba.r = a_r
-                            a_prev = False
-                        ops = 9
-                    else:
-                        consumed = suba.consumed
-                        a_prev = step_pred(pv)
-                        ops = 8 + suba.consumed - consumed
+                    consumed = suba.consumed
+                    a_prev = step_pred(pv)
+                    ops = 8 + suba.consumed - consumed
                     if prev and ((p0_last == pv) if 0 < pv < m0 else (p0_last == 0)):
                         w0 = q0.words
                         q0.push(i - m0 + 1, phi)
@@ -601,8 +566,7 @@ class StreamMatcher:
 
     def live_words_peak(self) -> int:
         if self.det is not None:
-            core = self.det.core
-            return self.det.live_words() - len(core.pending) + core.pend_peak
+            return self.det.live_words_peak()
         return self.words_peak
 
     def max_ops(self) -> int:

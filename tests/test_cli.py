@@ -424,6 +424,8 @@ def test_python_m_parmatch(tmp_path):
         ["verify", "--max-m", "0"],
         ["gen", "--m", "8", "--n", "16", "--sigma", "0"],
         ["gen", "--kind", "periodic", "--period", "0", "--m", "8", "--n", "16"],
+        ["gen", "--kind", "planted", "--period", "4", "--m", "8", "--n", "16"],
+        ["gen", "--prime-bits", "31", "--m", "8", "--n", "16"],
         ["bench", "--m", "64", "--n", "-3"],
     ],
 )

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parmatch.det_matcher import DetCore, DetMatcher
+from parmatch.det_matcher import _IDLE, DetCore, DetMatcher
 from parmatch.errors import AlphabetError, ConfigError
 from parmatch.fingerprint import FieldContext, context_new, fp_of_sequence
 from parmatch.gen import make_instance, periodic_instance
@@ -473,6 +473,43 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
         assert want and len(stepped.debug_checks) > 10
     if kind == "long_gap":
         assert stepped.b_peak > 0 and stepped.d_fill_max() > 0
+
+
+@pytest.mark.parametrize(
+    "kind, m, n, seed, pinned",
+    [
+        ("planted", 3000, 9000, 5, (81474, 5995, 4757, 19, 9000, 5, 3937, 10, 8)),
+        ("periodic", 2500, 10000, 2, (96112, 3904, 3936, 19, 10000, 6, 6160, 192, 160)),
+        ("long_gap", 2100, 9000, 8, (81132, 8999, 8985, 14, 9000, 1, 11, 5, 5)),
+    ],
+)
+def test_phase_a_accounting_is_pinned_arrival_by_arrival(kind, m, n, seed, pinned):
+    # Phase A's DetCore counts its work per arrival, and the ops the
+    # randomized step charges follow from the symbols it consumes.  A
+    # cheaper or wrong path can keep every answer right and only move
+    # these totals, so they are pinned: the sums of ops, shifts and units,
+    # the largest ops, the symbols consumed, the deferral peak, the
+    # arrivals committed by the fast path (idle, one symbol, no shift),
+    # and the arrivals that consumed no symbol or more than one.
+    inst = make_instance(kind, m, n, 4, seed=seed)
+    ends = {s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)}
+    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    assert sm.mode == "rand"
+    core = sm.suba
+    ops = shifts = units = fast = deferred = caught_up = 0
+    for j, sym in enumerate(inst.text):
+        idle = core.phase == _IDLE and not core.pending
+        consumed = core.consumed
+        assert sm.step(sym) == (j in ends), j
+        took = core.consumed - consumed
+        ops += sm.ops_last
+        shifts += core.shifts_last
+        units += core.units_last
+        fast += idle and took == 1 and core.shifts_last == 0
+        deferred += took == 0
+        caught_up += took > 1
+    got = (ops, shifts, units, sm.max_ops(), core.consumed, core.pend_peak, fast)
+    assert got + (deferred, caught_up) == pinned
 
 
 def test_scan_rejects_a_symbol_like_step():
