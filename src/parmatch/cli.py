@@ -149,12 +149,8 @@ def build_parser() -> _Parser:
     m.add_argument("--pattern", required=True, help="pattern file")
     m.add_argument("--text", required=True, help="text file, or - for stdin")
     m.add_argument("--mode", choices=("auto", "det", "rand"), default="auto")
-    m.add_argument("--alphabet-size", type=int, default=None, dest="alphabet_size")
     m.add_argument(
-        "--general-alphabet",
-        action="store_true",
-        dest="general_alphabet",
-        help="route the text through the recency filter (any symbols)",
+        "--alphabet-size", type=_POSITIVE, default=None, dest="alphabet_size"
     )
     m.add_argument("--raw", action="store_true", help="each byte is a symbol")
     m.add_argument("--stats", action="store_true", help="key=value metrics on stderr")
@@ -197,7 +193,7 @@ def cmd_match(args) -> int:
         return EXIT_INPUT
     m = len(pattern)
     filt = None
-    if args.general_alphabet or (args.alphabet_size is None and not args.raw):
+    if args.alphabet_size is None and not args.raw:
         # Parameterized matching is alphabet-free, so unless a dense
         # alphabet is declared the text goes through the recency filter.
         dense, distinct = densify_pattern(pattern)

@@ -116,13 +116,6 @@ class FieldContext:
         self.r = r
         self.r_inv = pow(r, p - 2, p)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldContext)
-            and self.p == other.p
-            and self.r == other.r
-        )
-
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, r={self.r})"
 

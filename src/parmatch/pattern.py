@@ -11,8 +11,14 @@ and is immutable afterwards:
 * the O(rho)-word encoding of pred(P): per residue class mod rho the
   column is a block of zeros followed by a single positive constant;
 * the list of first occurrences (positions with pred == 0);
-* for the randomized matcher, the prefix ladder P_0..P_s and the
-  per-level fingerprints of the second halves of the ladder prefixes.
+* the routing decision, and for the randomized matcher the prefix
+  ladder P_0..P_s.
+
+A profile holds no field values.  The fingerprints of the second halves
+of the ladder prefixes depend on the randomized matcher's FieldContext,
+so that matcher computes them with `level_fingerprints` once the pattern
+has routed to it; a pattern routed to the deterministic engine never
+needs a context.
 
 The period run table, the compressed pred(P) and the first occurrences
 are read only by the deterministic engine, so a profile does not hold
@@ -30,13 +36,14 @@ pred(P) (`predecessor.pred_array`) and the level fingerprints
 (`fingerprint.fp_of_sequence`).  The KMP loop stays sequential Python
 over the pred list.  What a profile keeps is Python ints and lists.
 
-Temporaries are bounded.  Once the period list exists, no step holds a
-temporary that grows with m: a fingerprint reads the pred list in
-fixed-size chunks and never copies a level.  Before it, the predecessor
-stage peaks at its symbol array, the sort's index array and a 4-byte
-result, at most 14 bytes a position for alphabets up to 2^16, below the
-16 of the pred and period lists that follow.  So the peak of
-`build_profile` is its own pred and period lists plus a fixed slack.
+Temporaries are bounded.  The predecessor stage peaks at its symbol
+array, the sort's index array and a 4-byte result, at most 14 bytes a
+position for alphabets up to 2^16, below the 16 of the pred and period
+lists that follow, and once the period list exists no step holds a
+temporary that grows with m.  So the peak of `build_profile` is its own
+pred and period lists plus a fixed slack.  `level_fingerprints` adds no
+more: it reads the pred list in fixed-size chunks and never copies a
+level.
 """
 
 from __future__ import annotations
@@ -169,22 +176,6 @@ class PrefixLadder:
         return len(self.lengths) - 1
 
 
-@dataclass(frozen=True)
-class PatternFingerprints:
-    """Per-level comparison targets plus the explicit 4*delta tail.
-
-    level_fps[l] (1-based; entry 0 is 0) is the fingerprint of
-    pred(P)[m_{l-1} .. m_l - 1] rebased to r^0, as a residue; p0_last is
-    pred(P)[m_0 - 1] for the final-character rule; tail_pred holds
-    pred(P)[m - 4*delta ..] for the direct check of the last 4*delta
-    positions.
-    """
-
-    level_fps: list[int]
-    p0_last: int
-    tail_pred: list[int]
-
-
 def build_ladder(
     pattern,
     sigma: int,
@@ -195,7 +186,8 @@ def build_ladder(
 ):
     """Build the prefix ladder, or decide the deterministic fallback.
 
-    Returns (ladder, fingerprints-or-None).
+    Returns (ladder, level fingerprints or None); the fingerprints are
+    computed only for a randomized ladder and a context.
     Fallback triggers when m <= 14*delta, when the whole pattern's period
     is at most 3*delta, and in the corner where the shortest qualifying
     prefix sits too close to the end of the pattern for the ladder gaps
@@ -229,11 +221,7 @@ def build_ladder(
         )
     ladder = PrefixLadder(delta=delta, mode="rand", lengths=lengths)
     _check_ladder(ladder, m, periods)
-    if ctx is None:
-        # Deterministic-only callers need the routing decision but no
-        # fingerprints.
-        return ladder, None
-    return ladder, _build_fingerprints(ctx, ladder, pred, m, delta)
+    return ladder, None if ctx is None else level_fingerprints(ctx, lengths, pred)
 
 
 def _check_ladder(ladder: PrefixLadder, m: int, periods: list[int]) -> None:
@@ -253,16 +241,13 @@ def _check_ladder(ladder: PrefixLadder, m: int, periods: list[int]) -> None:
             raise StructuralViolation("oversized intermediate ladder level")
 
 
-def _build_fingerprints(
-    ctx: FieldContext, ladder: PrefixLadder, pred: list[int], m: int, delta: int
-) -> PatternFingerprints:
-    lens = ladder.lengths
-    return PatternFingerprints(
-        level_fps=[0]
-        + [fp_of_sequence(ctx, pred, prev, cur) for prev, cur in zip(lens, lens[1:])],
-        p0_last=pred[lens[0] - 1],
-        tail_pred=pred[m - 4 * delta :],
-    )
+def level_fingerprints(
+    ctx: FieldContext, lengths: list[int], pred: list[int]
+) -> list[int]:
+    """The ladder's level targets: entry l (1-based; entry 0 is 0) is the
+    fingerprint of pred(P)[m_(l-1) .. m_l - 1] rebased to r^0, as a
+    residue."""
+    return [0] + [fp_of_sequence(ctx, pred, a, b) for a, b in zip(lengths, lengths[1:])]
 
 
 @dataclass(frozen=True)
@@ -280,7 +265,6 @@ class PatternProfile:
     periods: list[int]
     pred: list[int]
     ladder: PrefixLadder
-    fingerprints: PatternFingerprints | None
 
     @property
     def rho(self) -> int:
@@ -317,20 +301,11 @@ def _symbol_array(pattern, sigma: int) -> np.ndarray:
     raise UsageError(f"pattern symbols must be below 2**64 (alphabet size {sigma})")
 
 
-def build_profile(
-    pattern, sigma: int, ctx: FieldContext | None = None
-) -> PatternProfile:
+def build_profile(pattern, sigma: int) -> PatternProfile:
     m = len(pattern)
     if m == 0:
         raise UsageError("empty pattern")
     pred = pred_array(_symbol_array(pattern, sigma))
     periods = compute_prefix_pperiods(pattern, pred)
-    ladder, fps = build_ladder(pattern, sigma, ctx, periods=periods, pred=pred)
-    return PatternProfile(
-        m=m,
-        sigma=sigma,
-        periods=periods,
-        pred=pred,
-        ladder=ladder,
-        fingerprints=fps,
-    )
+    ladder, _ = build_ladder(pattern, sigma, None, periods=periods, pred=pred)
+    return PatternProfile(m=m, sigma=sigma, periods=periods, pred=pred, ladder=ladder)

@@ -30,8 +30,10 @@ matcher's tables and scalars in local variables and runs one chunk of the
 stream per `send`.  `scan` sends the chunk it is given and `step` a chunk
 of one symbol; after each chunk the scalars are written back to the
 attributes, so the two may be mixed and the matcher copied between calls.
-The matcher owns its power state; the FieldContext it is built with is
-only read, so matchers may share one.
+Only the randomized route builds a FieldContext (unless one is given)
+and computes the level fingerprints; a det-routed matcher checks the
+prime against the alphabet and holds no field values.  The matcher owns
+its power state; the FieldContext is only read, so matchers may share one.
 
 Every capacity and deadline the analysis guarantees is asserted at
 runtime; a breach raises StructuralViolation rather than degrading
@@ -46,9 +48,9 @@ from collections import deque
 
 from .det_matcher import DetCore, DetMatcher
 from .errors import AlphabetError, ConfigError, StructuralViolation
-from .fingerprint import FieldContext, context_new
+from .fingerprint import FieldContext, context_new, prime_for_bits
 from .match_queue import MatchQueue
-from .pattern import build_profile
+from .pattern import build_profile, level_fingerprints
 from .predecessor import NEVER
 
 _IDLE, _WAIT, _SCAN = 0, 1, 2
@@ -136,15 +138,12 @@ class StreamMatcher:
         self.m = m
         self.run = None
         self.sigma = sigma
-        if ctx is None:
-            ctx = context_new(prime_bits, seed)
-        if ctx.p <= sigma:
-            raise ConfigError(
-                f"prime {ctx.p} must exceed the alphabet size {sigma}"
-            )
-        self.p = ctx.p
-        # Forced det mode needs the routing decision but no fingerprints.
-        profile = build_profile(pattern, sigma, None if mode == "det" else ctx)
+        # Checked in every mode, though only the randomized route builds
+        # a context: the prime of a width is fixed, so no context is needed.
+        p = prime_for_bits(prime_bits) if ctx is None else ctx.p
+        if p <= sigma:
+            raise ConfigError(f"prime {p} must exceed the alphabet size {sigma}")
+        profile = build_profile(pattern, sigma)
         ladder = profile.ladder
 
         if mode == "rand" and ladder.mode != "rand":
@@ -157,17 +156,23 @@ class StreamMatcher:
             return
         self.mode = "rand"
         self.det = None
+        if ctx is None:
+            ctx = context_new(prime_bits, seed)
+        self.p = p
+        lens = ladder.lengths
+        pred = profile.pred
+        # Before any other table, so that the fingerprint kernel's chunk
+        # temporaries add only to the profile's lists at the peak.
+        self.level_fp = level_fingerprints(ctx, lens, pred)
 
         delta = ladder.delta
         self.delta = delta
         self.H = 4 * delta
-        lens = ladder.lengths
         self.s = ladder.s
         self.mlen = lens
         self.m0 = lens[0]
         self.stream_i = -1
         r = ctx.r
-        p = ctx.p
         self.r = r
         self.rpow = 1  # r^(i+1): the power the next arrival takes
         self.phi = 0
@@ -182,8 +187,7 @@ class StreamMatcher:
             raise StructuralViolation("ladder base minus one exceeds 3*delta period")
         self.suba = DetCore(sub)
         self.a_prev = False
-        fps = profile.fingerprints
-        self.p0_last = fps.p0_last
+        self.p0_last = pred[lens[0] - 1]
 
         self.bbuf = deque()
         self.bcur = None
@@ -207,7 +211,6 @@ class StreamMatcher:
         self.gap_inv = [0] + [
             pow(ctx.r_inv, lens[l] - lens[l - 1], p) for l in range(1, s + 1)
         ]
-        self.level_fp = fps.level_fps
         budget = 6 * sigma + 2
         self.mq = [
             MatchQueue(
@@ -220,7 +223,7 @@ class StreamMatcher:
         ]
         self.c_ip = -1
         self.c_k = 0
-        self.tail_target = fps.tail_pred
+        self.tail_target = pred[m - H :]
         self.mq_words = 0
         self.static_words = (
             4 * H  # three histories and the tail

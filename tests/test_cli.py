@@ -177,9 +177,7 @@ def test_match_raw_mode(tmp_path):
 def test_match_general_alphabet(tmp_path):
     pat = write(tmp_path, "p.txt", "1000000 2000000 2000000 3000000 1000000")
     txt = write(tmp_path, "t.txt", "7 9 9 3000000 7")
-    code, out, _ = run_cli(
-        ["match", "--pattern", pat, "--text", txt, "--general-alphabet"]
-    )
+    code, out, _ = run_cli(["match", "--pattern", pat, "--text", txt])
     assert code == 0
     assert out == "0\n"
 
@@ -427,6 +425,8 @@ def test_python_m_parmatch(tmp_path):
         ["gen", "--kind", "planted", "--period", "4", "--m", "8", "--n", "16"],
         ["gen", "--prime-bits", "31", "--m", "8", "--n", "16"],
         ["bench", "--m", "64", "--n", "-3"],
+        ["match", "--pattern", "p", "--text", "t", "--general-alphabet"],
+        ["match", "--pattern", "p", "--text", "t", "--alphabet-size", "0"],
     ],
 )
 def test_bad_count_or_kind_is_a_usage_error(tmp_path, argv):

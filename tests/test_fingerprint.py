@@ -30,10 +30,14 @@ def test_prime_widths():
 def test_context_deterministic():
     a = context_new(61, seed=1)
     b = context_new(61, seed=1)
-    assert a == b
+    assert (a.p, a.r, a.r_inv) == (b.p, b.r, b.r_inv)
     assert a.p == (1 << 61) - 1
     assert 1 <= a.r < a.p
     assert context_new(61, seed=2).r != a.r
+
+
+def test_context_hashes():
+    assert {context_new(61, 1)}
 
 
 def test_context_small_prime_constructible():

@@ -21,6 +21,7 @@ from parmatch.pattern import (
     build_run_table,
     ceil_log2,
     compute_prefix_pperiods,
+    level_fingerprints,
 )
 from parmatch.predecessor import pred_string
 from parmatch.stream_matcher import StreamMatcher
@@ -78,12 +79,7 @@ def test_wrong_period_raises_through_the_profile():
     periods = list(prof.periods)
     periods[5] = 1
     bad = pattern_mod.PatternProfile(
-        m=5,
-        sigma=2,
-        periods=periods,
-        pred=prof.pred,
-        ladder=prof.ladder,
-        fingerprints=None,
+        m=5, sigma=2, periods=periods, pred=prof.pred, ladder=prof.ladder
     )
     with pytest.raises(StructuralViolation, match="rho=1 is not the period"):
         DetCore(bad, pend_cap=16)
@@ -198,7 +194,8 @@ def _list_bytes(xs: list[int]) -> int:
 def test_profile_peak_is_its_own_lists_plus_fixed_slack():
     # Once the period list exists no step holds a temporary that grows
     # with m, and the predecessor stage holds less than that list will:
-    # the peak is the profile's pred and period lists plus a fixed slack.
+    # the peak is the profile's pred and period lists plus a fixed slack,
+    # and the level fingerprints computed from them add no more.
     # At m = 2^16 a full-length array of int32 (256 KiB) or a copy of the
     # largest level (40320 words) exceeds the slack.
     m = 1 << 16
@@ -208,11 +205,12 @@ def test_profile_peak_is_its_own_lists_plus_fixed_slack():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        prof = build_profile(pattern, 4, ctx)
+        prof = build_profile(pattern, 4)
+        fps = level_fingerprints(ctx, prof.ladder.lengths, prof.pred)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert prof.ladder.mode == "rand" and prof.fingerprints is not None
+    assert prof.ladder.mode == "rand" and len(fps) == prof.ladder.s + 1
     own = _list_bytes(prof.pred) + _list_bytes(prof.periods)
     assert peak <= own + 128 * 1024, (peak, own)
 
@@ -323,17 +321,16 @@ def test_level_fingerprints_match_pred_windows():
     m = 600
     p = [rng.randrange(2) for _ in range(m)]
     ctx = context_new(61, 1)
-    prof = build_profile(p, 2, ctx)
+    prof = build_profile(p, 2)
     assert prof.ladder.mode == "rand"
     pp = pred_string(p)
     lens = prof.ladder.lengths
+    fps = level_fingerprints(ctx, lens, prof.pred)
+    assert fps[0] == 0 and len(fps) == len(lens)
     for level in range(1, len(lens)):
-        want = fp_of_sequence(ctx, pp[lens[level - 1] : lens[level]])
-        assert prof.fingerprints.level_fps[level] == want
-    assert prof.fingerprints.level_fps[0] == 0
-    assert prof.fingerprints.p0_last == pp[lens[0] - 1]
-    assert prof.fingerprints.tail_pred == pp[m - 4 * prof.ladder.delta :]
+        assert fps[level] == fp_of_sequence(ctx, pp[lens[level - 1] : lens[level]])
+    # build_ladder hands back the same targets when given the context.
+    _, ladder_fps = build_ladder(p, 2, ctx, periods=prof.periods, pred=prof.pred)
+    assert ladder_fps == fps
     # The matcher is handed Python ints only, never numpy scalars.
-    fps = prof.fingerprints
-    kept = prof.pred + fps.level_fps + fps.tail_pred + [fps.p0_last]
-    assert {type(v) for v in kept} == {int}
+    assert {type(v) for v in prof.pred + fps} == {int}

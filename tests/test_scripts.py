@@ -1,5 +1,5 @@
-"""The scripts under scripts/, and the benchmark's traced pass, run end
-to end at a small size."""
+"""The scripts under scripts/, and the benchmark's traced and untraced
+passes, run end to end at a small size."""
 
 import json
 import os
@@ -57,6 +57,19 @@ def test_traced_benchmark_runs():
     done = run_python(
         ROOT / "perfbench" / "run.py",
         "--workload", "periodic_dense", "--seed", "5", "--seconds", "1", "--trace", "1",
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_untraced_cli_benchmark_runs():
+    # The untraced pass is the one whose metrics are compared between
+    # changes.  On cli_tokens, the only workload that routes to det, it
+    # deep-copies a det-mode matcher, reads its stream index and runs
+    # `parmatch match` in-process.
+    done = run_python(
+        ROOT / "perfbench" / "run.py",
+        "--workload", "cli_tokens", "--seed", "5", "--seconds", "1", "--trace", "0",
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

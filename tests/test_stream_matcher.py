@@ -12,6 +12,7 @@ from parmatch.gen import make_instance, periodic_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
 from parmatch.predecessor import pred_string
+from parmatch import stream_matcher
 from parmatch.stream_matcher import OP_BUDGET, StreamMatcher
 
 
@@ -77,8 +78,46 @@ def test_forced_det_builds_no_fingerprints(monkeypatch):
 
 
 def test_forced_det_keeps_the_prime_check():
-    with pytest.raises(ConfigError, match="must exceed the alphabet size"):
-        StreamMatcher([0, 1] * 300, 8, mode="det", prime_bits=3)
+    # p = 7 for 3 bits; [0, 1] * 300 routes to det on its own, and the
+    # prime is checked before routing, so rand fails the same way.
+    msg = "prime 7 must exceed the alphabet size 8"
+    for mode in ("auto", "det", "rand"):
+        with pytest.raises(ConfigError, match=msg):
+            StreamMatcher([0, 1] * 300, 8, mode=mode, prime_bits=3)
+
+
+def test_only_the_rand_route_builds_a_context(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return context_new(*args)
+
+    monkeypatch.setattr(stream_matcher, "context_new", counted)
+    assert StreamMatcher([0, 1] * 300, 2, seed=5).mode == "det"
+    rng = random.Random(3)
+    p = [rng.randrange(2) for _ in range(400)]
+    assert StreamMatcher(p, 2, mode="det", seed=5).mode == "det"
+    assert calls == []
+    sm = StreamMatcher(p, 2, seed=5)
+    assert sm.mode == "rand" and calls == [(61, 5)]
+    ctx = context_new(61, 5)
+    assert (sm.p, sm.r) == (ctx.p, ctx.r)
+
+
+def test_rand_targets_are_slices_and_fingerprints_of_pred():
+    rng = random.Random(3)
+    p = [rng.randrange(2) for _ in range(400)]
+    sm = StreamMatcher(p, 2, seed=5)
+    assert sm.mode == "rand"
+    pp = pred_string(p)
+    lens = sm.mlen
+    assert sm.p0_last == pp[lens[0] - 1]
+    assert sm.tail_target == pp[len(p) - sm.H :]
+    ref = FieldContext(sm.p, sm.r)
+    assert sm.level_fp == [0] + [
+        fp_of_sequence(ref, pp[a:b]) for a, b in zip(lens, lens[1:])
+    ]
 
 
 def test_mode_rand_rejects_ineligible():
