@@ -12,6 +12,7 @@ import time
 
 from .alphabet_filter import AlphabetFilter, densify_pattern
 from .errors import AlphabetError, ConfigError, StructuralViolation, UsageError
+from .fingerprint import DEFAULT_PRIME_BITS
 from .gen import make_instance
 from .oracle import naive_all_matches
 from .stream_matcher import StreamMatcher
@@ -138,7 +139,7 @@ def _add_seed(p: _Parser) -> None:
 
 def _add_common(p: _Parser) -> None:
     _add_seed(p)
-    p.add_argument("--prime-bits", type=int, default=61, dest="prime_bits")
+    p.add_argument("--prime-bits", type=int, default=DEFAULT_PRIME_BITS)
 
 
 def build_parser() -> _Parser:

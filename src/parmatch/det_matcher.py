@@ -90,9 +90,6 @@ class DetCore:
         "phase",
         "g",
         "cand",
-        "xlow",
-        "srho",
-        "first_test",
         "shifts_last",
         "units_last",
         "pend_peak",
@@ -121,9 +118,6 @@ class DetCore:
         self.phase = _IDLE
         self.g = 0
         self.cand = 0
-        self.xlow = 0
-        self.srho = 1
-        self.first_test = True
         self.shifts_last = 0
         self.units_last = 0
         self.pend_peak = 0
@@ -180,8 +174,6 @@ class DetCore:
                     cand = f if f >= xlow else xlow - rho_s
                     phase = _TEST
                 else:
-                    self.xlow = xlow
-                    self.srho = rho_s
                     phase = _SCAN  # the first-occurrence cursor descends
             if phase == _TEST:
                 shifts -= 1
@@ -191,8 +183,8 @@ class DetCore:
                     # cand < r < q, so no match completes, and neither
                     # cursor has to grow: an idle core's cursors never lag
                     # behind r, and r does not rise.  The working slots
-                    # (g, cand, xlow, srho, first_test) are set before
-                    # they are next read, so they stay as they are.
+                    # (g, cand) are set before they are next read, so
+                    # they stay as they are.
                     self.consumed += 1
                     self.shifts_last = 1
                     self.units_last = 0
@@ -200,7 +192,6 @@ class DetCore:
                     return False
                 phase = _SYNC
             self.g = pv
-            self.first_test = False
             self.cand = cand
             self.phase = phase
             units = UNITS_PER_ARRIVAL
@@ -229,15 +220,16 @@ class DetCore:
                     break
                 self.g = pending.popleft()
                 consumes -= 1
-                self.first_test = True
                 self.cand = self.r
                 phase = _TEST
             elif phase == _TEST:
-                if not self.first_test:
+                cand = self.cand
+                # A symbol is first compared at cand == r, and every later
+                # candidate lies below r: each later one costs a shift.
+                if cand != self.r:
                     if shifts == 0:
                         break
                     shifts -= 1
-                cand = self.cand
                 j = cand % self.rho
                 pv_p = 0 if cand // self.rho < self.cp_ks[j] else self.cp_cs[j]
                 g = self.g
@@ -265,7 +257,6 @@ class DetCore:
                     self.r = r
                     phase = _IDLE
                 else:
-                    self.first_test = False
                     # cand == 0 cannot fail: two first occurrences match.
                     phase = _SYNC
             elif phase == _SYNC:
@@ -281,20 +272,21 @@ class DetCore:
                 self.run_i = ri
                 if suspended:
                     break
-                rho_s, lo, hi = runs[ri]
+                rho_s, _, hi = runs[ri]
                 if cand == hi:
                     # Top of a run: the relation that justifies skipping
                     # does not cover this successor, so test it.
                     self.cand = cand - rho_s
                     phase = _TEST
                 else:
-                    self.xlow = cand - ((cand - lo) // rho_s) * rho_s
-                    self.srho = rho_s
                     phase = _SCAN
             else:  # _SCAN
+                # xlow, the lowest member of cand's chain in this run,
+                # follows from cand and the run: the run cursor stays put
+                # while the first-occurrence cursor descends.
                 cand = self.cand
-                xlow = self.xlow
-                srho = self.srho
+                srho, lo, _ = runs[self.run_i]
+                xlow = lo + (cand - lo) % srho
                 oi = self.occ_i
                 while True:
                     if units == 0:

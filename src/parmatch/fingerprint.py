@@ -22,8 +22,8 @@ two prefix fingerprints without rebasing (the difference still carries
 the weight r^lo of its first position lo, so it is compared with the
 level target times r^lo), and zeroes a position z by subtracting its
 value times r^z.  A FieldContext is only (p, r, r^-1) and is never
-changed after construction, so one context may back any number of
-matchers.
+changed after construction; each randomized matcher builds its own from
+a prime width and a seed.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ The period run table, the compressed pred(P) and the first occurrences
 are read only by the deterministic engine, so a profile does not hold
 them: each `DetCore` builds them from the profile's periods and pred,
 once each (the standalone deterministic matcher, forced det mode, and
-phase A of the randomized matcher on its own sub-profile).  A randomized
-matcher's main profile never has them built.
+phase A of the randomized matcher on the ladder base minus its last
+symbol, whose profile is cut from the pattern's: the prefix periods and
+pred of a prefix are prefixes of the pattern's).  A randomized matcher's
+main profile never has them built.
 
 Preprocessing may use O(m) memory; only streaming-phase state is
 space-bounded, so matchers keep references to the compressed tables but
@@ -257,14 +259,16 @@ class PatternProfile:
     The full period and predecessor arrays are preprocessing artifacts;
     matchers only hold the compressed pieces.  Those pieces serve only the
     deterministic engine, so a `DetCore` builds them, in O(m), from
-    `periods` and `pred`, and the profile keeps no copy.
+    `periods` and `pred`, and the profile keeps no copy.  `ladder` is None
+    for the prefix profile the randomized matcher cuts for phase A, which
+    is never routed.
     """
 
     m: int
     sigma: int
     periods: list[int]
     pred: list[int]
-    ladder: PrefixLadder
+    ladder: PrefixLadder | None
 
     @property
     def rho(self) -> int:

@@ -30,10 +30,10 @@ matcher's tables and scalars in local variables and runs one chunk of the
 stream per `send`.  `scan` sends the chunk it is given and `step` a chunk
 of one symbol; after each chunk the scalars are written back to the
 attributes, so the two may be mixed and the matcher copied between calls.
-Only the randomized route builds a FieldContext (unless one is given)
-and computes the level fingerprints; a det-routed matcher checks the
-prime against the alphabet and holds no field values.  The matcher owns
-its power state; the FieldContext is only read, so matchers may share one.
+Only the randomized route builds a FieldContext, from `prime_bits` and
+`seed`, and computes the level fingerprints; a det-routed matcher checks
+the prime against the alphabet and holds no field values.  Each matcher
+builds its own context and owns its power state.
 
 Every capacity and deadline the analysis guarantees is asserted at
 runtime; a breach raises StructuralViolation rather than degrading
@@ -48,9 +48,9 @@ from collections import deque
 
 from .det_matcher import DetCore, DetMatcher
 from .errors import AlphabetError, ConfigError, StructuralViolation
-from .fingerprint import FieldContext, context_new, prime_for_bits
+from .fingerprint import DEFAULT_PRIME_BITS, context_new, prime_for_bits
 from .match_queue import MatchQueue
-from .pattern import build_profile, level_fingerprints
+from .pattern import PatternProfile, build_profile, level_fingerprints
 from .predecessor import NEVER
 
 _IDLE, _WAIT, _SCAN = 0, 1, 2
@@ -101,8 +101,6 @@ class StreamMatcher:
         "dq_cap",
         "lv_phase",
         "lv_ip",
-        "lv_fpprev",
-        "lv_fpl",
         "lv_acc",
         "lv_rlo",
         "lv_cur",
@@ -127,9 +125,8 @@ class StreamMatcher:
         self,
         pattern,
         sigma: int,
-        ctx: FieldContext | None = None,
         mode: str = "auto",
-        prime_bits: int = 61,
+        prime_bits: int = DEFAULT_PRIME_BITS,
         seed: int = 0,
     ):
         if mode not in ("auto", "det", "rand"):
@@ -140,7 +137,7 @@ class StreamMatcher:
         self.sigma = sigma
         # Checked in every mode, though only the randomized route builds
         # a context: the prime of a width is fixed, so no context is needed.
-        p = prime_for_bits(prime_bits) if ctx is None else ctx.p
+        p = prime_for_bits(prime_bits)
         if p <= sigma:
             raise ConfigError(f"prime {p} must exceed the alphabet size {sigma}")
         profile = build_profile(pattern, sigma)
@@ -156,8 +153,7 @@ class StreamMatcher:
             return
         self.mode = "rand"
         self.det = None
-        if ctx is None:
-            ctx = context_new(prime_bits, seed)
+        ctx = context_new(prime_bits, seed)
         self.p = p
         lens = ladder.lengths
         pred = profile.pred
@@ -170,7 +166,7 @@ class StreamMatcher:
         self.H = 4 * delta
         self.s = ladder.s
         self.mlen = lens
-        self.m0 = lens[0]
+        self.m0 = m0 = lens[0]
         self.stream_i = -1
         r = ctx.r
         self.r = r
@@ -182,12 +178,13 @@ class StreamMatcher:
         self.hist_rpow = [0] * H
         self.hist_pred = [0] * H
 
-        sub = build_profile(pattern[: lens[0] - 1], sigma)
-        if sub.rho > 3 * delta:
-            raise StructuralViolation("ladder base minus one exceeds 3*delta period")
-        self.suba = DetCore(sub)
+        # Prefix periods and pred of the base minus its last symbol are
+        # prefixes of the pattern's; the ladder check bounds its period.
+        self.suba = DetCore(
+            PatternProfile(m0 - 1, sigma, profile.periods[:m0], pred[: m0 - 1], None)
+        )
         self.a_prev = False
-        self.p0_last = pred[lens[0] - 1]
+        self.p0_last = pred[m0 - 1]
 
         self.bbuf = deque()
         self.bcur = None
@@ -200,8 +197,6 @@ class StreamMatcher:
 
         self.lv_phase = [0] * (s + 1)
         self.lv_ip = [0] * (s + 1)
-        self.lv_fpprev = [0] * (s + 1)
-        self.lv_fpl = [0] * (s + 1)
         self.lv_acc = [0] * (s + 1)
         self.lv_rlo = [0] * (s + 1)
         self.lv_cur = [0] * (s + 1)
@@ -229,7 +224,7 @@ class StreamMatcher:
             4 * H  # three histories and the tail
             + sigma
             + 3 * cap * s
-            + 8 * (s + 1)
+            + 6 * (s + 1)
             + self.suba.live_words()
             + 32
         )
@@ -259,11 +254,7 @@ class StreamMatcher:
         if self.det is not None:
             return self.det.step(sym)
         run = self.run or self._start()
-        try:
-            return run.send(((sym,), None))
-        except BaseException:
-            self.run = None
-            raise
+        return run.send(((sym,), None))
 
     def scan(self, text, out=None) -> list[int]:
         """Match end indices over the next chunk of the stream.
@@ -279,11 +270,7 @@ class StreamMatcher:
         if out is None:
             out = []
         run = self.run or self._start()
-        try:
-            run.send((text, out))
-        except BaseException:
-            self.run = None
-            raise
+        run.send((text, out))
         return out
 
     def _start(self):
@@ -325,8 +312,6 @@ class StreamMatcher:
         dq_cap = self.dq_cap
         lv_phase = self.lv_phase
         lv_ip = self.lv_ip
-        lv_fpprev = self.lv_fpprev
-        lv_fpl = self.lv_fpl
         lv_acc = self.lv_acc
         lv_rlo = self.lv_rlo
         lv_cur = self.lv_cur
@@ -429,7 +414,10 @@ class StreamMatcher:
                             got = ql.pop()
                             mq_words += ql.words - w0
                             lv_ip[ell] = got[0]
-                            lv_fpprev[ell] = got[1]
+                            # The popped prefix fingerprint waits in lv_acc:
+                            # the split below reads it once and replaces it
+                            # with the running difference.
+                            lv_acc[ell] = got[1]
                             ph = _WAIT
                             lv_phase[ell] = _WAIT
                             ops += 2
@@ -442,10 +430,8 @@ class StreamMatcher:
                                 raise StructuralViolation(
                                     f"fingerprint history expired for level {ell}"
                                 )
-                            fpl = hist_fp[idx % H]
-                            lv_fpl[ell] = fpl
                             lv_rlo[ell] = hist_rpow[(idx + 1) % H] * gap_inv[ell] % p
-                            lv_acc[ell] = (fpl - lv_fpprev[ell]) % p
+                            lv_acc[ell] = (hist_fp[idx % H] - lv_acc[ell]) % p
                             front = dq_next[ell] - dq_cap
                             lv_cur[ell] = front if front > 0 else 0
                             lv_end[ell] = dq_next[ell]
@@ -497,7 +483,9 @@ class StreamMatcher:
                                     )
                                 qn = mq[ell]
                                 w0 = qn.words
-                                qn.push(ip, lv_fpl[ell])
+                                # Still in the history: i - hi <= 3*delta < H
+                                # by the deadline above.
+                                qn.push(ip, hist_fp[hi % H])
                                 mq_words += qn.words - w0
                                 ops += 2
                             lv_phase[ell] = _IDLE
@@ -555,6 +543,9 @@ class StreamMatcher:
                     words = static_words + 3 * len(bbuf) + mq_words + len(pending)
                     if words > words_peak:
                         words_peak = self.words_peak = words
+            except BaseException:
+                self.run = None
+                raise
             finally:
                 self.stream_i = i
                 self.rpow = rpow
@@ -578,7 +569,13 @@ class StreamMatcher:
         return self.ops_max
 
     def d_fill_max(self) -> int:
-        """Largest live occupancy reached by any zeroing queue."""
+        """Entries ever pushed into the busiest zeroing queue, capped at
+        its 12*sigma slots.
+
+        Not the live occupancy: a ring slot is overwritten, never freed,
+        so once 12*sigma entries have been pushed this reads the capacity,
+        and asserting that it stays at most 12*sigma cannot fail.
+        """
         if self.det is not None:
             return 0
         cap = self.dq_cap

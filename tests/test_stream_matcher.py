@@ -120,15 +120,70 @@ def test_rand_targets_are_slices_and_fingerprints_of_pred():
     ]
 
 
+def test_one_profile_per_construction(monkeypatch):
+    # Phase A's core is built from a prefix cut from the pattern's own
+    # profile, so a rand construction profiles the pattern once, and the
+    # core's tables equal those of the prefix profiled on its own.
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return build_profile(*args)
+
+    monkeypatch.setattr(stream_matcher, "build_profile", counted)
+    inst = make_instance("planted", 3000, 3000, 4, seed=5)
+    sm = StreamMatcher(inst.pattern, 4, seed=5)
+    assert sm.mode == "rand" and calls == [3000]
+    own = DetCore(build_profile(inst.pattern[: sm.m0 - 1], 4))
+    for name in ("q", "rho", "runs", "occ", "cp_ks", "cp_cs", "pend_cap"):
+        assert getattr(sm.suba, name) == getattr(own, name), name
+
+
+def test_zeroing_is_needed_for_a_late_new_symbol():
+    # The text's first symbol recurs only inside the plant's last
+    # quarter, so its long distance enters the zeroing queues and must be
+    # subtracted from the level's split; without that the match is lost.
+    m = 4096
+    rng = random.Random(5)
+    pattern = [rng.randrange(3) for _ in range(m)]
+    for j in rng.sample(range(3 * m // 4, m), 40):
+        pattern[j] = 3
+    tail = [rng.randrange(3) for _ in range(100)]
+    text = [3] + [rng.randrange(3) for _ in range(2 * m)] + pattern + tail
+    assert [s + m - 1 for s in naive_all_matches(pattern, text)] == [12288]
+    sm = StreamMatcher(pattern, 4, seed=5)
+    assert sm.mode == "rand"
+    assert sm.scan(text) == [12288]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_final_character_rule_rejects_a_near_miss(seed):
+    # The ladder base ends in a symbol new to the pattern; the text plants
+    # the pattern with that symbol replaced by one seen before.  Only the
+    # final-character rule tells the two apart: the DetCore runs on the
+    # base minus its last symbol, and no later level covers it.
+    m = 4096
+    rng = random.Random(seed)
+    base = [rng.randrange(3) for _ in range(m)]
+    k = StreamMatcher(base, 4, seed=seed).m0 - 1
+    pattern = base[:k] + [3] + [rng.randrange(2) for _ in range(m - k - 1)]
+    sm = StreamMatcher(pattern, 4, seed=seed)
+    assert sm.mode == "rand" and sm.m0 == k + 1 and 2 in pattern[:k]
+    near = pattern[:k] + [2] + pattern[k + 1 :]
+    text = [rng.randrange(2) for _ in range(m)] + near
+    text += [rng.randrange(2) for _ in range(100)]
+    assert naive_all_matches(pattern, text) == []
+    assert sm.scan(text) == []
+
+
 def test_mode_rand_rejects_ineligible():
     with pytest.raises(ConfigError):
         StreamMatcher([0] * 50, 2, mode="rand")
 
 
 def test_small_prime_rejected_against_alphabet():
-    ctx = context_new(7, seed=1)  # p = 127
     with pytest.raises(ConfigError):
-        StreamMatcher([0, 1, 2], 300, ctx=ctx)
+        StreamMatcher([0, 1, 2], 300, prime_bits=7)  # p = 127
 
 
 def test_alphabet_violation_names_index():
@@ -434,34 +489,6 @@ def test_det_and_rand_agree_on_long_streams():
     a = starts(rand, 600, t)
     b = [e - 600 + 1 for e in det.scan(t)]
     assert a == b
-
-
-def test_matchers_sharing_a_context_both_report():
-    # Engines only read the FieldContext: two matchers built on one
-    # context and fed in turn must each find every match.
-    inst = make_instance("planted", 4096, 12288, 4, seed=1)
-    want = [s + 4096 - 1 for s in naive_all_matches(inst.pattern, inst.text)]
-    assert want == [5133, 10898]
-    ctx = context_new(61, 5)
-    field = (ctx.p, ctx.r, ctx.r_inv)
-    a = StreamMatcher(inst.pattern, 4, ctx=ctx)
-    b = StreamMatcher(inst.pattern, 4, ctx=ctx)
-    assert a.mode == b.mode == "rand"
-    ends_a, ends_b = [], []
-    for j, sym in enumerate(inst.text):
-        if a.step(sym):
-            ends_a.append(j)
-        if b.step(sym):
-            ends_b.append(j)
-    assert ends_a == ends_b == want
-    c = StreamMatcher(inst.pattern, 4, ctx=ctx)
-    d = StreamMatcher(inst.pattern, 4, ctx=ctx)
-    ends_c, ends_d = [], []
-    for k in range(0, len(inst.text), 1000):
-        ends_c += c.scan(inst.text[k : k + 1000])
-        ends_d += d.scan(inst.text[k : k + 1000])
-    assert ends_c == ends_d == want
-    assert (ctx.p, ctx.r, ctx.r_inv) == field
 
 
 def matcher_state(sm):
