@@ -17,17 +17,19 @@ ones plus first occurrences, which is what the two cursors enumerate.
 
 Per arrival the work is capped: at most 2 pattern shifts (tested
 candidates beyond a char's first comparison), a fixed number of cursor
-steps, and at most 2 consumed chars.  Arrivals that cannot be processed
-in time wait in the FIFO and are reported as non-matches immediately;
-the buffer provably drains before the next true match, which is asserted
-whenever a match is reported.
+steps, and at most 3 consumed chars: a test carried over from the
+previous arrival may commit one before the arrival's own 2.  Arrivals
+that cannot be processed in time wait in the FIFO and are reported as
+non-matches immediately; the buffer provably drains before the next true
+match, which is asserted whenever a match is reported.
 
 Most arrivals never reach that machinery.  With nothing deferred, the
-fresh symbol is compared at once; when that fails and the cursors as they
-stand name the next candidate (the top of the current run, or the first
-first-occurrence probe), that candidate is tested inline as well: the
-one-shift path.  Its outcome, cursors and counters are exactly those the
-machinery would produce, which it enters otherwise.
+fresh symbol is compared at once; when that fails and the next candidate
+is the top of the current run, or a first occurrence found by at most one
+step of the first-occurrence cursor, that candidate is tested inline as
+well: the one-shift path.  Its outcome, cursors and counters are exactly
+those the machinery would produce, which it enters otherwise, from the
+phase reached.
 
 `DetMatcher.step` handles one arrival.  `DetMatcher.scan` looks up a
 chunk's predecessor distances in the matcher's last-occurrence table and
@@ -155,12 +157,15 @@ class DetCore:
                 self.r = r
                 return False
             # First comparison failed.  Do what _SYNC would do with the
-            # cursors as they stand.  When that names the next candidate
-            # at once (the top of the run, or the first first-occurrence
-            # probe), test it here, as _TEST would: the one-shift path.
-            # Otherwise, or when the test fails, go on in the machinery
-            # from the phase reached.
+            # cursors as they stand; when that leaves the first-occurrence
+            # cursor to descend, take _SCAN's first unit, one step down.
+            # When that names the next candidate (the top of the run, or a
+            # first-occurrence probe at most one step below the cursor),
+            # test it here, as _TEST would: the one-shift path.  Otherwise,
+            # or when the test fails, go on in the machinery from the
+            # phase reached.
             shifts = SHIFTS_PER_ARRIVAL
+            units = UNITS_PER_ARRIVAL
             rho_s, lo, hi = self.runs[self.run_i]
             if lo > cand:
                 phase = _SYNC  # the run cursor has to descend
@@ -170,31 +175,42 @@ class DetCore:
             else:
                 xlow = cand - ((cand - lo) // rho_s) * rho_s
                 f = self.occ[self.occ_i]
-                if f < cand and (f < xlow or (f - xlow) % rho_s == 0):
+                phase = _TEST
+                if not (f < cand and (f < xlow or (f - xlow) % rho_s == 0)):
+                    oi = self.occ_i = self.occ_i - 1
+                    units -= 1
+                    f = self.occ[oi]
+                    if not (f < cand and (f < xlow or (f - xlow) % rho_s == 0)):
+                        phase = _SCAN  # the cursor descends further
+                if phase == _TEST:
                     cand = f if f >= xlow else xlow - rho_s
-                    phase = _TEST
-                else:
-                    phase = _SCAN  # the first-occurrence cursor descends
             if phase == _TEST:
                 shifts -= 1
                 j = cand % rho
                 pv_p = 0 if cand // rho < self.cp_ks[j] else self.cp_cs[j]
                 if (pv_p == pv) if 0 < pv <= cand else (pv_p == 0):
-                    # cand < r < q, so no match completes, and neither
-                    # cursor has to grow: an idle core's cursors never lag
-                    # behind r, and r does not rise.  The working slots
-                    # (g, cand) are set before they are next read, so
-                    # they stay as they are.
+                    # cand < r < q, so no match completes, and the run
+                    # cursor stays: an idle core's cursors never lag
+                    # behind r, and r does not rise.  After a
+                    # first-occurrence step, the entry stepped past may lie
+                    # at or below the new r: _TEST's growth rule then takes
+                    # the cursor back up to it.  The working slots (g,
+                    # cand) are set before they are next read, so they stay
+                    # as they are.
                     self.consumed += 1
                     self.shifts_last = 1
-                    self.units_last = 0
-                    self.r = cand + 1
+                    self.units_last = UNITS_PER_ARRIVAL - units
+                    r = cand + 1
+                    if units != UNITS_PER_ARRIVAL:
+                        oi = self.occ_i
+                        if self.occ[oi + 1] <= r:
+                            self.occ_i = oi + 1
+                    self.r = r
                     return False
                 phase = _SYNC
             self.g = pv
             self.cand = cand
             self.phase = phase
-            units = UNITS_PER_ARRIVAL
             consumes = CONSUMES_PER_ARRIVAL - 1
         else:
             pending.append(pv)

@@ -62,10 +62,11 @@ _SCAN_BATCH = 13
 _C_BUDGET = 5
 
 # Hard per-arrival ceiling on counted operations (field multiplications and
-# buffer touches), summed over the phase caps: base 7, phase A 6, Bdelta 5,
-# Bphi 16 (scan turn), C 7.  Independent of the pattern length by
-# construction; enforced per arrival.
-OP_BUDGET = 7 + 6 + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
+# buffer touches), summed over the phase caps: base 7, phase A 7 (1 + at
+# most 3 consumed symbols + 3 for the push), Bdelta 5, Bphi 16 (scan turn),
+# C 7.  Independent of the pattern length by construction; enforced per
+# arrival.
+OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
 
 
 class StreamMatcher:

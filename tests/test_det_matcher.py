@@ -219,13 +219,15 @@ def test_scan_keeps_matches_found_before_an_error():
 
 def test_each_arrival_agrees_with_the_oracle_through_the_one_shift_path():
     # Per arrival, on an idle core whose first comparison fails: the
-    # one-shift path commits (one shift, no cursor unit), or its test
-    # fails and the shift machinery goes on from there (a second shift).
-    # A wrong shortcut can keep every answer right and only cost more, so
-    # the totals of the work done and of the cursors are pinned as well,
-    # to the values the engine without the shortcut gives.
+    # one-shift path commits (one shift, and no cursor unit, or the one
+    # unit of a first-occurrence step), or its test fails and the shift
+    # machinery goes on from there (a second shift).  A wrong shortcut can
+    # keep every answer right and only cost more, so the totals of the
+    # work done and of the cursors are pinned as well, to the values the
+    # engine without the shortcut gives.
     rng = random.Random(17)
-    one_shift = fall_through = 0
+    one_shift = [0, 0]  # by units spent: none, or one first-occurrence step
+    fall_through = 0
     totals = dict.fromkeys(("shifts", "units", "run_i", "occ_i", "pending"), 0)
     for t in range(240):
         kind = ("random", "periodic")[t % 2]
@@ -240,7 +242,8 @@ def test_each_arrival_agrees_with_the_oracle_through_the_one_shift_path():
             consumed = core.consumed
             assert dm.step(sym) == (j in ends), (t, j)
             if idle and core.consumed == consumed + 1 and core.shifts_last == 1:
-                one_shift += core.units_last == 0
+                if core.units_last < 2:
+                    one_shift[core.units_last] += 1
             if idle and core.shifts_last == 2:
                 fall_through += 1
             totals["shifts"] += core.shifts_last
@@ -248,10 +251,47 @@ def test_each_arrival_agrees_with_the_oracle_through_the_one_shift_path():
             totals["run_i"] += core.run_i
             totals["occ_i"] += core.occ_i
             totals["pending"] += len(core.pending)
-    assert (one_shift, fall_through) == (8161, 3575)
+    assert (one_shift, fall_through) == ([8161, 1780], 3575)
     assert totals == {
         "shifts": 18450, "units": 10244, "run_i": 65621, "occ_i": 70596, "pending": 1
     }
+
+
+@pytest.mark.parametrize(
+    "kind, m, seed, pinned",
+    [
+        # Nearly every long_gap arrival fails its first comparison on a
+        # cursor that points at the candidate itself, and commits after
+        # one first-occurrence step.
+        ("long_gap", 2100, 8, (8970, 8999, 8985, 0, 9014, 0)),
+        ("planted", 3000, 5, (41, 2091, 5060, 5468483, 21900, 22898)),
+    ],
+)
+def test_one_step_commits_and_totals_are_pinned(kind, m, seed, pinned):
+    # The idle arrivals that commit with one shift after one cursor unit,
+    # and the totals of shifts, units, run_i, occ_i and pending, are those
+    # of the engine without the one-shift path.
+    inst = make_instance(kind, m, 9000, 4, seed=seed)
+    ends = {s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)}
+    dm = DetMatcher(build_profile(inst.pattern, 4))
+    core = dm.core
+    got = [0] * 6
+    for j, sym in enumerate(inst.text):
+        idle = core.phase == _IDLE and not core.pending
+        consumed = core.consumed
+        assert dm.step(sym) == (j in ends), j
+        got[0] += (
+            idle
+            and core.consumed == consumed + 1
+            and core.shifts_last == 1
+            and core.units_last == 1
+        )
+        got[1] += core.shifts_last
+        got[2] += core.units_last
+        got[3] += core.run_i
+        got[4] += core.occ_i
+        got[5] += len(core.pending)
+    assert tuple(got) == pinned
 
 
 @pytest.mark.parametrize("name", ["planted", "zipf"])

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parmatch.det_matcher import _IDLE, DetCore, DetMatcher
+from parmatch.det_matcher import _IDLE, CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
 from parmatch.errors import AlphabetError, ConfigError
 from parmatch.fingerprint import FieldContext, context_new, fp_of_sequence
 from parmatch.gen import make_instance, periodic_instance
@@ -576,6 +576,28 @@ def test_phase_a_accounting_is_pinned_arrival_by_arrival(kind, m, n, seed, pinne
         caught_up += took > 1
     got = (ops, shifts, units, sm.max_ops(), core.consumed, core.pend_peak, fast)
     assert got + (deferred, caught_up) == pinned
+
+
+def test_phase_a_stays_within_its_stated_caps():
+    # A test carried over from the previous arrival may commit before the
+    # core pops CONSUMES_PER_ARRIVAL fresh symbols, so phase A consumes at
+    # most one more than that, and charges at most 1 + 3 + 3 = 7 ops (the
+    # push to the base queue included): its share of OP_BUDGET.  This
+    # instance reaches three symbols, so the caps are met, not only unseen.
+    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    assert sm.mode == "rand"
+    core, q0 = sm.suba, sm.mq[0]
+    at_cap = 0
+    for j, sym in enumerate(inst.text):
+        consumed = core.consumed
+        sm.step(sym)
+        took = core.consumed - consumed
+        pushed = q0.last_pos == j - sm.m0 + 1
+        assert took <= CONSUMES_PER_ARRIVAL + 1, j
+        assert 1 + took + 3 * pushed <= 7, j
+        at_cap += took == CONSUMES_PER_ARRIVAL + 1
+    assert at_cap == 32
 
 
 def test_scan_rejects_a_symbol_like_step():
