@@ -2,29 +2,36 @@
 
 The matcher works over {0, ..., sigma-1}; real streams rarely do.  For an
 all-variable pattern only the equality structure of the last m symbols
-matters, so it suffices to map the (at most cap = distinct(P)+1) most
-recently seen distinct symbols injectively onto a dense code space of
-size cap.  A recency list ordered by last arrival, a dictionary from raw
-symbol to its entry, and a pool of free codes maintain this in O(1)
-expected time per symbol:
+matters, and p-matching is alphabet-free: a window matches under any
+one-to-one relabelling.  So it suffices to keep the cap = distinct(P)+1
+most recently seen distinct symbols on distinct codes of a dense code
+space of size cap.  A plain LRU does this in O(1) expected time per
+symbol: a recency list ordered by last arrival, keyed by raw symbol.
 
 * a live symbol keeps its code and moves to the recency tail;
-* a new symbol takes a free code, or the code of the evicted
-  least-recent entry when the list is full;
-* the head is additionally dropped when its last occurrence slides out
-  of the m-window.  Last occurrences have distinct times, so at most one
-  entry expires per arrival and a single lazy head check suffices.
+* a new symbol takes a fresh code while fewer than cap are in use, and
+  the code of the evicted least-recent entry once all are.
 
-Each code lives in one [last arrival, code] slot that moves between the
-list and the free pool and keeps its time there, so the filter knows
+With d = distinct(P), the filter keeps every window's p-match verdict:
+
+* a window with at most d distinct raw symbols filters to a window with
+  the same predecessor string.  A symbol recurring inside it sees at most
+  d - 1 other symbols in between, so it stays among the cap most recent
+  and keeps its code.  A symbol entering fresh takes the head's code,
+  whose last use lies before the window (else the window would hold
+  d + 2 distinct symbols);
+* a window with more than d distinct raw symbols keeps more than d
+  codes.  If the evicted head's last arrival lies in a window that also
+  holds the new symbol, the other d listed symbols arrived after the
+  head, so they are in that window too, which then holds at least d + 1
+  codes and cannot match.
+
+Each code lives in one [last arrival, code] slot that passes from the
+evicted symbol to the new one and keeps its time, so the filter knows
 every code's last arrival.  `scan_pred` therefore returns the codes'
 predecessor distances, the values a last-occurrence table over the codes
 would give, and a deterministic matcher takes them without keeping that
 table itself.
-
-Windows with at most distinct(P) distinct raw symbols filter to windows
-with an identical predecessor string; windows with more distinct symbols
-than the pattern cannot match it and keep that property after filtering.
 """
 
 from __future__ import annotations
@@ -37,16 +44,17 @@ from .predecessor import NEVER
 class AlphabetFilter:
     """Map raw stream symbols to dense codes, preserving window p-matches."""
 
-    __slots__ = ("cap", "window", "live", "free", "t")
+    __slots__ = ("cap", "window", "live", "t")
 
-    def __init__(self, pattern_distinct: int, window: int):
+    def __init__(self, pattern_distinct: int, window: int | None = None):
         self.cap = pattern_distinct + 1
+        # Unused: recency alone keeps every window's verdict.  Stored
+        # because callers pass the pattern length and read it back.
         self.window = window
         # raw -> [last arrival, code], in recency order.  A code's slot is
-        # never copied: it moves between `live` and the `free` stack with
-        # the code's last arrival in it (-1 before its first use).
+        # never copied: an evicted symbol hands it, with the code's last
+        # arrival in it, to the new symbol.
         self.live: OrderedDict = OrderedDict()
-        self.free = [[-1, code] for code in range(self.cap - 1, -1, -1)]
         self.t = -1
 
     def step(self, raw) -> int:
@@ -54,13 +62,6 @@ class AlphabetFilter:
         t = self.t + 1
         self.t = t
         live = self.live
-        # Lazy expiry: the head is the least recent entry; entry times are
-        # distinct, so one check per arrival keeps the list window-clean.
-        if live:
-            head, slot = next(iter(live.items()))
-            if slot[0] <= t - self.window:
-                del live[head]
-                self.free.append(slot)
         slot = live.get(raw)
         if slot is not None:
             live.move_to_end(raw)
@@ -69,7 +70,7 @@ class AlphabetFilter:
             if len(live) >= self.cap:
                 slot = live.popitem(last=False)[1]
             else:
-                slot = self.free.pop()
+                slot = [t - NEVER, len(live)]
             live[raw] = slot
         slot[0] = t
         return slot[1]
@@ -94,34 +95,24 @@ class AlphabetFilter:
         emitting codes or, with `pred`, predecessor distances; `t` is
         written back once, also when a symbol cannot be looked up."""
         live = self.live
-        items = live.items
         get = live.get
         to_tail = live.move_to_end
         pop_head = live.popitem
-        release = self.free.append
-        take = self.free.pop
         cap = self.cap
-        window = self.window
         out = []
         emit = out.append
         t = self.t
         try:
             for raw in raws:
                 t += 1
-                if live:
-                    head, slot = next(iter(items()))
-                    if slot[0] <= t - window:
-                        del live[head]
-                        release(slot)
                 slot = get(raw)
                 if slot is not None:
                     to_tail(raw)
                 else:
-                    slot = pop_head(last=False)[1] if len(live) >= cap else take()
+                    # A fresh code's first use: its distance is NEVER.
+                    n = len(live)
+                    slot = pop_head(last=False)[1] if n >= cap else [t - NEVER, n]
                     live[raw] = slot
-                    if slot[0] < 0:
-                        # The code's first use: its distance is NEVER.
-                        slot[0] = t - NEVER
                 if pred:
                     emit(t - slot[0])
                 else:

@@ -200,7 +200,7 @@ def cmd_match(args) -> int:
         dense, distinct = densify_pattern(pattern)
         pattern = dense
         sigma = distinct + 1
-        filt = AlphabetFilter(distinct, m)
+        filt = AlphabetFilter(distinct)
     elif args.alphabet_size is not None:
         sigma = args.alphabet_size
     else:

@@ -94,8 +94,6 @@ def prime_for_bits(bits: int) -> int:
     p = _prime_cache.get(bits)
     if p is None:
         n = (1 << bits) - 1
-        if n % 2 == 0:
-            n -= 1
         while not _is_prime(n):
             n -= 2
         _prime_cache[bits] = p = n

@@ -158,6 +158,12 @@ class StreamMatcher:
         self.p = p
         lens = ladder.lengths
         pred = profile.pred
+        # Pattern distances are below m, so only a prime at most m can be
+        # reached by one.
+        if m > p:
+            far = max(pred)
+            if far >= p:
+                raise ConfigError(f"pattern distance {far} too large for prime {p}")
         # Before any other table, so that the fingerprint kernel's chunk
         # temporaries add only to the profile's lists at the peak.
         self.level_fp = level_fingerprints(ctx, lens, pred)

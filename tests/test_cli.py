@@ -302,6 +302,21 @@ def test_engine_error_inside_a_read_keeps_earlier_matches(tmp_path):
     assert out == "".join(f"{s}\n" for s in want)
 
 
+def test_pattern_distance_beyond_the_prime_is_a_usage_error(tmp_path):
+    # Symbol 3 recurs 1495 positions later, past the 7-bit prime 127: the
+    # randomized constructor names the distance and the prime.
+    rng = random.Random(3)
+    pattern = [rng.randrange(3) for _ in range(3000)]
+    pattern[5] = pattern[1500] = 3
+    pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
+    txt = write(tmp_path, "t.txt", "0 1 2")
+    code, out, err = run_cli(
+        ["match", "--pattern", pat, "--text", txt, "--mode", "rand", "--prime-bits", "7"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: pattern distance 1495 too large for prime 127\n"
+
+
 def test_multi_read_token_stream_through_filter(tmp_path):
     rng = random.Random(8)
     ids = rng.sample(range(10**9), 6)

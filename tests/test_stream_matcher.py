@@ -181,9 +181,24 @@ def test_mode_rand_rejects_ineligible():
         StreamMatcher([0] * 50, 2, mode="rand")
 
 
+def test_unknown_mode_rejected():
+    with pytest.raises(ConfigError, match="unknown mode 'fast'"):
+        StreamMatcher([0, 1, 2, 3], 4, mode="fast")
+
+
 def test_small_prime_rejected_against_alphabet():
     with pytest.raises(ConfigError):
         StreamMatcher([0, 1, 2], 300, prime_bits=7)  # p = 127
+
+
+def test_pattern_distance_beyond_the_prime_rejected():
+    # Symbol 3 recurs 1495 positions later, past the 7-bit prime 127.
+    rng = random.Random(3)
+    pattern = [rng.randrange(3) for _ in range(3000)]
+    pattern[5] = pattern[1500] = 3
+    with pytest.raises(ConfigError) as exc:
+        StreamMatcher(pattern, 4, mode="rand", prime_bits=7)
+    assert str(exc.value) == "pattern distance 1495 too large for prime 127"
 
 
 def test_alphabet_violation_names_index():
