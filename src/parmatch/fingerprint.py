@@ -16,12 +16,15 @@ any value in [0, p) and any prime width from 3 to 62 bits, and Python
 ints combine the blocks.  It reads the sequence in fixed-size chunks, so
 a fingerprint of a long stretch holds no temporary that grows with it.
 
-The streaming matcher does its field arithmetic inline: it keeps the
-running prefix fingerprint and its own powers r^i, splits by subtracting
-two prefix fingerprints without rebasing (the difference still carries
-the weight r^lo of its first position lo, so it is compared with the
-level target times r^lo), and zeroes a position z by subtracting its
-value times r^z.  A FieldContext is only (p, r, r^-1) and is never
+The streaming matcher does its field arithmetic inline, over blocks of
+32 arrivals: it keeps each block's sum of values times r^0 .. r^31 (from
+`power_table`, reduced only when read) and, for each recent block, the
+prefix fingerprint before it and r^(its first index), so one product
+turns a history entry back into a prefix fingerprint.  It splits by
+subtracting two prefix fingerprints without rebasing (the difference
+still carries the weight r^lo of its first position lo, so it is compared
+with the level target times r^lo), and zeroes a position z by subtracting
+its value times r^z.  A FieldContext is only (p, r, r^-1) and is never
 changed after construction; each randomized matcher builds its own from
 a prime width and a seed.
 """
@@ -131,6 +134,16 @@ def context_new(prime_bits: int = DEFAULT_PRIME_BITS, seed: int = 0) -> FieldCon
     return FieldContext(p, r)
 
 
+def power_table(ctx: FieldContext, k: int) -> list[int]:
+    """[r^0, r^1, ..., r^k] as residues."""
+    p = ctx.p
+    r = ctx.r
+    powers = [1] * (k + 1)
+    for j in range(1, k + 1):
+        powers[j] = powers[j - 1] * r % p
+    return powers
+
+
 def fp_of_sequence(
     ctx: FieldContext, seq: Iterable[int], start: int = 0, stop: int | None = None
 ) -> int:
@@ -146,14 +159,11 @@ def fp_of_sequence(
     [0, p).
     """
     p = ctx.p
-    r = ctx.r
     if not isinstance(seq, list):
         seq = list(seq)
     span = range(len(seq))[start:stop]
-    powers = [1] * _BLOCK
-    for k in range(1, _BLOCK):
-        powers[k] = powers[k - 1] * r % p
-    r_block = powers[-1] * r % p
+    powers = power_table(ctx, _BLOCK)
+    r_block = powers.pop()
     r_chunk = pow(r_block, _CHUNK // _BLOCK, p)
     pw = np.array(powers, dtype=np.int64)
     limbs = [(pw >> k) & ((1 << _LIMB) - 1) for k in range(0, 3 * _LIMB, _LIMB)]

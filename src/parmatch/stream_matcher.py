@@ -3,11 +3,16 @@
 Per arriving symbol four cooperative phases run inside one single-threaded
 step:
 
-* the base phase maintains the global predecessor value, the running
-  prefix fingerprint of the predecessor string, the power r^i, and
-  circular histories of the last 4*delta fingerprints, powers r^i and
-  predecessor values (delta = |alphabet| * ceil(log2 m) is the scheduling
-  slack);
+* the base phase maintains the global predecessor value and circular
+  histories of the last 4*delta predecessor values and prefix
+  fingerprints of the predecessor string (delta = |alphabet| *
+  ceil(log2 m) is the scheduling slack).  The stream is cut into blocks
+  of 32 arrivals: a history entry holds only its block's sum of values
+  times r^0 .. r^31, left unreduced, and a ring over the last
+  4*delta/32 + 2 blocks holds each block's offset fingerprint and
+  r^(its first index).  One small product per arrival, and two per
+  block, is all the base phase's field work; a reader rebuilds a prefix
+  fingerprint, or a power r^j, with one product more;
 * phase A runs the deterministic matcher on the ladder base minus its
   last symbol (one `DetCore.step_pred` call per arrival; the core owns
   its tables, cursors and fast path), applies the final-character rule,
@@ -48,12 +53,17 @@ from collections import deque
 
 from .det_matcher import DetCore, DetMatcher
 from .errors import AlphabetError, ConfigError, StructuralViolation
-from .fingerprint import DEFAULT_PRIME_BITS, context_new, prime_for_bits
+from .fingerprint import DEFAULT_PRIME_BITS, context_new, power_table, prime_for_bits
 from .match_queue import MatchQueue
 from .pattern import PatternProfile, build_profile, level_fingerprints
 from .predecessor import NEVER
 
 _IDLE, _WAIT, _SCAN = 0, 1, 2
+
+# Arrivals per fingerprint block, a power of two.  With every value below
+# p, a block's unreduced sum stays below _BLOCK * p^2 (2^127 for a 61-bit
+# prime).
+_BLOCK = 32
 
 # Bphi batch: the zeroing queue holds at most 12*sigma entries and must be
 # scanned within sigma round-robin turns.
@@ -62,10 +72,11 @@ _SCAN_BATCH = 13
 _C_BUDGET = 5
 
 # Hard per-arrival ceiling on counted operations (field multiplications and
-# buffer touches), summed over the phase caps: base 7, phase A 7 (1 + at
-# most 3 consumed symbols + 3 for the push), Bdelta 5, Bphi 16 (scan turn),
-# C 7.  Independent of the pattern length by construction; enforced per
-# arrival.
+# buffer touches), summed over the phase caps: base 7 (a flat charge that
+# covers its table and history touches, one product per arrival and two
+# per block), phase A 7 (1 + at most 3 consumed symbols + 3 for the push),
+# Bdelta 5, Bphi 16 (scan turn), C 7.  Independent of the pattern length by
+# construction; enforced per arrival.
 OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
 
 
@@ -77,7 +88,6 @@ class StreamMatcher:
         "sigma",
         "mode",
         "p",
-        "r",
         "det",
         "delta",
         "H",
@@ -85,11 +95,11 @@ class StreamMatcher:
         "mlen",
         "m0",
         "stream_i",
-        "rpow",
-        "phi",
+        "loc",
+        "rtab",
+        "blocks",
         "table",
         "hist_fp",
-        "hist_rpow",
         "hist_pred",
         "suba",
         "a_prev",
@@ -175,15 +185,23 @@ class StreamMatcher:
         self.mlen = lens
         self.m0 = m0 = lens[0]
         self.stream_i = -1
-        r = ctx.r
-        self.r = r
-        self.rpow = 1  # r^(i+1): the power the next arrival takes
-        self.phi = 0
         self.table = [-1] * sigma
         H = self.H
+        # hist_fp[j % H]: the sum over arrivals k of j's block, up to j, of
+        # pred value times r^(k % _BLOCK), unreduced; loc is the current
+        # block's sum.
+        self.loc = 0
         self.hist_fp = [0] * H
-        self.hist_rpow = [0] * H
         self.hist_pred = [0] * H
+        # r^0 .. r^_BLOCK.
+        self.rtab = rtab = power_table(ctx, _BLOCK)
+        # Entries 2b and 2b + 1 for block b (mod the ring's H // _BLOCK + 2
+        # blocks, enough for any index still in the history): the prefix
+        # fingerprint before the block's first arrival, and r^(that index).
+        # The entry of block -1 is (0, r^-_BLOCK), so that block 0's comes
+        # out as (0, 1).
+        self.blocks = [0, 1] * (H // _BLOCK + 2)
+        self.blocks[-1] = pow(ctx.r_inv, _BLOCK, p)
 
         # Prefix periods and pred of the base minus its last symbol are
         # prefixes of the pattern's; the ladder check bounds its period.
@@ -217,7 +235,7 @@ class StreamMatcher:
         self.mq = [
             MatchQueue(
                 diff=profile.periods[lens[l]],
-                rpd=pow(r, profile.periods[lens[l]], p),
+                rpd=pow(ctx.r, profile.periods[lens[l]], p),
                 p=p,
                 budget=budget,
             )
@@ -228,7 +246,9 @@ class StreamMatcher:
         self.tail_target = pred[m - H :]
         self.mq_words = 0
         self.static_words = (
-            4 * H  # three histories and the tail
+            3 * H  # two histories and the tail
+            + len(self.rtab)
+            + len(self.blocks)
             + sigma
             + 3 * cap * s
             + 6 * (s + 1)
@@ -298,12 +318,15 @@ class StreamMatcher:
         """
         sigma = self.sigma
         p = self.p
-        r = self.r
         H = self.H
         table = self.table
         hist_fp = self.hist_fp
-        hist_rpow = self.hist_rpow
         hist_pred = self.hist_pred
+        rtab = self.rtab
+        r_block = rtab[_BLOCK]
+        mask = _BLOCK - 1
+        blocks = self.blocks
+        nb = len(blocks) // 2
         m = self.m
         m0 = self.m0
         p0_last = self.p0_last
@@ -333,8 +356,11 @@ class StreamMatcher:
         pending = suba.pending
 
         i = self.stream_i
-        rpow = self.rpow
-        phi = self.phi
+        loc = self.loc
+        # The current block's offset fingerprint and r^(its first index).
+        b = 2 * (i // _BLOCK % nb)
+        bfp = blocks[b]
+        bpw = blocks[b + 1]
         a_prev = self.a_prev
         bcur = self.bcur
         bnext = self.bnext
@@ -352,8 +378,16 @@ class StreamMatcher:
             try:
                 for sym in text:
                     i += 1
-                    pw = rpow
-                    rpow = pw * r % p
+                    off = i & mask
+                    if not off:
+                        # A block's first arrival, rejected or not: the
+                        # previous block's sum joins the offset.
+                        bfp = (bfp + bpw * loc) % p
+                        bpw = bpw * r_block % p
+                        loc = 0
+                        b = 2 * (i // _BLOCK % nb)
+                        blocks[b] = bfp
+                        blocks[b + 1] = bpw
                     if sym < 0 or sym >= sigma:
                         raise AlphabetError(sym, i, sigma)
                     t = table[sym]
@@ -364,12 +398,11 @@ class StreamMatcher:
                             raise ConfigError(
                                 f"stream length {i} too large for prime {p}"
                             )
-                        phi = (phi + pv * pw) % p
+                        loc += pv * rtab[off]
                     else:
                         pv = NEVER
                     slot = i % H
-                    hist_fp[slot] = phi
-                    hist_rpow[slot] = pw
+                    hist_fp[slot] = loc
                     hist_pred[slot] = pv
 
                     # Phase A: base-prefix matches.  The DetCore's fast path
@@ -381,13 +414,13 @@ class StreamMatcher:
                     ops = 8 + suba.consumed - consumed
                     if prev and ((p0_last == pv) if 0 < pv < m0 else (p0_last == 0)):
                         w0 = q0.words
-                        q0.push(i - m0 + 1, phi)
+                        q0.push(i - m0 + 1, (bfp + bpw * loc) % p)
                         mq_words += q0.words - w0
                         ops += 3
 
                     # Phase Bdelta: buffer long-distance arrivals, distribute one level.
                     if m0 < pv < NEVER:
-                        bbuf.append((i, pv, pw))
+                        bbuf.append((i, pv, bpw * rtab[off] % p))
                         lb = len(bbuf)
                         if lb > sigma:
                             raise StructuralViolation(
@@ -437,8 +470,13 @@ class StreamMatcher:
                                 raise StructuralViolation(
                                     f"fingerprint history expired for level {ell}"
                                 )
-                            lv_rlo[ell] = hist_rpow[(idx + 1) % H] * gap_inv[ell] % p
-                            lv_acc[ell] = (hist_fp[idx % H] - lv_acc[ell]) % p
+                            # Prefix fingerprint through idx, and r^(idx + 1).
+                            b = 2 * (idx // _BLOCK % nb)
+                            fp = blocks[b] + blocks[b + 1] * hist_fp[idx % H]
+                            lv_acc[ell] = (fp - lv_acc[ell]) % p
+                            b = 2 * ((idx + 1) // _BLOCK % nb)
+                            pw = blocks[b + 1] * rtab[(idx + 1) & mask]
+                            lv_rlo[ell] = pw * gap_inv[ell] % p
                             front = dq_next[ell] - dq_cap
                             lv_cur[ell] = front if front > 0 else 0
                             lv_end[ell] = dq_next[ell]
@@ -492,7 +530,9 @@ class StreamMatcher:
                                 w0 = qn.words
                                 # Still in the history: i - hi <= 3*delta < H
                                 # by the deadline above.
-                                qn.push(ip, hist_fp[hi % H])
+                                b = 2 * (hi // _BLOCK % nb)
+                                fp = blocks[b] + blocks[b + 1] * hist_fp[hi % H]
+                                qn.push(ip, fp % p)
                                 mq_words += qn.words - w0
                                 ops += 2
                             lv_phase[ell] = _IDLE
@@ -555,8 +595,7 @@ class StreamMatcher:
                 raise
             finally:
                 self.stream_i = i
-                self.rpow = rpow
-                self.phi = phi
+                self.loc = loc
                 self.a_prev = a_prev
                 self.bcur = bcur
                 self.bnext = bnext

@@ -7,17 +7,25 @@ from hypothesis import given, settings, strategies as st
 
 from parmatch.det_matcher import _IDLE, CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
 from parmatch.errors import AlphabetError, ConfigError
-from parmatch.fingerprint import FieldContext, context_new, fp_of_sequence
+from parmatch.fingerprint import FieldContext, context_new, fp_of_sequence, power_table
 from parmatch.gen import make_instance, periodic_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
 from parmatch.predecessor import pred_string
 from parmatch import stream_matcher
-from parmatch.stream_matcher import OP_BUDGET, StreamMatcher
+from parmatch.stream_matcher import _BLOCK, OP_BUDGET, StreamMatcher
 
 
 def starts(matcher, m, text):
     return [e - m + 1 for e in matcher.scan(text)]
+
+
+def prefix_fingerprint(sm, j):
+    """The prefix fingerprint through arrival j and r^j, rebuilt from the
+    block ring and the history the way the matcher's readers rebuild them."""
+    b = 2 * (j // _BLOCK % (len(sm.blocks) // 2))
+    fp = (sm.blocks[b] + sm.blocks[b + 1] * sm.hist_fp[j % sm.H]) % sm.p
+    return fp, sm.blocks[b + 1] * sm.rtab[j % _BLOCK] % sm.p
 
 
 def test_fallback_small_period():
@@ -102,7 +110,7 @@ def test_only_the_rand_route_builds_a_context(monkeypatch):
     sm = StreamMatcher(p, 2, seed=5)
     assert sm.mode == "rand" and calls == [(61, 5)]
     ctx = context_new(61, 5)
-    assert (sm.p, sm.r) == (ctx.p, ctx.r)
+    assert (sm.p, sm.rtab) == (ctx.p, power_table(ctx, _BLOCK))
 
 
 def test_rand_targets_are_slices_and_fingerprints_of_pred():
@@ -114,7 +122,7 @@ def test_rand_targets_are_slices_and_fingerprints_of_pred():
     lens = sm.mlen
     assert sm.p0_last == pp[lens[0] - 1]
     assert sm.tail_target == pp[len(p) - sm.H :]
-    ref = FieldContext(sm.p, sm.r)
+    ref = FieldContext(sm.p, sm.rtab[1])
     assert sm.level_fp == [0] + [
         fp_of_sequence(ref, pp[a:b]) for a, b in zip(lens, lens[1:])
     ]
@@ -265,12 +273,14 @@ def test_running_fingerprint_invariant_small_scale():
     sm = StreamMatcher(p, 2, seed=6)
     assert sm.mode == "rand"
     text = [rng.randrange(2) for _ in range(900)]
-    ref = FieldContext(sm.p, sm.r)
+    ref = FieldContext(sm.p, sm.rtab[1])
     for i, sym in enumerate(text):
         sm.step(sym)
-        if i % 97 == 0:
+        assert sm.hist_fp[i % sm.H] == sm.loc
+        # Around every block boundary, and between them.
+        if i % 97 == 0 or i % _BLOCK in (_BLOCK - 1, 0, 1):
             want = fp_of_sequence(ref, pred_string(text[: i + 1]))
-            assert sm.phi == want
+            assert prefix_fingerprint(sm, i) == (want, pow(ref.r, i, ref.p)), i
 
 
 def test_stream_shorter_than_pattern_reports_nothing():
@@ -333,7 +343,7 @@ def test_level_checks_compute_window_relative_fingerprints():
     sm.scan(inst.text)
     assert len(checks) > 10
     lens = sm.mlen
-    ref = FieldContext(sm.p, sm.r)
+    ref = FieldContext(sm.p, sm.rtab[1])
     for ell, ip, acc in checks:
         window = inst.text[ip : ip + lens[ell]]
         want = fp_of_sequence(ref, pred_string(window)[lens[ell - 1] :])
@@ -536,7 +546,7 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
     inst = make_instance(kind, m, n, 4, seed=seed)
     text = inst.text
     want = [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
-    for chunk in (1, 7, 4096, n):
+    for chunk in (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4096, n):
         stepped = StreamMatcher(inst.pattern, 4, seed=12)
         scanned = StreamMatcher(inst.pattern, 4, seed=12)
         assert stepped.mode == "rand"
@@ -686,6 +696,70 @@ def test_scan_stops_at_a_distance_beyond_the_prime_like_step(bits, n, at):
     assert errors == [(ConfigError, at)]
     assert ends[0] < at < ends[-1]
     assert matcher_state(scanned) == matcher_state(stepped)
+
+
+def test_a_rejected_first_arrival_of_a_block_still_opens_the_block():
+    # The symbol at a block's first index is rejected; the block's offset
+    # and power must be set all the same.  Going on through step, through
+    # scan, and from a copy made mid-block after the error gives the same
+    # matches and state, and the oracle's matches in every window that
+    # does not hold the rejected symbol.
+    inst = make_instance("planted", 2048, 6000, 4, seed=2)
+    bad = 100 * _BLOCK
+    text = list(inst.text)
+    text[3300 : 3300 + 2048] = [(x + 1) % 4 for x in inst.pattern]
+    text[bad] = 4
+    fresh = text[:bad] + [5] + text[bad + 1 :]
+    want = [
+        s + 2047
+        for s in naive_all_matches(inst.pattern, fresh)
+        if not s <= bad < s + 2048
+    ]
+    assert want[0] < bad < want[-1]
+    stepped, scanned, head = (StreamMatcher(inst.pattern, 4, seed=3) for _ in range(3))
+    assert stepped.mode == "rand"
+    by_step = feed_past_errors(stepped, text, 1)
+    by_scan = feed_past_errors(scanned, text, 1000)
+    assert by_step == by_scan == (want, [(AlphabetError, bad)])
+    ends, errors = feed_past_errors(head, text[: bad + 10], 1000)
+    # The rejected arrival writes no history entry, and counts as a first
+    # occurrence (value 0) in the prefix fingerprints after it.
+    values = pred_string(fresh)
+    ref = FieldContext(head.p, head.rtab[1])
+    for j in [*range(bad - 3, bad), *range(bad + 1, bad + 10)]:
+        fp = fp_of_sequence(ref, values[: j + 1])
+        assert prefix_fingerprint(head, j) == (fp, pow(ref.r, j, ref.p)), j
+    copied = copy.deepcopy(head)
+    copied.scan(text[bad + 10 :], ends)
+    assert (ends, errors) == by_step
+    assert matcher_state(copied) == matcher_state(stepped) == matcher_state(scanned)
+
+
+def test_history_entries_stay_below_the_block_bound():
+    # A history entry is a block's unreduced sum of values below p times
+    # powers below p, so below _BLOCK * p^2.  With p = 8191, symbols 3 ..
+    # 31 first occur at 322 .. 350 and recur p - 1 arrivals later, at the
+    # first 29 arrivals of one block, each with the largest distance the
+    # prime allows.  The largest entry lies far above p: the sums really
+    # are left unreduced, and still stay below the bound.
+    p = 8191
+    rng = random.Random(8)
+    pattern = [rng.randrange(3) for _ in range(6000)]
+    text = [rng.randrange(3) for _ in range(20000)]
+    text[12000:18000] = [(x + 1) % 3 for x in pattern]
+    for a in (322, 322 + p - 1):
+        text[a : a + 29] = range(3, 32)
+    assert (322 + p - 1) % _BLOCK == 0
+    sm = StreamMatcher(pattern, 32, mode="rand", prime_bits=13, seed=4)
+    assert sm.p == p
+    top = 0
+    ends = []
+    for i, sym in enumerate(text):
+        if sm.step(sym):
+            ends.append(i)
+        top = max(top, sm.hist_fp[i % sm.H])
+    assert ends == [s + 5999 for s in naive_all_matches(pattern, text)] == [17999]
+    assert 8 * p * p < top < _BLOCK * p * p
 
 
 def test_copies_made_mid_stream_go_on_like_the_original():
