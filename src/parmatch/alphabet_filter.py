@@ -30,7 +30,7 @@ Each code lives in one [last arrival, code] slot that passes from the
 evicted symbol to the new one and keeps its time, so the filter knows
 every code's last arrival.  `scan_pred` therefore returns the codes'
 predecessor distances, the values a last-occurrence table over the codes
-would give, and a deterministic matcher takes them without keeping that
+would give, and either engine's `feed` takes them without keeping that
 table itself.
 """
 
@@ -75,25 +75,16 @@ class AlphabetFilter:
         slot[0] = t
         return slot[1]
 
-    def scan(self, raws) -> list[int]:
-        """Dense codes for the next chunk of raw symbols (`step` per symbol)."""
-        return self._scan(raws, False)
-
     def scan_pred(self, raws) -> list[int]:
         """Predecessor distances of the codes of the next chunk of raw symbols.
 
-        The same values as `LastOccurrence` run over the codes `scan`
+        The same values as `LastOccurrence` run over the codes `step`
         returns: the time since the code's last arrival, which for a new
         symbol is the last arrival of the symbol that held its code, or
-        NEVER for a code not used before.  The filter advances as `scan`
-        advances it.
+        NEVER for a code not used before.  The filter advances as `step`
+        advances it, with its state in local variables; `t` is written
+        back once, also when a symbol cannot be looked up.
         """
-        return self._scan(raws, True)
-
-    def _scan(self, raws, pred: bool) -> list[int]:
-        """`step` over the chunk with the state in local variables,
-        emitting codes or, with `pred`, predecessor distances; `t` is
-        written back once, also when a symbol cannot be looked up."""
         live = self.live
         get = live.get
         to_tail = live.move_to_end
@@ -113,10 +104,7 @@ class AlphabetFilter:
                     n = len(live)
                     slot = pop_head(last=False)[1] if n >= cap else [t - NEVER, n]
                     live[raw] = slot
-                if pred:
-                    emit(t - slot[0])
-                else:
-                    emit(slot[1])
+                emit(t - slot[0])
                 slot[0] = t
         finally:
             self.t = t

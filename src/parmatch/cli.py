@@ -222,22 +222,16 @@ def cmd_match(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        # Each read is matched as one batch.  The filter, if any, first
-        # maps the whole read to dense codes, or for the det engine
-        # straight to the codes' predecessor distances.
+        # Each read is matched as one batch.  The filter, if any, maps
+        # the whole read to its codes' predecessor distances, which
+        # either engine takes as they are.
         if filt is None:
             scan = matcher.scan
-        elif matcher.det is not None:
-            feed, scan_pred = matcher.det.feed, filt.scan_pred
+        else:
+            feed, scan_pred = matcher.feed, filt.scan_pred
 
             def scan(chunk, out):
                 feed(scan_pred(chunk), out)
-
-        else:
-            scan_codes, scan_dense = filt.scan, matcher.scan
-
-            def scan(chunk, out):
-                scan_dense(scan_codes(chunk), out)
 
         for chunk in chunks:
             scan(chunk, ends)

@@ -31,27 +31,27 @@ well: the one-shift path.  Its outcome, cursors and counters are exactly
 those the machinery would produce, which it enters otherwise, from the
 phase reached.
 
-`DetMatcher.step` handles one arrival.  `DetMatcher.scan` looks up a
-chunk's predecessor distances in the matcher's last-occurrence table and
-feeds them to the engine in one loop, which `DetMatcher.feed` runs on
-distances from elsewhere: `AlphabetFilter.scan_pred` knows them for a
-raw stream, which then needs no dense table at all.  Consecutive chunks
-continue one stream, so `scan` and `step` may be mixed freely.
+`DetMatcher.feed` runs the engine over a chunk of predecessor distances
+in one loop; `AlphabetFilter.scan_pred` knows them for a raw stream,
+which then needs no dense table at all.  Over a dense alphabet, `step`
+and `scan` are the shared front end of `predecessor.DenseFrontEnd`: a
+last-occurrence table in lock-step with the engine, and a symbol outside
+the alphabet entering as a fresh one.  Consecutive chunks continue one
+stream, so `scan` and `step` may be mixed freely.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import count
 
-from .errors import AlphabetError, StructuralViolation, UsageError
+from .errors import StructuralViolation
 from .pattern import (
     PatternProfile,
     build_compressed_pred,
     build_first_occurrences,
     build_run_table,
 )
-from .predecessor import LastOccurrence
+from .predecessor import DenseFrontEnd, LastOccurrence
 
 # Per-arrival budgets.  SHIFTS is pinned by the deamortization argument;
 # UNITS and CONSUMES only need to be constants comfortably above the
@@ -62,16 +62,14 @@ CONSUMES_PER_ARRIVAL = 2
 
 _IDLE, _TEST, _SYNC, _SCAN = 0, 1, 2, 3
 
-_FED = "the matcher is fed predecessor distances: use feed, not step or scan"
-
 
 class DetCore:
     """The budgeted engine, fed global predecessor values.
 
     Decoupled from symbol handling so the randomized matcher can run it on
-    the ladder base and share one last-occurrence tracker: its phase A
-    calls `step_pred` on every arrival and reads only `consumed`,
-    `pending` and `live_words()` back.  The tables, cursors, counters and
+    the ladder base with the distances it is fed: its phase A calls
+    `step_pred` on every arrival and reads only `consumed`, `pending` and
+    `live_words()` back.  The tables, cursors, counters and
     the fast path all live here.
     """
 
@@ -348,7 +346,7 @@ class DetCore:
         )
 
 
-class DetMatcher:
+class DetMatcher(DenseFrontEnd):
     """Standalone deterministic matcher over a dense alphabet."""
 
     __slots__ = ("core", "tracker", "i", "sigma")
@@ -360,56 +358,16 @@ class DetMatcher:
         self.sigma = sigma
         self.i = -1
 
-    def step(self, sym: int) -> bool:
-        tracker = self.tracker
-        if tracker is None:
-            raise UsageError(_FED)
+    def _arrive(self, pv: int) -> bool:
         self.i += 1
-        return self.core.step_pred(tracker.step(sym, self.i))
+        return self.core.step_pred(pv)
 
-    def scan(self, text, out=None) -> list[int]:
-        """Match end indices over the next chunk of the stream.
-
-        The same answers and state as `step` per symbol; consecutive calls
-        continue one stream, and may be mixed with `step`.  The indices
-        are appended to `out` (a new list by default), which is returned;
-        when an error stops the chunk, `out` holds the matches that ended
-        before it.
-        """
-        tracker = self.tracker
-        if tracker is None:
-            raise UsageError(_FED)
-        preds = map(tracker.step, text, count(self.i + 1))
-        try:
-            return self._feed(preds, out)
-        except AlphabetError as e:
-            self.i = e.index  # as `step` leaves it
-            raise
-
-    def feed(self, preds, out=None) -> list[int]:
-        """`scan` for a chunk given as the arrivals' predecessor distances.
-
-        The distances come from elsewhere (`AlphabetFilter.scan_pred`),
-        so the matcher's own last-occurrence table stops describing the
-        stream: it is dropped, and `step` and `scan` refuse to run after
-        the first call.
-        """
-        self.tracker = None
-        return self._feed(preds, out)
-
-    def _feed(self, preds, out) -> list[int]:
-        if out is None:
-            out = []
+    def _run(self, preds, out) -> None:
         step_pred = self.core.step_pred
-        i = self.i
-        try:
-            for pv in preds:
-                i += 1
-                if step_pred(pv):
-                    out.append(i)
-        finally:
+        for i, pv in enumerate(preds, self.i + 1):
             self.i = i
-        return out
+            if step_pred(pv):
+                out.append(i)
 
     def live_words(self) -> int:
         # The table's sigma last arrivals; a fed matcher's live in the

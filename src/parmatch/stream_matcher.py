@@ -3,9 +3,9 @@
 Per arriving symbol four cooperative phases run inside one single-threaded
 step:
 
-* the base phase maintains the global predecessor value and circular
-  histories of the last 4*delta predecessor values and prefix
-  fingerprints of the predecessor string (delta = |alphabet| *
+* the base phase takes the arrival's global predecessor distance and
+  keeps circular histories of the last 4*delta predecessor values and
+  prefix fingerprints of the predecessor string (delta = |alphabet| *
   ceil(log2 m) is the scheduling slack).  The stream is cut into blocks
   of 32 arrivals: a history entry holds only its block's sum of values
   times r^0 .. r^31, left unreduced, and a ring over the last
@@ -30,11 +30,14 @@ step:
   direct predecessor comparison, a bounded number per arrival, and emits
   the verdict exactly at the arrival where the window closes.
 
-The phases are written once, as the body of a generator that holds the
-matcher's tables and scalars in local variables and runs one chunk of the
-stream per `send`.  `scan` sends the chunk it is given and `step` a chunk
-of one symbol; after each chunk the scalars are written back to the
-attributes, so the two may be mixed and the matcher copied between calls.
+The phases read only predecessor distances.  They are written once, as
+the body of a generator that holds the matcher's tables and scalars in
+local variables and runs one chunk of distances per `send`: `feed` sends
+the distances it is given, and `step` and `scan` those of the shared
+dense front end (`predecessor.DenseFrontEnd`), which looks each symbol
+up in a last-occurrence table in lock-step with the phases.  After each
+chunk the scalars are written back to the attributes, so the calls may be
+mixed and the matcher copied between them.
 Only the randomized route builds a FieldContext, from `prime_bits` and
 `seed`, and computes the level fingerprints; a det-routed matcher checks
 the prime against the alphabet and holds no field values.  Each matcher
@@ -52,11 +55,11 @@ from __future__ import annotations
 from collections import deque
 
 from .det_matcher import DetCore, DetMatcher
-from .errors import AlphabetError, ConfigError, StructuralViolation
+from .errors import ConfigError, StructuralViolation
 from .fingerprint import DEFAULT_PRIME_BITS, context_new, power_table, prime_for_bits
 from .match_queue import MatchQueue
 from .pattern import PatternProfile, build_profile, level_fingerprints
-from .predecessor import NEVER
+from .predecessor import NEVER, DenseFrontEnd, LastOccurrence
 
 _IDLE, _WAIT, _SCAN = 0, 1, 2
 
@@ -80,8 +83,14 @@ _C_BUDGET = 5
 OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
 
 
-class StreamMatcher:
-    """Streaming matcher for one pattern over a dense alphabet."""
+class StreamMatcher(DenseFrontEnd):
+    """Streaming matcher for one pattern over a dense alphabet.
+
+    The stream arrives as distances through `feed`, or as symbols through
+    the dense front end's `step` and `scan`.  A pattern routed to the
+    deterministic engine makes a `_DetRouted` matcher instead, which
+    passes every call to its `DetMatcher`.
+    """
 
     __slots__ = (
         "m",
@@ -94,11 +103,11 @@ class StreamMatcher:
         "s",
         "mlen",
         "m0",
-        "stream_i",
+        "i",
         "loc",
         "rtab",
         "blocks",
-        "table",
+        "tracker",
         "hist_fp",
         "hist_pred",
         "suba",
@@ -159,6 +168,10 @@ class StreamMatcher:
                 f"pattern not eligible for the randomized matcher: {ladder.reason}"
             )
         if mode == "det" or ladder.mode == "det":
+            # The det route's calls are _DetRouted's methods, so the rand
+            # route's `step` and `i` stay the front end's and a slot, with
+            # no per-arrival test of the route.
+            self.__class__ = _DetRouted
             self.mode = "det"
             self.det = DetMatcher(profile)
             return
@@ -184,8 +197,8 @@ class StreamMatcher:
         self.s = ladder.s
         self.mlen = lens
         self.m0 = m0 = lens[0]
-        self.stream_i = -1
-        self.table = [-1] * sigma
+        self.i = -1
+        self.tracker = LastOccurrence(sigma)
         H = self.H
         # hist_fp[j % H]: the sum over arrivals k of j's block, up to j, of
         # pred value times r^(k % _BLOCK), unreduced; loc is the current
@@ -249,7 +262,7 @@ class StreamMatcher:
             3 * H  # two histories and the tail
             + len(self.rtab)
             + len(self.blocks)
-            + sigma
+            + sigma  # the front end's table
             + 3 * cap * s
             + 6 * (s + 1)
             + self.suba.live_words()
@@ -269,36 +282,13 @@ class StreamMatcher:
         state["run"] = None
         return None, state
 
-    @property
-    def i(self) -> int:
-        """Stream index of the last arrival (-1 before the first)."""
-        return self.stream_i if self.det is None else self.det.i
-
     # ------------------------------------------------------------------
 
-    def step(self, sym: int) -> bool:
-        """Process one arriving symbol; True iff a full match ends here."""
-        if self.det is not None:
-            return self.det.step(sym)
-        run = self.run or self._start()
-        return run.send(((sym,), None))
+    def _arrive(self, pv: int) -> bool:
+        return (self.run or self._start()).send(((pv,), None))
 
-    def scan(self, text, out=None) -> list[int]:
-        """Match end indices over the next chunk of the stream.
-
-        Consecutive calls continue one stream, and may be mixed with
-        `step`.  The indices are appended to `out` (a new list by
-        default), which is returned; when an error stops the chunk, `out`
-        holds the matches that ended before it, and the next call goes on
-        from the symbol after the error.
-        """
-        if self.det is not None:
-            return self.det.scan(text, out)
-        if out is None:
-            out = []
-        run = self.run or self._start()
-        run.send((text, out))
-        return out
+    def _run(self, preds, out) -> None:
+        (self.run or self._start()).send((preds, out))
 
     def _start(self):
         run = self.run = self._phases()
@@ -306,20 +296,20 @@ class StreamMatcher:
         return run
 
     def _phases(self):
-        """The four phases, run over each chunk sent as (text, out).
+        """The four phases, run over each chunk of distances sent as
+        (preds, out).
 
         Every table and scalar of the matcher is held in this frame's
         locals between chunks; the scalars are written back to the
-        attributes after each chunk, also when a symbol is rejected or a
-        bound is breached (the peaks as soon as they rise).  An error ends
-        the generator, and the next call builds a new one from the
-        attributes.  Match end indices are appended to `out` unless it is
-        None; yields whether the chunk had any.
+        attributes after each chunk, also when an error stops it (the
+        peaks as soon as they rise).  An error ends the generator, and the
+        next call builds a new one from the attributes.  Match end indices
+        are appended to `out` unless it is None; yields whether the chunk
+        had any.
         """
         sigma = self.sigma
         p = self.p
         H = self.H
-        table = self.table
         hist_fp = self.hist_fp
         hist_pred = self.hist_pred
         rtab = self.rtab
@@ -355,7 +345,7 @@ class StreamMatcher:
         step_pred = suba.step_pred
         pending = suba.pending
 
-        i = self.stream_i
+        i = self.i
         loc = self.loc
         # The current block's offset fingerprint and r^(its first index).
         b = 2 * (i // _BLOCK % nb)
@@ -373,34 +363,27 @@ class StreamMatcher:
         b_peak = self.b_peak
         hit = False
         while True:
-            text, out = yield hit
+            preds, out = yield hit
             hit = False
             try:
-                for sym in text:
+                for pv in preds:
                     i += 1
                     off = i & mask
                     if not off:
-                        # A block's first arrival, rejected or not: the
-                        # previous block's sum joins the offset.
+                        # A block's first arrival: the previous block's
+                        # sum joins the offset.
                         bfp = (bfp + bpw * loc) % p
                         bpw = bpw * r_block % p
                         loc = 0
                         b = 2 * (i // _BLOCK % nb)
                         blocks[b] = bfp
                         blocks[b + 1] = bpw
-                    if sym < 0 or sym >= sigma:
-                        raise AlphabetError(sym, i, sigma)
-                    t = table[sym]
-                    table[sym] = i
-                    if t >= 0:
-                        pv = i - t
-                        if pv >= p:
-                            raise ConfigError(
-                                f"stream length {i} too large for prime {p}"
-                            )
+                    if pv < p:
                         loc += pv * rtab[off]
-                    else:
-                        pv = NEVER
+                    elif pv < NEVER:
+                        raise ConfigError(
+                            f"distance {pv} at stream index {i} reaches prime {p}"
+                        )
                     slot = i % H
                     hist_fp[slot] = loc
                     hist_pred[slot] = pv
@@ -594,7 +577,7 @@ class StreamMatcher:
                 self.run = None
                 raise
             finally:
-                self.stream_i = i
+                self.i = i
                 self.loc = loc
                 self.a_prev = a_prev
                 self.bcur = bcur
@@ -605,13 +588,9 @@ class StreamMatcher:
                 self.ops_last = ops_last
 
     def live_words_peak(self) -> int:
-        if self.det is not None:
-            return self.det.live_words_peak()
         return self.words_peak
 
     def max_ops(self) -> int:
-        if self.det is not None:
-            return 0
         return self.ops_max
 
     def d_fill_max(self) -> int:
@@ -622,7 +601,41 @@ class StreamMatcher:
         so once 12*sigma entries have been pushed this reads the capacity,
         and asserting that it stays at most 12*sigma cannot fail.
         """
-        if self.det is not None:
-            return 0
         cap = self.dq_cap
         return max(min(n, cap) for n in self.dq_next[1:]) if self.s else 0
+
+
+class _DetRouted(StreamMatcher):
+    """A matcher whose pattern routed to the deterministic engine.
+
+    Its `DetMatcher`, `det`, is its front end and engine: every call goes
+    there, and it holds none of the randomized engine's state.
+    """
+
+    __slots__ = ()
+
+    @property
+    def i(self) -> int:
+        return self.det.i
+
+    def step(self, sym: int) -> bool:
+        return self.det.step(sym)
+
+    def scan(self, text, out=None) -> list[int]:
+        return self.det.scan(text, out)
+
+    def feed(self, preds, out=None) -> list[int]:
+        return self.det.feed(preds, out)
+
+    def live_words_peak(self) -> int:
+        return self.det.live_words_peak()
+
+    def max_ops(self) -> int:
+        return 0
+
+    def d_fill_max(self) -> int:
+        return 0
+
+    def __getstate__(self):
+        # The slots it sets; `i` is its DetMatcher's.
+        return None, {"m": self.m, "sigma": self.sigma, "mode": "det", "det": self.det}

@@ -84,7 +84,8 @@ def test_windows_keep_their_verdict_on_bursty_streams(data):
     while len(raw) < 600:
         burst = rng.sample(vocab, rng.randint(1, min(d + 2, len(vocab))))
         raw += rng.choices(burst, k=rng.randint(1, 3 * m))
-    codes = AlphabetFilter(d).scan(raw)
+    f = AlphabetFilter(d)
+    codes = [f.step(x) for x in raw]
     for i in range(len(raw) - m + 1):
         w_raw, w_codes = raw[i : i + m], codes[i : i + m]
         if len(set(w_raw)) <= d:
@@ -116,38 +117,6 @@ def test_composition_matches_oracle_on_raw_stream():
 
 def filter_state(f):
     return list(f.live.items()), f.t
-
-
-@pytest.mark.parametrize("distinct, window, width", [(1, 5, 3), (3, 8, 5), (8, 64, 3000)])
-def test_scan_chunks_equal_step(distinct, window, width):
-    # Narrow and wide raw alphabets: every code and eviction of a chunked
-    # scan equals the stepped filter's, chunk by chunk.
-    rng = random.Random(width)
-    vocab = rng.sample(range(10**9), width)
-    raw = rng.choices(vocab, [1 / (k + 1) for k in range(width)], k=20000)
-    for chunk in (1, 7, 4096, len(raw)):
-        stepped = AlphabetFilter(distinct, window)
-        scanned = AlphabetFilter(distinct, window)
-        by_step, by_scan = [], []
-        for k in range(0, len(raw), chunk):
-            piece = raw[k : k + chunk]
-            by_step += [stepped.step(s) for s in piece]
-            by_scan += scanned.scan(piece)
-            assert filter_state(scanned) == filter_state(stepped), (chunk, k)
-        assert by_scan == by_step, chunk
-
-
-def test_scan_stops_like_step_on_an_unhashable_symbol():
-    raw = ["a", "b", "c", "a", ["x"], "b"]
-    stepped = AlphabetFilter(pattern_distinct=1)
-    with pytest.raises(TypeError):
-        for s in raw:
-            stepped.step(s)
-    scanned = AlphabetFilter(pattern_distinct=1)
-    with pytest.raises(TypeError):
-        scanned.scan(raw)
-    assert filter_state(scanned) == filter_state(stepped)
-    assert scanned.t == 4
 
 
 def test_freed_code_keeps_its_last_arrival():
@@ -199,8 +168,8 @@ def test_scan_pred_stops_like_step_on_an_unhashable_symbol():
 
 @pytest.mark.parametrize("mode", ["det", "rand"])
 def test_unicode_tokens_through_the_filter_into_each_engine(mode):
-    # Unicode tokens, Zipf-weighted so that evicted tokens come back; the
-    # det engine is fed the filter's distances, the rand engine its codes.
+    # Unicode tokens, Zipf-weighted so that evicted tokens come back; each
+    # engine is fed the filter's distances.
     # The det core's totals are pinned: the filter's distances are exact
     # below m, and the core reads any distance of at least m as a first
     # occurrence, so these totals hold for any filter that keeps that.
@@ -228,7 +197,7 @@ def test_unicode_tokens_through_the_filter_into_each_engine(mode):
                 shifts += core.shifts_last
                 units += core.units_last
         else:
-            sm.scan(f.scan(chunk), ends)
+            sm.feed(f.scan_pred(chunk), ends)
     want = naive_all_matches(pattern, text)
     assert len(want) >= 3
     assert [e - len(pattern) + 1 for e in ends] == want

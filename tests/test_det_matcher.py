@@ -144,7 +144,8 @@ def det_instance(name):
     if name == "zipf":
         raw_pattern, raw_text = zipf_tokens(20000, 64, seed=7)
         dense, distinct = densify_pattern(raw_pattern)
-        codes = AlphabetFilter(distinct, len(dense)).scan(raw_text)
+        f = AlphabetFilter(distinct, len(dense))
+        codes = [f.step(x) for x in raw_text]
         return dense, distinct + 1, codes, naive_all_matches(raw_pattern, raw_text)
     kind, m, n, sigma, seed = DET_INSTANCES[name]
     inst = make_instance(kind, m, n, sigma, seed=seed)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.det_matcher import _IDLE, CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
-from parmatch.errors import AlphabetError, ConfigError
+from parmatch.errors import AlphabetError, ConfigError, UsageError
 from parmatch.fingerprint import FieldContext, context_new, fp_of_sequence, power_table
 from parmatch.gen import make_instance, periodic_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
-from parmatch.predecessor import pred_string
+from parmatch.predecessor import NEVER, LastOccurrence, pred_string
 from parmatch import stream_matcher
 from parmatch.stream_matcher import _BLOCK, OP_BUDGET, StreamMatcher
 
@@ -523,8 +523,9 @@ def matcher_state(sm):
         "matcher": {
             name: getattr(sm, name)
             for name in StreamMatcher.__slots__
-            if name not in ("det", "suba", "bbuf", "mq", "debug_checks", "run")
+            if name not in ("det", "tracker", "suba", "bbuf", "mq", "debug_checks", "run")
         },
+        "table": None if sm.tracker is None else list(sm.tracker.table),
         "bbuf": list(sm.bbuf),
         "mq": [(list(map(list, q.segs)), q.last_pos, q.words) for q in sm.mq],
         "d_fill_max": sm.d_fill_max(),
@@ -656,7 +657,7 @@ def test_scan_rejects_a_symbol_like_step():
 def feed_past_errors(sm, text, chunk):
     """Feed `text` in chunks (through `step` when chunk is 1), going on
     from the symbol after each error; returns (match ends, [(error type,
-    index)])."""
+    index, message)])."""
     ends, errors = [], []
     k = 0
     while k < len(text):
@@ -667,7 +668,7 @@ def feed_past_errors(sm, text, chunk):
             else:
                 sm.scan(text[k : k + chunk], ends)
         except (AlphabetError, ConfigError) as e:
-            errors.append((type(e), sm.i))
+            errors.append((type(e), sm.i, str(e)))
         k = sm.i + 1
     return ends, errors
 
@@ -678,8 +679,9 @@ def feed_past_errors(sm, text, chunk):
 def test_scan_stops_at_a_distance_beyond_the_prime_like_step(bits, n, at):
     # With a small prime (p = 8191 or 131071), symbol 3 returning after
     # more than p arrivals raises at index `at` through both step and
-    # scan; both go on to the end of the text with the same answers and
-    # state.
+    # scan, naming the distance; both go on to the end of the text with
+    # the same answers and state, the front end's table included, so
+    # neither front end ran ahead of the engine.
     rng = random.Random(6)
     pattern = [rng.randrange(3) for _ in range(600)]
     text = [rng.randrange(3) for _ in range(n)]
@@ -693,7 +695,9 @@ def test_scan_stops_at_a_distance_beyond_the_prime_like_step(bits, n, at):
     by_scan = feed_past_errors(scanned, text, 4096)
     assert by_step == by_scan
     ends, errors = by_step
-    assert errors == [(ConfigError, at)]
+    p = stepped.p
+    msg = f"distance {at - 100} at stream index {at} reaches prime {p}"
+    assert errors == [(ConfigError, at, msg)]
     assert ends[0] < at < ends[-1]
     assert matcher_state(scanned) == matcher_state(stepped)
 
@@ -702,37 +706,121 @@ def test_a_rejected_first_arrival_of_a_block_still_opens_the_block():
     # The symbol at a block's first index is rejected; the block's offset
     # and power must be set all the same.  Going on through step, through
     # scan, and from a copy made mid-block after the error gives the same
-    # matches and state, and the oracle's matches in every window that
-    # does not hold the rejected symbol.
+    # matches and state, and the oracle's matches, with a fresh symbol in
+    # the rejected place, in every window but the one ending there.
     inst = make_instance("planted", 2048, 6000, 4, seed=2)
     bad = 100 * _BLOCK
     text = list(inst.text)
     text[3300 : 3300 + 2048] = [(x + 1) % 4 for x in inst.pattern]
     text[bad] = 4
     fresh = text[:bad] + [5] + text[bad + 1 :]
-    want = [
-        s + 2047
-        for s in naive_all_matches(inst.pattern, fresh)
-        if not s <= bad < s + 2048
-    ]
+    want = [s + 2047 for s in naive_all_matches(inst.pattern, fresh) if s + 2047 != bad]
     assert want[0] < bad < want[-1]
     stepped, scanned, head = (StreamMatcher(inst.pattern, 4, seed=3) for _ in range(3))
     assert stepped.mode == "rand"
     by_step = feed_past_errors(stepped, text, 1)
     by_scan = feed_past_errors(scanned, text, 1000)
-    assert by_step == by_scan == (want, [(AlphabetError, bad)])
+    msg = f"symbol 4 at stream index {bad} outside alphabet [0, 4)"
+    assert by_step == by_scan == (want, [(AlphabetError, bad, msg)])
     ends, errors = feed_past_errors(head, text[: bad + 10], 1000)
-    # The rejected arrival writes no history entry, and counts as a first
-    # occurrence (value 0) in the prefix fingerprints after it.
+    # The rejected arrival enters as a first occurrence: its history
+    # entry adds no term, and it reads as value 0 in the prefix
+    # fingerprints from it on.
     values = pred_string(fresh)
     ref = FieldContext(head.p, head.rtab[1])
-    for j in [*range(bad - 3, bad), *range(bad + 1, bad + 10)]:
+    for j in range(bad - 3, bad + 10):
         fp = fp_of_sequence(ref, values[: j + 1])
         assert prefix_fingerprint(head, j) == (fp, pow(ref.r, j, ref.p)), j
     copied = copy.deepcopy(head)
     copied.scan(text[bad + 10 :], ends)
     assert (ends, errors) == by_step
     assert matcher_state(copied) == matcher_state(stepped) == matcher_state(scanned)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000], ids=["step", "scan"])
+@pytest.mark.parametrize("mode", ["rand", "det"])
+@pytest.mark.parametrize("k", [5, 1500, 2038, 2047])
+def test_a_rejected_symbol_reads_as_a_fresh_one(k, mode, chunk):
+    # The pattern's only 3 sits at offset k: in phase A's base (5), on a
+    # middle ladder level (1500), in phase C's tail (2038), or last
+    # (2047).  A relabelled plant at 4000 has 9, outside the alphabet, in
+    # its place.  Going on after the AlphabetError, both engines answer
+    # every window as the oracle does with a fresh symbol there, but the
+    # one ending at the rejected index, whose verdict is dropped.
+    m = 2048
+    rng = random.Random(1)
+    pattern = [rng.randrange(3) for _ in range(m)]
+    pattern[k] = 3
+    text = [rng.randrange(3) for _ in range(7000)]
+    for at in (1000, 4000):
+        perm = rng.sample(range(4), 4)
+        text[at : at + m] = [perm[x] for x in pattern]
+    bad = 4000 + k
+    text[bad] = 9
+    want = [s + m - 1 for s in naive_all_matches(pattern, text)]
+    assert want == [3047, 6047]
+    sm = StreamMatcher(pattern, 4, mode=mode, seed=3)
+    if mode == "rand":
+        assert 5 < sm.m0 <= 1500 < m - sm.H <= 2038
+    ends, errors = feed_past_errors(sm, text, chunk)
+    assert ends == [e for e in want if e != bad]
+    assert [e[:2] for e in errors] == [(AlphabetError, bad)]
+    assert sm.i == len(text) - 1
+
+
+@pytest.mark.parametrize("chunk", [1, 1000], ids=["step", "scan"])
+def test_a_rejected_symbol_leaves_the_table_as_it_was(chunk):
+    # The rejected arrival reaches the engine, the table does not.
+    inst = make_instance("planted", 2048, 6000, 4, seed=2)
+    text = list(inst.text)
+    text[3001] = -1
+    sm = StreamMatcher(inst.pattern, 4, seed=3)
+    assert sm.mode == "rand"
+    sm.scan(text[:3001])
+    table = list(sm.tracker.table)
+    with pytest.raises(AlphabetError):
+        if chunk == 1:
+            sm.step(text[3001])
+        else:
+            sm.scan(text[3001 : 3001 + chunk])
+    assert (sm.i, sm.tracker.table) == (3001, table)
+
+
+def test_feed_equals_scan_and_retires_the_table():
+    # Fed its predecessor distances from elsewhere, a rand-routed matcher
+    # answers and moves as one that scans the symbols; it drops the front
+    # end's table, which no longer describes the stream, and refuses step
+    # and scan after.
+    inst = make_instance("planted", 3000, 9000, 4, seed=5)
+    text = inst.text
+    tracker = LastOccurrence(4)
+    preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
+    scanned = StreamMatcher(inst.pattern, 4, seed=12)
+    fed = StreamMatcher(inst.pattern, 4, seed=12)
+    assert fed.mode == "rand"
+    got = []
+    for k in range(0, len(text), 1000):
+        assert fed.feed(preds[k : k + 1000], got) is got
+        scanned.scan(text[k : k + 1000])
+        assert {**matcher_state(scanned), "table": None} == matcher_state(fed), k
+    assert [e - 2999 for e in got] == naive_all_matches(inst.pattern, text)
+    assert got
+    with pytest.raises(UsageError):
+        fed.step(text[0])
+    with pytest.raises(UsageError):
+        fed.scan(text[:5])
+    assert matcher_state(fed) == {**matcher_state(scanned), "table": None}
+
+
+def test_a_det_routed_matcher_feeds_its_det_engine():
+    sm = StreamMatcher([0, 1] * 300, 2)
+    assert sm.mode == "det"
+    assert sm.feed([NEVER, NEVER, 2, 2]) == []
+    assert (sm.i, sm.det.tracker) == (3, None)
+    with pytest.raises(UsageError):
+        sm.step(0)
+    with pytest.raises(UsageError):
+        sm.scan([0])
 
 
 def test_history_entries_stay_below_the_block_bound():
@@ -776,6 +864,21 @@ def test_copies_made_mid_stream_go_on_like_the_original():
     for other in copies:
         assert other.scan(rest) == want
         assert matcher_state(other) == matcher_state(sm)
+
+
+def test_copies_of_a_det_routed_matcher_go_on_like_the_original():
+    # A det-routed matcher copies its DetMatcher, and no randomized state.
+    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    sm = StreamMatcher(inst.pattern, 4, mode="det")
+    sm.scan(inst.text[:5000])
+    copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
+    rest = inst.text[5000:]
+    want = sm.scan(rest)
+    assert want
+    for other in copies:
+        assert other.mode == "det" and other.det is not sm.det
+        assert other.scan(rest) == want
+        assert other.i == sm.i == len(inst.text) - 1
 
 
 def test_debug_checks_set_after_the_first_scan():
