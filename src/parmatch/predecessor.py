@@ -23,11 +23,13 @@ Both engines take a stream only as these distances, through one entry,
 over a dense alphabet [0, sigma): a `LastOccurrence` table looks each
 symbol's distance up only when the engine asks for it, so an error that
 stops the engine leaves the table at the same arrival.  A symbol outside
-the alphabet enters the engine as NEVER, a symbol seen nowhere else, so
-every later window is answered as if a fresh symbol stood there; its
-own verdict is dropped, and `AlphabetError` names its index.  Once `feed` has taken distances from elsewhere (the alphabet
-filter's), the table no longer describes the stream: it is dropped, and
-`step` and `scan` raise `UsageError`.
+the alphabet, or one that is not an int (a float such as 1.5, a string),
+enters the engine as NEVER, a symbol seen nowhere else, so every later
+window is answered as if a fresh symbol stood there; its own verdict is
+dropped, and `AlphabetError` names its index.  Once `feed` has taken
+distances from elsewhere (the alphabet filter's), the table no longer
+describes the stream: it is dropped, and `step` and `scan` raise
+`UsageError`.
 """
 
 from __future__ import annotations
@@ -93,12 +95,16 @@ class LastOccurrence:
         """Global predecessor distance of the symbol arriving at index i.
 
         Returns NEVER for a first occurrence.  Updates the table, so call
-        exactly once per arrival; a symbol outside the alphabet raises
-        `AlphabetError` and leaves the table as it was.
+        exactly once per arrival; a symbol that is not an int in the
+        alphabet raises `AlphabetError` and leaves the table as it was.
         """
-        if not 0 <= sym < self.sigma:
-            raise AlphabetError(sym, i, self.sigma)
-        t = self.table[sym]
+        try:
+            if not 0 <= sym < self.sigma:
+                raise AlphabetError(sym, i, self.sigma)
+            t = self.table[sym]
+        except TypeError:
+            # A string fails the comparison, a float such as 1.5 the index.
+            raise AlphabetError(sym, i, self.sigma) from None
         self.table[sym] = i
         return i - t if t >= 0 else NEVER
 
@@ -107,7 +113,8 @@ class LastOccurrence:
 
         Each distance is looked up when the consumer asks for it, so the
         table never runs ahead of the consumer, and a symbol outside the
-        alphabet raises its `AlphabetError` when its distance is asked for.
+        alphabet, or not an int, raises its `AlphabetError` when its
+        distance is asked for.
         """
         # `step` written out: a call per arrival would cost more than the
         # lookup itself.
@@ -115,9 +122,12 @@ class LastOccurrence:
         sigma = self.sigma
         for sym in text:
             i += 1
-            if not 0 <= sym < sigma:
-                raise AlphabetError(sym, i, sigma)
-            t = table[sym]
+            try:
+                if not 0 <= sym < sigma:
+                    raise AlphabetError(sym, i, sigma)
+                t = table[sym]
+            except TypeError:
+                raise AlphabetError(sym, i, sigma) from None
             table[sym] = i
             yield i - t if t >= 0 else NEVER
 

@@ -30,6 +30,16 @@ step:
   direct predecessor comparison, a bounded number per arrival, and emits
   the verdict exactly at the arrival where the window closes.
 
+Phases B and C have work only while a candidate is in flight: a distance
+in (m0, NEVER) to buffer, a buffered one, a queued match, a level not
+idle, or a tail check.  One test of these after phase A skips both
+phases on a quiet arrival, where they would only have tested their
+conditions; the levels not idle are counted in the generator's frame,
+and counted again from `lv_phase` when a generator starts.  The ops and
+words accounting follows the phases on every arrival, so `ops_last`,
+`ops_max`, `words_peak` and the `OP_BUDGET` check stay exact arrival by
+arrival.
+
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
 local variables and runs one chunk of distances per `send`: `feed` sends
@@ -357,6 +367,8 @@ class StreamMatcher(DenseFrontEnd):
         c_ip = self.c_ip
         c_k = self.c_k
         mq_words = self.mq_words
+        # Levels not idle; a local, so a new generator counts them again.
+        nbusy = sum(ph != _IDLE for ph in lv_phase)
         ops_last = self.ops_last
         ops_max = self.ops_max
         words_peak = self.words_peak
@@ -401,167 +413,186 @@ class StreamMatcher(DenseFrontEnd):
                         mq_words += q0.words - w0
                         ops += 3
 
-                    # Phase Bdelta: buffer long-distance arrivals, distribute one level.
-                    if m0 < pv < NEVER:
-                        bbuf.append((i, pv, bpw * rtab[off] % p))
-                        lb = len(bbuf)
-                        if lb > sigma:
-                            raise StructuralViolation(
-                                f"distance buffer exceeded {sigma} entries"
-                            )
-                        if lb > b_peak:
-                            b_peak = self.b_peak = lb
-                        ops += 2
-                    if bcur is None and bbuf:
-                        bcur = bbuf.popleft()
-                        bnext = 1
-                    if bcur is not None:
-                        if bcur[1] > mlen[bnext - 1]:
-                            nxt = dq_next[bnext]
-                            dq_bufs[bnext][nxt % dq_cap] = bcur
-                            dq_next[bnext] = nxt + 1
+                    # Phases B and C have work only while a candidate is in
+                    # flight: a long distance to buffer, a buffered one, a
+                    # queued match, a level check or a tail check.  On any
+                    # other arrival they would only test their conditions.
+                    if (
+                        bcur is not None
+                        or bbuf
+                        or mq_words
+                        or nbusy
+                        or c_ip >= 0
+                        or m0 < pv < NEVER
+                    ):
+                        # Phase Bdelta: buffer long-distance arrivals,
+                        # distribute one level.
+                        if m0 < pv < NEVER:
+                            bbuf.append((i, pv, bpw * rtab[off] % p))
+                            lb = len(bbuf)
+                            if lb > sigma:
+                                raise StructuralViolation(
+                                    f"distance buffer exceeded {sigma} entries"
+                                )
+                            if lb > b_peak:
+                                b_peak = self.b_peak = lb
                             ops += 2
-                        if bnext >= s:
-                            bcur = None
-                        else:
-                            bnext += 1
-                        ops += 1
-
-                    # Phase Bphi: one level per arrival advances its candidate check.
-                    ell = 1 + i % s
-                    ph = lv_phase[ell]
-                    if ph == _IDLE:
-                        if segs[ell - 1]:
-                            ql = mq[ell - 1]
-                            w0 = ql.words
-                            got = ql.pop()
-                            mq_words += ql.words - w0
-                            lv_ip[ell] = got[0]
-                            # The popped prefix fingerprint waits in lv_acc:
-                            # the split below reads it once and replaces it
-                            # with the running difference.
-                            lv_acc[ell] = got[1]
-                            ph = _WAIT
-                            lv_phase[ell] = _WAIT
-                            ops += 2
-                    if ph == _WAIT:
-                        ip = lv_ip[ell]
-                        ml = mlen[ell]
-                        if i > ip + ml + delta:
-                            idx = ip + ml - 1
-                            if i - idx >= H:
-                                raise StructuralViolation(
-                                    f"fingerprint history expired for level {ell}"
-                                )
-                            # Prefix fingerprint through idx, and r^(idx + 1).
-                            b = 2 * (idx // _BLOCK % nb)
-                            fp = blocks[b] + blocks[b + 1] * hist_fp[idx % H]
-                            lv_acc[ell] = (fp - lv_acc[ell]) % p
-                            b = 2 * ((idx + 1) // _BLOCK % nb)
-                            pw = blocks[b + 1] * rtab[(idx + 1) & mask]
-                            lv_rlo[ell] = pw * gap_inv[ell] % p
-                            front = dq_next[ell] - dq_cap
-                            lv_cur[ell] = front if front > 0 else 0
-                            lv_end[ell] = dq_next[ell]
-                            lv_phase[ell] = _SCAN
-                            ops += 5
-                    elif ph == _SCAN:
-                        ip = lv_ip[ell]
-                        lo = ip + mlen[ell - 1]
-                        hi = ip + mlen[ell] - 1
-                        cur = lv_cur[ell]
-                        end = lv_end[ell]
-                        front = dq_next[ell] - dq_cap
-                        if front < 0:
-                            front = 0
-                        buf = dq_bufs[ell]
-                        if cur < front:
-                            # Entries were evicted before being scanned; safe only if
-                            # everything lost sat below the zeroing range.
-                            if front >= end or front >= dq_next[ell]:
-                                raise StructuralViolation(
-                                    f"level {ell} zeroing queue evicted unscanned entries"
-                                )
-                            if buf[front % dq_cap][0] > lo:
-                                raise StructuralViolation(
-                                    f"level {ell} may have lost zeroing candidates"
-                                )
-                            cur = front
-                        stop = cur + _SCAN_BATCH
-                        if stop > end:
-                            stop = end
-                        acc = lv_acc[ell]
-                        ops += 1 + stop - cur
-                        while cur < stop:
-                            pos, pvj, rj = buf[cur % dq_cap]
-                            if lo <= pos <= hi and pvj > pos - ip:
-                                acc = (acc - pvj * rj) % p
-                            cur += 1
-                        lv_acc[ell] = acc
-                        lv_cur[ell] = cur
-                        if cur >= end:
-                            rlo = lv_rlo[ell]
-                            debug = self.debug_checks
-                            if debug is not None:
-                                debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
-                            if acc == level_fp[ell] * rlo % p:
-                                if i >= ip + mlen[ell] + 3 * delta:
-                                    raise StructuralViolation(
-                                        f"level {ell} missed its reporting deadline"
-                                    )
-                                qn = mq[ell]
-                                w0 = qn.words
-                                # Still in the history: i - hi <= 3*delta < H
-                                # by the deadline above.
-                                b = 2 * (hi // _BLOCK % nb)
-                                fp = blocks[b] + blocks[b + 1] * hist_fp[hi % H]
-                                qn.push(ip, fp % p)
-                                mq_words += qn.words - w0
+                        if bcur is None and bbuf:
+                            bcur = bbuf.popleft()
+                            bnext = 1
+                        if bcur is not None:
+                            if bcur[1] > mlen[bnext - 1]:
+                                nxt = dq_next[bnext]
+                                dq_bufs[bnext][nxt % dq_cap] = bcur
+                                dq_next[bnext] = nxt + 1
                                 ops += 2
-                            lv_phase[ell] = _IDLE
-
-                    # Phase C: extend final-level matches across the explicit tail.
-                    if c_ip < 0 and segs[s]:
-                        qs = mq[s]
-                        w0 = qs.words
-                        c_ip = qs.pop()[0]
-                        mq_words += qs.words - w0
-                        c_k = 0
-                        if i - c_ip - mlen[s] >= H:
-                            raise StructuralViolation("predecessor history expired")
-                        ops += 2
-                    if c_ip >= 0:
-                        k = c_k
-                        base = c_ip + m - H
-                        budget = _C_BUDGET
-                        while budget > 0 and k < H:
-                            j = base + k
-                            if j > i:
-                                break
-                            pvj = hist_pred[j % H]
-                            w = pvj if 0 < pvj <= j - c_ip else 0
-                            if w != target[k]:
-                                c_ip = -1
-                                break
-                            k += 1
-                            budget -= 1
-                        ops += _C_BUDGET - budget
-                        if c_ip >= 0:
-                            if k >= H:
-                                if i != c_ip + m - 1:
-                                    raise StructuralViolation(
-                                        "tail check completed off schedule"
-                                    )
-                                hit = True
-                                if out is not None:
-                                    out.append(i)
-                                c_ip = -1
+                            if bnext >= s:
+                                bcur = None
                             else:
-                                c_k = k
-                                if i >= c_ip + m - 1:
+                                bnext += 1
+                            ops += 1
+
+                        # Phase Bphi: one level per arrival advances its
+                        # candidate check.
+                        ell = 1 + i % s
+                        ph = lv_phase[ell]
+                        if ph == _IDLE:
+                            if segs[ell - 1]:
+                                ql = mq[ell - 1]
+                                w0 = ql.words
+                                got = ql.pop()
+                                mq_words += ql.words - w0
+                                lv_ip[ell] = got[0]
+                                # The popped prefix fingerprint waits in lv_acc:
+                                # the split below reads it once and replaces it
+                                # with the running difference.
+                                lv_acc[ell] = got[1]
+                                ph = _WAIT
+                                lv_phase[ell] = _WAIT
+                                nbusy += 1
+                                ops += 2
+                        if ph == _WAIT:
+                            ip = lv_ip[ell]
+                            ml = mlen[ell]
+                            if i > ip + ml + delta:
+                                idx = ip + ml - 1
+                                if i - idx >= H:
                                     raise StructuralViolation(
-                                        "tail check behind schedule"
+                                        f"fingerprint history expired for level {ell}"
                                     )
+                                # Prefix fingerprint through idx, and r^(idx + 1).
+                                b = 2 * (idx // _BLOCK % nb)
+                                fp = blocks[b] + blocks[b + 1] * hist_fp[idx % H]
+                                lv_acc[ell] = (fp - lv_acc[ell]) % p
+                                b = 2 * ((idx + 1) // _BLOCK % nb)
+                                pw = blocks[b + 1] * rtab[(idx + 1) & mask]
+                                lv_rlo[ell] = pw * gap_inv[ell] % p
+                                front = dq_next[ell] - dq_cap
+                                lv_cur[ell] = front if front > 0 else 0
+                                lv_end[ell] = dq_next[ell]
+                                lv_phase[ell] = _SCAN
+                                ops += 5
+                        elif ph == _SCAN:
+                            ip = lv_ip[ell]
+                            lo = ip + mlen[ell - 1]
+                            hi = ip + mlen[ell] - 1
+                            cur = lv_cur[ell]
+                            end = lv_end[ell]
+                            front = dq_next[ell] - dq_cap
+                            if front < 0:
+                                front = 0
+                            buf = dq_bufs[ell]
+                            if cur < front:
+                                # Entries were evicted before being scanned; safe
+                                # only if everything lost sat below the zeroing
+                                # range.
+                                if front >= end or front >= dq_next[ell]:
+                                    raise StructuralViolation(
+                                        f"level {ell} zeroing queue evicted"
+                                        " unscanned entries"
+                                    )
+                                if buf[front % dq_cap][0] > lo:
+                                    raise StructuralViolation(
+                                        f"level {ell} may have lost zeroing candidates"
+                                    )
+                                cur = front
+                            stop = cur + _SCAN_BATCH
+                            if stop > end:
+                                stop = end
+                            acc = lv_acc[ell]
+                            ops += 1 + stop - cur
+                            while cur < stop:
+                                pos, pvj, rj = buf[cur % dq_cap]
+                                if lo <= pos <= hi and pvj > pos - ip:
+                                    acc = (acc - pvj * rj) % p
+                                cur += 1
+                            lv_acc[ell] = acc
+                            lv_cur[ell] = cur
+                            if cur >= end:
+                                rlo = lv_rlo[ell]
+                                debug = self.debug_checks
+                                if debug is not None:
+                                    debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
+                                if acc == level_fp[ell] * rlo % p:
+                                    if i >= ip + mlen[ell] + 3 * delta:
+                                        raise StructuralViolation(
+                                            f"level {ell} missed its reporting deadline"
+                                        )
+                                    qn = mq[ell]
+                                    w0 = qn.words
+                                    # Still in the history: i - hi <= 3*delta < H
+                                    # by the deadline above.
+                                    b = 2 * (hi // _BLOCK % nb)
+                                    fp = blocks[b] + blocks[b + 1] * hist_fp[hi % H]
+                                    qn.push(ip, fp % p)
+                                    mq_words += qn.words - w0
+                                    ops += 2
+                                lv_phase[ell] = _IDLE
+                                nbusy -= 1
+
+                        # Phase C: extend final-level matches across the
+                        # explicit tail.
+                        if c_ip < 0 and segs[s]:
+                            qs = mq[s]
+                            w0 = qs.words
+                            c_ip = qs.pop()[0]
+                            mq_words += qs.words - w0
+                            c_k = 0
+                            if i - c_ip - mlen[s] >= H:
+                                raise StructuralViolation("predecessor history expired")
+                            ops += 2
+                        if c_ip >= 0:
+                            k = c_k
+                            base = c_ip + m - H
+                            budget = _C_BUDGET
+                            while budget > 0 and k < H:
+                                j = base + k
+                                if j > i:
+                                    break
+                                pvj = hist_pred[j % H]
+                                w = pvj if 0 < pvj <= j - c_ip else 0
+                                if w != target[k]:
+                                    c_ip = -1
+                                    break
+                                k += 1
+                                budget -= 1
+                            ops += _C_BUDGET - budget
+                            if c_ip >= 0:
+                                if k >= H:
+                                    if i != c_ip + m - 1:
+                                        raise StructuralViolation(
+                                            "tail check completed off schedule"
+                                        )
+                                    hit = True
+                                    if out is not None:
+                                        out.append(i)
+                                    c_ip = -1
+                                else:
+                                    c_k = k
+                                    if i >= c_ip + m - 1:
+                                        raise StructuralViolation(
+                                            "tail check behind schedule"
+                                        )
 
                     ops_last = ops
                     if ops > ops_max:

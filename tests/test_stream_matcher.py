@@ -570,9 +570,18 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
 @pytest.mark.parametrize(
     "kind, m, n, seed, pinned",
     [
-        ("planted", 3000, 9000, 5, (81474, 5995, 4757, 19, 9000, 5, 3937, 10, 8)),
-        ("periodic", 2500, 10000, 2, (96112, 3904, 3936, 19, 10000, 6, 6160, 192, 160)),
-        ("long_gap", 2100, 9000, 8, (81132, 8999, 8985, 14, 9000, 1, 11, 5, 5)),
+        (
+            "planted", 3000, 9000, 5,
+            (81474, 5995, 4757, 19, 9000, 5, 3937, 10, 8, 1858, 0),
+        ),
+        (
+            "periodic", 2500, 10000, 2,
+            (96112, 3904, 3936, 19, 10000, 6, 6160, 192, 160, 1873, 0),
+        ),
+        (
+            "long_gap", 2100, 9000, 8,
+            (81132, 8999, 8985, 14, 9000, 1, 11, 5, 5, 1656, 2),
+        ),
     ],
 )
 def test_phase_a_accounting_is_pinned_arrival_by_arrival(kind, m, n, seed, pinned):
@@ -582,7 +591,8 @@ def test_phase_a_accounting_is_pinned_arrival_by_arrival(kind, m, n, seed, pinne
     # these totals, so they are pinned: the sums of ops, shifts and units,
     # the largest ops, the symbols consumed, the deferral peak, the
     # arrivals committed by the fast path (idle, one symbol, no shift),
-    # and the arrivals that consumed no symbol or more than one.
+    # the arrivals that consumed no symbol or more than one, the words
+    # gauge's peak and the distance buffer's.
     inst = make_instance(kind, m, n, 4, seed=seed)
     ends = {s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)}
     sm = StreamMatcher(inst.pattern, 4, seed=12)
@@ -601,7 +611,7 @@ def test_phase_a_accounting_is_pinned_arrival_by_arrival(kind, m, n, seed, pinne
         deferred += took == 0
         caught_up += took > 1
     got = (ops, shifts, units, sm.max_ops(), core.consumed, core.pend_peak, fast)
-    assert got + (deferred, caught_up) == pinned
+    assert got + (deferred, caught_up, sm.live_words_peak(), sm.b_peak) == pinned
 
 
 def test_phase_a_stays_within_its_stated_caps():
@@ -769,6 +779,35 @@ def test_a_rejected_symbol_reads_as_a_fresh_one(k, mode, chunk):
 
 
 @pytest.mark.parametrize("chunk", [1, 1000], ids=["step", "scan"])
+@pytest.mark.parametrize("mode", ["rand", "det"])
+@pytest.mark.parametrize("bad", [1.5, "x"])
+def test_a_non_integer_symbol_is_rejected_like_one_outside_the_alphabet(
+    bad, mode, chunk
+):
+    # A float passes the range check and fails the table index, a string
+    # fails the range check.  Either is rejected as 9 is: an AlphabetError
+    # naming its index, the arrival taken as a fresh symbol, so the later
+    # match indices and the state are those after a rejected 9.
+    inst = make_instance("planted", 2048, 6000, 4, seed=2)
+    text = list(inst.text)
+    text[3300 : 3300 + 2048] = [(x + 1) % 4 for x in inst.pattern]
+    at = 3000
+    runs = []
+    for sym in (9, bad):
+        text[at] = sym
+        sm = StreamMatcher(inst.pattern, 4, mode=mode, seed=3)
+        assert sm.mode == mode
+        ends, errors = feed_past_errors(sm, text, chunk)
+        assert [e[:2] for e in errors] == [(AlphabetError, at)]
+        assert f"symbol {sym} at stream index {at} " in errors[0][2]
+        state = matcher_state(sm) if mode == "rand" else list(sm.det.tracker.table)
+        runs.append((ends, sm.i, state))
+    assert runs[1] == runs[0]
+    ends, last, _ = runs[0]
+    assert ends and ends[-1] > at and last == len(text) - 1
+
+
+@pytest.mark.parametrize("chunk", [1, 1000], ids=["step", "scan"])
 def test_a_rejected_symbol_leaves_the_table_as_it_was(chunk):
     # The rejected arrival reaches the engine, the table does not.
     inst = make_instance("planted", 2048, 6000, 4, seed=2)
@@ -852,18 +891,38 @@ def test_history_entries_stay_below_the_block_bound():
 
 def test_copies_made_mid_stream_go_on_like_the_original():
     # deepcopy and pickle leave out the running phase generator; each
-    # copy builds its own from the copied state.
-    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
-    sm = StreamMatcher(inst.pattern, 4, seed=12)
-    assert sm.mode == "rand"
-    sm.scan(inst.text[:5000])
-    copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
-    rest = inst.text[5000:]
-    want = sm.scan(rest)
-    assert want
-    for other in copies:
-        assert other.scan(rest) == want
-        assert matcher_state(other) == matcher_state(sm)
+    # copy builds its own from the copied state, and counts the levels
+    # not idle again from lv_phase.  The periodic cut falls while four
+    # levels wait for their checks and the match queues hold candidates;
+    # the planted cut while one level waits and nothing else is in flight,
+    # so only that count keeps phase B running; the long_gap cut on a
+    # quiet arrival, with every level idle and nothing in flight.
+    for kind, m, n, seed, cut, waiting, queued in [
+        ("periodic", 2500, 10000, 2, 5000, 4, True),
+        ("planted", 3000, 9000, 5, 7000, 1, False),
+        ("long_gap", 2100, 9000, 8, 5000, 0, False),
+    ]:
+        inst = make_instance(kind, m, n, 4, seed=seed)
+        sm = StreamMatcher(inst.pattern, 4, seed=12)
+        assert sm.mode == "rand"
+        sm.scan(inst.text[:cut])
+        phases = sm.lv_phase
+        assert phases.count(stream_matcher._WAIT) == waiting, kind
+        assert phases.count(stream_matcher._IDLE) == len(phases) - waiting, kind
+        in_flight = (bool(sm.mq_words), sm.bcur, len(sm.bbuf), sm.c_ip)
+        assert in_flight == (queued, None, 0, -1), kind
+        copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
+        rest = inst.text[cut:]
+        for matcher in [sm] + copies:
+            matcher.debug_checks = []
+        want = sm.scan(rest)
+        ends = [s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)]
+        assert want == [e for e in ends if e >= cut], kind
+        assert bool(want) == bool(waiting), kind
+        for other in copies:
+            assert other.scan(rest) == want, kind
+            assert other.debug_checks == sm.debug_checks, kind
+            assert matcher_state(other) == matcher_state(sm), kind
 
 
 def test_copies_of_a_det_routed_matcher_go_on_like_the_original():
