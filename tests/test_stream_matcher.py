@@ -891,15 +891,18 @@ def test_history_entries_stay_below_the_block_bound():
 
 def test_copies_made_mid_stream_go_on_like_the_original():
     # deepcopy and pickle leave out the running phase generator; each
-    # copy builds its own from the copied state, and counts the levels
-    # not idle again from lv_phase.  The periodic cut falls while four
-    # levels wait for their checks and the match queues hold candidates;
-    # the planted cut while one level waits and nothing else is in flight,
-    # so only that count keeps phase B running; the long_gap cut on a
-    # quiet arrival, with every level idle and nothing in flight.
+    # copy builds its own from the copied state, and computes the earliest
+    # deadline of the waiting levels again from lv_phase and lv_ip.  The
+    # periodic cut falls while four levels wait for their checks and the
+    # match queues hold candidates, and after it checks complete while two
+    # or more levels wait; the two planted cuts while one level, or two,
+    # wait before their deadlines and nothing else is in flight, so only
+    # the rebuilt deadline wakes phase B; the long_gap cut on a quiet
+    # arrival, with every level idle and nothing in flight.
     for kind, m, n, seed, cut, waiting, queued in [
         ("periodic", 2500, 10000, 2, 5000, 4, True),
         ("planted", 3000, 9000, 5, 7000, 1, False),
+        ("planted", 6000, 18000, 5, 11000, 2, False),
         ("long_gap", 2100, 9000, 8, 5000, 0, False),
     ]:
         inst = make_instance(kind, m, n, 4, seed=seed)
@@ -911,6 +914,13 @@ def test_copies_made_mid_stream_go_on_like_the_original():
         assert phases.count(stream_matcher._IDLE) == len(phases) - waiting, kind
         in_flight = (bool(sm.mq_words), sm.bcur, len(sm.bbuf), sm.c_ip)
         assert in_flight == (queued, None, 0, -1), kind
+        if kind == "planted":
+            dues = [
+                sm.lv_ip[ell] + sm.mlen[ell] + sm.delta
+                for ell, ph in enumerate(phases)
+                if ph == stream_matcher._WAIT
+            ]
+            assert sm.i < min(dues), kind
         copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
         rest = inst.text[cut:]
         for matcher in [sm] + copies:
@@ -923,6 +933,36 @@ def test_copies_made_mid_stream_go_on_like_the_original():
             assert other.scan(rest) == want, kind
             assert other.debug_checks == sm.debug_checks, kind
             assert matcher_state(other) == matcher_state(sm), kind
+
+
+def test_two_levels_scanning_with_the_queues_empty():
+    # Two level checks run at once while the match queues, the distance
+    # buffer and the tail check are empty.  The first to complete must
+    # leave phase B running for the other.
+    inst = make_instance("planted", 650, 2600, 2, seed=905036695)
+    want = [s + 649 for s in naive_all_matches(inst.pattern, inst.text)]
+    assert want
+    stepped = StreamMatcher(inst.pattern, 2, seed=987654321)
+    scanned = StreamMatcher(inst.pattern, 2, seed=987654321)
+    assert stepped.mode == "rand"
+    stepped.debug_checks = []
+    scanned.debug_checks = []
+    ends = []
+    reached = False
+    for k, sym in enumerate(inst.text):
+        if stepped.step(sym):
+            ends.append(k)
+        reached = reached or (
+            stepped.lv_phase.count(stream_matcher._SCAN) >= 2
+            and stepped.mq_words == 0
+            and not stepped.bbuf
+            and stepped.bcur is None
+            and stepped.c_ip < 0
+        )
+    assert reached
+    assert ends == want
+    assert scanned.scan(inst.text) == want
+    assert scanned.debug_checks == stepped.debug_checks
 
 
 def test_copies_of_a_det_routed_matcher_go_on_like_the_original():
