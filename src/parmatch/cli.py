@@ -1,4 +1,4 @@
-"""Command-line interface: scan, verify, bench, gen.
+"""Command-line interface: match, verify, bench, gen.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 input or alphabet
 error, 3 structural violation inside the engine.

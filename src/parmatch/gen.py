@@ -4,7 +4,10 @@ All generators take an explicit seed and use an isolated Random instance,
 so every instance is reproducible from its parameters alone.  The regimes
 mirror what the matchers have to survive: uniform noise, planted full
 matches, block-periodic text (dense arithmetic progressions of matches),
-and recurrence streams engineered to maximize the long-gap buffers.
+and recurrence streams with gaps just past m.  The randomized engine reads
+a distance of at least m as a first occurrence, so those recurrences, at
+m + 2*sigma + 3, never reach its distance buffer (the `long_gap`
+benchmark workload is built from them).
 """
 
 from __future__ import annotations
@@ -67,12 +70,14 @@ def periodic_instance(
 
 
 def long_gap_instance(m: int, n: int, sigma: int, seed: int) -> Instance:
-    """Adversarial recurrence stream for the distance buffers.
+    """Recurrence stream with gaps just past m.
 
     One filler symbol keeps short distances; every other symbol recurs
-    once per round of length just above m, so each recurrence carries a
-    predecessor distance larger than every ladder length, and the
-    recurrences arrive in consecutive bursts.
+    once per round of m + 2*sigma + 3 arrivals, in consecutive bursts, so
+    each recurrence carries a predecessor distance larger than every
+    ladder length.  That distance is at least m, so the randomized engine
+    reads each recurrence as a first occurrence, and none enters its
+    distance buffer or zeroing queues.
     """
     rng = random.Random(seed)
     pattern = [rng.randrange(sigma) for _ in range(m)]

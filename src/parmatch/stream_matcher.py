@@ -6,7 +6,11 @@ step:
 * the base phase takes the arrival's global predecessor distance and
   keeps circular histories of the last 4*delta predecessor values and
   prefix fingerprints of the predecessor string (delta = |alphabet| *
-  ceil(log2 m) is the scheduling slack).  The stream is cut into blocks
+  ceil(log2 m) is the scheduling slack).  Every reader reads a distance
+  v at window offset j < m as `v if 0 < v <= j else 0`, so a distance of
+  at least m is a first occurrence in every window that holds it: it
+  adds no fingerprint term and enters no buffer, and any distance, one
+  of p or more included, is valid input.  The stream is cut into blocks
   of 32 arrivals: a history entry holds only its block's sum of values
   times r^0 .. r^31, left unreduced, and a ring over the last
   4*delta/32 + 2 blocks holds each block's offset fingerprint and
@@ -18,11 +22,11 @@ step:
   its tables, cursors and fast path), applies the final-character rule,
   and enqueues base-prefix matches with their prefix fingerprints;
 * phase B prepares and consumes the zeroing queues: arrivals whose
-  predecessor distance exceeds the base length enter a small buffer and
-  are distributed to the per-level queues one level per arrival (Bdelta);
-  one ladder level per arrival advances its candidate check (Bphi):
-  fingerprint split, a bounded batch of zeroing-queue entries, then the
-  comparison.  The split is never rebased: the difference of the two
+  predecessor distance lies in (m0, m), above the base length, enter a
+  small buffer and are distributed to the per-level queues one level per
+  arrival (Bdelta); one ladder level per arrival advances its candidate
+  check (Bphi): fingerprint split, a bounded batch of zeroing-queue
+  entries, then the comparison.  The split is never rebased: the difference of the two
   prefix fingerprints, minus each zeroed value times its r^pos, still
   carries the weight r^lo of the level's first second-half position lo,
   so it is compared against the precomputed level fingerprint times r^lo;
@@ -31,19 +35,20 @@ step:
   the verdict exactly at the arrival where the window closes.
 
 Phases B and C have work only while a candidate is in flight: a distance
-in (m0, NEVER) to buffer, a buffered one, a queued match, a level
-scanning or past its deadline, or a tail check.  A waiting level has
-nothing to do until i > ip + m_l + delta, so the generator's frame keeps
-`wake`, at most the earliest deadline of the waiting levels (NEVER when
-every level is idle, below i while a level scans), and changes it only
-at a level's transition; it is computed again from `lv_phase` and
+in (m0, m) to buffer, a buffered one, a queued match, a level scanning
+or past its deadline, or a tail check.  A waiting level has nothing to
+do until i > ip + m_l + delta, so the generator's frame keeps `wake`,
+at most the earliest deadline of the waiting levels (NEVER when every
+level is idle, below i while a level scans), and changes it only at a
+level's transition; it is computed again from `lv_phase` and
 `lv_ip` when a generator starts.  One test of these after phase A skips
 both phases on a quiet arrival, where they would only have tested their
 conditions: at seed 5, 99.92% of the arrivals on the `planted_512k`
 benchmark workload, whose candidate climbs the ladder while the queues
-are empty, and 99.97% on `long_gap`.  The ops and words accounting
-follows the phases on every arrival, so `ops_last`, `ops_max`,
-`words_peak` and the `OP_BUDGET` check stay exact arrival by arrival.
+are empty, and every arrival on `long_gap`, whose recurrences past m are
+first occurrences.  The ops and words accounting follows the phases on
+every arrival, so `ops_last`, `ops_max`, `words_peak` and the
+`OP_BUDGET` check stay exact arrival by arrival.
 
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
@@ -54,9 +59,11 @@ up in a last-occurrence table in lock-step with the phases.  After each
 chunk the scalars are written back to the attributes, so the calls may be
 mixed and the matcher copied between them.
 Only the randomized route builds a FieldContext, from `prime_bits` and
-`seed`, and computes the level fingerprints; a det-routed matcher checks
-the prime against the alphabet and holds no field values.  Each matcher
-builds its own context and owns its power state.
+`seed`, and computes the level fingerprints; it refuses a pattern longer
+than the prime, whose distances would not stay distinct field values.  A
+det-routed matcher checks the prime against the alphabet only and holds
+no field values.  Each matcher builds its own context and owns its power
+state.
 
 Every capacity and deadline the analysis guarantees is asserted at
 runtime; a breach raises StructuralViolation rather than degrading
@@ -79,8 +86,8 @@ from .predecessor import NEVER, DenseFrontEnd, LastOccurrence
 _IDLE, _WAIT, _SCAN = 0, 1, 2
 
 # Arrivals per fingerprint block, a power of two.  With every value below
-# p, a block's unreduced sum stays below _BLOCK * p^2 (2^127 for a 61-bit
-# prime).
+# m <= p, a block's unreduced sum stays below _BLOCK * m * p (2^127 for a
+# 61-bit prime).
 _BLOCK = 32
 
 # Bphi batch: the zeroing queue holds at most 12*sigma entries and must be
@@ -190,18 +197,18 @@ class StreamMatcher(DenseFrontEnd):
             self.mode = "det"
             self.det = DetMatcher(profile)
             return
+        # The fingerprints take distances below m as field values, which
+        # stay distinct residues only while m <= p; past that, two pred
+        # strings may agree for every base, and a level check's bound
+        # |S|/(p - 1) promises nothing.
+        if m > p:
+            raise ConfigError(f"pattern length {m} exceeds prime {p}")
         self.mode = "rand"
         self.det = None
         ctx = context_new(prime_bits, seed)
         self.p = p
         lens = ladder.lengths
         pred = profile.pred
-        # Pattern distances are below m, so only a prime at most m can be
-        # reached by one.
-        if m > p:
-            far = max(pred)
-            if far >= p:
-                raise ConfigError(f"pattern distance {far} too large for prime {p}")
         # Before any other table, so that the fingerprint kernel's chunk
         # temporaries add only to the profile's lists at the peak.
         self.level_fp = level_fingerprints(ctx, lens, pred)
@@ -413,12 +420,10 @@ class StreamMatcher(DenseFrontEnd):
                         b = 2 * (i // _BLOCK % nb)
                         blocks[b] = bfp
                         blocks[b + 1] = bpw
-                    if pv < p:
+                    # A distance of m or more is a first occurrence in
+                    # every window: no term.  The history keeps it as is.
+                    if pv < m:
                         loc += pv * rtab[off]
-                    elif pv < NEVER:
-                        raise ConfigError(
-                            f"distance {pv} at stream index {i} reaches prime {p}"
-                        )
                     slot = i % H
                     hist_fp[slot] = loc
                     hist_pred[slot] = pv
@@ -449,11 +454,11 @@ class StreamMatcher(DenseFrontEnd):
                         or mq_words
                         or (nbusy and i > wake)
                         or c_ip >= 0
-                        or m0 < pv < NEVER
+                        or m0 < pv < m
                     ):
                         # Phase Bdelta: buffer long-distance arrivals,
                         # distribute one level.
-                        if m0 < pv < NEVER:
+                        if m0 < pv < m:
                             bbuf.append((i, pv, bpw * rtab[off] % p))
                             lb = len(bbuf)
                             if lb > sigma:
@@ -673,7 +678,7 @@ class StreamMatcher(DenseFrontEnd):
         and asserting that it stays at most 12*sigma cannot fail.
         """
         cap = self.dq_cap
-        return max(min(n, cap) for n in self.dq_next[1:]) if self.s else 0
+        return max(min(n, cap) for n in self.dq_next[1:])
 
 
 class _DetRouted(StreamMatcher):

@@ -7,6 +7,7 @@ StructuralViolation is counted, and every criterion requires that count
 to be zero.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -16,12 +17,7 @@ import pytest
 
 from parmatch.det_matcher import DetMatcher
 from parmatch.errors import StructuralViolation
-from parmatch.gen import (
-    long_gap_instance,
-    make_instance,
-    periodic_instance,
-    planted_instance,
-)
+from parmatch.gen import make_instance, periodic_instance, planted_instance
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
 from parmatch.oracle import (
     naive_all_matches,
@@ -35,6 +31,8 @@ from parmatch.pattern import (
 )
 from parmatch.predecessor import pred_string
 from parmatch.stream_matcher import OP_BUDGET, StreamMatcher
+
+from gaps import gap_instance
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -102,21 +100,25 @@ def test_c02_rand_oracle_equivalence():
     n_rand = 0
     total = 0
 
-    def run(inst):
+    def run(inst, prime_bits=61):
+        """Check one instance; returns the matcher, or None on a violation."""
         nonlocal bad, violations, n_rand, total
         total += 1
         m = len(inst.pattern)
         want = naive_all_matches(inst.pattern, inst.text)
         try:
-            sm = StreamMatcher(inst.pattern, inst.sigma, seed=987654321)
+            sm = StreamMatcher(
+                inst.pattern, inst.sigma, prime_bits=prime_bits, seed=987654321
+            )
             got = [e - m + 1 for e in sm.scan(inst.text)]
         except StructuralViolation:
             violations += 1
-            return
+            return None
         if sm.mode == "rand":
             n_rand += 1
         if got != want:
             bad += 1
+        return sm
 
     min_m = {2: 260, 4: 520, 8: 2080}
     # small bracket: all three kinds
@@ -147,11 +149,45 @@ def test_c02_rand_oracle_equivalence():
     # full-size corner
     for sigma in (4, 8):
         run(planted_instance(1 << 16, 4 << 16, sigma, seed=rng.randrange(2**31)))
+    # long-distance bracket: one symbol recurs once per round of the
+    # text, at a distance inside (m0, m), at m - 1, m or m + 1, or beyond
+    # a 13-bit prime (m <= p); the rest of a round is random, and every
+    # round the same.  The pattern is a window of the text that holds the
+    # recurring symbol at an offset past the ladder base, so it matches
+    # once per round, or it misses by one symbol in its second half.
+    dists = ("inside", "m-1", "m", "m+1", "beyond p")
+    far = {d: 0 for d in dists}
+    for t in range(80):
+        sigma = (3, 4)[t % 2]
+        dist = dists[t // 2 % 5]
+        m = log_uniform(rng, 520, 1500)
+        bits = 13 if dist == "beyond p" else 61
+        gap = {
+            "inside": rng.randint(m // 2, m - 2),
+            "m-1": m - 1,
+            "m": m,
+            "m+1": m + 1,
+            "beyond p": 8191 + rng.randint(1, 500),
+        }[dist]
+        inst = gap_instance(m, 3 * gap + 2 * m, sigma, t, gap, common=sigma - 1)
+        a = -rng.randrange(m // 4, m) % gap
+        pattern = inst.text[a : a + m]
+        if t // 10 % 2:
+            k = rng.randrange(m // 2, m)
+            pattern[k] = (pattern[k] + 1) % (sigma - 1)
+        sm = run(dataclasses.replace(inst, pattern=pattern), bits)
+        if sm is not None and sm.mode == "rand" and (dist != "inside" or sm.m0 < gap):
+            far[dist] += 1
     elapsed = time.perf_counter() - t0
     report(
         2,
-        bad == 0 and violations == 0 and n_rand >= 1000 and elapsed < 600,
-        f"{total} instances ({n_rand} randomized-mode), {bad} discrepancies, "
+        bad == 0
+        and violations == 0
+        and n_rand >= 1000
+        and min(far.values()) >= 4
+        and elapsed < 600,
+        f"{total} instances ({n_rand} randomized-mode; long distances "
+        f"{', '.join(f'{d}: {k}' for d, k in far.items())}), {bad} discrepancies, "
         f"{violations} structural violations, {elapsed:.0f}s (< 600s)",
     )
 
@@ -319,6 +355,8 @@ def test_c07_compressed_pred_shape():
 
 
 def test_c08_buffer_bounds():
+    # Recurrences in bursts at m - 2*sigma - 3, just inside (m0, m): a
+    # distance of m or more is a first occurrence and is never buffered.
     rng = random.Random(808)
     worst_b = 0
     worst_d_ratio = 0.0
@@ -326,11 +364,13 @@ def test_c08_buffer_bounds():
     runs = 0
     for sigma, m in ((2, 1100), (4, 2100), (8, 8300)):
         for trial in range(3):
-            inst = long_gap_instance(m, 14 * m, sigma, seed=rng.randrange(2**31))
+            gap = m - 2 * sigma - 3
+            inst = gap_instance(m, 14 * m, sigma, rng.randrange(2**31), gap)
             try:
                 sm = StreamMatcher(inst.pattern, sigma, seed=99)
                 if sm.mode != "rand":
                     continue
+                assert sm.m0 < gap
                 sm.scan(inst.text)
             except StructuralViolation:
                 violations += 1
@@ -342,7 +382,7 @@ def test_c08_buffer_bounds():
             assert sm.d_fill_max() <= 12 * sigma
     report(
         8,
-        violations == 0 and runs >= 6 and worst_b >= 1,
+        violations == 0 and runs >= 6 and worst_b >= 1 and worst_d_ratio > 0,
         f"{runs} adversarial runs, max |B| = {worst_b} (bound sigma), "
         f"max D fill = {worst_d_ratio:.2f} of 12*sigma, {violations} violations",
     )

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from parmatch.cli import main
-from parmatch.errors import AlphabetError, ConfigError
+from parmatch.cli import _COMMANDS, build_parser, main
+from parmatch.errors import AlphabetError
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.stream_matcher import StreamMatcher
@@ -151,6 +151,14 @@ def test_match_missing_file_exit_1(tmp_path):
     assert code == 1
 
 
+def test_help_names_every_subcommand():
+    # argparse prints the module docstring as the description, so the
+    # commands it lists must be the ones the parser takes.
+    help_text = " ".join(build_parser().format_help().split())
+    listed = help_text.split("Command-line interface: ", 1)[1].split(".", 1)[0]
+    assert listed.split(", ") == list(_COMMANDS) == ["match", "verify", "bench", "gen"]
+
+
 def test_usage_error_exit_1():
     code, _, err = run_cli(["match"])
     assert code == 1
@@ -275,46 +283,42 @@ def test_error_in_a_later_read_keeps_earlier_matches(tmp_path, bad, flags, messa
 
 
 def test_engine_error_inside_a_read_keeps_earlier_matches(tmp_path):
-    # With a 13-bit prime the randomized engine stops at the first
-    # distance >= p (index 9000), in the middle of the only read; the
-    # matches it reported before that are printed.
+    # The randomized engine's front end rejects symbol 4 at index 9000,
+    # in the middle of the only read; the matches it reported before that
+    # are printed.
     rng = random.Random(6)
     pattern = [rng.randrange(3) for _ in range(600)]
     text = [rng.randrange(3) for _ in range(12000)]
     for at in range(50, 12000 - 600, 1400):
         text[at : at + 600] = [(x + 1) % 3 for x in pattern]
-    text[100] = text[9000] = 3
-    args = dict(mode="rand", prime_bits=13, seed=4)
-    sm = StreamMatcher(pattern, 4, **args)
-    want = []
-    with pytest.raises(ConfigError) as stop:
-        for i, sym in enumerate(text):
-            if sm.step(sym):
-                want.append(i - 599)
+    text[9000] = 4
+    want = naive_all_matches(pattern, text[:9000])
     assert len(want) >= 3
+    assert StreamMatcher(pattern, 4, mode="rand").mode == "rand"
     pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
     txt = write(tmp_path, "t.txt", " ".join(map(str, text)))
     code, out, err = run_cli(
         ["match", "--pattern", pat, "--text", txt, "--alphabet-size", "4",
-         "--mode", "rand", "--prime-bits", "13", "--seed", "4"]
+         "--mode", "rand"]
     )
-    assert (code, err) == (1, f"error: {stop.value}\n")
+    assert (code, err) == (2, f"input error: {AlphabetError(4, 9000, 4)}\n")
     assert out == "".join(f"{s}\n" for s in want)
 
 
 def test_pattern_distance_beyond_the_prime_is_a_usage_error(tmp_path):
-    # Symbol 3 recurs 1495 positions later, past the 7-bit prime 127: the
-    # randomized constructor names the distance and the prime.
+    # Symbol 3 recurs 1495 positions later, past the 7-bit prime 127, in
+    # a pattern of 3000 symbols: the randomized route refuses a pattern
+    # longer than the prime, and the deterministic engine takes it.
     rng = random.Random(3)
     pattern = [rng.randrange(3) for _ in range(3000)]
     pattern[5] = pattern[1500] = 3
     pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
-    txt = write(tmp_path, "t.txt", "0 1 2")
-    code, out, err = run_cli(
-        ["match", "--pattern", pat, "--text", txt, "--mode", "rand", "--prime-bits", "7"]
-    )
+    txt = write(tmp_path, "t.txt", " ".join(map(str, pattern)))
+    args = ["match", "--pattern", pat, "--text", txt, "--prime-bits", "7"]
+    code, out, err = run_cli(args + ["--mode", "rand"])
     assert (code, out) == (1, "")
-    assert err == "error: pattern distance 1495 too large for prime 127\n"
+    assert err == "error: pattern length 3000 exceeds prime 127\n"
+    assert run_cli(args + ["--mode", "det"]) == (0, "0\n", "")
 
 
 def test_multi_read_token_stream_through_filter(tmp_path):

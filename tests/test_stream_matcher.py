@@ -15,6 +15,8 @@ from parmatch.predecessor import NEVER, LastOccurrence, pred_string
 from parmatch import stream_matcher
 from parmatch.stream_matcher import _BLOCK, OP_BUDGET, StreamMatcher
 
+from gaps import gap_instance
+
 
 def starts(matcher, m, text):
     return [e - m + 1 for e in matcher.scan(text)]
@@ -200,13 +202,22 @@ def test_small_prime_rejected_against_alphabet():
 
 
 def test_pattern_distance_beyond_the_prime_rejected():
-    # Symbol 3 recurs 1495 positions later, past the 7-bit prime 127.
+    # Symbol 3 recurs 1495 positions later, past the 7-bit prime 127, in
+    # a pattern of 3000 symbols.  The randomized route refuses any pattern
+    # longer than the prime, whether forced or chosen by routing; the
+    # deterministic engine takes it with the same prime.
     rng = random.Random(3)
     pattern = [rng.randrange(3) for _ in range(3000)]
     pattern[5] = pattern[1500] = 3
-    with pytest.raises(ConfigError) as exc:
-        StreamMatcher(pattern, 4, mode="rand", prime_bits=7)
-    assert str(exc.value) == "pattern distance 1495 too large for prime 127"
+    for mode in ("rand", "auto"):
+        with pytest.raises(ConfigError) as exc:
+            StreamMatcher(pattern, 4, mode=mode, prime_bits=7)
+        assert str(exc.value) == "pattern length 3000 exceeds prime 127"
+    text = [rng.randrange(4) for _ in range(9000)]
+    text[4000:7000] = pattern
+    ends = StreamMatcher(pattern, 4, mode="det", prime_bits=7).scan(text)
+    assert 6999 in ends
+    assert ends == [s + 2999 for s in naive_all_matches(pattern, text)]
 
 
 def test_alphabet_violation_names_index():
@@ -319,14 +330,17 @@ def test_distance_buffer_behavior():
     assert sm.mode == "rand"
     sm.scan([0, 1] * 2000)
     assert sm.b_peak == 0
-    # a symbol recurring after a gap beyond every ladder length lands in
-    # every level's zeroing queue
-    sm = StreamMatcher(p, 2, seed=4)
-    gap = len(p) + 1
-    text = [0] + [1] * gap + [0] + [1] * 50
-    sm.scan(text)
-    assert sm.b_peak == 1
-    assert all(n == 1 for n in sm.dq_next[1:])
+    # a symbol recurring at a distance beyond every ladder length below
+    # the top, and below m, lands in every level's zeroing queue; at a
+    # distance of m or more it is a first occurrence in every window, and
+    # nothing is buffered
+    for dist, pushed in ((len(p) - 1, 1), (len(p), 0), (len(p) + 1, 0)):
+        sm = StreamMatcher(p, 2, seed=4)
+        assert sm.mlen[-2] < len(p) - 1
+        text = [0] + [1] * (dist - 1) + [0] + [1] * 50
+        sm.scan(text)
+        assert sm.b_peak == pushed, dist
+        assert all(n == pushed for n in sm.dq_next[1:]), dist
 
 
 def test_level_checks_compute_window_relative_fingerprints():
@@ -350,16 +364,59 @@ def test_level_checks_compute_window_relative_fingerprints():
         assert acc == want, (ell, ip)
 
 
+def test_false_matches_stay_within_the_collision_bound():
+    # A 10-bit prime (p = 1021) over fixed fingerprint seeds.  Each window
+    # of the text is the pattern, relabelled or not, with a stretch of 1-40
+    # symbols redrawn inside the last level's second half [lo, hi) and
+    # outside the phase C tail [hi, m): every lower level passes, and only
+    # the last level's check, over |S| = hi - lo positions, can tell a near
+    # miss, which phase C then cannot.  A false pass there is a false match.
+    # Karp & Rabin bound each such check by |S| / (p - 1); with N checks
+    # the false matches stay below N*q + 4 standard deviations of
+    # Binomial(N, q), q = |S| / (p - 1).  (The real rate is near 1/p: 3
+    # false matches in 3600 checks here.)  No window that matches may be
+    # missed, and no bound may be breached.
+    m = 600
+    rng = random.Random(21)
+    pattern = [rng.randrange(2) for _ in range(m)]
+    probe = StreamMatcher(pattern, 2, mode="rand", prime_bits=10)
+    p, lo, hi = probe.p, probe.mlen[-2], probe.mlen[-1]
+    assert (p, lo, hi) == (1021, 256, m - probe.H)
+    want = pred_string(pattern)
+    text = []
+    for _ in range(40):
+        window = list(pattern)
+        a = rng.randrange(lo, hi - 50)
+        b = a + rng.randint(1, 40)
+        window[a:b] = [rng.randrange(2) for _ in range(b - a)]
+        assert pred_string(window)[hi:] == want[hi:]
+        if rng.randrange(2):
+            window = [1 - x for x in window]
+        text += window
+    ends = {s + m - 1 for s in naive_all_matches(pattern, text)}
+    checks = 100 * (40 - len(ends))
+    false = 0
+    for seed in range(100):
+        sm = StreamMatcher(pattern, 2, mode="rand", prime_bits=10, seed=seed)
+        got = set(sm.scan(text))
+        assert ends <= got, seed
+        false += len(got - ends)
+    q = (hi - lo) / (p - 1)
+    assert checks >= 3000
+    assert false <= checks * q + 4 * (checks * q * (1 - q)) ** 0.5
+
+
 def test_bounds_on_adversarial_gaps():
-    rng = random.Random(2)
+    # Every symbol but the filler recurs in bursts at m - 11, inside
+    # (m0, m), so the buffer and every zeroing queue are loaded.
     sigma = 4
     m = 2100
-    inst = make_instance("long_gap", m, 12 * m, sigma, seed=8)
+    inst = gap_instance(m, 12 * m, sigma, seed=8, gap=m - 11)
     sm = StreamMatcher(inst.pattern, sigma, seed=3)
-    assert sm.mode == "rand"
+    assert sm.mode == "rand" and sm.m0 < m - 11
     sm.scan(inst.text)
-    assert sm.b_peak <= sigma
-    assert sm.d_fill_max() <= 12 * sigma
+    assert 0 < sm.b_peak <= sigma
+    assert 0 < sm.d_fill_max() <= 12 * sigma
 
 
 def test_ops_within_budget_and_space_gauge():
@@ -544,7 +601,11 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
     # A matcher fed chunk by chunk through scan and one stepped through
     # the same chunks agree on every answer and on their whole state
     # after each chunk.
-    inst = make_instance(kind, m, n, 4, seed=seed)
+    if kind == "long_gap":
+        # Recurrences inside (m0, m), which load the buffers.
+        inst = gap_instance(m, n, 4, seed, gap=m - 11)
+    else:
+        inst = make_instance(kind, m, n, 4, seed=seed)
     text = inst.text
     want = [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
     for chunk in (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4096, n):
@@ -579,8 +640,9 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
             (96112, 3904, 3936, 19, 10000, 6, 6160, 192, 160, 1873, 0),
         ),
         (
+            # Its recurrences, past m, are first occurrences: no Bdelta.
             "long_gap", 2100, 9000, 8,
-            (81132, 8999, 8985, 14, 9000, 1, 11, 5, 5, 1656, 2),
+            (81000, 8999, 8985, 10, 9000, 1, 11, 5, 5, 1650, 0),
         ),
     ],
 )
@@ -677,7 +739,7 @@ def feed_past_errors(sm, text, chunk):
                     ends.append(k)
             else:
                 sm.scan(text[k : k + chunk], ends)
-        except (AlphabetError, ConfigError) as e:
+        except AlphabetError as e:
             errors.append((type(e), sm.i, str(e)))
         k = sm.i + 1
     return ends, errors
@@ -686,29 +748,29 @@ def feed_past_errors(sm, text, chunk):
 @pytest.mark.parametrize(
     "bits, n, at", [(13, 12000, 8500), (17, 140000, 131300)], ids=["13", "17"]
 )
-def test_scan_stops_at_a_distance_beyond_the_prime_like_step(bits, n, at):
-    # With a small prime (p = 8191 or 131071), symbol 3 returning after
-    # more than p arrivals raises at index `at` through both step and
-    # scan, naming the distance; both go on to the end of the text with
-    # the same answers and state, the front end's table included, so
-    # neither front end ran ahead of the engine.
+def test_scan_runs_past_a_distance_beyond_the_prime_like_step(bits, n, at):
+    # With a small prime (p = 8191 or 131071), symbol 3 stands only at
+    # offset 50 of each plant, and returns at index `at` after more than p
+    # arrivals: a first occurrence in the plant's window, like any
+    # distance of at least m.  Step and scan run to the end of the text
+    # with the oracle's answers, that plant's match included, and with the
+    # same state, the front end's table included.
     rng = random.Random(6)
     pattern = [rng.randrange(3) for _ in range(600)]
+    pattern[50] = 3
     text = [rng.randrange(3) for _ in range(n)]
-    for start in range(50, n - 600, 1400):
-        text[start : start + 600] = [(x + 1) % 3 for x in pattern]
-    text[100] = text[at] = 3
+    for start in [50, *range(at - 50, n - 600, 1400)]:
+        text[start : start + 600] = [x if x == 3 else (x + 1) % 3 for x in pattern]
     stepped = StreamMatcher(pattern, 4, mode="rand", prime_bits=bits, seed=4)
     scanned = StreamMatcher(pattern, 4, mode="rand", prime_bits=bits, seed=4)
     assert stepped.p == (1 << bits) - 1 <= at - 100
-    by_step = feed_past_errors(stepped, text, 1)
-    by_scan = feed_past_errors(scanned, text, 4096)
-    assert by_step == by_scan
-    ends, errors = by_step
-    p = stepped.p
-    msg = f"distance {at - 100} at stream index {at} reaches prime {p}"
-    assert errors == [(ConfigError, at, msg)]
-    assert ends[0] < at < ends[-1]
+    by_step = [i for i, sym in enumerate(text) if stepped.step(sym)]
+    by_scan = []
+    for k in range(0, n, 4096):
+        scanned.scan(text[k : k + 4096], by_scan)
+    want = [s + 599 for s in naive_all_matches(pattern, text)]
+    assert by_step == by_scan == want
+    assert want[0] == 649 and at + 549 in want
     assert matcher_state(scanned) == matcher_state(stepped)
 
 
@@ -863,20 +925,22 @@ def test_a_det_routed_matcher_feeds_its_det_engine():
 
 
 def test_history_entries_stay_below_the_block_bound():
-    # A history entry is a block's unreduced sum of values below p times
-    # powers below p, so below _BLOCK * p^2.  With p = 8191, symbols 3 ..
-    # 31 first occur at 322 .. 350 and recur p - 1 arrivals later, at the
-    # first 29 arrivals of one block, each with the largest distance the
-    # prime allows.  The largest entry lies far above p: the sums really
-    # are left unreduced, and still stay below the bound.
+    # A history entry is a block's unreduced sum of values below m <= p
+    # times powers below p, so below _BLOCK * m * p.  With m = 6000 and
+    # p = 8191, symbols 3 .. 31 first occur at 337 .. 365 and recur m - 1
+    # arrivals later, at the first 29 arrivals of one block, each with the
+    # largest distance that still enters a fingerprint.  The largest entry
+    # lies far above p: the sums really are left unreduced, and still stay
+    # below the bound.
     p = 8191
+    m = 6000
     rng = random.Random(8)
-    pattern = [rng.randrange(3) for _ in range(6000)]
+    pattern = [rng.randrange(3) for _ in range(m)]
     text = [rng.randrange(3) for _ in range(20000)]
     text[12000:18000] = [(x + 1) % 3 for x in pattern]
-    for a in (322, 322 + p - 1):
+    for a in (337, 337 + m - 1):
         text[a : a + 29] = range(3, 32)
-    assert (322 + p - 1) % _BLOCK == 0
+    assert (337 + m - 1) % _BLOCK == 0
     sm = StreamMatcher(pattern, 32, mode="rand", prime_bits=13, seed=4)
     assert sm.p == p
     top = 0
@@ -885,8 +949,8 @@ def test_history_entries_stay_below_the_block_bound():
         if sm.step(sym):
             ends.append(i)
         top = max(top, sm.hist_fp[i % sm.H])
-    assert ends == [s + 5999 for s in naive_all_matches(pattern, text)] == [17999]
-    assert 8 * p * p < top < _BLOCK * p * p
+    assert ends == [s + m - 1 for s in naive_all_matches(pattern, text)] == [17999]
+    assert 8 * m * p < top < _BLOCK * m * p
 
 
 def test_copies_made_mid_stream_go_on_like_the_original():
