@@ -85,7 +85,6 @@ class DetCore:
         "run_i",
         "occ_i",
         "pending",
-        "appended",
         "consumed",
         "phase",
         "g",
@@ -113,7 +112,6 @@ class DetCore:
         self.run_i = 0
         self.occ_i = 0
         self.pending: deque = deque()
-        self.appended = 0
         self.consumed = 0
         self.phase = _IDLE
         self.g = 0
@@ -127,7 +125,6 @@ class DetCore:
 
         Returns whether a match of the whole pattern ends at this arrival.
         """
-        self.appended += 1
         pending = self.pending
         if self.phase == _IDLE and not pending:
             # Fast path: nothing deferred, test the fresh symbol directly.
@@ -249,11 +246,14 @@ class DetCore:
                 g = self.g
                 ok = (pv_p == g) if 0 < g <= cand else (pv_p == 0)
                 if ok:
-                    seq = self.consumed
                     self.consumed += 1
                     r = cand + 1
                     if r == q:
-                        if seq != self.appended - 1 or pending:
+                        # Every arrival fed so far is consumed, pending, or
+                        # (outside _IDLE) the one in flight, g.  So this one
+                        # is the latest arrival exactly when nothing is
+                        # pending behind it.
+                        if pending:
                             raise StructuralViolation(
                                 "match completed on a deferred arrival"
                             )

@@ -15,7 +15,8 @@ class UsageError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: unsupported prime width, prime too small, ..."""
+    """Invalid configuration: unsupported prime width or mode, a forced
+    randomized route that the pattern does not allow."""
 
 
 class AlphabetError(ValueError):

@@ -126,8 +126,8 @@ def context_new(prime_bits: int = DEFAULT_PRIME_BITS, seed: int = 0) -> FieldCon
     base drawn from a generator seeded with `seed`.
 
     Deterministic given (prime_bits, seed).  Widths well below 16 bits are
-    accepted for testing but give no useful collision guarantee; whether p
-    exceeds the alphabet is checked where a matcher is built.
+    accepted for testing but give no useful collision guarantee; the
+    randomized matcher refuses a pattern longer than p where it is built.
     """
     p = prime_for_bits(prime_bits)
     r = random.Random(seed).randrange(1, p)

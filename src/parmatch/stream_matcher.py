@@ -59,11 +59,12 @@ up in a last-occurrence table in lock-step with the phases.  After each
 chunk the scalars are written back to the attributes, so the calls may be
 mixed and the matcher copied between them.
 Only the randomized route builds a FieldContext, from `prime_bits` and
-`seed`, and computes the level fingerprints; it refuses a pattern longer
-than the prime, whose distances would not stay distinct field values.  A
-det-routed matcher checks the prime against the alphabet only and holds
-no field values.  Each matcher builds its own context and owns its power
-state.
+`seed`, and computes the level fingerprints.  The prime binds that route
+alone: a pattern longer than the prime, whose distances would not stay
+distinct field values, is refused in mode "rand" and sent to the
+deterministic engine in mode "auto".  A det-routed matcher only checks
+that the width is valid and holds no field values.  Each matcher builds
+its own context and owns its power state.
 
 Every capacity and deadline the analysis guarantees is asserted at
 runtime; a breach raises StructuralViolation rather than degrading
@@ -177,11 +178,9 @@ class StreamMatcher(DenseFrontEnd):
         self.m = m
         self.run = None
         self.sigma = sigma
-        # Checked in every mode, though only the randomized route builds
-        # a context: the prime of a width is fixed, so no context is needed.
+        # The range check on the width, in every mode; only the randomized
+        # route builds a context, and the prime of a width is fixed.
         p = prime_for_bits(prime_bits)
-        if p <= sigma:
-            raise ConfigError(f"prime {p} must exceed the alphabet size {sigma}")
         profile = build_profile(pattern, sigma)
         ladder = profile.ladder
 
@@ -189,7 +188,14 @@ class StreamMatcher(DenseFrontEnd):
             raise ConfigError(
                 f"pattern not eligible for the randomized matcher: {ladder.reason}"
             )
-        if mode == "det" or ladder.mode == "det":
+        # The fingerprints take distances below m as field values, which
+        # stay distinct residues only while m <= p; past that, two pred
+        # strings may agree for every base, and a level check's bound
+        # |S|/(p - 1) promises nothing.  Auto mode takes such a pattern to
+        # the deterministic engine, which uses no field.
+        if mode == "rand" and m > p:
+            raise ConfigError(f"pattern length {m} exceeds prime {p}")
+        if mode == "det" or ladder.mode == "det" or m > p:
             # The det route's calls are _DetRouted's methods, so the rand
             # route's `step` and `i` stay the front end's and a slot, with
             # no per-arrival test of the route.
@@ -197,12 +203,6 @@ class StreamMatcher(DenseFrontEnd):
             self.mode = "det"
             self.det = DetMatcher(profile)
             return
-        # The fingerprints take distances below m as field values, which
-        # stay distinct residues only while m <= p; past that, two pred
-        # strings may agree for every base, and a level check's bound
-        # |S|/(p - 1) promises nothing.
-        if m > p:
-            raise ConfigError(f"pattern length {m} exceeds prime {p}")
         self.mode = "rand"
         self.det = None
         ctx = context_new(prime_bits, seed)
@@ -543,7 +543,7 @@ class StreamMatcher(DenseFrontEnd):
                                 # Entries were evicted before being scanned; safe
                                 # only if everything lost sat below the zeroing
                                 # range.
-                                if front >= end or front >= dq_next[ell]:
+                                if front >= end:
                                     raise StructuralViolation(
                                         f"level {ell} zeroing queue evicted"
                                         " unscanned entries"

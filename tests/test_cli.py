@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from parmatch.cli import _COMMANDS, build_parser, main
-from parmatch.errors import AlphabetError
+from parmatch.det_matcher import DetCore
+from parmatch.errors import AlphabetError, StructuralViolation
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.stream_matcher import StreamMatcher
@@ -305,10 +306,69 @@ def test_engine_error_inside_a_read_keeps_earlier_matches(tmp_path):
     assert out == "".join(f"{s}\n" for s in want)
 
 
+def test_structural_violation_exit_3_keeps_earlier_matches(tmp_path, monkeypatch):
+    # No valid stream breaches a bound, so the engine is made to raise
+    # five arrivals after the second plant's match, inside the only read:
+    # exit 3, and the matches reported before it are printed.
+    rng = random.Random(7)
+    pattern = [rng.randrange(3) for _ in range(40)]
+    text = [rng.randrange(5) for _ in range(2000)]
+    for at in (100, 700, 1500):
+        perm = rng.sample(range(5), 5)
+        text[at : at + 40] = [perm[x] for x in pattern]
+    want = naive_all_matches(pattern, text)
+    assert want == [100, 700, 1500]
+    calls = []
+    step_pred = DetCore.step_pred
+
+    def breaking(core, pv):
+        calls.append(pv)
+        if len(calls) == 700 + 40 + 5:
+            raise StructuralViolation("injected")
+        return step_pred(core, pv)
+
+    monkeypatch.setattr(DetCore, "step_pred", breaking)
+    pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
+    txt = write(tmp_path, "t.txt", " ".join(map(str, text)))
+    code, out, err = run_cli(["match", "--pattern", pat, "--text", txt])
+    assert code == 3
+    assert err.startswith("structural violation: ")
+    assert out == "100\n700\n"
+
+
+def test_empty_pattern_file_exit_2(tmp_path):
+    pat = write(tmp_path, "p.txt", " \n")
+    txt = write(tmp_path, "t.txt", "1 2 3\n")
+    assert run_cli(["match", "--pattern", pat, "--text", txt]) == (
+        2, "", "empty pattern\n"
+    )
+
+
+def test_gen_periodic_text_is_tiled_with_the_given_period(tmp_path):
+    pat = str(tmp_path / "p.txt")
+    txt = str(tmp_path / "t.txt")
+    code, _, _ = run_cli(
+        [
+            "gen", "--kind", "periodic", "--period", "7", "--m", "30",
+            "--n", "100", "--sigma", "4", "--seed", "3",
+            "--out-pattern", pat, "--out-text", txt,
+        ]
+    )
+    assert code == 0
+    pattern = [int(x) for x in open(pat).read().split()]
+    text = [int(x) for x in open(txt).read().split()]
+    assert len(pattern) == 30 and len(text) == 100
+    assert text[:30] == pattern
+    assert all(text[j] == text[j % 7] for j in range(100))
+    # Not the default block of m // 8 = 3 symbols.
+    assert any(text[j] != text[j % 3] for j in range(100))
+
+
 def test_pattern_distance_beyond_the_prime_is_a_usage_error(tmp_path):
     # Symbol 3 recurs 1495 positions later, past the 7-bit prime 127, in
-    # a pattern of 3000 symbols: the randomized route refuses a pattern
-    # longer than the prime, and the deterministic engine takes it.
+    # a rand-eligible pattern of 3000 symbols: the randomized route
+    # refuses a pattern longer than the prime when forced, and auto mode
+    # takes it to the deterministic engine, as --mode det does.
     rng = random.Random(3)
     pattern = [rng.randrange(3) for _ in range(3000)]
     pattern[5] = pattern[1500] = 3
@@ -319,6 +379,18 @@ def test_pattern_distance_beyond_the_prime_is_a_usage_error(tmp_path):
     assert (code, out) == (1, "")
     assert err == "error: pattern length 3000 exceeds prime 127\n"
     assert run_cli(args + ["--mode", "det"]) == (0, "0\n", "")
+    assert run_cli(args) == (0, "0\n", "")
+
+
+def test_raw_bytes_take_a_prime_below_the_alphabet(tmp_path):
+    # --raw reads 256 byte values, above the 7-bit prime 127; the pattern
+    # routes to det, which uses no prime.
+    pat = tmp_path / "p.bin"
+    pat.write_bytes(b"abba")
+    txt = tmp_path / "t.bin"
+    txt.write_bytes(b"xyyxzzx\xff")
+    args = ["match", "--pattern", str(pat), "--text", str(txt), "--raw"]
+    assert run_cli(args + ["--prime-bits", "7"]) == (0, "0\n3\n", "")
 
 
 def test_multi_read_token_stream_through_filter(tmp_path):

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from parmatch.det_matcher import _IDLE, CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
 from parmatch.errors import AlphabetError, ConfigError, UsageError
-from parmatch.fingerprint import FieldContext, context_new, fp_of_sequence, power_table
+from parmatch.fingerprint import (
+    FieldContext,
+    context_new,
+    fp_of_sequence,
+    power_table,
+    prime_for_bits,
+)
 from parmatch.gen import make_instance, periodic_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
@@ -87,13 +93,40 @@ def test_forced_det_builds_no_fingerprints(monkeypatch):
     assert starts(det, 1024, inst.text) == starts(auto, 1024, inst.text) == want
 
 
-def test_forced_det_keeps_the_prime_check():
-    # p = 7 for 3 bits; [0, 1] * 300 routes to det on its own, and the
-    # prime is checked before routing, so rand fails the same way.
-    msg = "prime 7 must exceed the alphabet size 8"
-    for mode in ("auto", "det", "rand"):
-        with pytest.raises(ConfigError, match=msg):
-            StreamMatcher([0, 1] * 300, 8, mode=mode, prime_bits=3)
+def test_det_and_auto_take_a_prime_below_the_alphabet():
+    # p = 7 for 3 bits, below sigma = 8.  Only the randomized route uses
+    # the prime, so [0, 1] * 300, which routes to det on its own, answers
+    # as the oracle in auto and det mode; forced rand refuses it as
+    # ineligible, not for its prime.
+    rng = random.Random(4)
+    pattern = [0, 1] * 300
+    text = [rng.randrange(8) for _ in range(3000)]
+    text[700:1300] = [5, 2] * 300
+    want = naive_all_matches(pattern, text)
+    assert want
+    for mode in ("auto", "det"):
+        sm = StreamMatcher(pattern, 8, mode=mode, prime_bits=3)
+        assert sm.mode == "det"
+        assert starts(sm, 600, text) == want
+    with pytest.raises(ConfigError, match="not eligible"):
+        StreamMatcher(pattern, 8, mode="rand", prime_bits=3)
+
+
+def test_every_width_takes_any_alphabet_off_the_rand_route():
+    # The width's range is the only prime check outside mode rand.  A
+    # rand-eligible pattern builds at every width in auto mode too: on the
+    # randomized route while m <= p, else on the deterministic one.
+    rng = random.Random(3)
+    eligible = [rng.randrange(2) for _ in range(400)]
+    for bits in range(3, 63):
+        for pattern, sigma in (([0], 1), ([0, 1, 2], 300), (eligible, 2)):
+            det = StreamMatcher(pattern, sigma, mode="det", prime_bits=bits)
+            auto = StreamMatcher(pattern, sigma, prime_bits=bits)
+            rand = pattern is eligible and len(pattern) <= prime_for_bits(bits)
+            assert (det.mode, auto.mode) == ("det", "rand" if rand else "det")
+    for bits in (2, 63):
+        with pytest.raises(ConfigError, match="outside supported range"):
+            StreamMatcher([0, 1], 2, mode="det", prime_bits=bits)
 
 
 def test_only_the_rand_route_builds_a_context(monkeypatch):
@@ -191,33 +224,47 @@ def test_mode_rand_rejects_ineligible():
         StreamMatcher([0] * 50, 2, mode="rand")
 
 
+def test_empty_pattern_rejected():
+    for mode in ("auto", "det", "rand"):
+        with pytest.raises(UsageError, match="^empty pattern$"):
+            StreamMatcher([], 2, mode=mode)
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ConfigError, match="unknown mode 'fast'"):
         StreamMatcher([0, 1, 2, 3], 4, mode="fast")
 
 
-def test_small_prime_rejected_against_alphabet():
-    with pytest.raises(ConfigError):
-        StreamMatcher([0, 1, 2], 300, prime_bits=7)  # p = 127
+def test_small_prime_accepted_for_a_large_alphabet():
+    # p = 127 for 7 bits, below sigma = 300: the pattern routes to det,
+    # which uses no prime.
+    sm = StreamMatcher([0, 1, 1, 0], 300, prime_bits=7)
+    assert sm.mode == "det"
+    text = [299, 5, 5, 299, 7, 7, 299]
+    assert starts(sm, 4, text) == naive_all_matches([0, 1, 1, 0], text) == [0, 3]
 
 
-def test_pattern_distance_beyond_the_prime_rejected():
+def test_pattern_longer_than_the_prime_goes_to_det_in_auto():
     # Symbol 3 recurs 1495 positions later, past the 7-bit prime 127, in
-    # a pattern of 3000 symbols.  The randomized route refuses any pattern
-    # longer than the prime, whether forced or chosen by routing; the
-    # deterministic engine takes it with the same prime.
+    # a rand-eligible pattern of 3000 symbols.  The randomized route
+    # refuses any pattern longer than the prime when forced; auto mode
+    # sends it to the deterministic engine, which takes it like forced
+    # det with the same prime.
     rng = random.Random(3)
     pattern = [rng.randrange(3) for _ in range(3000)]
     pattern[5] = pattern[1500] = 3
-    for mode in ("rand", "auto"):
-        with pytest.raises(ConfigError) as exc:
-            StreamMatcher(pattern, 4, mode=mode, prime_bits=7)
-        assert str(exc.value) == "pattern length 3000 exceeds prime 127"
+    assert StreamMatcher(pattern, 4).mode == "rand"
+    with pytest.raises(ConfigError) as exc:
+        StreamMatcher(pattern, 4, mode="rand", prime_bits=7)
+    assert str(exc.value) == "pattern length 3000 exceeds prime 127"
     text = [rng.randrange(4) for _ in range(9000)]
     text[4000:7000] = pattern
-    ends = StreamMatcher(pattern, 4, mode="det", prime_bits=7).scan(text)
-    assert 6999 in ends
-    assert ends == [s + 2999 for s in naive_all_matches(pattern, text)]
+    want = [s + 2999 for s in naive_all_matches(pattern, text)]
+    assert 6999 in want
+    for mode in ("auto", "det"):
+        sm = StreamMatcher(pattern, 4, mode=mode, prime_bits=7)
+        assert sm.mode == "det"
+        assert sm.scan(text) == want
 
 
 def test_alphabet_violation_names_index():
@@ -961,24 +1008,30 @@ def test_copies_made_mid_stream_go_on_like_the_original():
     # match queues hold candidates, and after it checks complete while two
     # or more levels wait; the two planted cuts while one level, or two,
     # wait before their deadlines and nothing else is in flight, so only
-    # the rebuilt deadline wakes phase B; the long_gap cut on a quiet
-    # arrival, with every level idle and nothing in flight.
-    for kind, m, n, seed, cut, waiting, queued in [
-        ("periodic", 2500, 10000, 2, 5000, 4, True),
-        ("planted", 3000, 9000, 5, 7000, 1, False),
-        ("planted", 6000, 18000, 5, 11000, 2, False),
-        ("long_gap", 2100, 9000, 8, 5000, 0, False),
+    # the rebuilt deadline wakes phase B; the sigma = 2 planted cut while
+    # one level scans and nothing else is in flight, so only the rebuilt
+    # `wake` below i keeps phase B running to finish that check; the
+    # long_gap cut on a quiet arrival, with every level idle and nothing
+    # in flight.
+    for kind, m, n, sigma, seed, mseed, cut, waiting, scanning, queued in [
+        ("periodic", 2500, 10000, 4, 2, 12, 5000, 4, 0, True),
+        ("planted", 3000, 9000, 4, 5, 12, 7000, 1, 0, False),
+        ("planted", 6000, 18000, 4, 5, 12, 11000, 2, 0, False),
+        ("planted", 650, 2600, 2, 905036695, 987654321, 577, 0, 1, False),
+        ("long_gap", 2100, 9000, 4, 8, 12, 5000, 0, 0, False),
     ]:
-        inst = make_instance(kind, m, n, 4, seed=seed)
-        sm = StreamMatcher(inst.pattern, 4, seed=12)
+        inst = make_instance(kind, m, n, sigma, seed=seed)
+        sm = StreamMatcher(inst.pattern, sigma, seed=mseed)
         assert sm.mode == "rand"
         sm.scan(inst.text[:cut])
         phases = sm.lv_phase
         assert phases.count(stream_matcher._WAIT) == waiting, kind
-        assert phases.count(stream_matcher._IDLE) == len(phases) - waiting, kind
+        assert phases.count(stream_matcher._SCAN) == scanning, kind
+        idle = len(phases) - waiting - scanning
+        assert phases.count(stream_matcher._IDLE) == idle, kind
         in_flight = (bool(sm.mq_words), sm.bcur, len(sm.bbuf), sm.c_ip)
         assert in_flight == (queued, None, 0, -1), kind
-        if kind == "planted":
+        if kind == "planted" and waiting:
             dues = [
                 sm.lv_ip[ell] + sm.mlen[ell] + sm.delta
                 for ell, ph in enumerate(phases)
@@ -992,7 +1045,7 @@ def test_copies_made_mid_stream_go_on_like_the_original():
         want = sm.scan(rest)
         ends = [s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)]
         assert want == [e for e in ends if e >= cut], kind
-        assert bool(want) == bool(waiting), kind
+        assert bool(want) == bool(waiting or scanning), kind
         for other in copies:
             assert other.scan(rest) == want, kind
             assert other.debug_checks == sm.debug_checks, kind
