@@ -3,8 +3,10 @@
 
 For each size: the constructor's wall time (preprocessing included),
 peak live words (expected ~C * sigma * log2 m), the enforced per-arrival
-op ceiling, the observed per-arrival max, and throughput.  Run from the
-repo root, either after `pip install -e .` or straight from a checkout:
+op ceiling, the observed per-arrival max (`-` for a size that routes to
+the deterministic engine, which counts no ops), and throughput.  Run
+from the repo root, either after `pip install -e .` or straight from a
+checkout:
 
     PYTHONPATH=src python3 scripts/space_time_scaling.py --logm 16 20
 """
@@ -37,8 +39,9 @@ def main():
         sm.scan(inst.text)
         el = time.perf_counter() - t0
         peak = sm.live_words_peak()
+        ops_max = sm.max_ops() if sm.mode == "rand" else "-"
         print(f"{m:>9} {sm.mode:>5} {setup:>7.3f} {peak:>10} {peak / delta:>6.1f} "
-              f"{OP_BUDGET:>10} {sm.max_ops():>7} {n / el / 1e6:>7.2f}")
+              f"{OP_BUDGET:>10} {ops_max:>7} {n / el / 1e6:>7.2f}")
 
 
 if __name__ == "__main__":

@@ -190,8 +190,7 @@ def build_parser() -> _Parser:
 def cmd_match(args) -> int:
     pattern = _read_all(args.pattern, args.raw)
     if not pattern:
-        print("empty pattern", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError("empty pattern")
     m = len(pattern)
     filt = None
     if args.alphabet_size is None and not args.raw:

@@ -117,9 +117,6 @@ class FieldContext:
         self.r = r
         self.r_inv = pow(r, p - 2, p)
 
-    def __repr__(self) -> str:
-        return f"FieldContext(p={self.p}, r={self.r})"
-
 
 def context_new(prime_bits: int = DEFAULT_PRIME_BITS, seed: int = 0) -> FieldContext:
     """Build a context with the fixed prime of the requested width and a

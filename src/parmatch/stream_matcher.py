@@ -522,8 +522,10 @@ class StreamMatcher(DenseFrontEnd):
                                 b = 2 * ((idx + 1) // _BLOCK % nb)
                                 pw = blocks[b + 1] * rtab[(idx + 1) & mask]
                                 lv_rlo[ell] = pw * gap_inv[ell] % p
-                                front = dq_next[ell] - dq_cap
-                                lv_cur[ell] = front if front > 0 else 0
+                                # Scanning starts from the queue's first entry
+                                # ever, so the first scan turn checks what the
+                                # ring lost before the split as well.
+                                lv_cur[ell] = 0
                                 lv_end[ell] = dq_next[ell]
                                 lv_phase[ell] = _SCAN
                                 # wake is already at most this deadline, < i.
@@ -540,8 +542,9 @@ class StreamMatcher(DenseFrontEnd):
                                 front = 0
                             buf = dq_bufs[ell]
                             if cur < front:
-                                # Entries were evicted before being scanned; safe
-                                # only if everything lost sat below the zeroing
+                                # Entries were evicted before being scanned
+                                # (entries enter in position order); safe only
+                                # if everything lost sat below the zeroing
                                 # range.
                                 if front >= end:
                                     raise StructuralViolation(
@@ -705,12 +708,6 @@ class _DetRouted(StreamMatcher):
 
     def live_words_peak(self) -> int:
         return self.det.live_words_peak()
-
-    def max_ops(self) -> int:
-        return 0
-
-    def d_fill_max(self) -> int:
-        return 0
 
     def __getstate__(self):
         # The slots it sets; `i` is its DetMatcher's.

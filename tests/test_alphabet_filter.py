@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
+from parmatch.det_matcher import DetMatcher
 from parmatch.oracle import naive_all_matches
+from parmatch.pattern import build_profile
 from parmatch.predecessor import NEVER, LastOccurrence, pred_string
 from parmatch.stream_matcher import StreamMatcher
 
@@ -113,6 +115,23 @@ def test_composition_matches_oracle_on_raw_stream():
             if sm.step(f.step(s)):
                 got.append(idx - m + 1)
         assert got == naive_all_matches(pattern_raw, text_raw), (trial, m, n)
+
+
+def test_the_pattern_s_symbols_plus_one_code_answer_as_the_oracle():
+    # The pattern uses its whole alphabet {0, 1}; the text's 2 lies
+    # outside it.  With distinct(P) + 1 = 3 codes the filter keeps every
+    # verdict.  With 2 codes, min(sigma, distinct(P) + 1) for a declared
+    # sigma = 2, the 2 takes the 0's code and the window reads as 0 1 0:
+    # a cap below distinct(P) + 1 is safe only while symbols outside the
+    # declared alphabet are rejected.
+    pattern, text = [0, 1, 0], [0, 1, 2]
+    dense, distinct = densify_pattern(pattern)
+    assert naive_all_matches(pattern, text) == []
+    # AlphabetFilter(k) keeps k + 1 codes.
+    codes = AlphabetFilter(distinct).scan_pred(text)
+    assert DetMatcher(build_profile(dense, distinct + 1)).feed(codes) == []
+    codes = AlphabetFilter(distinct - 1).scan_pred(text)
+    assert DetMatcher(build_profile(dense, distinct)).feed(codes) == [2]
 
 
 def filter_state(f):

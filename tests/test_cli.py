@@ -340,7 +340,7 @@ def test_empty_pattern_file_exit_2(tmp_path):
     pat = write(tmp_path, "p.txt", " \n")
     txt = write(tmp_path, "t.txt", "1 2 3\n")
     assert run_cli(["match", "--pattern", pat, "--text", txt]) == (
-        2, "", "empty pattern\n"
+        2, "", "input error: empty pattern\n"
     )
 
 

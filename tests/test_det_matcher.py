@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
 from parmatch.det_matcher import _IDLE, DetCore, DetMatcher
-from parmatch.errors import AlphabetError, UsageError
+from parmatch.errors import AlphabetError, StructuralViolation, UsageError
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
@@ -317,3 +317,43 @@ def test_feed_equals_scan_and_retires_the_table(name):
     with pytest.raises(UsageError):
         fed.scan(text[:5])
     assert det_state(fed) == {**det_state(scanned), "table": None}
+
+
+def test_scan_steps_past_a_first_occurrence_off_the_chain():
+    # At arrival 7 the machinery's first-occurrence cursor meets a first
+    # occurrence inside the current run, above the chain's lowest member
+    # but off its residue class, and steps past it.  Random input rarely
+    # does: 6 of 20,000 draws shaped like test_oracle_equivalence_random's
+    # (this is one, cut down).
+    pattern = [2, 2, 3, 3, 0, 0, 2, 0]
+    text = [1, 1, 0, 0, 2, 2, 1, 3] + pattern + [3, 1]
+    ends = [s + 7 for s in naive_all_matches(pattern, text)]
+    assert ends == [15]
+    dm = DetMatcher(build_profile(pattern, 4))
+    assert [j for j, sym in enumerate(text) if dm.step(sym)] == ends
+
+
+def test_a_full_deferral_buffer_raises():
+    # The planted stream defers up to `peak` arrivals; with the buffer's
+    # capacity one below that, the arrival that reaches it raises, and
+    # the matches before it are kept.
+    inst = make_instance("planted", 80, 1200, 3, seed=0)
+    profile = build_profile(inst.pattern, 3)
+    ref = DetMatcher(profile)
+    ref.scan(inst.text)
+    peak = ref.core.pend_peak
+    assert peak > 1
+    dm = DetMatcher(profile)
+    dm.core.pend_cap = peak - 1
+    out = []
+    with pytest.raises(
+        StructuralViolation, match=f"^deferral buffer exceeded capacity {peak - 1}$"
+    ):
+        dm.scan(inst.text, out)
+    want = [s + 79 for s in naive_all_matches(inst.pattern, inst.text)]
+    assert out == [e for e in want if e < dm.i] != []
+    ref = DetMatcher(profile)
+    ref.scan(inst.text[: dm.i])
+    assert ref.core.pend_peak < peak
+    ref.step(inst.text[dm.i])
+    assert ref.core.pend_peak == peak

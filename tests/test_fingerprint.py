@@ -40,6 +40,20 @@ def test_context_hashes():
     assert {context_new(61, 1)}
 
 
+@pytest.mark.parametrize(
+    "p, r, why",
+    [
+        (91, 2, "modulus 91 is not prime"),
+        (1, 1, "modulus 1 is not prime"),
+        (101, 0, r"base 0 outside \[1, 101\)"),
+        (101, 101, r"base 101 outside \[1, 101\)"),
+    ],
+)
+def test_context_rejects_a_bad_field(p, r, why):
+    with pytest.raises(ConfigError, match=f"^{why}$"):
+        FieldContext(p, r)
+
+
 def test_context_small_prime_constructible():
     # Tiny widths build fine; the alphabet check happens at matcher
     # construction, not here.
@@ -50,6 +64,15 @@ def test_context_small_prime_constructible():
 def test_fp_of_sequence_direct():
     fp = fp_of_sequence(ctx101(), [1, 2, 3])
     assert type(fp) is int and fp == 61  # 1 + 2*7 + 3*49 mod 101
+
+
+def test_fp_of_sequence_reads_wide_values_from_any_iterable():
+    # Values of 2^31 or more take two value limbs.  The hypothesis test
+    # below draws such values too, but not on every run.
+    c = context_new(61, seed=1)
+    seq = [2**31, 5, c.p - 1]
+    want = sum(v * pow(c.r, k, c.p) for k, v in enumerate(seq)) % c.p
+    assert fp_of_sequence(c, iter(seq)) == want
 
 
 def test_fp_of_sequence_empty_and_zeros():

@@ -14,6 +14,8 @@ from parmatch.fingerprint import context_new, fp_of_sequence
 from parmatch.gen import periodic_instance
 from parmatch.oracle import naive_pperiod
 from parmatch.pattern import (
+    PrefixLadder,
+    _check_ladder,
     build_compressed_pred,
     build_first_occurrences,
     build_ladder,
@@ -334,3 +336,39 @@ def test_level_fingerprints_match_pred_windows():
     assert ladder_fps == fps
     # The matcher is handed Python ints only, never numpy scalars.
     assert {type(v) for v in prof.pred + fps} == {int}
+
+
+def test_prefix_periods_of_an_empty_pattern_rejected():
+    with pytest.raises(UsageError, match="^empty pattern$"):
+        compute_prefix_pperiods([])
+
+
+def test_a_symbol_past_64_bits_rejected():
+    # Inside a wider declared alphabet, but no symbol array holds it.
+    with pytest.raises(UsageError, match=r"^pattern symbols must be below 2\*\*64"):
+        build_profile([1, 2**64], 2**65)
+
+
+def test_run_table_rejects_a_falling_period():
+    with pytest.raises(StructuralViolation, match="^prefix periods must be non-decreasing$"):
+        build_run_table([0, 1, 2, 1])
+
+
+@pytest.mark.parametrize(
+    "lengths, why",
+    [
+        ([9, 36], "ladder base period too small"),
+        ([11, 36], "ladder base is not the shortest prefix"),
+        ([10, 35], r"ladder must end at m - 4\*delta"),
+        ([10, 34, 36], r"ladder gap 2 below 3\*delta=3"),
+        ([10, 25, 36], "oversized intermediate ladder level"),
+    ],
+)
+def test_ladder_check_rejects_each_broken_rule(lengths, why):
+    # m = 40 and delta = 1; prefixes of 10 symbols or more have period 5,
+    # so the base is 10 and the last level 36.
+    periods = [0] + [1] * 9 + [5] * 31
+    ladder = PrefixLadder(delta=1, mode="rand", lengths=lengths)
+    with pytest.raises(StructuralViolation, match=f"^{why}$"):
+        _check_ladder(ladder, 40, periods)
+    _check_ladder(PrefixLadder(delta=1, mode="rand", lengths=[10, 20, 36]), 40, periods)

@@ -3,6 +3,7 @@ passes, run end to end at a small size."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,9 +31,9 @@ def run_python(path, *args):
     [
         (
             "space_time_scaling.py",
-            ["--logm", "10"],
+            ["--logm", "8", "10"],
             "m mode setup_s peak_words C_fit op_ceiling ops_max Msym/s",
-            1,
+            2,
         ),
         (
             "det_space_profile.py",
@@ -48,6 +49,10 @@ def test_script_runs(script, args, header, rows):
     lines = done.stdout.splitlines()
     assert lines[0].split() == header.split()
     assert len(lines) == 1 + rows
+    if script == "space_time_scaling.py":
+        # m = 2^8 routes to det, which counts no ops; m = 2^10 to rand.
+        ops = {row.split()[1]: row.split()[6] for row in lines[1:]}
+        assert ops["det"] == "-" and ops["rand"].isdigit()
 
 
 def test_traced_benchmark_runs():
@@ -73,3 +78,21 @@ def test_untraced_cli_benchmark_runs():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_unreached_lines_lists_what_a_suite_leaves_out():
+    # Over the match queue's own tests every line of match_queue.py runs,
+    # while the other engine modules are barely touched, so the gate
+    # fails and lists their lines, each with its source.
+    done = run_python(
+        ROOT / "scripts" / "unreached_lines.py", str(ROOT / "tests" / "test_match_queue.py")
+    )
+    assert done.returncode == 1, done.stderr
+    listed = re.findall(r"^(\w+):(\d+): (.*)$", done.stdout, re.M)
+    modules = {module for module, _, _ in listed}
+    assert "match_queue" not in modules
+    assert {"stream_matcher", "det_matcher", "pattern"} <= modules
+    for module, line, text in listed:
+        source = (ROOT / "src" / "parmatch" / f"{module}.py").read_text().splitlines()
+        assert source[int(line) - 1].strip() == text
+    assert re.search(r"^\d+ executable lines, \d+ run, \d+ never run", done.stdout, re.M)

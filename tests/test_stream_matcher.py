@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.det_matcher import _IDLE, CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
-from parmatch.errors import AlphabetError, ConfigError, UsageError
+from parmatch.errors import AlphabetError, ConfigError, StructuralViolation, UsageError
 from parmatch.fingerprint import (
     FieldContext,
     context_new,
@@ -1126,3 +1126,209 @@ def test_scan_keeps_matches_found_before_an_error():
     with pytest.raises(AlphabetError):
         sm.scan(text[end - 10 : end + 20], ends)
     assert ends == [end]
+
+
+# The runtime checks of the phases, made to fire.  Each guards a bound
+# that the analysis guarantees, so no valid stream breaks it: a test
+# lowers the bound (a module constant, which the phases read on every
+# arrival, or an attribute of a copy, whose phase generator reads it when
+# it starts) and checks that the violation is raised at the arrival where
+# the bound is first exceeded, and that the matches reported before that
+# arrival are kept.
+PERIODIC = make_instance("periodic", 4096, 20000, 4, seed=3)
+
+
+def violation(inst, sigma, seed, cut, patch):
+    """Scan `inst`'s text up to `cut`, apply `patch` to a copy of the
+    matcher, and scan the rest with it; returns the violation's message
+    and its arrival."""
+    sm = StreamMatcher(inst.pattern, sigma, seed=seed)
+    assert sm.mode == "rand"
+    ends = sm.scan(inst.text[:cut])
+    sm = copy.copy(sm)
+    patch(sm)
+    with pytest.raises(StructuralViolation) as err:
+        sm.scan(inst.text[cut:], ends)
+    m = len(inst.pattern)
+    want = [s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)]
+    assert ends == [e for e in want if e < sm.i]
+    return str(err.value), sm.i
+
+
+def reference_at(inst, sigma, seed, i):
+    """An unpatched matcher that has taken arrivals 0 .. i - 1."""
+    sm = StreamMatcher(inst.pattern, sigma, seed=seed)
+    sm.scan(inst.text[:i])
+    return sm
+
+
+def test_an_arrival_over_the_op_budget_raises(monkeypatch):
+    ref = StreamMatcher(PERIODIC.pattern, 4, seed=2)
+    for sym in PERIODIC.text:
+        ref.step(sym)
+        if ref.ops_last > 9:
+            break
+    assert (ref.i, ref.ops_last) == (147, 11)
+    monkeypatch.setattr(stream_matcher, "OP_BUDGET", 9)
+    msg, i = violation(PERIODIC, 4, 2, 0, lambda sm: None)
+    assert (msg, i) == ("arrival 147 used 11 ops, budget 9", 147)
+
+
+def test_a_tail_check_behind_schedule_raises(monkeypatch):
+    # With no comparison allowed, the tail check of the second match is
+    # still open at the arrival where its window closes, 4607.
+    def patch(sm):
+        monkeypatch.setattr(stream_matcher, "_C_BUDGET", 0)
+
+    msg, i = violation(PERIODIC, 4, 2, 4096, patch)
+    assert msg == "tail check behind schedule"
+    assert i == 4607
+
+
+def test_an_expired_history_raises_at_the_split():
+    # A quarter of the history holds delta entries; a level splits its
+    # fingerprint more than delta arrivals after its window's end.
+    def patch(sm):
+        sm.H //= 4
+
+    msg, i = violation(PERIODIC, 4, 2, 4096, patch)
+    ref = reference_at(PERIODIC, 4, 2, i)
+    ell = 1 + i % ref.s
+    assert msg == f"fingerprint history expired for level {ell}"
+    assert ref.lv_phase[ell] == stream_matcher._WAIT
+    ref.step(PERIODIC.text[i])
+    assert ref.lv_phase[ell] == stream_matcher._SCAN
+
+
+def test_a_late_level_report_raises():
+    # The first level check to pass after the first match completes at
+    # arrival `done`; a copy made one arrival earlier with delta = 0 finds
+    # that arrival past the check's reporting deadline.
+    ref = reference_at(PERIODIC, 4, 2, 4096)
+    ref.debug_checks = checks = []
+    while not any(acc == ref.level_fp[ell] for ell, _, acc in checks):
+        ref.step(PERIODIC.text[ref.i + 1])
+    done = ref.i
+    (ell,) = {ell for ell, _, acc in checks if acc == ref.level_fp[ell]}
+
+    def patch(sm):
+        sm.delta = 0
+
+    msg, i = violation(PERIODIC, 4, 2, done, patch)
+    assert (msg, i) == (f"level {ell} missed its reporting deadline", done)
+
+
+def tail_pop_after_the_first_match():
+    """A matcher that has just taken the final-level candidate after the
+    first match into its tail check."""
+    ref = reference_at(PERIODIC, 4, 2, 4096)
+    while ref.c_ip < 0:
+        ref.step(PERIODIC.text[ref.i + 1])
+    return ref
+
+
+def test_a_tail_pop_past_the_history_raises():
+    # The candidate leaves its queue `lag` arrivals past its last level;
+    # a history of `lag` entries no longer holds the tail's first position.
+    ref = tail_pop_after_the_first_match()
+    pop = ref.i
+    lag = pop - ref.c_ip - ref.mlen[-1]
+
+    def patch(sm):
+        sm.H = lag
+
+    assert violation(PERIODIC, 4, 2, pop, patch) == ("predecessor history expired", pop)
+
+
+def test_a_tail_check_completed_early_raises():
+    # A history cut to the comparisons the tail check has made so far
+    # counts the check as complete before its window closes.
+    ref = tail_pop_after_the_first_match()
+    ref.scan(PERIODIC.text[ref.i + 1 : ref.i + 31])
+    assert 0 < ref.c_k < ref.H
+    cut = ref.i + 1
+
+    def patch(sm):
+        sm.H = ref.c_k
+
+    msg, i = violation(PERIODIC, 4, 2, cut, patch)
+    assert (msg, i) == ("tail check completed off schedule", cut)
+
+
+def test_a_full_distance_buffer_raises():
+    # Symbols 1 .. sigma - 1 recur in bursts inside (m0, m) and queue up
+    # in the distance buffer; with its bound one below the peak they
+    # reach, the arrival that reaches the peak raises.
+    inst = gap_instance(2100, 3 * 2100, 4, seed=8, gap=2100 - 11)
+    ref = StreamMatcher(inst.pattern, 4, seed=3)
+    ref.scan(inst.text)
+    peak = ref.b_peak
+    assert peak > 1
+
+    def patch(sm):
+        sm.sigma = peak - 1
+
+    msg, i = violation(inst, 4, 3, 0, patch)
+    assert msg == f"distance buffer exceeded {peak - 1} entries"
+    ref = reference_at(inst, 4, 3, i)
+    assert ref.b_peak == peak - 1
+    ref.step(inst.text[i])
+    assert ref.b_peak == peak
+
+
+def block_tiling(sigma, g, m, n, seed):
+    """A pattern and a text cut from one tiling of a block of length g:
+    the filler 0 everywhere but at sigma - 1 random offsets, which hold
+    symbols 1 .. sigma - 1 once each.  Each of those recurs at distance
+    exactly g, and the pattern matches every g arrivals."""
+    rng = random.Random(seed)
+    block = [0] * g
+    for sym, off in enumerate(rng.sample(range(g), sigma - 1), 1):
+        block[off] = sym
+    text = block * ((m + n) // g + 1)
+    x = rng.randrange(g)
+    return text[x : x + m], text[m : m + n]
+
+
+# g = 300 lies in (m0, m) = (135, 1000): every recurrence enters the
+# distance buffer and each level's zeroing queue, whose 12 * sigma slots
+# wrap within the text, and inside a window a recurrence from before the
+# window's start reads as a first occurrence that the level checks zero
+# (without the zeroing, 16 of the 17 matches are lost).
+BLOCKS = block_tiling(4, 300, 1000, 6000, seed=13)
+
+
+def test_zeroing_queues_that_wrap_answer_as_the_oracle():
+    pattern, text = BLOCKS
+    sm = StreamMatcher(pattern, 4, seed=1)
+    assert sm.mode == "rand" and sm.m0 < 300
+    want = [s + 999 for s in naive_all_matches(pattern, text)]
+    assert len(want) == 17
+    assert sm.scan(text) == want
+    assert min(sm.dq_next[1:]) > sm.dq_cap
+
+
+@pytest.mark.parametrize(
+    "cap, why, at",
+    [
+        (1, "level 1 zeroing queue evicted unscanned entries", 632),
+        (2, "level 1 may have lost zeroing candidates", 632),
+        (6, "level 2 may have lost zeroing candidates", 1201),
+    ],
+)
+def test_a_zeroing_queue_too_small_raises(cap, why, at):
+    # With 1 or 2 slots, level 1's queue loses entries between its first
+    # check's split and its first scan turn.  With 6, level 2's queue has
+    # lost them before the split: scanning from the ring's front there
+    # would report 1 of the 17 matches and raise nothing.
+    pattern, text = BLOCKS
+    sm = StreamMatcher(pattern, 4, seed=1)
+    sm.dq_cap = cap
+    sm.dq_bufs = [None] + [[None] * cap for _ in range(sm.s)]
+    out = []
+    with pytest.raises(StructuralViolation, match=f"^{why}$"):
+        sm.scan(text, out)
+    assert sm.i == at
+    assert out == [s + 999 for s in naive_all_matches(pattern, text) if s + 999 < at]
+    ell = 1 + at % sm.s
+    assert why.startswith(f"level {ell} ") and sm.lv_phase[ell] == stream_matcher._SCAN
