@@ -31,17 +31,24 @@ well: the one-shift path.  Its outcome, cursors and counters are exactly
 those the machinery would produce, which it enters otherwise, from the
 phase reached.
 
-`DetMatcher.feed` runs the engine over a chunk of predecessor distances
-in one loop; `AlphabetFilter.scan_pred` knows them for a raw stream,
-which then needs no dense table at all.  Over a dense alphabet, `step`
-and `scan` are the shared front end of `predecessor.DenseFrontEnd`: a
-last-occurrence table in lock-step with the engine, and a symbol outside
-the alphabet entering as a fresh one.  Consecutive chunks continue one
-stream, so `scan` and `step` may be mixed freely.
+The arrival logic is written once, as a generator that holds the tables,
+cursors and counters in local variables and runs each chunk of distances
+sent to it through the fast path, the one-shift path and the machinery.
+`DetMatcher.feed` and `scan` send it a whole chunk; `step`, `step_pred`
+and the randomized matcher's phase A send one arrival.  The state is
+written back to the core's attributes only when one of them is read, so
+no send pays for a write-back.  `AlphabetFilter.scan_pred` knows the
+distances for a raw stream, which then needs no dense table at all.  Over
+a dense alphabet, `step` and `scan` are the shared front end of
+`predecessor.DenseFrontEnd`: a last-occurrence table in lock-step with
+the engine, and a symbol outside the alphabet entering as a fresh one.
+Consecutive chunks continue one stream, so `scan` and `step` may be mixed
+freely.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from .errors import StructuralViolation
@@ -63,14 +70,63 @@ CONSUMES_PER_ARRIVAL = 2
 _IDLE, _TEST, _SYNC, _SCAN = 0, 1, 2, 3
 
 
+class _Flush(Exception):
+    """Thrown into a core's generator: write the state back to the slots."""
+
+
+class _Reload(Exception):
+    """Thrown into a core's generator: read the state in from the slots."""
+
+
+def _write_back(core: DetCore) -> None:
+    """Write the state held by `core`'s generator back to its slots,
+    unless no arrival has run since the last write-back."""
+    if not core.synced:
+        core.run.throw(_Flush)
+
+
+class _Live:
+    """A state attribute of `DetCore`, stored in the slot of the same
+    name with a leading underscore.
+
+    While a generator runs the core, the value lives in the generator's
+    locals: a read writes them back first, and a write has the generator
+    read them in again.
+    """
+
+    __slots__ = ("slot",)
+
+    def __set_name__(self, owner, name):
+        self.slot = owner.__dict__["_" + name]
+
+    def __get__(self, core, owner=None):
+        if core is None:
+            return self
+        _write_back(core)
+        return self.slot.__get__(core)
+
+    def __set__(self, core, value):
+        _write_back(core)
+        self.slot.__set__(core, value)
+        if core.run is not None:
+            core.run.throw(_Reload)
+
+
 class DetCore:
     """The budgeted engine, fed global predecessor values.
 
     Decoupled from symbol handling so the randomized matcher can run it on
-    the ladder base with the distances it is fed: its phase A calls
-    `step_pred` on every arrival and reads only `consumed`, `pending` and
-    `live_words()` back.  The tables, cursors, counters and
-    the fast path all live here.
+    the ladder base with the distances it is fed: its phase A sends the
+    core's generator one arrival at a time and reads the verdict and the
+    symbols consumed from each send, and `pending` and `live_words()`
+    besides.  The tables, cursors, counters and the fast path all live
+    here.
+
+    `run` is the generator (None until the first arrival, and after an
+    error), and `synced` tells whether the state attributes hold its
+    locals.  The state attributes are `_Live`: reading one writes the
+    generator's state back first, and writing one has the generator read
+    it in again.
     """
 
     __slots__ = (
@@ -80,19 +136,37 @@ class DetCore:
         "occ",
         "cp_ks",
         "cp_cs",
-        "pend_cap",
-        "r",
-        "run_i",
-        "occ_i",
         "pending",
-        "consumed",
-        "phase",
-        "g",
-        "cand",
-        "shifts_last",
-        "units_last",
-        "pend_peak",
+        "run",
+        "synced",
+        "__weakref__",
+        "_pend_cap",
+        "_i",
+        "_r",
+        "_run_i",
+        "_occ_i",
+        "_consumed",
+        "_phase",
+        "_g",
+        "_cand",
+        "_shifts_last",
+        "_units_last",
+        "_pend_peak",
     )
+
+    pend_cap = _Live()
+    # The index of the last arrival fed, counted from 0.
+    i = _Live()
+    r = _Live()
+    run_i = _Live()
+    occ_i = _Live()
+    consumed = _Live()
+    phase = _Live()
+    g = _Live()
+    cand = _Live()
+    shifts_last = _Live()
+    units_last = _Live()
+    pend_peak = _Live()
 
     def __init__(self, profile: PatternProfile, pend_cap: int | None = None):
         self.q = profile.m
@@ -107,233 +181,312 @@ class DetCore:
         self.cp_cs = cp.cs
         if pend_cap is None:
             pend_cap = 4 * (profile.sigma + rho) + 16
-        self.pend_cap = pend_cap
-        self.r = 0
-        self.run_i = 0
-        self.occ_i = 0
         self.pending: deque = deque()
-        self.consumed = 0
-        self.phase = _IDLE
-        self.g = 0
-        self.cand = 0
-        self.shifts_last = 0
-        self.units_last = 0
-        self.pend_peak = 0
+        self.run = None
+        self.synced = True
+        self._pend_cap = pend_cap
+        self._i = -1
+        self._r = 0
+        self._run_i = 0
+        self._occ_i = 0
+        self._consumed = 0
+        self._phase = _IDLE
+        self._g = 0
+        self._cand = 0
+        self._shifts_last = 0
+        self._units_last = 0
+        self._pend_peak = 0
+
+    def __getstate__(self):
+        # A generator cannot be copied; the copy starts its own from the
+        # state written back here.
+        _write_back(self)
+        state = {k: getattr(self, k) for k in self.__slots__ if k != "__weakref__"}
+        state["run"] = None
+        return None, state
 
     def step_pred(self, pv: int) -> bool:
         """Feed the predecessor value of the arriving symbol.
 
         Returns whether a match of the whole pattern ends at this arrival.
         """
-        pending = self.pending
-        if self.phase == _IDLE and not pending:
-            # Fast path: nothing deferred, test the fresh symbol directly.
-            cand = self.r
-            rho = self.rho
-            j = cand % rho
-            pv_p = 0 if cand // rho < self.cp_ks[j] else self.cp_cs[j]
-            if (pv_p == pv) if 0 < pv <= cand else (pv_p == 0):
-                self.consumed += 1
-                self.shifts_last = 0
-                self.units_last = 0
-                r = cand + 1
-                if r == self.q:
-                    self.r = r - rho
-                    return True
-                # Cursor growth.  Here and in _TEST's commit r < q, and the
-                # last run ends at q, so a run after run_i always exists.
-                ri = self.run_i
-                if r > self.runs[ri][2]:
-                    self.run_i = ri + 1
-                occ = self.occ
-                oi = self.occ_i
-                if oi + 1 < len(occ) and occ[oi + 1] <= r:
-                    self.occ_i = oi + 1
-                self.r = r
-                return False
-            # First comparison failed.  Do what _SYNC would do with the
-            # cursors as they stand; when that leaves the first-occurrence
-            # cursor to descend, take _SCAN's first unit, one step down.
-            # When that names the next candidate (the top of the run, or a
-            # first-occurrence probe at most one step below the cursor),
-            # test it here, as _TEST would: the one-shift path.  Otherwise,
-            # or when the test fails, go on in the machinery from the
-            # phase reached.
-            shifts = SHIFTS_PER_ARRIVAL
-            units = UNITS_PER_ARRIVAL
-            rho_s, lo, hi = self.runs[self.run_i]
-            if lo > cand:
-                phase = _SYNC  # the run cursor has to descend
-            elif cand == hi:
-                cand -= rho_s
-                phase = _TEST
-            else:
-                xlow = cand - ((cand - lo) // rho_s) * rho_s
-                f = self.occ[self.occ_i]
-                phase = _TEST
-                if not (f < cand and (f < xlow or (f - xlow) % rho_s == 0)):
-                    oi = self.occ_i = self.occ_i - 1
-                    units -= 1
-                    f = self.occ[oi]
-                    if not (f < cand and (f < xlow or (f - xlow) % rho_s == 0)):
-                        phase = _SCAN  # the cursor descends further
-                if phase == _TEST:
-                    cand = f if f >= xlow else xlow - rho_s
-            if phase == _TEST:
-                shifts -= 1
-                j = cand % rho
-                pv_p = 0 if cand // rho < self.cp_ks[j] else self.cp_cs[j]
-                if (pv_p == pv) if 0 < pv <= cand else (pv_p == 0):
-                    # cand < r < q, so no match completes, and the run
-                    # cursor stays: an idle core's cursors never lag
-                    # behind r, and r does not rise.  After a
-                    # first-occurrence step, the entry stepped past may lie
-                    # at or below the new r: _TEST's growth rule then takes
-                    # the cursor back up to it.  The working slots (g,
-                    # cand) are set before they are next read, so they stay
-                    # as they are.
-                    self.consumed += 1
-                    self.shifts_last = 1
-                    self.units_last = UNITS_PER_ARRIVAL - units
-                    r = cand + 1
-                    if units != UNITS_PER_ARRIVAL:
-                        oi = self.occ_i
-                        if self.occ[oi + 1] <= r:
-                            self.occ_i = oi + 1
-                    self.r = r
-                    return False
-                phase = _SYNC
-            self.g = pv
-            self.cand = cand
-            self.phase = phase
-            consumes = CONSUMES_PER_ARRIVAL - 1
-        else:
-            pending.append(pv)
-            if len(pending) > self.pend_cap:
-                raise StructuralViolation(
-                    f"deferral buffer exceeded capacity {self.pend_cap}"
-                )
-            if len(pending) > self.pend_peak:
-                self.pend_peak = len(pending)
-            shifts = SHIFTS_PER_ARRIVAL
-            units = UNITS_PER_ARRIVAL
-            consumes = CONSUMES_PER_ARRIVAL
-            phase = self.phase
+        return (self.run or self._start()).send(pv) < 0
 
+    def _start(self):
+        run = self._arrivals()
+        next(run)
+        self.run = run
+        return run
+
+    def _arrivals(self):
+        """The arrival logic, run over each arrival's distance sent, or
+        each chunk of distances sent as (preds, out).
+
+        A chunk appends the index of each arrival at which a match ends to
+        `out`, unless it is None.  The state is held in locals from the
+        start, and written back only when `_Flush` is thrown in.  An error
+        writes it back too and ends the generator; the next arrival starts
+        a new one from the attributes.
+        """
+        # The core holds this generator, so the generator holds the core
+        # only weakly: a strong reference would make a cycle, and a dropped
+        # core would wait for the cyclic collector instead of going at once.
+        self = weakref.proxy(self)
+        q = self.q
+        rho = self.rho
         runs = self.runs
         occ = self.occ
-        q = self.q
-        verdict = False
-
+        last_occ = len(occ) - 1
+        cp_ks = self.cp_ks
+        cp_cs = self.cp_cs
+        pending = self.pending
         while True:
-            if phase == _IDLE:
-                if not pending or consumes == 0:
-                    break
-                self.g = pending.popleft()
-                consumes -= 1
-                self.cand = self.r
-                phase = _TEST
-            elif phase == _TEST:
-                cand = self.cand
-                # A symbol is first compared at cand == r, and every later
-                # candidate lies below r: each later one costs a shift.
-                if cand != self.r:
-                    if shifts == 0:
-                        break
-                    shifts -= 1
-                j = cand % self.rho
-                pv_p = 0 if cand // self.rho < self.cp_ks[j] else self.cp_cs[j]
-                g = self.g
-                ok = (pv_p == g) if 0 < g <= cand else (pv_p == 0)
-                if ok:
-                    self.consumed += 1
-                    r = cand + 1
-                    if r == q:
-                        # Every arrival fed so far is consumed, pending, or
-                        # (outside _IDLE) the one in flight, g.  So this one
-                        # is the latest arrival exactly when nothing is
-                        # pending behind it.
-                        if pending:
-                            raise StructuralViolation(
-                                "match completed on a deferred arrival"
-                            )
-                        verdict = True
-                        r -= self.rho
-                    else:
-                        # Cursor growth: r advanced by one, so each cursor
-                        # moves right by at most one.
-                        ri = self.run_i
-                        if r > runs[ri][2]:
-                            self.run_i = ri + 1
-                        oi = self.occ_i
-                        if oi + 1 < len(occ) and occ[oi + 1] <= r:
-                            self.occ_i = oi + 1
-                    self.r = r
-                    phase = _IDLE
-                else:
-                    # cand == 0 cannot fail: two first occurrences match.
-                    phase = _SYNC
-            elif phase == _SYNC:
-                cand = self.cand
-                ri = self.run_i
-                suspended = False
-                while runs[ri][1] > cand:
-                    if units == 0:
-                        suspended = True
-                        break
-                    ri -= 1
-                    units -= 1
-                self.run_i = ri
-                if suspended:
-                    break
-                rho_s, _, hi = runs[ri]
-                if cand == hi:
-                    # Top of a run: the relation that justifies skipping
-                    # does not cover this successor, so test it.
-                    self.cand = cand - rho_s
-                    phase = _TEST
-                else:
-                    phase = _SCAN
-            else:  # _SCAN
-                # xlow, the lowest member of cand's chain in this run,
-                # follows from cand and the run: the run cursor stays put
-                # while the first-occurrence cursor descends.
-                cand = self.cand
-                srho, lo, _ = runs[self.run_i]
-                xlow = lo + (cand - lo) % srho
-                oi = self.occ_i
+            # The state, read in at the start, after a write-back and after
+            # a write to a state attribute.
+            pend_cap = self._pend_cap
+            i = self._i
+            r = self._r
+            run_i = self._run_i
+            occ_i = self._occ_i
+            consumed = self._consumed
+            phase = self._phase
+            g = self._g
+            cand = self._cand
+            shifts_last = self._shifts_last
+            units_last = self._units_last
+            pend_peak = self._pend_peak
+            synced = self.synced = True
+            chunk = iter(())
+            hit = False
+            try:
                 while True:
-                    if units == 0:
-                        self.occ_i = oi
-                        self.phase = _SCAN
-                        self._finish(shifts, units)
-                        return verdict
-                    f = occ[oi]
-                    if f >= cand:
-                        oi -= 1
-                        units -= 1
-                    elif f < xlow:
-                        # No testable first occurrence left in this run's
-                        # descent: exit to the next run's chain member.
-                        self.cand = xlow - srho
-                        phase = _TEST
-                        break
-                    elif (f - xlow) % srho == 0:
-                        self.cand = f
-                        phase = _TEST
+                    # The next arrival: from the chunk being run, or else
+                    # from the next send, which is one arrival's distance
+                    # or a chunk (preds, out).  A send is answered with the
+                    # count of symbols consumed so far, negated when a
+                    # match ended during the send (a match consumes one).
+                    for pv in chunk:
                         break
                     else:
-                        oi -= 1
-                        units -= 1
-                self.occ_i = oi
+                        pv = yield -consumed if hit else consumed
+                        hit = False
+                        if synced:
+                            synced = self.synced = False
+                        out = None
+                        if type(pv) is tuple:
+                            chunk = iter(pv[0])
+                            out = pv[1]
+                            continue
+                    i += 1
+                    if phase == _IDLE and not pending:
+                        # Fast path: nothing deferred, test the fresh
+                        # symbol directly.
+                        x = r
+                        j = x % rho
+                        pv_p = 0 if x // rho < cp_ks[j] else cp_cs[j]
+                        if (pv_p == pv) if 0 < pv <= x else (pv_p == 0):
+                            consumed += 1
+                            shifts_last = units_last = 0
+                            r = x + 1
+                            if r < q:
+                                # Cursor growth.  Here and in _TEST's
+                                # commit r < q, and the last run ends
+                                # at q, so a run after run_i always
+                                # exists.
+                                if r > runs[run_i][2]:
+                                    run_i += 1
+                                if occ_i < last_occ and occ[occ_i + 1] <= r:
+                                    occ_i += 1
+                                continue
+                            r -= rho
+                            hit = True
+                            if out is not None:
+                                out.append(i)
+                            continue
+                        # First comparison failed.  Do what _SYNC would
+                        # do with the cursors as they stand; when that
+                        # leaves the first-occurrence cursor to descend,
+                        # take _SCAN's first unit, one step down.  When
+                        # that names the next candidate (the top of the
+                        # run, or a first-occurrence probe at most one
+                        # step below the cursor), test it here, as
+                        # _TEST would: the one-shift path.  Otherwise,
+                        # or when the test fails, go on in the machinery
+                        # from the phase reached.
+                        shifts = SHIFTS_PER_ARRIVAL
+                        units = UNITS_PER_ARRIVAL
+                        rho_s, lo, hi = runs[run_i]
+                        if lo > x:
+                            ph = _SYNC  # the run cursor has to descend
+                        elif x == hi:
+                            x -= rho_s
+                            ph = _TEST
+                        else:
+                            xlow = x - ((x - lo) // rho_s) * rho_s
+                            f = occ[occ_i]
+                            ph = _TEST
+                            if not (f < x and (f < xlow or (f - xlow) % rho_s == 0)):
+                                occ_i -= 1
+                                units -= 1
+                                f = occ[occ_i]
+                                if not (
+                                    f < x and (f < xlow or (f - xlow) % rho_s == 0)
+                                ):
+                                    ph = _SCAN  # the cursor descends further
+                            if ph == _TEST:
+                                x = f if f >= xlow else xlow - rho_s
+                        if ph == _TEST:
+                            shifts -= 1
+                            j = x % rho
+                            pv_p = 0 if x // rho < cp_ks[j] else cp_cs[j]
+                            if (pv_p == pv) if 0 < pv <= x else (pv_p == 0):
+                                # x < r < q, so no match completes, and
+                                # the run cursor stays: an idle core's
+                                # cursors never lag behind r, and r does
+                                # not rise.  After a first-occurrence
+                                # step, the entry stepped past may lie at
+                                # or below the new r: _TEST's growth rule
+                                # then takes the cursor back up to it.
+                                # The working values (g, cand) are set
+                                # before they are next read, so they stay
+                                # as they are.
+                                consumed += 1
+                                shifts_last = 1
+                                units_last = UNITS_PER_ARRIVAL - units
+                                r = x + 1
+                                if units != UNITS_PER_ARRIVAL and occ[occ_i + 1] <= r:
+                                    occ_i += 1
+                                continue
+                            ph = _SYNC
+                        phase = ph
+                        g = pv
+                        cand = x
+                        consumes = CONSUMES_PER_ARRIVAL - 1
+                    else:
+                        pending.append(pv)
+                        if len(pending) > pend_cap:
+                            raise StructuralViolation(
+                                f"deferral buffer exceeded capacity {pend_cap}"
+                            )
+                        if len(pending) > pend_peak:
+                            pend_peak = len(pending)
+                        shifts = SHIFTS_PER_ARRIVAL
+                        units = UNITS_PER_ARRIVAL
+                        consumes = CONSUMES_PER_ARRIVAL
 
-        self.phase = phase
-        self._finish(shifts, units)
-        return verdict
-
-    def _finish(self, shifts: int, units: int) -> None:
-        self.shifts_last = SHIFTS_PER_ARRIVAL - shifts
-        self.units_last = UNITS_PER_ARRIVAL - units
+                    # The shift machinery, from the phase reached.
+                    while True:
+                        if phase == _IDLE:
+                            if not pending or consumes == 0:
+                                break
+                            g = pending.popleft()
+                            consumes -= 1
+                            cand = r
+                            phase = _TEST
+                        elif phase == _TEST:
+                            # A symbol is first compared at cand == r,
+                            # and every later candidate lies below r:
+                            # each later one costs a shift.
+                            if cand != r:
+                                if shifts == 0:
+                                    break
+                                shifts -= 1
+                            j = cand % rho
+                            pv_p = 0 if cand // rho < cp_ks[j] else cp_cs[j]
+                            if (pv_p == g) if 0 < g <= cand else (pv_p == 0):
+                                consumed += 1
+                                r = cand + 1
+                                if r == q:
+                                    # Every arrival fed so far is
+                                    # consumed, pending, or (outside
+                                    # _IDLE) the one in flight, g.  So
+                                    # this one is the latest arrival
+                                    # exactly when nothing is pending
+                                    # behind it.
+                                    if pending:
+                                        raise StructuralViolation(
+                                            "match completed on a deferred arrival"
+                                        )
+                                    r -= rho
+                                    hit = True
+                                    if out is not None:
+                                        out.append(i)
+                                else:
+                                    # Cursor growth: r advanced by one,
+                                    # so each cursor moves right by at
+                                    # most one.
+                                    if r > runs[run_i][2]:
+                                        run_i += 1
+                                    if occ_i < last_occ and occ[occ_i + 1] <= r:
+                                        occ_i += 1
+                                phase = _IDLE
+                            else:
+                                # cand == 0 cannot fail: two first
+                                # occurrences match.
+                                phase = _SYNC
+                        elif phase == _SYNC:
+                            while units and runs[run_i][1] > cand:
+                                run_i -= 1
+                                units -= 1
+                            rho_s, lo, hi = runs[run_i]
+                            if lo > cand:
+                                break  # out of units: go on next arrival
+                            if cand == hi:
+                                # Top of a run: the relation that
+                                # justifies skipping does not cover this
+                                # successor, so test it.
+                                cand -= rho_s
+                                phase = _TEST
+                            else:
+                                phase = _SCAN
+                        else:  # _SCAN
+                            # xlow, the lowest member of cand's chain in
+                            # this run, follows from cand and the run:
+                            # the run cursor stays put while the
+                            # first-occurrence cursor descends.
+                            rho_s, lo, _ = runs[run_i]
+                            xlow = lo + (cand - lo) % rho_s
+                            while units:
+                                f = occ[occ_i]
+                                if f < cand:
+                                    if f < xlow:
+                                        # No testable first occurrence
+                                        # left in this run's descent:
+                                        # exit to the next run's chain
+                                        # member.
+                                        cand = xlow - rho_s
+                                        phase = _TEST
+                                        break
+                                    if (f - xlow) % rho_s == 0:
+                                        cand = f
+                                        phase = _TEST
+                                        break
+                                occ_i -= 1
+                                units -= 1
+                            else:
+                                break  # out of units: go on next arrival
+                    shifts_last = SHIFTS_PER_ARRIVAL - shifts
+                    units_last = UNITS_PER_ARRIVAL - units
+            except GeneratorExit:
+                # Closed as its core is freed: there is nothing to write to.
+                raise
+            except BaseException as e:
+                if e.__class__ is not _Reload:
+                    self._i = i
+                    self._r = r
+                    self._run_i = run_i
+                    self._occ_i = occ_i
+                    self._consumed = consumed
+                    self._phase = phase
+                    self._g = g
+                    self._cand = cand
+                    self._shifts_last = shifts_last
+                    self._units_last = units_last
+                    self._pend_peak = pend_peak
+                    self.synced = True
+                    if e.__class__ is not _Flush:
+                        self.run = None
+                        raise
 
     def live_words(self) -> int:
         """Words held across arrivals (tables included, pattern excluded)."""
@@ -359,15 +512,19 @@ class DetMatcher(DenseFrontEnd):
         self.i = -1
 
     def _arrive(self, pv: int) -> bool:
+        # `step_pred` written out: one call fewer on every `step`.
         self.i += 1
-        return self.core.step_pred(pv)
+        core = self.core
+        return (core.run or core._start()).send(pv) < 0
 
     def _run(self, preds, out) -> None:
-        step_pred = self.core.step_pred
-        for i, pv in enumerate(preds, self.i + 1):
-            self.i = i
-            if step_pred(pv):
-                out.append(i)
+        # The core counts the arrivals it takes, also when an error stops
+        # the chunk.
+        core = self.core
+        try:
+            (core.run or core._start()).send((preds, out))
+        finally:
+            self.i = core.i
 
     def live_words(self) -> int:
         # The table's sigma last arrivals; a fed matcher's live in the

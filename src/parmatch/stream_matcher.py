@@ -18,9 +18,12 @@ step:
   block, is all the base phase's field work; a reader rebuilds a prefix
   fingerprint, or a power r^j, with one product more;
 * phase A runs the deterministic matcher on the ladder base minus its
-  last symbol (one `DetCore.step_pred` call per arrival; the core owns
-  its tables, cursors and fast path), applies the final-character rule,
-  and enqueues base-prefix matches with their prefix fingerprints;
+  last symbol: it sends each arrival's distance to the `DetCore`'s
+  generator, which keeps the core's tables, cursors and fast path in
+  its own locals and answers with the symbols consumed so far and
+  whether a base-prefix match ended.  Phase A applies the
+  final-character rule and enqueues base-prefix matches with their
+  prefix fingerprints;
 * phase B prepares and consumes the zeroing queues: arrivals whose
   predecessor distance lies in (m0, m), above the base length, enter a
   small buffer and are distributed to the per-level queues one level per
@@ -363,8 +366,12 @@ class StreamMatcher(DenseFrontEnd):
         target = self.tail_target
         static_words = self.static_words
 
+        # Phase A sends the core's generator one arrival at a time.  That
+        # generator outlives this one when an error outside phase A stops
+        # this one, and ends with it when the error is the core's own.
         suba = self.suba
-        step_pred = suba.step_pred
+        arrive = (suba.run or suba._start()).send
+        a_done = suba.consumed
         pending = suba.pending
 
         i = self.i
@@ -428,13 +435,18 @@ class StreamMatcher(DenseFrontEnd):
                     hist_fp[slot] = loc
                     hist_pred[slot] = pv
 
-                    # Phase A: base-prefix matches.  The DetCore's fast path
-                    # (idle, nothing deferred, the first comparison succeeds)
-                    # consumes one symbol, so the common case costs 9 ops.
+                    # Phase A: base-prefix matches.  The core answers each
+                    # send with the symbols it has consumed, negated when a
+                    # match ends.  Its fast path (idle, nothing deferred,
+                    # the first comparison succeeds) consumes one symbol,
+                    # so the common case costs 9 ops.
                     prev = a_prev
-                    consumed = suba.consumed
-                    a_prev = step_pred(pv)
-                    ops = 8 + suba.consumed - consumed
+                    done = arrive(pv)
+                    a_prev = done < 0
+                    if a_prev:
+                        done = -done
+                    ops = 8 + done - a_done
+                    a_done = done
                     if prev and ((p0_last == pv) if 0 < pv < m0 else (p0_last == 0)):
                         w0 = q0.words
                         q0.push(i - m0 + 1, (bfp + bpw * loc) % p)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from parmatch.alphabet_filter import AlphabetFilter
 from parmatch.cli import _COMMANDS, build_parser, main
-from parmatch.det_matcher import DetCore
 from parmatch.errors import AlphabetError, StructuralViolation
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
@@ -307,8 +307,9 @@ def test_engine_error_inside_a_read_keeps_earlier_matches(tmp_path):
 
 
 def test_structural_violation_exit_3_keeps_earlier_matches(tmp_path, monkeypatch):
-    # No valid stream breaches a bound, so the engine is made to raise
-    # five arrivals after the second plant's match, inside the only read:
+    # No valid stream breaches a bound, so the alphabet filter's distances
+    # are made to raise five arrivals after the second plant's match,
+    # inside the only read, while the engine runs that read's chunk:
     # exit 3, and the matches reported before it are printed.
     rng = random.Random(7)
     pattern = [rng.randrange(3) for _ in range(40)]
@@ -318,16 +319,21 @@ def test_structural_violation_exit_3_keeps_earlier_matches(tmp_path, monkeypatch
         text[at : at + 40] = [perm[x] for x in pattern]
     want = naive_all_matches(pattern, text)
     assert want == [100, 700, 1500]
-    calls = []
-    step_pred = DetCore.step_pred
+    fed = 0
+    scan_pred = AlphabetFilter.scan_pred
 
-    def breaking(core, pv):
-        calls.append(pv)
-        if len(calls) == 700 + 40 + 5:
-            raise StructuralViolation("injected")
-        return step_pred(core, pv)
+    def breaking(filt, raws):
+        def preds():
+            nonlocal fed
+            for pv in scan_pred(filt, raws):
+                fed += 1
+                if fed == 700 + 40 + 5:
+                    raise StructuralViolation("injected")
+                yield pv
 
-    monkeypatch.setattr(DetCore, "step_pred", breaking)
+        return preds()
+
+    monkeypatch.setattr(AlphabetFilter, "scan_pred", breaking)
     pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
     txt = write(tmp_path, "t.txt", " ".join(map(str, text)))
     code, out, err = run_cli(["match", "--pattern", pat, "--text", txt])

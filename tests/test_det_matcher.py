@@ -1,15 +1,19 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
-from parmatch.det_matcher import _IDLE, DetCore, DetMatcher
+from parmatch.det_matcher import _IDLE, DetCore, DetMatcher, _Live
 from parmatch.errors import AlphabetError, StructuralViolation, UsageError
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
 from parmatch.predecessor import LastOccurrence
+
+from cores import core_state
 
 
 def starts(pattern, sigma, text):
@@ -106,14 +110,10 @@ def test_live_words_independent_of_m_at_fixed_period():
 
 def det_state(dm):
     """Everything a deterministic matcher carries between arrivals."""
-    core = dm.core
     return {
         "i": dm.i,
         "table": None if dm.tracker is None else list(dm.tracker.table),
-        "core": {
-            name: getattr(core, name) for name in DetCore.__slots__ if name != "pending"
-        },
-        "pending": list(core.pending),
+        "core": core_state(dm.core),
     }
 
 
@@ -334,9 +334,12 @@ def test_scan_steps_past_a_first_occurrence_off_the_chain():
 
 
 def test_a_full_deferral_buffer_raises():
-    # The planted stream defers up to `peak` arrivals; with the buffer's
-    # capacity one below that, the arrival that reaches it raises, and
-    # the matches before it are kept.
+    # The planted stream defers up to `peak` arrivals.  The buffer's
+    # capacity, lowered to one below that while the core runs, reaches the
+    # running generator, and the arrival that reaches it raises: it waits
+    # in `pending`, the matcher's index is its own, every other state
+    # attribute is as the arrival before left it, and the matches before
+    # it are kept.
     inst = make_instance("planted", 80, 1200, 3, seed=0)
     profile = build_profile(inst.pattern, 3)
     ref = DetMatcher(profile)
@@ -344,16 +347,94 @@ def test_a_full_deferral_buffer_raises():
     peak = ref.core.pend_peak
     assert peak > 1
     dm = DetMatcher(profile)
+    out = dm.scan(inst.text[:100])
+    assert dm.core.run is not None
     dm.core.pend_cap = peak - 1
-    out = []
     with pytest.raises(
         StructuralViolation, match=f"^deferral buffer exceeded capacity {peak - 1}$"
     ):
-        dm.scan(inst.text, out)
+        dm.scan(inst.text[100:], out)
+    bad = dm.i
     want = [s + 79 for s in naive_all_matches(inst.pattern, inst.text)]
-    assert out == [e for e in want if e < dm.i] != []
+    assert out == [e for e in want if e < bad] != []
     ref = DetMatcher(profile)
-    ref.scan(inst.text[: dm.i])
+    ref.scan(inst.text[:bad])
     assert ref.core.pend_peak < peak
-    ref.step(inst.text[dm.i])
+    before = core_state(ref.core)
+    ref.step(inst.text[bad])
     assert ref.core.pend_peak == peak
+    assert dm.core.run is None
+    assert core_state(dm.core) == {
+        **before,
+        "i": bad,
+        "pend_cap": peak - 1,
+        "pending": before["pending"] + [ref.core.pending[-1]],
+    }
+
+
+def test_chunks_and_one_arrival_sends_equal_step_pred():
+    # One seeded distance stream through three cores: `step_pred`, whole
+    # chunks of 1-800 distances, and one-arrival sends read as phase A
+    # reads them (the symbols consumed so far, negated when a match ends).
+    # They agree on every answer and, after each call, on every state
+    # attribute.  Reading the state writes a running generator back once
+    # and leaves it running.
+    pattern, sigma, text, want = det_instance("planted")
+    tracker = LastOccurrence(sigma)
+    preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
+    profile = build_profile(pattern, sigma)
+    stepped, chunked, sent = (DetCore(profile) for _ in range(3))
+    send = sent._start().send
+    rng = random.Random(22)
+    by_step, by_chunk, by_send = [], [], []
+    k = 0
+    while k < len(preds):
+        chunk = preds[k : k + rng.randint(1, 800)]
+        (chunked.run or chunked._start()).send((chunk, by_chunk))
+        for pv in chunk:
+            if stepped.step_pred(pv):
+                by_step.append(k)
+            done = send(pv)
+            if done < 0:
+                by_send.append(k)
+            assert not sent.synced
+            assert abs(done) == stepped.consumed, k
+            assert core_state(sent) == core_state(stepped), k
+            assert sent.synced
+            k += 1
+        assert core_state(chunked) == core_state(stepped), k
+    assert by_step == by_chunk == by_send == [s + len(pattern) - 1 for s in want] != []
+    assert stepped.i == len(preds) - 1 and stepped.pend_peak > 0
+
+
+def test_copies_taken_between_sends_go_on_like_the_original():
+    # A deep copy and a pickle of a matcher whose core's generator has
+    # run since its last write-back carry its state; the copies and the
+    # original, whose generator keeps running, answer the rest alike.
+    pattern, sigma, text, want = det_instance("planted")
+    ends = [s + len(pattern) - 1 for s in want]
+    dm = DetMatcher(build_profile(pattern, sigma))
+    half = 4200
+    for sym in text[:half]:
+        dm.step(sym)
+    assert dm.core.pending and not dm.core.synced
+    run = dm.core.run
+    copies = [copy.deepcopy(dm), pickle.loads(pickle.dumps(dm))]
+    assert dm.core.run is run
+    for c in copies:
+        assert c.core.run is None and det_state(c) == det_state(dm)
+    rest = text[half:]
+    for m in (dm, *copies):
+        assert [half + j for j, sym in enumerate(rest) if m.step(sym)] == [
+            e for e in ends if e >= half
+        ] != []
+        assert det_state(m) == det_state(dm)
+
+
+def test_state_attributes_are_live_descriptors():
+    # On the class each state attribute is its descriptor; on a core that
+    # has not run, reading and writing one touch only its slot.
+    assert isinstance(DetCore.consumed, _Live)
+    core = DetCore(build_profile([0, 1, 0], 2))
+    core.r = 2
+    assert (core.r, core._r, core.run) == (2, 2, None)

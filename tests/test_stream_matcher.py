@@ -21,6 +21,7 @@ from parmatch.predecessor import NEVER, LastOccurrence, pred_string
 from parmatch import stream_matcher
 from parmatch.stream_matcher import _BLOCK, OP_BUDGET, StreamMatcher
 
+from cores import core_state
 from gaps import gap_instance
 
 
@@ -183,20 +184,24 @@ def test_one_profile_per_construction(monkeypatch):
 
 
 def test_zeroing_is_needed_for_a_late_new_symbol():
-    # The text's first symbol recurs only inside the plant's last
-    # quarter, so its long distance enters the zeroing queues and must be
-    # subtracted from the level's split; without that the match is lost.
+    # A lone 3 arrives 101 arrivals before the plant, whose 3s all lie in
+    # its last quarter.  The plant's first 3 recurs at a distance below m
+    # that reaches past the window's start: a first occurrence in the
+    # window, whose distance enters every level's zeroing queue and must
+    # be subtracted from the level's split; without that the match is lost.
     m = 4096
     rng = random.Random(5)
     pattern = [rng.randrange(3) for _ in range(m)]
     for j in rng.sample(range(3 * m // 4, m), 40):
         pattern[j] = 3
     tail = [rng.randrange(3) for _ in range(100)]
-    text = [3] + [rng.randrange(3) for _ in range(2 * m)] + pattern + tail
-    assert [s + m - 1 for s in naive_all_matches(pattern, text)] == [12288]
+    text = [rng.randrange(3) for _ in range(2 * m)] + [3]
+    text += [rng.randrange(3) for _ in range(100)] + pattern + tail
+    assert [s + m - 1 for s in naive_all_matches(pattern, text)] == [12388]
     sm = StreamMatcher(pattern, 4, seed=5)
     assert sm.mode == "rand"
-    assert sm.scan(text) == [12288]
+    assert sm.scan(text) == [12388]
+    assert all(sm.dq_next[1:])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -622,7 +627,6 @@ def test_det_and_rand_agree_on_long_streams():
 
 def matcher_state(sm):
     """Everything a randomized matcher carries between arrivals."""
-    core = sm.suba
     return {
         "matcher": {
             name: getattr(sm, name)
@@ -633,10 +637,7 @@ def matcher_state(sm):
         "bbuf": list(sm.bbuf),
         "mq": [(list(map(list, q.segs)), q.last_pos, q.words) for q in sm.mq],
         "d_fill_max": sm.d_fill_max(),
-        "suba": {
-            name: getattr(core, name) for name in DetCore.__slots__ if name != "pending"
-        },
-        "pending": list(core.pending),
+        "suba": core_state(sm.suba),
     }
 
 
