@@ -35,13 +35,20 @@ The arrival logic is written once, as a generator that holds the tables,
 cursors and counters in local variables and runs each chunk of distances
 sent to it through the fast path, the one-shift path and the machinery.
 `DetMatcher.feed` and `scan` send it a whole chunk; `step`, `step_pred`
-and the randomized matcher's phase A send one arrival.  The state is
-written back to the core's attributes only when one of them is read, so
-no send pays for a write-back.  `AlphabetFilter.scan_pred` knows the
-distances for a raw stream, which then needs no dense table at all.  Over
-a dense alphabet, `step` and `scan` are the shared front end of
-`predecessor.DenseFrontEnd`: a last-occurrence table in lock-step with
-the engine, and a symbol outside the alphabet entering as a fresh one.
+and the randomized matcher's phase A send one arrival.  Phase A also
+sends a quiet stretch as one chunk with a tally: such a chunk stops right
+after an arrival where a match ends (the arrival after it may push into
+a queue, so it runs on its own), and its arrivals that run the shift
+machinery count into the tally what the caller needs to account for them
+exactly as for one arrival at a time (a fast or one-shift arrival
+consumes 1 symbol and leaves nothing pending).  The state is written
+back to the core's attributes only when one of them is read, so no send
+pays for a write-back.  `AlphabetFilter.scan_pred` knows the distances for a
+raw stream, which then needs no dense table at all.  Over a dense
+alphabet, `step` and `scan` are the shared front end of
+`predecessor.DenseFrontEnd`: a last-occurrence table that stands at the
+engine's last arrival after every call, and a symbol outside the
+alphabet entering as a fresh one.
 Consecutive chunks continue one stream, so `scan` and `step` may be mixed
 freely.
 """
@@ -117,10 +124,10 @@ class DetCore:
 
     Decoupled from symbol handling so the randomized matcher can run it on
     the ladder base with the distances it is fed: its phase A sends the
-    core's generator one arrival at a time and reads the verdict and the
-    symbols consumed from each send, and `pending` and `live_words()`
-    besides.  The tables, cursors, counters and the fast path all live
-    here.
+    core's generator one arrival, or a quiet stretch, at a time and reads
+    the verdict and the symbols consumed from each send, and `pending` and
+    `live_words()` besides.  The tables, cursors, counters and the fast
+    path all live here.
 
     `run` is the generator (None until the first arrival, and after an
     error), and `synced` tells whether the state attributes hold its
@@ -220,10 +227,15 @@ class DetCore:
 
     def _arrivals(self):
         """The arrival logic, run over each arrival's distance sent, or
-        each chunk of distances sent as (preds, out).
+        each chunk of distances sent as (preds, out, tally).
 
         A chunk appends the index of each arrival at which a match ends to
-        `out`, unless it is None.  The state is held in locals from the
+        `out`, unless it is None.  With a tally, a list [at, took, most
+        took, most held], it returns right after the first such arrival,
+        and the caller reads from `out` where; an arrival that runs the
+        machinery sets `at` to its index and `took` to the symbols it
+        consumed, and raises `most took` to that and `most held` to the
+        arrivals it leaves pending.  The state is held in locals from the
         start, and written back only when `_Flush` is thrown in.  An error
         writes it back too and ends the generator; the next arrival starts
         a new one from the attributes.
@@ -240,6 +252,8 @@ class DetCore:
         cp_ks = self.cp_ks
         cp_cs = self.cp_cs
         pending = self.pending
+        # An exhausted iterator: the chunk when none is being run.
+        drained = iter(())
         while True:
             # The state, read in at the start, after a write-back and after
             # a write to a state attribute.
@@ -256,15 +270,16 @@ class DetCore:
             units_last = self._units_last
             pend_peak = self._pend_peak
             synced = self.synced = True
-            chunk = iter(())
+            chunk = drained
             hit = False
             try:
                 while True:
                     # The next arrival: from the chunk being run, or else
                     # from the next send, which is one arrival's distance
-                    # or a chunk (preds, out).  A send is answered with the
-                    # count of symbols consumed so far, negated when a
-                    # match ended during the send (a match consumes one).
+                    # or a chunk (preds, out, tally).  A send is answered
+                    # with the count of symbols consumed so far, negated
+                    # when a match ended during the send (a match consumes
+                    # one).
                     for pv in chunk:
                         break
                     else:
@@ -272,10 +287,10 @@ class DetCore:
                         hit = False
                         if synced:
                             synced = self.synced = False
-                        out = None
+                        out = tally = None
                         if type(pv) is tuple:
-                            chunk = iter(pv[0])
-                            out = pv[1]
+                            chunk, out, tally = pv
+                            chunk = iter(chunk)
                             continue
                     i += 1
                     if phase == _IDLE and not pending:
@@ -302,6 +317,8 @@ class DetCore:
                             hit = True
                             if out is not None:
                                 out.append(i)
+                                if tally is not None:
+                                    chunk = drained
                             continue
                         # First comparison failed.  Do what _SYNC would
                         # do with the cursors as they stand; when that
@@ -362,7 +379,9 @@ class DetCore:
                         g = pv
                         cand = x
                         consumes = CONSUMES_PER_ARRIVAL - 1
+                        before = consumed
                     else:
+                        before = consumed
                         pending.append(pv)
                         if len(pending) > pend_cap:
                             raise StructuralViolation(
@@ -411,6 +430,8 @@ class DetCore:
                                     hit = True
                                     if out is not None:
                                         out.append(i)
+                                        if tally is not None:
+                                            chunk = drained
                                 else:
                                     # Cursor growth: r advanced by one,
                                     # so each cursor moves right by at
@@ -467,6 +488,14 @@ class DetCore:
                                 break  # out of units: go on next arrival
                     shifts_last = SHIFTS_PER_ARRIVAL - shifts
                     units_last = UNITS_PER_ARRIVAL - units
+                    if tally is not None:
+                        took = consumed - before
+                        tally[0] = i
+                        tally[1] = took
+                        if took > tally[2]:
+                            tally[2] = took
+                        if len(pending) > tally[3]:
+                            tally[3] = len(pending)
             except GeneratorExit:
                 # Closed as its core is freed: there is nothing to write to.
                 raise
@@ -522,7 +551,7 @@ class DetMatcher(DenseFrontEnd):
         # the chunk.
         core = self.core
         try:
-            (core.run or core._start()).send((preds, out))
+            (core.run or core._start()).send((preds, out, None))
         finally:
             self.i = core.i
 

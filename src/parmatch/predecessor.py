@@ -20,19 +20,25 @@ is how a pattern is preprocessed.
 
 Both engines take a stream only as these distances, through one entry,
 `feed(preds, out=None)`.  `DenseFrontEnd` gives them `step` and `scan`
-over a dense alphabet [0, sigma): a `LastOccurrence` table looks each
-symbol's distance up only when the engine asks for it, so an error that
-stops the engine leaves the table at the same arrival.  A symbol outside
-the alphabet, or one that is not an int (a float such as 1.5, a string),
-enters the engine as NEVER, a symbol seen nowhere else, so every later
-window is answered as if a fresh symbol stood there; its own verdict is
-dropped, and `AlphabetError` names its index.  Once `feed` has taken
-distances from elsewhere (the alphabet filter's), the table no longer
-describes the stream: it is dropped, and `step` and `scan` raise
-`UsageError`.
+over a dense alphabet [0, sigma): a `LastOccurrence` table gives the
+distances, one symbol at a time for `step`, and for `scan` a chunk's at
+once, as a list the engine can cut into stretches.  That list stops
+before the first symbol outside the alphabet, which is rejected once the
+engine has run the symbols before it.  When the engine stops on an error
+instead, the table is rolled back to the engine's last arrival, with work
+in proportion to the chunk, so that it always stands at the same arrival
+as the engine.  A symbol outside the alphabet, or one that is not an int
+(a float such as 1.5, a string), enters the engine as NEVER, a symbol
+seen nowhere else, so every later window is answered as if a fresh
+symbol stood there; its own verdict is dropped, and `AlphabetError`
+names its index.  Once `feed` has taken distances from elsewhere (the
+alphabet filter's), the table no longer describes the stream: it is
+dropped, and `step` and `scan` raise `UsageError`.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -108,28 +114,49 @@ class LastOccurrence:
         self.table[sym] = i
         return i - t if t >= 0 else NEVER
 
-    def preds(self, text, i: int):
-        """`step` over `text`, its first symbol at index i + 1, lazily.
+    def preds(self, text, i: int) -> tuple[list[int], AlphabetError | None]:
+        """`step` over `text`, its first symbol at index i + 1.
 
-        Each distance is looked up when the consumer asks for it, so the
-        table never runs ahead of the consumer, and a symbol outside the
-        alphabet, or not an int, raises its `AlphabetError` when its
-        distance is asked for.
+        Returns the distances up to the first symbol outside the alphabet,
+        or not an int, and that symbol's `AlphabetError` (None when there
+        is none); the table has taken the symbols before it.
         """
         # `step` written out: a call per arrival would cost more than the
         # lookup itself.
         table = self.table
         sigma = self.sigma
+        out = []
+        append = out.append
         for sym in text:
             i += 1
             try:
-                if not 0 <= sym < sigma:
-                    raise AlphabetError(sym, i, sigma)
-                t = table[sym]
+                if 0 <= sym < sigma:
+                    t = table[sym]
+                    table[sym] = i
+                    append(i - t if t >= 0 else NEVER)
+                    continue
             except TypeError:
-                raise AlphabetError(sym, i, sigma) from None
-            table[sym] = i
-            yield i - t if t >= 0 else NEVER
+                # A string fails the comparison, a float such as 1.5 the index.
+                pass
+            return out, AlphabetError(sym, i, sigma)
+        return out, None
+
+    def rollback(self, text, preds: list[int], i: int, last: int) -> None:
+        """Undo the arrivals after `last` of a chunk taken by `preds`:
+        `text`, its first symbol at index i + 1, and its distances.
+
+        Each symbol's first arrival after `last` gives back the entry it
+        replaced.
+        """
+        table = self.table
+        undone = set()
+        j = last
+        k = last - i
+        for sym, pv in zip(islice(text, k, None), islice(preds, k, None)):
+            j += 1
+            if sym not in undone:
+                undone.add(sym)
+                table[sym] = j - pv if pv != NEVER else -1
 
 
 _FED = "the matcher is fed predecessor distances: use feed, not step or scan"
@@ -174,11 +201,19 @@ class DenseFrontEnd:
             raise UsageError(_FED)
         if out is None:
             out = []
+        if iter(text) is text:
+            # A rollback reads the chunk again.
+            text = list(text)
+        i = self.i
+        preds, bad = tracker.preds(text, i)
         try:
-            self._run(tracker.preds(text, self.i), out)
-        except AlphabetError:
-            self._arrive(NEVER)
+            self._run(preds, out)
+        except BaseException:
+            tracker.rollback(text, preds, i, self.i)
             raise
+        if bad is not None:
+            self._arrive(NEVER)
+            raise bad
         return out
 
     def feed(self, preds, out=None) -> list[int]:

@@ -49,18 +49,36 @@ both phases on a quiet arrival, where they would only have tested their
 conditions: at seed 5, 99.92% of the arrivals on the `planted_512k`
 benchmark workload, whose candidate climbs the ladder while the queues
 are empty, and every arrival on `long_gap`, whose recurrences past m are
-first occurrences.  The ops and words accounting follows the phases on
-every arrival, so `ops_last`, `ops_max`, `words_peak` and the
-`OP_BUDGET` check stay exact arrival by arrival.
+first occurrences.
+
+Nothing in flight changes on a quiet arrival, so after one that ended no
+base-prefix match, the arrivals after it in the same chunk are quiet as
+well, up to the first distance in (m0, m) and, while a level waits, up
+to `wake`.  Such a stretch runs in bulk: phase A sends it to the core in
+one chunk, which returns right after a base-prefix match (the arrival
+after it may push, so it runs on its own), and the base phase writes the
+stretch block by block with `accumulate` over the values times r^0 ..
+r^31, and slice writes into the rings, where only the last H arrivals
+leave history entries.  The ops and words accounting stays exact: a
+quiet arrival charges 8 ops plus the symbols phase A consumes (at most
+3, so a stretch is taken only while `OP_BUDGET` allows 11) and holds
+`static_words` plus the arrivals the core leaves pending, and the core
+counts into a tally sent with the stretch the last of its arrivals that
+ran the shift machinery, with its count, and the peaks of both over
+them; every other arrival consumes 1 and leaves nothing pending.  When
+the core raises part-way through a stretch, the base phase is written
+through the raising arrival first, which leaves the state a stepped run
+has there.
 
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
 local variables and runs one chunk of distances per `send`: `feed` sends
 the distances it is given, and `step` and `scan` those of the shared
-dense front end (`predecessor.DenseFrontEnd`), which looks each symbol
-up in a last-occurrence table in lock-step with the phases.  After each
-chunk the scalars are written back to the attributes, so the calls may be
-mixed and the matcher copied between them.
+dense front end (`predecessor.DenseFrontEnd`), which looks a chunk's up
+in a last-occurrence table at once and rolls the table back when an
+error stops the phases part-way.  After each chunk the scalars are
+written back to the attributes, so the calls may be mixed and the
+matcher copied between them.
 Only the randomized route builds a FieldContext, from `prime_bits` and
 `seed`, and computes the level fingerprints.  The prime binds that route
 alone: a pattern longer than the prime, whose distances would not stay
@@ -79,8 +97,10 @@ matcher.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate, compress, count, islice, repeat
+from operator import gt, lt, mul
 
-from .det_matcher import DetCore, DetMatcher
+from .det_matcher import CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
 from .errors import ConfigError, StructuralViolation
 from .fingerprint import DEFAULT_PRIME_BITS, context_new, power_table, prime_for_bits
 from .match_queue import MatchQueue
@@ -107,6 +127,24 @@ _C_BUDGET = 5
 # Bdelta 5, Bphi 16 (scan turn), C 7.  Independent of the pattern length by
 # construction; enforced per arrival.
 OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
+# The most ops a quiet arrival can charge: the base phase's flat 7, and
+# phase A's 1 plus its symbols; nothing pushes.
+_QUIET_OPS = 8 + CONSUMES_PER_ARRIVAL + 1
+
+
+def _ring_write(ring, size, end, values) -> None:
+    """Write `values`, those of the arrivals just before index `end`, into
+    `ring`, where arrival a has slot a % size; only the last `size` of
+    them survive, so only those are written."""
+    values = values[-size:]
+    n = len(values)
+    at = (end - n) % size
+    cut = size - at
+    if n <= cut:
+        ring[at : at + n] = values
+    else:
+        ring[at:size] = values[:cut]
+        ring[: n - cut] = values[cut:]
 
 
 class StreamMatcher(DenseFrontEnd):
@@ -165,6 +203,7 @@ class StreamMatcher(DenseFrontEnd):
         "b_peak",
         "debug_checks",
         "run",
+        "__weakref__",
     )
 
     def __init__(
@@ -303,17 +342,23 @@ class StreamMatcher(DenseFrontEnd):
 
     def __getstate__(self):
         # A generator cannot be copied; the copy builds its own.
-        state = {k: getattr(self, k) for k in self.__slots__ if hasattr(self, k)}
+        state = {
+            k: getattr(self, k)
+            for k in self.__slots__
+            if k != "__weakref__" and hasattr(self, k)
+        }
         state["run"] = None
         return None, state
 
     # ------------------------------------------------------------------
 
     def _arrive(self, pv: int) -> bool:
-        return (self.run or self._start()).send(((pv,), None))
+        return (self.run or self._start()).send(((pv,), None, None, self))
 
     def _run(self, preds, out) -> None:
-        (self.run or self._start()).send((preds, out))
+        if type(preds) is not list:
+            preds = list(preds)
+        (self.run or self._start()).send((iter(preds), out, preds, self))
 
     def _start(self):
         run = self.run = self._phases()
@@ -322,15 +367,19 @@ class StreamMatcher(DenseFrontEnd):
 
     def _phases(self):
         """The four phases, run over each chunk of distances sent as
-        (preds, out).
+        (arrivals, out, preds, matcher).
 
-        Every table and scalar of the matcher is held in this frame's
-        locals between chunks; the scalars are written back to the
-        attributes after each chunk, also when an error stops it (the
-        peaks as soon as they rise).  An error ends the generator, and the
-        next call builds a new one from the attributes.  Match end indices
-        are appended to `out` unless it is None; yields whether the chunk
-        had any.
+        A chunk is one arrival's distance in a tuple, with `out` and
+        `preds` None, or an iterator over the list `preds`.  Every table
+        and scalar of the matcher is held in this frame's locals between
+        chunks; the scalars are written back to the attributes after each
+        chunk, also when an error stops it (the peaks as soon as they
+        rise).  An error ends the generator, and the next call builds a
+        new one from the attributes.  Match end indices are appended to
+        `out` unless it is None; yields whether the chunk had any.  The
+        matcher holds this generator, so the generator holds the matcher
+        only while it runs a chunk, which sends it in: a dropped matcher
+        goes at once, not by the cyclic collector.
         """
         sigma = self.sigma
         p = self.p
@@ -365,6 +414,9 @@ class StreamMatcher(DenseFrontEnd):
         level_fp = self.level_fp
         target = self.tail_target
         static_words = self.static_words
+        # A quiet stretch's values: a distance of m or more times False.
+        ms = repeat(m)
+        m0s = repeat(m0)
 
         # Phase A sends the core's generator one arrival at a time.  That
         # generator outlives this one when an error outside phase A stops
@@ -411,11 +463,12 @@ class StreamMatcher(DenseFrontEnd):
         words_peak = self.words_peak
         b_peak = self.b_peak
         hit = False
+        self = None
         while True:
-            preds, out = yield hit
+            arrivals, out, preds, self = yield hit
             hit = False
             try:
-                for pv in preds:
+                for pv in arrivals:
                     i += 1
                     off = i & mask
                     if not off:
@@ -653,6 +706,123 @@ class StreamMatcher(DenseFrontEnd):
                                         raise StructuralViolation(
                                             "tail check behind schedule"
                                         )
+                    elif (
+                        out is not None
+                        and not a_prev
+                        and arrivals.__length_hint__()
+                        and OP_BUDGET >= _QUIET_OPS
+                    ):
+                        # A quiet arrival of a chunk, not the last, that
+                        # ended no base-prefix match: the quiet stretch
+                        # after it runs in bulk (see the module docstring).
+                        # This arrival's own accounting, as on any quiet
+                        # one: no push, and at most _QUIET_OPS ops.
+                        ops_last = ops
+                        if ops > ops_max:
+                            ops_max = self.ops_max = ops
+                        words = static_words + len(pending)
+                        if words > words_peak:
+                            words_peak = self.words_peak = words
+                        # preds[j + at] is arrival j.
+                        at = len(preds) - arrivals.__length_hint__() - i - 1
+                        edge = len(preds) - at - 1
+                        if nbusy and wake < edge:
+                            edge = wake
+                        # Its values, read in windows that double from one
+                        # block, so that a long distance close by costs
+                        # little: a window whose largest distance is at
+                        # most m0 holds none.
+                        vals = []
+                        j = i + 1
+                        w = _BLOCK
+                        while j <= edge:
+                            z = j + w
+                            if z > edge:
+                                z = edge + 1
+                            win = preds[j + at : z + at]
+                            top = max(win)
+                            if top >= m:
+                                win = list(map(mul, win, map(gt, ms, win)))
+                                top = max(win)
+                            if top > m0:
+                                z = next(compress(count(j), map(lt, m0s, win)))
+                                vals += win[: z - j]
+                                break
+                            vals += win
+                            j = z
+                            w += w
+                        if vals:
+                            seg = preds[i + 1 + at : i + 1 + at + len(vals)]
+                            hits = []
+                            # This arrival, as if it had run the machinery.
+                            tally = [i, ops - 8, 0, 0]
+                            done = None
+                            try:
+                                done = arrive((seg, hits, tally))
+                            finally:
+                                # On an error, the core's own arrival is
+                                # where a step-by-step run stops: its base
+                                # phase has run, its phase A has not.  prev
+                                # is the last arrival that completed.
+                                if done is None:
+                                    last = suba.i
+                                    prev = last - 1
+                                else:
+                                    last = prev = hits[0] if hits else i + len(seg)
+                                run = last - i
+                                j = i + 1
+                                i = last
+                                vals = iter(vals)
+                                # Arrivals up to `last - H` leave no
+                                # history entry: later ones take their slots.
+                                keep = last - H
+                                fps = []
+                                while j <= last:
+                                    off = j & mask
+                                    if not off:
+                                        bfp = (bfp + bpw * loc) % p
+                                        bpw = bpw * r_block % p
+                                        loc = 0
+                                        b = 2 * (j // _BLOCK % nb)
+                                        blocks[b] = bfp
+                                        blocks[b + 1] = bpw
+                                    z = j - off + _BLOCK
+                                    if z > last:
+                                        z = last + 1
+                                    terms = map(mul, rtab[off : off + z - j], vals)
+                                    if z <= keep + 1:
+                                        loc = sum(terms, loc)
+                                    else:
+                                        sums = accumulate(terms, initial=loc)
+                                        next(sums)
+                                        fps += sums
+                                        loc = fps[-1]
+                                    j = z
+                                _ring_write(hist_fp, H, i + 1, fps)
+                                _ring_write(hist_pred, H, i + 1, seg[:run])
+                                # Each arrival of the stretch charges 8 ops
+                                # plus the symbols it consumes and holds
+                                # static_words plus the arrivals pending.
+                                # The tally has the last arrival that ran
+                                # the machinery, with its count, and the
+                                # peaks of both over such arrivals; the
+                                # others consume 1 and leave none pending,
+                                # as the stream's first arrival did, whose
+                                # 9 ops and static_words are counted.
+                                ops_last = 8 + (tally[1] if prev == tally[0] else 1)
+                                ops = 8 + tally[2]
+                                if ops > ops_max:
+                                    ops_max = self.ops_max = ops
+                                words = static_words + tally[3]
+                                if words > words_peak:
+                                    words_peak = self.words_peak = words
+                            a_prev = done < 0
+                            a_done = -done if a_prev else done
+                            next(islice(arrivals, run, run), None)
+                            # The frame outlives the chunk: drop the
+                            # stretch's lists, and at its end the chunk's.
+                            win = vals = seg = fps = terms = sums = None
+                        continue
 
                     ops_last = ops
                     if ops > ops_max:
@@ -677,6 +847,7 @@ class StreamMatcher(DenseFrontEnd):
                 self.c_k = c_k
                 self.mq_words = mq_words
                 self.ops_last = ops_last
+                self = arrivals = preds = None
 
     def live_words_peak(self) -> int:
         return self.words_peak

@@ -372,28 +372,80 @@ def test_a_full_deferral_buffer_raises():
     }
 
 
+def test_a_violation_mid_chunk_rolls_the_table_back():
+    # The deferral buffer's capacity, lowered to one below the peak this
+    # stream reaches, breaks part-way through a scanned chunk.  The front
+    # end has looked up the whole chunk's distances; it rolls its table
+    # back to the raising arrival, where a stepped run's stands, and with
+    # the capacity restored both go on alike to the end of the text.
+    inst = make_instance("planted", 80, 1200, 3, seed=0)
+    text = inst.text
+    profile = build_profile(inst.pattern, 3)
+    ref = DetMatcher(profile)
+    ref.scan(text)
+    peak = ref.core.pend_peak
+    scanned, stepped = DetMatcher(profile), DetMatcher(profile)
+    scanned.core.pend_cap = stepped.core.pend_cap = peak - 1
+    out = []
+    with pytest.raises(StructuralViolation, match="^deferral buffer exceeded"):
+        for k in range(0, len(text), 500):
+            scanned.scan(text[k : k + 500], out)
+    bad = scanned.i
+    with pytest.raises(StructuralViolation, match="^deferral buffer exceeded"):
+        for sym in text:
+            stepped.step(sym)
+    assert stepped.i == bad and bad % 500 not in (0, 499)
+    whole_chunk = LastOccurrence(3)
+    for j in range(bad // 500 * 500 + 500):
+        whole_chunk.step(text[j], j)
+    assert scanned.tracker.table == stepped.tracker.table != whole_chunk.table
+    assert core_state(scanned.core) == core_state(stepped.core)
+    want = [s + 79 for s in naive_all_matches(inst.pattern, text)]
+    assert out == [e for e in want if e < bad] != []
+    scanned.core.pend_cap = stepped.core.pend_cap = 1000
+    rest = scanned.scan(text[bad + 1 :])
+    assert rest == [j for j in range(bad + 1, len(text)) if stepped.step(text[j])]
+    assert scanned.tracker.table == stepped.tracker.table == ref.tracker.table
+    assert core_state(scanned.core) == core_state(stepped.core)
+
+
 def test_chunks_and_one_arrival_sends_equal_step_pred():
-    # One seeded distance stream through three cores: `step_pred`, whole
-    # chunks of 1-800 distances, and one-arrival sends read as phase A
-    # reads them (the symbols consumed so far, negated when a match ends).
-    # They agree on every answer and, after each call, on every state
-    # attribute.  Reading the state writes a running generator back once
-    # and leaves it running.
+    # One seeded distance stream through four cores: `step_pred`, whole
+    # chunks of 1-800 distances, the same chunks sent with a tally, which
+    # stop after each match and are sent again from the next arrival, and
+    # one-arrival sends read as phase A reads them (the symbols consumed
+    # so far, negated when a match ends).  They agree on every answer and,
+    # after each call, on every state attribute, and the tally's peaks are
+    # the most symbols one arrival consumed and the most arrivals one left
+    # pending.  Reading the state writes a running generator back once and
+    # leaves it running.
     pattern, sigma, text, want = det_instance("planted")
     tracker = LastOccurrence(sigma)
     preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
     profile = build_profile(pattern, sigma)
-    stepped, chunked, sent = (DetCore(profile) for _ in range(3))
+    stepped, chunked, stopped, sent = (DetCore(profile) for _ in range(4))
     send = sent._start().send
     rng = random.Random(22)
-    by_step, by_chunk, by_send = [], [], []
+    by_step, by_chunk, by_stop, by_send = [], [], [], []
+    tally = [-1, 0, 0, 0]
+    most_took = most_held = 0
     k = 0
     while k < len(preds):
         chunk = preds[k : k + rng.randint(1, 800)]
-        (chunked.run or chunked._start()).send((chunk, by_chunk))
+        (chunked.run or chunked._start()).send((chunk, by_chunk, None))
+        rest = chunk
+        while rest:
+            ends = []
+            done = (stopped.run or stopped._start()).send((rest, ends, tally))
+            assert (done < 0) == bool(ends) and ends in ([], [stopped.i])
+            by_stop += ends
+            rest = chunk[stopped.i + 1 - k :]
         for pv in chunk:
+            consumed = stepped.consumed
             if stepped.step_pred(pv):
                 by_step.append(k)
+            most_took = max(most_took, stepped.consumed - consumed)
+            most_held = max(most_held, len(stepped.pending))
             done = send(pv)
             if done < 0:
                 by_send.append(k)
@@ -402,8 +454,10 @@ def test_chunks_and_one_arrival_sends_equal_step_pred():
             assert core_state(sent) == core_state(stepped), k
             assert sent.synced
             k += 1
-        assert core_state(chunked) == core_state(stepped), k
-    assert by_step == by_chunk == by_send == [s + len(pattern) - 1 for s in want] != []
+        assert core_state(chunked) == core_state(stopped) == core_state(stepped), k
+    ends = [s + len(pattern) - 1 for s in want]
+    assert by_step == by_chunk == by_stop == by_send == ends != []
+    assert tally[2:] == [most_took, most_held] and most_took > 1 and most_held > 0
     assert stepped.i == len(preds) - 1 and stepped.pend_peak > 0
 
 

@@ -80,6 +80,40 @@ def test_stream_batch_agreement(seq):
     assert got == pred_string(seq)
 
 
+@given(seqs, st.data())
+def test_a_chunk_s_distances_and_their_rollback(seq, data):
+    # `preds` looks a chunk up as `step` would, up to its first symbol
+    # outside the alphabet, whose AlphabetError it returns; `rollback`
+    # takes the table back to any arrival of the chunk.
+    head = data.draw(st.integers(0, len(seq)))
+    bad = data.draw(st.sampled_from([None, -1, 6, 1.5]))
+    chunk = seq[head:]
+    if bad is not None:
+        chunk = chunk + [bad] + chunk
+    stepped = LastOccurrence(6)
+    for i, sym in enumerate(seq[:head]):
+        stepped.step(sym, i)
+    tr = LastOccurrence(6)
+    tr.table = list(stepped.table)
+    got, err = tr.preds(chunk, head - 1)
+    want = []
+    for i, sym in enumerate(chunk, head):
+        if sym == bad:
+            break
+        want.append(stepped.step(sym, i))
+    assert got == want
+    assert (err is None) == (bad is None)
+    if err is not None:
+        assert err.index == head + len(want)
+    assert tr.table == stepped.table
+    last = data.draw(st.integers(head - 1, head - 1 + len(got)))
+    tr.rollback(chunk, got, head - 1, last)
+    back = LastOccurrence(6)
+    for i, sym in enumerate((seq[:head] + chunk)[: last + 1]):
+        back.step(sym, i)
+    assert tr.table == back.table
+
+
 def test_window_relative_cases():
     # (global value, offset): further back than the offset, never seen and
     # no predecessor all read as a first occurrence inside the window.

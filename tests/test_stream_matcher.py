@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -625,13 +627,17 @@ def test_det_and_rand_agree_on_long_streams():
     assert a == b
 
 
+# Slots matcher_state leaves out or reads in its own way.
+LEFT_OUT = ("det", "tracker", "suba", "bbuf", "mq", "debug_checks", "run", "__weakref__")
+
+
 def matcher_state(sm):
     """Everything a randomized matcher carries between arrivals."""
     return {
         "matcher": {
             name: getattr(sm, name)
             for name in StreamMatcher.__slots__
-            if name not in ("det", "tracker", "suba", "bbuf", "mq", "debug_checks", "run")
+            if name not in LEFT_OUT
         },
         "table": None if sm.tracker is None else list(sm.tracker.table),
         "bbuf": list(sm.bbuf),
@@ -648,7 +654,10 @@ def matcher_state(sm):
 def test_scan_chunks_equal_step(kind, m, n, seed):
     # A matcher fed chunk by chunk through scan and one stepped through
     # the same chunks agree on every answer and on their whole state
-    # after each chunk.
+    # after each chunk.  Chunks of H + _BLOCK + 1 hold quiet stretches
+    # longer than the history, which write the entries of their last H
+    # arrivals only; H is a multiple of 4, so over 32 chunks the first of
+    # those falls at every offset of a block.
     if kind == "long_gap":
         # Recurrences inside (m0, m), which load the buffers.
         inst = gap_instance(m, n, 4, seed, gap=m - 11)
@@ -656,7 +665,8 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
         inst = make_instance(kind, m, n, 4, seed=seed)
     text = inst.text
     want = [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
-    for chunk in (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4096, n):
+    H = StreamMatcher(inst.pattern, 4, seed=12).H
+    for chunk in (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, H + _BLOCK + 1, 4096, n):
         stepped = StreamMatcher(inst.pattern, 4, seed=12)
         scanned = StreamMatcher(inst.pattern, 4, seed=12)
         assert stepped.mode == "rand"
@@ -674,6 +684,137 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
         assert want and len(stepped.debug_checks) > 10
     if kind == "long_gap":
         assert stepped.b_peak > 0 and stepped.d_fill_max() > 0
+
+
+class StretchLog:
+    """Stands in for a matcher's phase-A core generator: passes every send
+    and throw on, and logs each quiet stretch sent as one chunk as (its
+    first arrival, the last it ran, the base-prefix match ends it reported
+    or "raised")."""
+
+    def __init__(self, sm):
+        self.core = sm.suba
+        self.run = self.core._start()
+        self.core.run = self
+        self.stretches = []
+
+    def send(self, msg):
+        if type(msg) is not tuple:
+            return self.run.send(msg)
+        first = self.core.i + 1
+        try:
+            reply = self.run.send(msg)
+        except StructuralViolation:
+            self.stretches.append((first, self.core.i, "raised"))
+            raise
+        self.stretches.append((first, self.core.i, list(msg[1])))
+        return reply
+
+    def throw(self, exc):
+        return self.run.throw(exc)
+
+
+@pytest.mark.parametrize(
+    "boundary, cap",
+    [
+        ("match", None),
+        ("deadline", None),
+        ("long", None),
+        ("overflow", 5),
+        ("overflow", 4),
+    ],
+)
+def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundary, cap):
+    # Phase A takes a stretch of quiet arrivals in one send, and the
+    # arrivals after it run one at a time, where a stepped run would leave
+    # the quiet branch: right after a base-prefix match (the next arrival
+    # pushes it), at a waiting level's deadline, before a distance in
+    # (m0, m), or at a deferral overflow, which the core raises inside the
+    # stretch: with a cap of 5 on this stream at its second arrival, with
+    # 4 at its first, after an arrival that consumed nothing.  Chunks of
+    # 1000 put each boundary inside a chunk; after every call, the whole
+    # state equals a stepped run's, the front end's table, ops and words
+    # included, and both go on alike after the error.
+    if boundary == "long":
+        inst = gap_instance(2100, 9000, 4, 8, gap=2100 - 11)
+    elif boundary == "overflow":
+        inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    else:
+        inst = make_instance("planted", 3000, 9000, 4, seed=5)
+    text = inst.text
+    scanned, stepped = (StreamMatcher(inst.pattern, 4, seed=12) for _ in range(2))
+    assert scanned.mode == "rand"
+    log = StretchLog(scanned)
+    if cap is not None:
+        scanned.suba.pend_cap = stepped.suba.pend_cap = cap
+    by_scan, by_step, errors = [], [], []
+    pushes, dues = set(), set()
+    k = 0
+    while k < len(text):
+        try:
+            scanned.scan(text[k : k + 1000], by_scan)
+        except StructuralViolation as e:
+            errors.append((str(e), scanned.i))
+        for j in range(k, scanned.i + 1):
+            try:
+                if stepped.step(text[j]):
+                    by_step.append(j)
+            except StructuralViolation as e:
+                errors.append((str(e), j))
+            if stepped.mq[0].last_pos == j - stepped.m0 + 1:
+                pushes.add(j)
+            dues.update(
+                stepped.lv_ip[ell] + stepped.mlen[ell] + stepped.delta
+                for ell in range(1, stepped.s + 1)
+                if stepped.lv_phase[ell] == stream_matcher._WAIT
+            )
+        assert matcher_state(scanned) == matcher_state(stepped), k
+        if errors:
+            scanned.suba.pend_cap = stepped.suba.pend_cap = 1000
+        k = scanned.i + 1
+    assert by_scan == by_step
+    inside = [
+        (first, last, end)
+        for first, last, end in log.stretches
+        if first <= last and (last + 1) % 1000
+    ]
+    if boundary == "match":
+        assert any(end == [last] and last + 1 in pushes for _, last, end in inside)
+    elif boundary == "deadline":
+        assert any(end == [] and last in dues for _, last, end in inside)
+    elif boundary == "long":
+        pv = pred_string(text)
+        assert any(scanned.m0 < pv[last + 1] < 2100 for _, last, _ in inside)
+    else:
+        at = 146 + cap
+        assert errors == [(f"deferral buffer exceeded capacity {cap}", at)] * 2
+        assert (150, at, "raised") in log.stretches
+    if boundary != "overflow":
+        m = len(inst.pattern)
+        assert by_scan == [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
+
+
+def test_the_arrival_before_a_stretch_counts_its_own_words():
+    # Arrival 1291 leaves the deferral buffer at its fullest, and every
+    # arrival up to 1340 leaves it emptier.  A chunk that starts there runs
+    # 1291 on its own and 1292 .. 1340 as one stretch; the words gauge
+    # still reads 1291's peak, as a stepped run's does.
+    inst = make_instance("planted", 3000, 9000, 4, seed=5)
+    text = inst.text
+    stepped = StreamMatcher(inst.pattern, 4, seed=12)
+    held = []
+    for sym in text[:1341]:
+        stepped.step(sym)
+        held.append(len(stepped.suba.pending))
+    assert held.index(max(held)) == 1291 and max(held[1292:]) < held[1291]
+    scanned = StreamMatcher(inst.pattern, 4, seed=12)
+    log = StretchLog(scanned)
+    scanned.scan(text[:1291])
+    before = len(log.stretches)
+    scanned.scan(text[1291:1341])
+    assert log.stretches[before:] == [(1292, 1340, [])]
+    assert scanned.live_words_peak() == stepped.live_words_peak()
+    assert matcher_state(scanned) == matcher_state(stepped)
 
 
 @pytest.mark.parametrize(
@@ -936,10 +1077,10 @@ def test_a_rejected_symbol_leaves_the_table_as_it_was(chunk):
 
 
 def test_feed_equals_scan_and_retires_the_table():
-    # Fed its predecessor distances from elsewhere, a rand-routed matcher
-    # answers and moves as one that scans the symbols; it drops the front
-    # end's table, which no longer describes the stream, and refuses step
-    # and scan after.
+    # Fed its predecessor distances from elsewhere, as lists or any other
+    # iterable, a rand-routed matcher answers and moves as one that scans
+    # the symbols; it drops the front end's table, which no longer
+    # describes the stream, and refuses step and scan after.
     inst = make_instance("planted", 3000, 9000, 4, seed=5)
     text = inst.text
     tracker = LastOccurrence(4)
@@ -949,7 +1090,8 @@ def test_feed_equals_scan_and_retires_the_table():
     assert fed.mode == "rand"
     got = []
     for k in range(0, len(text), 1000):
-        assert fed.feed(preds[k : k + 1000], got) is got
+        chunk = preds[k : k + 1000]
+        assert fed.feed(chunk if k % 2000 else iter(chunk), got) is got
         scanned.scan(text[k : k + 1000])
         assert {**matcher_state(scanned), "table": None} == matcher_state(fed), k
     assert [e - 2999 for e in got] == naive_all_matches(inst.pattern, text)
@@ -1275,6 +1417,52 @@ def test_a_full_distance_buffer_raises():
     assert ref.b_peak == peak - 1
     ref.step(inst.text[i])
     assert ref.b_peak == peak
+
+
+def test_a_violation_mid_chunk_rolls_the_table_back():
+    # The distance buffer's bound, one below the peak this stream reaches,
+    # breaks part-way through a scanned chunk.  The front end has looked
+    # up the whole chunk's distances; it rolls its table back to the
+    # raising arrival, where a stepped run's stands, and with the bound
+    # restored both go on alike to the end of the text.
+    inst = gap_instance(2100, 3 * 2100, 4, seed=8, gap=2100 - 11)
+    text = inst.text
+    ref = StreamMatcher(inst.pattern, 4, seed=3)
+    ref.scan(text)
+    scanned, stepped = (StreamMatcher(inst.pattern, 4, seed=3) for _ in range(2))
+    scanned.sigma = stepped.sigma = ref.b_peak - 1
+    with pytest.raises(StructuralViolation, match="^distance buffer exceeded"):
+        # An iterator, which the front end keeps to read again.
+        scanned.scan(iter(text))
+    bad = scanned.i
+    with pytest.raises(StructuralViolation, match="^distance buffer exceeded"):
+        for sym in text:
+            stepped.step(sym)
+    assert stepped.i == bad < len(text) - 1
+    assert scanned.tracker.table == stepped.tracker.table != ref.tracker.table
+    assert matcher_state(scanned) == matcher_state(stepped)
+    scanned.sigma = stepped.sigma = 4
+    ends = scanned.scan(text[bad + 1 :])
+    assert ends == [j for j in range(bad + 1, len(text)) if stepped.step(text[j])]
+    assert matcher_state(scanned) == matcher_state(stepped)
+    assert scanned.tracker.table == ref.tracker.table
+
+
+def test_a_matcher_that_ran_is_freed_without_the_cyclic_collector():
+    # The phase generator holds its matcher only while it runs a chunk.
+    inst = make_instance("planted", 3000, 9000, 4, seed=5)
+    gc.disable()
+    try:
+        sm = StreamMatcher(inst.pattern, 4, seed=12)
+        assert sm.mode == "rand"
+        sm.scan(inst.text[:5000])
+        sm.step(inst.text[5000])
+        assert sm.run is not None
+        ref = weakref.ref(sm)
+        del sm
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def block_tiling(sigma, g, m, n, seed):
