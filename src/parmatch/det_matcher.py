@@ -43,12 +43,15 @@ machinery count into the tally what the caller needs to account for them
 exactly as for one arrival at a time (a fast or one-shift arrival
 consumes 1 symbol and leaves nothing pending).  The state is written
 back to the core's attributes only when one of them is read, so no send
-pays for a write-back.  `AlphabetFilter.scan_pred` knows the distances for a
-raw stream, which then needs no dense table at all.  Over a dense
-alphabet, `step` and `scan` are the shared front end of
-`predecessor.DenseFrontEnd`: a last-occurrence table that stands at the
-engine's last arrival after every call, and a symbol outside the
-alphabet entering as a fresh one.
+pays for a write-back; the attributes are read-only, since no program
+writes a running core's state.  An error, the deferral buffer's overflow
+say, writes the state back at the arrival that raised and ends the
+stream: the core's `run` becomes an `errors.Stopped`, and every later
+arrival raises `UsageError`.  `AlphabetFilter.scan_pred` knows the
+distances for a raw stream, which then needs no dense table at all.
+Over a dense alphabet, `step` and `scan` are the shared front end of
+`predecessor.DenseFrontEnd`: a last-occurrence table, and a symbol
+outside the alphabet entering as a fresh one.
 Consecutive chunks continue one stream, so `scan` and `step` may be mixed
 freely.
 """
@@ -58,7 +61,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 
-from .errors import StructuralViolation
+from .errors import Stopped, StructuralViolation
 from .pattern import (
     PatternProfile,
     build_compressed_pred,
@@ -81,10 +84,6 @@ class _Flush(Exception):
     """Thrown into a core's generator: write the state back to the slots."""
 
 
-class _Reload(Exception):
-    """Thrown into a core's generator: read the state in from the slots."""
-
-
 def _write_back(core: DetCore) -> None:
     """Write the state held by `core`'s generator back to its slots,
     unless no arrival has run since the last write-back."""
@@ -93,12 +92,11 @@ def _write_back(core: DetCore) -> None:
 
 
 class _Live:
-    """A state attribute of `DetCore`, stored in the slot of the same
-    name with a leading underscore.
+    """A read-only state attribute of `DetCore`, stored in the slot of the
+    same name with a leading underscore.
 
     While a generator runs the core, the value lives in the generator's
-    locals: a read writes them back first, and a write has the generator
-    read them in again.
+    locals, so a read writes them back first.
     """
 
     __slots__ = ("slot",)
@@ -112,12 +110,6 @@ class _Live:
         _write_back(core)
         return self.slot.__get__(core)
 
-    def __set__(self, core, value):
-        _write_back(core)
-        self.slot.__set__(core, value)
-        if core.run is not None:
-            core.run.throw(_Reload)
-
 
 class DetCore:
     """The budgeted engine, fed global predecessor values.
@@ -129,11 +121,12 @@ class DetCore:
     `live_words()` besides.  The tables, cursors, counters and the fast
     path all live here.
 
-    `run` is the generator (None until the first arrival, and after an
-    error), and `synced` tells whether the state attributes hold its
-    locals.  The state attributes are `_Live`: reading one writes the
-    generator's state back first, and writing one has the generator read
-    it in again.
+    `run` is the generator (None until the first arrival, and a `Stopped`
+    after an error, which ends the stream), and `synced` tells whether the
+    state attributes hold its locals.  The state attributes are `_Live`:
+    reading one writes the generator's state back first, and none can be
+    written.  `pend_cap`, the deferral buffer's capacity, is a plain
+    attribute, read when the generator starts.
     """
 
     __slots__ = (
@@ -144,10 +137,10 @@ class DetCore:
         "cp_ks",
         "cp_cs",
         "pending",
+        "pend_cap",
         "run",
         "synced",
         "__weakref__",
-        "_pend_cap",
         "_i",
         "_r",
         "_run_i",
@@ -161,7 +154,6 @@ class DetCore:
         "_pend_peak",
     )
 
-    pend_cap = _Live()
     # The index of the last arrival fed, counted from 0.
     i = _Live()
     r = _Live()
@@ -191,7 +183,7 @@ class DetCore:
         self.pending: deque = deque()
         self.run = None
         self.synced = True
-        self._pend_cap = pend_cap
+        self.pend_cap = pend_cap
         self._i = -1
         self._r = 0
         self._run_i = 0
@@ -206,10 +198,11 @@ class DetCore:
 
     def __getstate__(self):
         # A generator cannot be copied; the copy starts its own from the
-        # state written back here.
+        # state written back here.  A stopped core's copy stays stopped.
         _write_back(self)
         state = {k: getattr(self, k) for k in self.__slots__ if k != "__weakref__"}
-        state["run"] = None
+        if type(self.run) is not Stopped:
+            state["run"] = None
         return None, state
 
     def step_pred(self, pv: int) -> bool:
@@ -237,8 +230,8 @@ class DetCore:
         consumed, and raises `most took` to that and `most held` to the
         arrivals it leaves pending.  The state is held in locals from the
         start, and written back only when `_Flush` is thrown in.  An error
-        writes it back too and ends the generator; the next arrival starts
-        a new one from the attributes.
+        writes it back too, with `i` at the arrival that raised, and ends
+        the stream: `run` becomes a `Stopped`.
         """
         # The core holds this generator, so the generator holds the core
         # only weakly: a strong reference would make a cycle, and a dropped
@@ -252,26 +245,24 @@ class DetCore:
         cp_ks = self.cp_ks
         cp_cs = self.cp_cs
         pending = self.pending
+        pend_cap = self.pend_cap
+        i = self._i
+        r = self._r
+        run_i = self._run_i
+        occ_i = self._occ_i
+        consumed = self._consumed
+        phase = self._phase
+        g = self._g
+        cand = self._cand
+        shifts_last = self._shifts_last
+        units_last = self._units_last
+        pend_peak = self._pend_peak
+        synced = True
         # An exhausted iterator: the chunk when none is being run.
-        drained = iter(())
+        chunk = drained = iter(())
+        hit = False
         while True:
-            # The state, read in at the start, after a write-back and after
-            # a write to a state attribute.
-            pend_cap = self._pend_cap
-            i = self._i
-            r = self._r
-            run_i = self._run_i
-            occ_i = self._occ_i
-            consumed = self._consumed
-            phase = self._phase
-            g = self._g
-            cand = self._cand
-            shifts_last = self._shifts_last
-            units_last = self._units_last
-            pend_peak = self._pend_peak
-            synced = self.synced = True
-            chunk = drained
-            hit = False
+            # Entered again after each write-back.
             try:
                 while True:
                     # The next arrival: from the chunk being run, or else
@@ -500,22 +491,21 @@ class DetCore:
                 # Closed as its core is freed: there is nothing to write to.
                 raise
             except BaseException as e:
-                if e.__class__ is not _Reload:
-                    self._i = i
-                    self._r = r
-                    self._run_i = run_i
-                    self._occ_i = occ_i
-                    self._consumed = consumed
-                    self._phase = phase
-                    self._g = g
-                    self._cand = cand
-                    self._shifts_last = shifts_last
-                    self._units_last = units_last
-                    self._pend_peak = pend_peak
-                    self.synced = True
-                    if e.__class__ is not _Flush:
-                        self.run = None
-                        raise
+                self._i = i
+                self._r = r
+                self._run_i = run_i
+                self._occ_i = occ_i
+                self._consumed = consumed
+                self._phase = phase
+                self._g = g
+                self._cand = cand
+                self._shifts_last = shifts_last
+                self._units_last = units_last
+                self._pend_peak = pend_peak
+                synced = self.synced = True
+                if e.__class__ is not _Flush:
+                    self.run = Stopped(e)
+                    raise
 
     def live_words(self) -> int:
         """Words held across arrivals (tables included, pattern excluded)."""
@@ -541,10 +531,15 @@ class DetMatcher(DenseFrontEnd):
         self.i = -1
 
     def _arrive(self, pv: int) -> bool:
-        # `step_pred` written out: one call fewer on every `step`.
+        # `step_pred` written out: one call fewer on every `step`.  A
+        # stopped core refuses the arrival, so `i` stays the core's.
         self.i += 1
         core = self.core
-        return (core.run or core._start()).send(pv) < 0
+        try:
+            return (core.run or core._start()).send(pv) < 0
+        except BaseException:
+            self.i = core.i
+            raise
 
     def _run(self, preds, out) -> None:
         # The core counts the arrivals it takes, also when an error stops

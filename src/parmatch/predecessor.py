@@ -24,21 +24,19 @@ over a dense alphabet [0, sigma): a `LastOccurrence` table gives the
 distances, one symbol at a time for `step`, and for `scan` a chunk's at
 once, as a list the engine can cut into stretches.  That list stops
 before the first symbol outside the alphabet, which is rejected once the
-engine has run the symbols before it.  When the engine stops on an error
-instead, the table is rolled back to the engine's last arrival, with work
-in proportion to the chunk, so that it always stands at the same arrival
-as the engine.  A symbol outside the alphabet, or one that is not an int
-(a float such as 1.5, a string), enters the engine as NEVER, a symbol
-seen nowhere else, so every later window is answered as if a fresh
-symbol stood there; its own verdict is dropped, and `AlphabetError`
-names its index.  Once `feed` has taken distances from elsewhere (the
-alphabet filter's), the table no longer describes the stream: it is
-dropped, and `step` and `scan` raise `UsageError`.
+engine has run the symbols before it.  A symbol outside the alphabet, or
+one that is not an int (a float such as 1.5, a string), enters the
+engine as NEVER, a symbol seen nowhere else, so every later window is
+answered as if a fresh symbol stood there; its own verdict is dropped,
+`AlphabetError` names its index, and the stream goes on.  An error out
+of the engine instead ends the stream (see `errors.Stopped`), so the
+table, which has taken the whole chunk, is never read again.  Once
+`feed` has taken distances from elsewhere (the alphabet filter's), the
+table no longer describes the stream: it is dropped, and `step` and
+`scan` raise `UsageError`.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
@@ -141,23 +139,6 @@ class LastOccurrence:
             return out, AlphabetError(sym, i, sigma)
         return out, None
 
-    def rollback(self, text, preds: list[int], i: int, last: int) -> None:
-        """Undo the arrivals after `last` of a chunk taken by `preds`:
-        `text`, its first symbol at index i + 1, and its distances.
-
-        Each symbol's first arrival after `last` gives back the entry it
-        replaced.
-        """
-        table = self.table
-        undone = set()
-        j = last
-        k = last - i
-        for sym, pv in zip(islice(text, k, None), islice(preds, k, None)):
-            j += 1
-            if sym not in undone:
-                undone.add(sym)
-                table[sym] = j - pv if pv != NEVER else -1
-
 
 _FED = "the matcher is fed predecessor distances: use feed, not step or scan"
 
@@ -193,24 +174,16 @@ class DenseFrontEnd:
         calls continue one stream and may be mixed with `step`.  The
         indices are appended to `out` (a new list by default), which is
         returned; when an error stops the chunk, `out` holds the matches
-        that ended before it, and the next call goes on from the symbol
-        after the error.
+        that ended before it.  After an `AlphabetError` the next call goes
+        on from the symbol after it; any other error ends the stream.
         """
         tracker = self.tracker
         if tracker is None:
             raise UsageError(_FED)
         if out is None:
             out = []
-        if iter(text) is text:
-            # A rollback reads the chunk again.
-            text = list(text)
-        i = self.i
-        preds, bad = tracker.preds(text, i)
-        try:
-            self._run(preds, out)
-        except BaseException:
-            tracker.rollback(text, preds, i, self.i)
-            raise
+        preds, bad = tracker.preds(text, self.i)
+        self._run(preds, out)
         if bad is not None:
             self._arrive(NEVER)
             raise bad
@@ -223,8 +196,8 @@ class DenseFrontEnd:
         the last-occurrence table is dropped, and `step` and `scan` refuse
         to run after the first call.
         """
-        self.tracker = None
         if out is None:
             out = []
         self._run(preds, out)
+        self.tracker = None
         return out

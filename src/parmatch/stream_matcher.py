@@ -65,18 +65,14 @@ quiet arrival charges 8 ops plus the symbols phase A consumes (at most
 `static_words` plus the arrivals the core leaves pending, and the core
 counts into a tally sent with the stretch the last of its arrivals that
 ran the shift machinery, with its count, and the peaks of both over
-them; every other arrival consumes 1 and leaves nothing pending.  When
-the core raises part-way through a stretch, the base phase is written
-through the raising arrival first, which leaves the state a stepped run
-has there.
+them; every other arrival consumes 1 and leaves nothing pending.
 
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
 local variables and runs one chunk of distances per `send`: `feed` sends
 the distances it is given, and `step` and `scan` those of the shared
 dense front end (`predecessor.DenseFrontEnd`), which looks a chunk's up
-in a last-occurrence table at once and rolls the table back when an
-error stops the phases part-way.  After each chunk the scalars are
+in a last-occurrence table at once.  After each chunk the scalars are
 written back to the attributes, so the calls may be mixed and the
 matcher copied between them.
 Only the randomized route builds a FieldContext, from `prime_bits` and
@@ -89,9 +85,12 @@ its own context and owns its power state.
 
 Every capacity and deadline the analysis guarantees is asserted at
 runtime; a breach raises StructuralViolation rather than degrading
-silently.  Patterns whose parameterized period is at most 3*delta, or
-that are shorter than 14*delta, route wholesale to the deterministic
-matcher.
+silently.  Any error out of the phases ends the stream, which is not
+answered past it: `run`, and phase A's core's, become an
+`errors.Stopped`, so every later call raises `UsageError`, with `i` at
+the arrival that raised and the matches before it reported.  Patterns
+whose parameterized period is at most 3*delta, or that are shorter than
+14*delta, route wholesale to the deterministic matcher.
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ from collections import deque
 from itertools import accumulate, compress, count, islice, repeat
 from operator import gt, lt, mul
 
-from .det_matcher import CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
-from .errors import ConfigError, StructuralViolation
+from .det_matcher import CONSUMES_PER_ARRIVAL, DetCore, DetMatcher, _write_back
+from .errors import ConfigError, Stopped, StructuralViolation
 from .fingerprint import DEFAULT_PRIME_BITS, context_new, power_table, prime_for_bits
 from .match_queue import MatchQueue
 from .pattern import PatternProfile, build_profile, level_fingerprints
@@ -341,13 +340,15 @@ class StreamMatcher(DenseFrontEnd):
         self.debug_checks = None
 
     def __getstate__(self):
-        # A generator cannot be copied; the copy builds its own.
+        # A generator cannot be copied; the copy builds its own.  A
+        # stopped matcher's copy stays stopped.
         state = {
             k: getattr(self, k)
             for k in self.__slots__
             if k != "__weakref__" and hasattr(self, k)
         }
-        state["run"] = None
+        if type(self.run) is not Stopped:
+            state["run"] = None
         return None, state
 
     # ------------------------------------------------------------------
@@ -374,9 +375,9 @@ class StreamMatcher(DenseFrontEnd):
         and scalar of the matcher is held in this frame's locals between
         chunks; the scalars are written back to the attributes after each
         chunk, also when an error stops it (the peaks as soon as they
-        rise).  An error ends the generator, and the next call builds a
-        new one from the attributes.  Match end indices are appended to
-        `out` unless it is None; yields whether the chunk had any.  The
+        rise).  An error, with `i` at the arrival that raised, ends the
+        stream (see the module docstring).  Match end indices are appended
+        to `out` unless it is None; yields whether the chunk had any.  The
         matcher holds this generator, so the generator holds the matcher
         only while it runs a chunk, which sends it in: a dropped matcher
         goes at once, not by the cyclic collector.
@@ -418,9 +419,7 @@ class StreamMatcher(DenseFrontEnd):
         ms = repeat(m)
         m0s = repeat(m0)
 
-        # Phase A sends the core's generator one arrival at a time.  That
-        # generator outlives this one when an error outside phase A stops
-        # this one, and ends with it when the error is the core's own.
+        # Phase A sends the core's generator one arrival at a time.
         suba = self.suba
         arrive = (suba.run or suba._start()).send
         a_done = suba.consumed
@@ -756,66 +755,59 @@ class StreamMatcher(DenseFrontEnd):
                             hits = []
                             # This arrival, as if it had run the machinery.
                             tally = [i, ops - 8, 0, 0]
-                            done = None
                             try:
                                 done = arrive((seg, hits, tally))
-                            finally:
-                                # On an error, the core's own arrival is
-                                # where a step-by-step run stops: its base
-                                # phase has run, its phase A has not.  prev
-                                # is the last arrival that completed.
-                                if done is None:
-                                    last = suba.i
-                                    prev = last - 1
+                            except BaseException:
+                                # The stream ends at the arrival that raised.
+                                i = suba.i
+                                raise
+                            last = hits[0] if hits else i + len(seg)
+                            run = last - i
+                            j = i + 1
+                            i = last
+                            vals = iter(vals)
+                            # Arrivals up to `last - H` leave no history
+                            # entry: later ones take their slots.
+                            keep = last - H
+                            fps = []
+                            while j <= last:
+                                off = j & mask
+                                if not off:
+                                    bfp = (bfp + bpw * loc) % p
+                                    bpw = bpw * r_block % p
+                                    loc = 0
+                                    b = 2 * (j // _BLOCK % nb)
+                                    blocks[b] = bfp
+                                    blocks[b + 1] = bpw
+                                z = j - off + _BLOCK
+                                if z > last:
+                                    z = last + 1
+                                terms = map(mul, rtab[off : off + z - j], vals)
+                                if z <= keep + 1:
+                                    loc = sum(terms, loc)
                                 else:
-                                    last = prev = hits[0] if hits else i + len(seg)
-                                run = last - i
-                                j = i + 1
-                                i = last
-                                vals = iter(vals)
-                                # Arrivals up to `last - H` leave no
-                                # history entry: later ones take their slots.
-                                keep = last - H
-                                fps = []
-                                while j <= last:
-                                    off = j & mask
-                                    if not off:
-                                        bfp = (bfp + bpw * loc) % p
-                                        bpw = bpw * r_block % p
-                                        loc = 0
-                                        b = 2 * (j // _BLOCK % nb)
-                                        blocks[b] = bfp
-                                        blocks[b + 1] = bpw
-                                    z = j - off + _BLOCK
-                                    if z > last:
-                                        z = last + 1
-                                    terms = map(mul, rtab[off : off + z - j], vals)
-                                    if z <= keep + 1:
-                                        loc = sum(terms, loc)
-                                    else:
-                                        sums = accumulate(terms, initial=loc)
-                                        next(sums)
-                                        fps += sums
-                                        loc = fps[-1]
-                                    j = z
-                                _ring_write(hist_fp, H, i + 1, fps)
-                                _ring_write(hist_pred, H, i + 1, seg[:run])
-                                # Each arrival of the stretch charges 8 ops
-                                # plus the symbols it consumes and holds
-                                # static_words plus the arrivals pending.
-                                # The tally has the last arrival that ran
-                                # the machinery, with its count, and the
-                                # peaks of both over such arrivals; the
-                                # others consume 1 and leave none pending,
-                                # as the stream's first arrival did, whose
-                                # 9 ops and static_words are counted.
-                                ops_last = 8 + (tally[1] if prev == tally[0] else 1)
-                                ops = 8 + tally[2]
-                                if ops > ops_max:
-                                    ops_max = self.ops_max = ops
-                                words = static_words + tally[3]
-                                if words > words_peak:
-                                    words_peak = self.words_peak = words
+                                    sums = accumulate(terms, initial=loc)
+                                    next(sums)
+                                    fps += sums
+                                    loc = fps[-1]
+                                j = z
+                            _ring_write(hist_fp, H, i + 1, fps)
+                            _ring_write(hist_pred, H, i + 1, seg[:run])
+                            # Each arrival of the stretch charges 8 ops plus
+                            # the symbols it consumes and holds static_words
+                            # plus the arrivals pending.  The tally has the
+                            # last arrival that ran the machinery, with its
+                            # count, and the peaks of both over such
+                            # arrivals; the others consume 1 and leave none
+                            # pending, as the stream's first arrival did,
+                            # whose 9 ops and static_words are counted.
+                            ops_last = 8 + (tally[1] if last == tally[0] else 1)
+                            ops = 8 + tally[2]
+                            if ops > ops_max:
+                                ops_max = self.ops_max = ops
+                            words = static_words + tally[3]
+                            if words > words_peak:
+                                words_peak = self.words_peak = words
                             a_prev = done < 0
                             a_done = -done if a_prev else done
                             next(islice(arrivals, run, run), None)
@@ -834,8 +826,12 @@ class StreamMatcher(DenseFrontEnd):
                     words = static_words + 3 * len(bbuf) + mq_words + len(pending)
                     if words > words_peak:
                         words_peak = self.words_peak = words
-            except BaseException:
-                self.run = None
+            except BaseException as e:
+                # Unless the error was its own, phase A's core holds its
+                # state in its generator: it is written back, and the core
+                # stops with the matcher.
+                _write_back(suba)
+                self.run = suba.run = Stopped(e)
                 raise
             finally:
                 self.i = i

@@ -3,8 +3,9 @@ two cores.
 
 Each state attribute is read by its name, the name of the slot that
 stores it without the leading underscore, which writes a running core's
-generator back first.  The generator, its flag and the weak-reference
-slot are left out, and `pending` is read as a list.
+generator back first; `pend_cap`, a plain slot, is read as it is.  The
+generator, its flag and the weak-reference slot are left out, and
+`pending` is read as a list.
 """
 
 from parmatch.det_matcher import DetCore

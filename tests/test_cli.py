@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from parmatch import cli
 from parmatch.alphabet_filter import AlphabetFilter
 from parmatch.cli import _COMMANDS, build_parser, main
 from parmatch.errors import AlphabetError, StructuralViolation
@@ -227,6 +228,52 @@ def test_verify_clean_exit_0():
     assert code == 0
     assert "discrepancies=0" in out
     assert "structural_violations=0" in out
+
+
+def test_verify_counts_violations_and_discrepancies(monkeypatch):
+    # verify builds a new matcher for each trial, so an error ends only
+    # that trial's stream.  An engine whose first matcher raises a
+    # structural violation and whose second reports a match past the
+    # stream's end is counted once for each, and verify exits 1.
+    built = []
+
+    class Faulty:
+        def __init__(self, *args, **kw):
+            self.sm = StreamMatcher(*args, **kw)
+            built.append(self.sm)
+
+        def scan(self, text):
+            if len(built) == 1:
+                raise StructuralViolation("injected")
+            ends = self.sm.scan(text)
+            return ends + [len(text)] if len(built) == 2 else ends
+
+    monkeypatch.setattr(cli, "StreamMatcher", Faulty)
+    code, out, _ = run_cli(["verify", "--trials", "6", "--max-m", "30", "--seed", "4"])
+    assert code == 1
+    assert out == "trials=6\ndiscrepancies=1\nstructural_violations=1\n"
+    assert len(set(map(id, built))) == 6
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["bench", "--sigma", "0"], "expected an integer >= 1, got 0"),
+        (["bench", "--m", "64", "--n", "-3"], "expected an integer >= 0, got -3"),
+        (
+            ["gen", "--kind", "planted", "--period", "4", "--m", "8", "--n", "16"],
+            "--period applies to --kind periodic, not planted",
+        ),
+    ],
+)
+def test_a_rejected_argument_is_a_usage_error_in_process(tmp_path, argv, why):
+    if argv[0] == "gen":
+        argv = argv + ["--out-pattern", str(tmp_path / "p")]
+        argv = argv + ["--out-text", str(tmp_path / "t")]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and why in err
+    assert not (tmp_path / "p").exists()
 
 
 def test_bench_emits_metrics():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
 from parmatch.det_matcher import _IDLE, DetCore, DetMatcher, _Live
-from parmatch.errors import AlphabetError, StructuralViolation, UsageError
+from parmatch.errors import AlphabetError, Stopped, StructuralViolation, UsageError
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
@@ -334,12 +334,13 @@ def test_scan_steps_past_a_first_occurrence_off_the_chain():
 
 
 def test_a_full_deferral_buffer_raises():
-    # The planted stream defers up to `peak` arrivals.  The buffer's
-    # capacity, lowered to one below that while the core runs, reaches the
-    # running generator, and the arrival that reaches it raises: it waits
-    # in `pending`, the matcher's index is its own, every other state
-    # attribute is as the arrival before left it, and the matches before
-    # it are kept.
+    # The planted stream defers up to `peak` arrivals.  With the buffer's
+    # capacity set one below that before the first arrival, the arrival
+    # that reaches it raises: it waits in `pending`, the matcher's index
+    # is its own, every other state attribute is as the arrival before
+    # left it, and the matches before it are kept.  The error ends the
+    # stream: the core's generator is stopped, and the next arrival is
+    # refused without moving the index.
     inst = make_instance("planted", 80, 1200, 3, seed=0)
     profile = build_profile(inst.pattern, 3)
     ref = DetMatcher(profile)
@@ -347,13 +348,12 @@ def test_a_full_deferral_buffer_raises():
     peak = ref.core.pend_peak
     assert peak > 1
     dm = DetMatcher(profile)
-    out = dm.scan(inst.text[:100])
-    assert dm.core.run is not None
     dm.core.pend_cap = peak - 1
+    out = []
     with pytest.raises(
         StructuralViolation, match=f"^deferral buffer exceeded capacity {peak - 1}$"
     ):
-        dm.scan(inst.text[100:], out)
+        dm.scan(inst.text, out)
     bad = dm.i
     want = [s + 79 for s in naive_all_matches(inst.pattern, inst.text)]
     assert out == [e for e in want if e < bad] != []
@@ -363,21 +363,23 @@ def test_a_full_deferral_buffer_raises():
     before = core_state(ref.core)
     ref.step(inst.text[bad])
     assert ref.core.pend_peak == peak
-    assert dm.core.run is None
+    assert type(dm.core.run) is Stopped
     assert core_state(dm.core) == {
         **before,
         "i": bad,
         "pend_cap": peak - 1,
         "pending": before["pending"] + [ref.core.pending[-1]],
     }
+    with pytest.raises(UsageError, match="deferral buffer exceeded capacity"):
+        dm.step(inst.text[bad + 1])
+    assert dm.i == dm.core.i == bad
 
 
-def test_a_violation_mid_chunk_rolls_the_table_back():
-    # The deferral buffer's capacity, lowered to one below the peak this
-    # stream reaches, breaks part-way through a scanned chunk.  The front
-    # end has looked up the whole chunk's distances; it rolls its table
-    # back to the raising arrival, where a stepped run's stands, and with
-    # the capacity restored both go on alike to the end of the text.
+def test_a_violation_mid_chunk_stops_where_a_stepped_run_stops():
+    # The deferral buffer's capacity, set one below the peak this stream
+    # reaches, breaks part-way through a scanned chunk.  The scanned and
+    # the stepped matcher raise at the same arrival with the same matches
+    # and core state, and then both refuse every call.
     inst = make_instance("planted", 80, 1200, 3, seed=0)
     text = inst.text
     profile = build_profile(inst.pattern, 3)
@@ -386,27 +388,25 @@ def test_a_violation_mid_chunk_rolls_the_table_back():
     peak = ref.core.pend_peak
     scanned, stepped = DetMatcher(profile), DetMatcher(profile)
     scanned.core.pend_cap = stepped.core.pend_cap = peak - 1
-    out = []
+    by_scan, by_step = [], []
     with pytest.raises(StructuralViolation, match="^deferral buffer exceeded"):
         for k in range(0, len(text), 500):
-            scanned.scan(text[k : k + 500], out)
+            scanned.scan(text[k : k + 500], by_scan)
     bad = scanned.i
     with pytest.raises(StructuralViolation, match="^deferral buffer exceeded"):
-        for sym in text:
-            stepped.step(sym)
+        for j, sym in enumerate(text):
+            if stepped.step(sym):
+                by_step.append(j)
     assert stepped.i == bad and bad % 500 not in (0, 499)
-    whole_chunk = LastOccurrence(3)
-    for j in range(bad // 500 * 500 + 500):
-        whole_chunk.step(text[j], j)
-    assert scanned.tracker.table == stepped.tracker.table != whole_chunk.table
     assert core_state(scanned.core) == core_state(stepped.core)
     want = [s + 79 for s in naive_all_matches(inst.pattern, text)]
-    assert out == [e for e in want if e < bad] != []
-    scanned.core.pend_cap = stepped.core.pend_cap = 1000
-    rest = scanned.scan(text[bad + 1 :])
-    assert rest == [j for j in range(bad + 1, len(text)) if stepped.step(text[j])]
-    assert scanned.tracker.table == stepped.tracker.table == ref.tracker.table
-    assert core_state(scanned.core) == core_state(stepped.core)
+    assert by_scan == by_step == [e for e in want if e < bad] != []
+    for dm in (scanned, stepped):
+        for call in (dm.step, dm.scan, dm.feed):
+            arg = text[bad + 1] if call == dm.step else text[bad + 1 :]
+            with pytest.raises(UsageError, match="deferral buffer exceeded"):
+                call(arg)
+        assert dm.i == bad
 
 
 def test_chunks_and_one_arrival_sends_equal_step_pred():
@@ -486,9 +486,34 @@ def test_copies_taken_between_sends_go_on_like_the_original():
 
 
 def test_state_attributes_are_live_descriptors():
-    # On the class each state attribute is its descriptor; on a core that
-    # has not run, reading and writing one touch only its slot.
+    # On the class each state attribute is its descriptor, which reads
+    # the slot; no program writes a core's state, so a write is refused.
     assert isinstance(DetCore.consumed, _Live)
     core = DetCore(build_profile([0, 1, 0], 2))
-    core.r = 2
-    assert (core.r, core._r, core.run) == (2, 2, None)
+    with pytest.raises(AttributeError):
+        core.r = 2
+    assert (core.r, core._r, core.run) == (0, 0, None)
+
+
+def test_a_bare_core_stops_at_its_first_error():
+    # A core fed distances directly ends its stream at a deferral
+    # overflow: `i` is the arrival that raised, and every later send, of
+    # one arrival or of a chunk, on the core and on its copies, raises
+    # UsageError naming the overflow.
+    pattern, sigma, text, _ = det_instance("planted")
+    tracker = LastOccurrence(sigma)
+    preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
+    profile = build_profile(pattern, sigma)
+    core = DetCore(profile, pend_cap=1)
+    with pytest.raises(StructuralViolation, match="^deferral buffer exceeded"):
+        for pv in preds:
+            core.step_pred(pv)
+    at = core.i
+    assert 0 < at < len(preds) - 1 and len(core.pending) == 2
+    for c in (core, copy.deepcopy(core), pickle.loads(pickle.dumps(core))):
+        assert type(c.run) is Stopped
+        with pytest.raises(UsageError, match="deferral buffer exceeded capacity 1"):
+            c.step_pred(preds[at + 1])
+        with pytest.raises(UsageError, match="deferral buffer exceeded capacity 1"):
+            c.run.send((preds[at + 1 :], [], None))
+        assert c.i == at

@@ -81,10 +81,9 @@ def test_stream_batch_agreement(seq):
 
 
 @given(seqs, st.data())
-def test_a_chunk_s_distances_and_their_rollback(seq, data):
+def test_a_chunk_s_distances_are_step_s(seq, data):
     # `preds` looks a chunk up as `step` would, up to its first symbol
-    # outside the alphabet, whose AlphabetError it returns; `rollback`
-    # takes the table back to any arrival of the chunk.
+    # outside the alphabet, whose AlphabetError it returns.
     head = data.draw(st.integers(0, len(seq)))
     bad = data.draw(st.sampled_from([None, -1, 6, 1.5]))
     chunk = seq[head:]
@@ -106,12 +105,6 @@ def test_a_chunk_s_distances_and_their_rollback(seq, data):
     if err is not None:
         assert err.index == head + len(want)
     assert tr.table == stepped.table
-    last = data.draw(st.integers(head - 1, head - 1 + len(got)))
-    tr.rollback(chunk, got, head - 1, last)
-    back = LastOccurrence(6)
-    for i, sym in enumerate((seq[:head] + chunk)[: last + 1]):
-        back.step(sym, i)
-    assert tr.table == back.table
 
 
 def test_window_relative_cases():

@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
 from parmatch.det_matcher import _IDLE, CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
 from parmatch.errors import AlphabetError, ConfigError, StructuralViolation, UsageError
 from parmatch.fingerprint import (
@@ -734,7 +735,8 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundar
     # 4 at its first, after an arrival that consumed nothing.  Chunks of
     # 1000 put each boundary inside a chunk; after every call, the whole
     # state equals a stepped run's, the front end's table, ops and words
-    # included, and both go on alike after the error.
+    # included.  An error ends both streams at the same arrival, with the
+    # same matches and phase A state, and both refuse to go on.
     if boundary == "long":
         inst = gap_instance(2100, 9000, 4, 8, gap=2100 - 11)
     elif boundary == "overflow":
@@ -744,9 +746,10 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundar
     text = inst.text
     scanned, stepped = (StreamMatcher(inst.pattern, 4, seed=12) for _ in range(2))
     assert scanned.mode == "rand"
-    log = StretchLog(scanned)
     if cap is not None:
+        # Read when the core's generator starts, which StretchLog does.
         scanned.suba.pend_cap = stepped.suba.pend_cap = cap
+    log = StretchLog(scanned)
     by_scan, by_step, errors = [], [], []
     pushes, dues = set(), set()
     k = 0
@@ -768,9 +771,11 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundar
                 for ell in range(1, stepped.s + 1)
                 if stepped.lv_phase[ell] == stream_matcher._WAIT
             )
-        assert matcher_state(scanned) == matcher_state(stepped), k
         if errors:
-            scanned.suba.pend_cap = stepped.suba.pend_cap = 1000
+            # The stepped run has written the raising arrival's base
+            # phase, the stretch has not.
+            break
+        assert matcher_state(scanned) == matcher_state(stepped), k
         k = scanned.i + 1
     assert by_scan == by_step
     inside = [
@@ -789,6 +794,22 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundar
         at = 146 + cap
         assert errors == [(f"deferral buffer exceeded capacity {cap}", at)] * 2
         assert (150, at, "raised") in log.stretches
+        assert scanned.i == stepped.i == at
+        assert core_state(scanned.suba) == core_state(stepped.suba)
+        for sm in (scanned, stepped):
+            with pytest.raises(UsageError, match="deferral buffer exceeded"):
+                sm.scan(text[at + 1 :])
+            assert sm.i == at
+        # Up to the error, a scanned run's whole state is a stepped one's.
+        before = []
+        for _ in range(2):
+            sm = StreamMatcher(inst.pattern, 4, seed=12)
+            sm.suba.pend_cap = cap
+            before.append(sm)
+        before[0].scan(text[:at])
+        for sym in text[:at]:
+            before[1].step(sym)
+        assert matcher_state(before[0]) == matcher_state(before[1])
     if boundary != "overflow":
         m = len(inst.pattern)
         assert by_scan == [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
@@ -1419,33 +1440,35 @@ def test_a_full_distance_buffer_raises():
     assert ref.b_peak == peak
 
 
-def test_a_violation_mid_chunk_rolls_the_table_back():
+def test_a_violation_mid_chunk_stops_where_a_stepped_run_stops():
     # The distance buffer's bound, one below the peak this stream reaches,
-    # breaks part-way through a scanned chunk.  The front end has looked
-    # up the whole chunk's distances; it rolls its table back to the
-    # raising arrival, where a stepped run's stands, and with the bound
-    # restored both go on alike to the end of the text.
+    # breaks part-way through a scanned chunk.  The scanned and the
+    # stepped matcher raise at the same arrival with the same matches,
+    # and then both refuse every call.
     inst = gap_instance(2100, 3 * 2100, 4, seed=8, gap=2100 - 11)
     text = inst.text
     ref = StreamMatcher(inst.pattern, 4, seed=3)
     ref.scan(text)
     scanned, stepped = (StreamMatcher(inst.pattern, 4, seed=3) for _ in range(2))
     scanned.sigma = stepped.sigma = ref.b_peak - 1
+    by_scan, by_step = [], []
     with pytest.raises(StructuralViolation, match="^distance buffer exceeded"):
-        # An iterator, which the front end keeps to read again.
-        scanned.scan(iter(text))
+        scanned.scan(text, by_scan)
     bad = scanned.i
     with pytest.raises(StructuralViolation, match="^distance buffer exceeded"):
-        for sym in text:
-            stepped.step(sym)
+        for j, sym in enumerate(text):
+            if stepped.step(sym):
+                by_step.append(j)
     assert stepped.i == bad < len(text) - 1
-    assert scanned.tracker.table == stepped.tracker.table != ref.tracker.table
-    assert matcher_state(scanned) == matcher_state(stepped)
-    scanned.sigma = stepped.sigma = 4
-    ends = scanned.scan(text[bad + 1 :])
-    assert ends == [j for j in range(bad + 1, len(text)) if stepped.step(text[j])]
-    assert matcher_state(scanned) == matcher_state(stepped)
-    assert scanned.tracker.table == ref.tracker.table
+    m = len(inst.pattern)
+    want = [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
+    assert by_scan == by_step == [e for e in want if e < bad]
+    for sm in (scanned, stepped):
+        for call in (sm.step, sm.scan, sm.feed):
+            arg = text[bad + 1] if call == sm.step else text[bad + 1 :]
+            with pytest.raises(UsageError, match="distance buffer exceeded"):
+                call(arg)
+        assert sm.i == bad
 
 
 def test_a_matcher_that_ran_is_freed_without_the_cyclic_collector():
@@ -1461,6 +1484,116 @@ def test_a_matcher_that_ran_is_freed_without_the_cyclic_collector():
         ref = weakref.ref(sm)
         del sm
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_an_expired_history_ends_the_stream():
+    # A copy with a quarter of the history raises at arrival 4225, where
+    # level 2's split finds its entry gone.  Going on from there, even
+    # with the whole history back, would run on a level that lost its
+    # candidate, and miss the match that ends at 7679.  So the stream
+    # ends: the matches before the error are the oracle's, and every
+    # later call is refused.
+    want = [s + 4095 for s in naive_all_matches(PERIODIC.pattern, PERIODIC.text)]
+    assert 7679 in want
+    sm = StreamMatcher(PERIODIC.pattern, 4, seed=2)
+    ends = sm.scan(PERIODIC.text[:4096])
+    sm = copy.copy(sm)
+    sm.H //= 4
+    with pytest.raises(
+        StructuralViolation, match="^fingerprint history expired for level 2$"
+    ):
+        sm.scan(PERIODIC.text[4096:], ends)
+    assert sm.i == 4225
+    assert ends == [e for e in want if e < 4225] != []
+    sm.H *= 4
+    with pytest.raises(UsageError, match="fingerprint history expired for level 2"):
+        sm.scan(PERIODIC.text[4226:], ends)
+    assert sm.i == 4225 and ends == [e for e in want if e < 4225]
+
+
+def stopped_matcher(where):
+    """A matcher that an engine error stops at arrival `at`, with the
+    matches it reported before, the oracle's, and the error's message.
+
+    The error is a deferral overflow inside a quiet stretch, an expired
+    history outside one (phase B, in a copy whose history is cut after
+    4096 arrivals), a deferral overflow in a det-routed matcher's core,
+    and the same in a det-routed matcher fed by an `AlphabetFilter`.
+    """
+    out = []
+    start = 0
+    if where in ("stretch", "outside"):
+        if where == "stretch":
+            inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+            sm = StreamMatcher(inst.pattern, 4, seed=12)
+            sm.suba.pend_cap = 5
+            at, msg = 151, "deferral buffer exceeded capacity 5"
+        else:
+            inst = PERIODIC
+            sm = StreamMatcher(inst.pattern, 4, seed=2)
+            start = 4096
+            sm.scan(inst.text[:start], out)
+            sm = copy.copy(sm)
+            sm.H //= 4
+            at, msg = 4225, "fingerprint history expired for level 2"
+        assert sm.mode == "rand"
+        core = sm.suba
+    else:
+        inst = make_instance("planted", 80, 1200, 3, seed=0)
+        sm = StreamMatcher(inst.pattern, 3, mode="det")
+        ref = DetMatcher(build_profile(inst.pattern, 3))
+        ref.scan(inst.text)
+        core = sm.det.core
+        core.pend_cap = cap = ref.core.pend_peak - 1
+        at, msg = None, f"deferral buffer exceeded capacity {cap}"
+    text = inst.text
+    with pytest.raises(StructuralViolation, match=f"^{msg}$"):
+        if where == "feed":
+            filt = AlphabetFilter(densify_pattern(inst.pattern)[1])
+            for k in range(0, len(text), 500):
+                sm.feed(filt.scan_pred(text[k : k + 500]), out)
+        else:
+            for k in range(start, len(text), 1000):
+                sm.scan(text[k : k + 1000], out)
+    if at is None:
+        at = core.i
+        # The arrival that overflowed waits in the buffer.
+        assert len(core.pending) == cap + 1
+    m = len(inst.pattern)
+    want = [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
+    assert sm.i == at and out == [e for e in want if e < at]
+    return sm, text[at + 1 :], msg
+
+
+@pytest.mark.parametrize("where", ["stretch", "outside", "det", "feed"])
+def test_an_engine_error_ends_the_stream(where):
+    # After the error, every call on the matcher, on its engine's core and
+    # on a deep copy or a pickle of it raises UsageError naming the error
+    # (a fed matcher's step and scan refuse as before, since its table is
+    # dropped), and `i` stays at the arrival that raised.  The stopped
+    # matcher keeps no reference cycle: it goes without the cyclic
+    # collector.
+    gc.disable()
+    try:
+        sm, rest, msg = stopped_matcher(where)
+        at = sm.i
+        copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
+        for c in (sm, *copies):
+            named = (c.feed,) if where == "feed" else (c.step, c.scan, c.feed)
+            for call in (c.step, c.scan, c.feed):
+                arg = rest[0] if call == c.step else rest
+                with pytest.raises(UsageError) as err:
+                    call(arg)
+                assert (msg in str(err.value)) == (call in named)
+            core = c.suba if c.mode == "rand" else c.det.core
+            with pytest.raises(UsageError, match=msg):
+                core.step_pred(1)
+            assert c.i == core.i == at
+        gone = weakref.ref(sm)
+        del sm, copies, c, named, call, core, err
+        assert gone() is None
     finally:
         gc.enable()
 
