@@ -1,7 +1,8 @@
 """Command-line interface: match, verify, bench, gen.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 input or alphabet
-error, 3 structural violation inside the engine.
+error, 3 structural violation inside the engine, or a `verify` trial that
+raised one or disagreed with the oracle.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def cmd_verify(args) -> int:
     print(f"trials={args.trials}")
     print(f"discrepancies={discrepancies}")
     print(f"structural_violations={violations}")
-    return EXIT_OK if discrepancies == 0 and violations == 0 else EXIT_USAGE
+    return EXIT_OK if discrepancies == 0 and violations == 0 else EXIT_STRUCTURAL
 
 
 def cmd_bench(args) -> int:

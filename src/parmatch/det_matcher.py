@@ -36,7 +36,8 @@ cursors and counters in local variables and runs each chunk of distances
 sent to it through the fast path, the one-shift path and the machinery.
 `DetMatcher.feed` and `scan` send it a whole chunk; `step`, `step_pred`
 and the randomized matcher's phase A send one arrival.  Phase A also
-sends a quiet stretch as one chunk with a tally: such a chunk stops right
+sends a stretch of arrivals where its phases B and C have nothing due as
+one chunk with a tally: such a chunk stops right
 after an arrival where a match ends (the arrival after it may push into
 a queue, so it runs on its own), and its arrivals that run the shift
 machinery count into the tally what the caller needs to account for them
@@ -116,7 +117,7 @@ class DetCore:
 
     Decoupled from symbol handling so the randomized matcher can run it on
     the ladder base with the distances it is fed: its phase A sends the
-    core's generator one arrival, or a quiet stretch, at a time and reads
+    core's generator one arrival, or a stretch, at a time and reads
     the verdict and the symbols consumed from each send, and `pending` and
     `live_words()` besides.  The tables, cursors, counters and the fast
     path all live here.

@@ -37,35 +37,44 @@ step:
   direct predecessor comparison, a bounded number per arrival, and emits
   the verdict exactly at the arrival where the window closes.
 
-Phases B and C have work only while a candidate is in flight: a distance
-in (m0, m) to buffer, a buffered one, a queued match, a level scanning
-or past its deadline, or a tail check.  A waiting level has nothing to
-do until i > ip + m_l + delta, so the generator's frame keeps `wake`,
-at most the earliest deadline of the waiting levels (NEVER when every
-level is idle, below i while a level scans), and changes it only at a
-level's transition; it is computed again from `lv_phase` and
-`lv_ip` when a generator starts.  One test of these after phase A skips
-both phases on a quiet arrival, where they would only have tested their
-conditions: at seed 5, 99.92% of the arrivals on the `planted_512k`
-benchmark workload, whose candidate climbs the ladder while the queues
-are empty, and every arrival on `long_gap`, whose recurrences past m are
-first occurrences.
+Phases B and C act only on a due arrival: one with a distance in
+(m0, m) to buffer, one while a buffered distance is distributed, the
+turn of a level that acts (an idle level whose input queue holds a
+match, a waiting level past its deadline ip + m_l + delta, a scanning
+level), or one where phase C acts (its tail check's next position has
+arrived, or a match waits while no check is open).  A level acts only on
+its own turn, 1 + i % s, so a queued match waits for it.  The
+generator's frame keeps the first arrival at which each level acts
+(`lv_next`), `wake`, the earliest of them, and `c_at`, phase C's; it
+updates them at every push, pop and transition, and computes them again
+when a generator starts.  One test of these after phase A skips both
+phases on any other arrival, where they would only have tested their
+conditions.
 
-Nothing in flight changes on a quiet arrival, so after one that ended no
-base-prefix match, the arrivals after it in the same chunk are quiet as
-well, up to the first distance in (m0, m) and, while a level waits, up
-to `wake`.  Such a stretch runs in bulk: phase A sends it to the core in
-one chunk, which returns right after a base-prefix match (the arrival
-after it may push, so it runs on its own), and the base phase writes the
-stretch block by block with `accumulate` over the values times r^0 ..
-r^31, and slice writes into the rings, where only the last H arrivals
-leave history entries.  The ops and words accounting stays exact: a
-quiet arrival charges 8 ops plus the symbols phase A consumes (at most
-3, so a stretch is taken only while `OP_BUDGET` allows 11) and holds
-`static_words` plus the arrivals the core leaves pending, and the core
-counts into a tally sent with the stretch the last of its arrivals that
-ran the shift machinery, with its count, and the peaks of both over
-them; every other arrival consumes 1 and leaves nothing pending.
+Inside a chunk, after any arrival that ended no base-prefix match and
+left no distance to distribute, the arrivals up to the next due one run
+in bulk, as a stretch that also stops before the first distance in
+(m0, m).  Phase A sends the stretch to the core in one chunk, which
+returns right after a base-prefix match (the arrival after it pushes, so
+it runs on its own).  A caught-up tail check, whose next position is the
+next arrival, compares each arrival's own distance: the stretch compares
+its values with the tail's in one pass, and ends before the first
+mismatch and before the verdict arrival c_ip + m - 1, which run alone.
+The base phase adds the arrivals that leave no history entry (all but
+the last H) to their blocks' sums with `sum`, a block at a time, and
+writes the others as a stepped arrival does.  The ops and words
+accounting stays exact.  An arrival of a stretch charges 8 ops, plus the
+symbols phase A consumes (at most 3), plus 1 for a tail comparison, so a
+stretch is taken only while `OP_BUDGET` allows 12 and `_C_BUDGET` one
+comparison.  It holds `static_words` and the queued matches' words, plus
+the arrivals the core leaves pending.  The core counts into a tally sent
+with the stretch the last of its arrivals that ran the shift machinery,
+with its count, and the peaks of both over them; every other arrival
+consumes 1 and leaves nothing pending.  On the `periodic_dense`
+benchmark workload, whose match queues are never empty, 87.3% of the
+first 196,608 arrivals (chunks of 16,384) run in 14,799 stretches; the
+others pop, split, scan or push at a level, catch a tail check up or
+close it, or follow a base-prefix match.
 
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
@@ -96,8 +105,8 @@ whose parameterized period is at most 3*delta, or that are shorter than
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate, compress, count, islice, repeat
-from operator import gt, lt, mul
+from itertools import compress, count, repeat
+from operator import gt, lt, mul, ne
 
 from .det_matcher import CONSUMES_PER_ARRIVAL, DetCore, DetMatcher, _write_back
 from .errors import ConfigError, Stopped, StructuralViolation
@@ -126,24 +135,10 @@ _C_BUDGET = 5
 # Bdelta 5, Bphi 16 (scan turn), C 7.  Independent of the pattern length by
 # construction; enforced per arrival.
 OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
-# The most ops a quiet arrival can charge: the base phase's flat 7, and
-# phase A's 1 plus its symbols; nothing pushes.
+# The most ops an arrival where nothing is due can charge: the base
+# phase's flat 7, and phase A's 1 plus its symbols; nothing pushes.  A
+# caught-up tail check adds 1.
 _QUIET_OPS = 8 + CONSUMES_PER_ARRIVAL + 1
-
-
-def _ring_write(ring, size, end, values) -> None:
-    """Write `values`, those of the arrivals just before index `end`, into
-    `ring`, where arrival a has slot a % size; only the last `size` of
-    them survive, so only those are written."""
-    values = values[-size:]
-    n = len(values)
-    at = (end - n) % size
-    cut = size - at
-    if n <= cut:
-        ring[at : at + n] = values
-    else:
-        ring[at:size] = values[:cut]
-        ring[: n - cut] = values[cut:]
 
 
 class StreamMatcher(DenseFrontEnd):
@@ -415,7 +410,7 @@ class StreamMatcher(DenseFrontEnd):
         level_fp = self.level_fp
         target = self.tail_target
         static_words = self.static_words
-        # A quiet stretch's values: a distance of m or more times False.
+        # A stretch's values: a distance of m or more times False.
         ms = repeat(m)
         m0s = repeat(m0)
 
@@ -437,26 +432,30 @@ class StreamMatcher(DenseFrontEnd):
         c_ip = self.c_ip
         c_k = self.c_k
         mq_words = self.mq_words
-        # Levels not idle, the sum of the waiting levels' deadlines, and
-        # `wake`: at most the earliest such deadline, below i while a level
-        # scans, NEVER when every level is idle.  Locals, changed only at
-        # level transitions, so a new generator computes them again from
-        # lv_phase and lv_ip.  A plain loop: a comprehension would turn the
-        # tables it reads into cell variables, which every arrival then
-        # loads more slowly.
-        nbusy = dsum = 0
-        wake = NEVER
+        # The first arrival at which each level acts: its next turn while
+        # it scans or idles with a match queued, its first turn past its
+        # deadline while it waits, NEVER while it idles on an empty queue.
+        # `wake` is the earliest, and `c_at` the first arrival at which
+        # phase C acts: the position its tail check compares next, or the
+        # next arrival while a match waits and no check is open.  Locals,
+        # kept up to date at every push, pop and transition, so a new
+        # generator computes them again; an open tail check gets the next
+        # arrival, where phase C sets its own (which also covers a history
+        # shorter than the comparisons made).  A plain loop: a
+        # comprehension would turn the tables it reads into cell
+        # variables, which every arrival then loads more slowly.
+        lv_next = [NEVER] * (s + 1)
         for ell in range(1, s + 1):
             ph = lv_phase[ell]
-            if ph != _IDLE:
-                nbusy += 1
-                if ph == _WAIT:
-                    due = lv_ip[ell] + mlen[ell] + delta
-                    dsum += due
-                else:
-                    due = i
-                if due < wake:
-                    wake = due
+            if ph == _WAIT:
+                x = max(lv_ip[ell] + mlen[ell] + delta, i) + 1
+            elif ph == _SCAN or segs[ell - 1]:
+                x = i + 1
+            else:
+                continue
+            lv_next[ell] = x + (ell - 1 - x) % s
+        wake = min(lv_next)
+        c_at = i + 1 if c_ip >= 0 or segs[s] else NEVER
         ops_last = self.ops_last
         ops_max = self.ops_max
         words_peak = self.words_peak
@@ -504,20 +503,22 @@ class StreamMatcher(DenseFrontEnd):
                         q0.push(i - m0 + 1, (bfp + bpw * loc) % p)
                         mq_words += q0.words - w0
                         ops += 3
+                        if lv_phase[1] == _IDLE:
+                            # Level 1 takes it at its first turn from now.
+                            x = i + (-i) % s
+                            lv_next[1] = x
+                            if x < wake:
+                                wake = x
 
-                    # Phases B and C have work only while a candidate is in
-                    # flight: a long distance to buffer, a buffered one, a
-                    # queued match, a level past its deadline or scanning,
-                    # or a tail check.  On any other arrival they would only
-                    # test their conditions.  (`nbusy` first: with every
-                    # level idle, `wake` is NEVER, a multi-digit int that the
-                    # interpreter compares more slowly.)
+                    # Phases B and C have work only on an arrival where one
+                    # of them is due: a long distance to buffer, a buffered
+                    # one, a level's turn to act, or phase C's.  On any other
+                    # arrival they would only test their conditions.
                     if (
                         bcur is not None
                         or bbuf
-                        or mq_words
-                        or (nbusy and i > wake)
-                        or c_ip >= 0
+                        or i >= wake
+                        or i >= c_at
                         or m0 < pv < m
                     ):
                         # Phase Bdelta: buffer long-distance arrivals,
@@ -547,120 +548,122 @@ class StreamMatcher(DenseFrontEnd):
                                 bnext += 1
                             ops += 1
 
-                        # Phase Bphi: one level per arrival advances its
-                        # candidate check.
-                        ell = 1 + i % s
-                        ph = lv_phase[ell]
-                        if ph == _IDLE:
-                            if segs[ell - 1]:
+                        # Phase Bphi: one level per arrival, in turn,
+                        # advances its candidate check; only the level whose
+                        # turn this is can be due.
+                        if i >= wake:
+                            ell = 1 + i % s
+                            ph = lv_phase[ell]
+                            if ph == _IDLE:
                                 ql = mq[ell - 1]
                                 w0 = ql.words
                                 got = ql.pop()
                                 mq_words += ql.words - w0
                                 lv_ip[ell] = got[0]
-                                # The popped prefix fingerprint waits in lv_acc:
-                                # the split below reads it once and replaces it
-                                # with the running difference.
+                                # The popped prefix fingerprint waits in
+                                # lv_acc: the split below reads it once and
+                                # replaces it with the running difference.
                                 lv_acc[ell] = got[1]
-                                ph = _WAIT
-                                lv_phase[ell] = _WAIT
-                                due = got[0] + mlen[ell] + delta
-                                nbusy += 1
-                                dsum += due
-                                if due < wake:
-                                    wake = due
+                                ph = lv_phase[ell] = _WAIT
                                 ops += 2
-                        if ph == _WAIT:
-                            ip = lv_ip[ell]
-                            ml = mlen[ell]
-                            if i > ip + ml + delta:
-                                idx = ip + ml - 1
-                                if i - idx >= H:
-                                    raise StructuralViolation(
-                                        f"fingerprint history expired for level {ell}"
-                                    )
-                                # Prefix fingerprint through idx, and r^(idx + 1).
-                                b = 2 * (idx // _BLOCK % nb)
-                                fp = blocks[b] + blocks[b + 1] * hist_fp[idx % H]
-                                lv_acc[ell] = (fp - lv_acc[ell]) % p
-                                b = 2 * ((idx + 1) // _BLOCK % nb)
-                                pw = blocks[b + 1] * rtab[(idx + 1) & mask]
-                                lv_rlo[ell] = pw * gap_inv[ell] % p
-                                # Scanning starts from the queue's first entry
-                                # ever, so the first scan turn checks what the
-                                # ring lost before the split as well.
-                                lv_cur[ell] = 0
-                                lv_end[ell] = dq_next[ell]
-                                lv_phase[ell] = _SCAN
-                                # wake is already at most this deadline, < i.
-                                dsum -= ip + ml + delta
-                                ops += 5
-                        elif ph == _SCAN:
-                            ip = lv_ip[ell]
-                            lo = ip + mlen[ell - 1]
-                            hi = ip + mlen[ell] - 1
-                            cur = lv_cur[ell]
-                            end = lv_end[ell]
-                            front = dq_next[ell] - dq_cap
-                            if front < 0:
-                                front = 0
-                            buf = dq_bufs[ell]
-                            if cur < front:
-                                # Entries were evicted before being scanned
-                                # (entries enter in position order); safe only
-                                # if everything lost sat below the zeroing
-                                # range.
-                                if front >= end:
-                                    raise StructuralViolation(
-                                        f"level {ell} zeroing queue evicted"
-                                        " unscanned entries"
-                                    )
-                                if buf[front % dq_cap][0] > lo:
-                                    raise StructuralViolation(
-                                        f"level {ell} may have lost zeroing candidates"
-                                    )
-                                cur = front
-                            stop = cur + _SCAN_BATCH
-                            if stop > end:
-                                stop = end
-                            acc = lv_acc[ell]
-                            ops += 1 + stop - cur
-                            while cur < stop:
-                                pos, pvj, rj = buf[cur % dq_cap]
-                                if lo <= pos <= hi and pvj > pos - ip:
-                                    acc = (acc - pvj * rj) % p
-                                cur += 1
-                            lv_acc[ell] = acc
-                            lv_cur[ell] = cur
-                            if cur >= end:
-                                rlo = lv_rlo[ell]
-                                debug = self.debug_checks
-                                if debug is not None:
-                                    debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
-                                if acc == level_fp[ell] * rlo % p:
-                                    if i >= ip + mlen[ell] + 3 * delta:
+                            if ph == _WAIT:
+                                ip = lv_ip[ell]
+                                ml = mlen[ell]
+                                if i > ip + ml + delta:
+                                    idx = ip + ml - 1
+                                    if i - idx >= H:
                                         raise StructuralViolation(
-                                            f"level {ell} missed its reporting deadline"
+                                            f"fingerprint history expired for level {ell}"
                                         )
-                                    qn = mq[ell]
-                                    w0 = qn.words
-                                    # Still in the history: i - hi <= 3*delta < H
-                                    # by the deadline above.
-                                    b = 2 * (hi // _BLOCK % nb)
-                                    fp = blocks[b] + blocks[b + 1] * hist_fp[hi % H]
-                                    qn.push(ip, fp % p)
-                                    mq_words += qn.words - w0
-                                    ops += 2
-                                lv_phase[ell] = _IDLE
-                                nbusy -= 1
-                                # One level left: its deadline if it waits,
-                                # 0 if it scans.  With two or more, wake is
-                                # left as it is, which may keep phase B
-                                # running until one more check completes.
-                                if not nbusy:
-                                    wake = NEVER
-                                elif nbusy == 1:
-                                    wake = dsum
+                                    # Prefix fingerprint through idx, and
+                                    # r^(idx + 1).
+                                    b = 2 * (idx // _BLOCK % nb)
+                                    fp = blocks[b] + blocks[b + 1] * hist_fp[idx % H]
+                                    lv_acc[ell] = (fp - lv_acc[ell]) % p
+                                    b = 2 * ((idx + 1) // _BLOCK % nb)
+                                    pw = blocks[b + 1] * rtab[(idx + 1) & mask]
+                                    lv_rlo[ell] = pw * gap_inv[ell] % p
+                                    # Scanning starts from the queue's first
+                                    # entry ever, so the first scan turn
+                                    # checks what the ring lost before the
+                                    # split as well.
+                                    lv_cur[ell] = 0
+                                    lv_end[ell] = dq_next[ell]
+                                    ph = lv_phase[ell] = _SCAN
+                                    ops += 5
+                            elif ph == _SCAN:
+                                ip = lv_ip[ell]
+                                lo = ip + mlen[ell - 1]
+                                hi = ip + mlen[ell] - 1
+                                cur = lv_cur[ell]
+                                end = lv_end[ell]
+                                front = dq_next[ell] - dq_cap
+                                if front < 0:
+                                    front = 0
+                                buf = dq_bufs[ell]
+                                if cur < front:
+                                    # Entries were evicted before being
+                                    # scanned (entries enter in position
+                                    # order); safe only if everything lost
+                                    # sat below the zeroing range.
+                                    if front >= end:
+                                        raise StructuralViolation(
+                                            f"level {ell} zeroing queue evicted"
+                                            " unscanned entries"
+                                        )
+                                    if buf[front % dq_cap][0] > lo:
+                                        raise StructuralViolation(
+                                            f"level {ell} may have lost zeroing candidates"
+                                        )
+                                    cur = front
+                                stop = cur + _SCAN_BATCH
+                                if stop > end:
+                                    stop = end
+                                acc = lv_acc[ell]
+                                ops += 1 + stop - cur
+                                while cur < stop:
+                                    pos, pvj, rj = buf[cur % dq_cap]
+                                    if lo <= pos <= hi and pvj > pos - ip:
+                                        acc = (acc - pvj * rj) % p
+                                    cur += 1
+                                lv_acc[ell] = acc
+                                lv_cur[ell] = cur
+                                if cur >= end:
+                                    rlo = lv_rlo[ell]
+                                    debug = self.debug_checks
+                                    if debug is not None:
+                                        debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
+                                    if acc == level_fp[ell] * rlo % p:
+                                        if i >= ip + mlen[ell] + 3 * delta:
+                                            raise StructuralViolation(
+                                                f"level {ell} missed its reporting deadline"
+                                            )
+                                        qn = mq[ell]
+                                        w0 = qn.words
+                                        # Still in the history: i - hi <=
+                                        # 3*delta < H by the deadline above.
+                                        b = 2 * (hi // _BLOCK % nb)
+                                        fp = blocks[b] + blocks[b + 1] * hist_fp[hi % H]
+                                        qn.push(ip, fp % p)
+                                        mq_words += qn.words - w0
+                                        ops += 2
+                                        # The next level's turn is the next
+                                        # arrival; phase C takes the last
+                                        # level's below.
+                                        if ell < s and lv_phase[ell + 1] == _IDLE:
+                                            lv_next[ell + 1] = i + 1
+                                    ph = lv_phase[ell] = _IDLE
+                            # This level acts next at its first turn past its
+                            # deadline while it waits, at its next turn while
+                            # it scans or its queue holds a match.
+                            if ph == _WAIT:
+                                x = lv_ip[ell] + mlen[ell] + delta + 1
+                                lv_next[ell] = x + (ell - 1 - x) % s
+                            elif ph == _SCAN or segs[ell - 1]:
+                                lv_next[ell] = i + s
+                            else:
+                                lv_next[ell] = NEVER
+                            wake = min(lv_next)
 
                         # Phase C: extend final-level matches across the
                         # explicit tail.
@@ -705,116 +708,14 @@ class StreamMatcher(DenseFrontEnd):
                                         raise StructuralViolation(
                                             "tail check behind schedule"
                                         )
-                    elif (
-                        out is not None
-                        and not a_prev
-                        and arrivals.__length_hint__()
-                        and OP_BUDGET >= _QUIET_OPS
-                    ):
-                        # A quiet arrival of a chunk, not the last, that
-                        # ended no base-prefix match: the quiet stretch
-                        # after it runs in bulk (see the module docstring).
-                        # This arrival's own accounting, as on any quiet
-                        # one: no push, and at most _QUIET_OPS ops.
-                        ops_last = ops
-                        if ops > ops_max:
-                            ops_max = self.ops_max = ops
-                        words = static_words + len(pending)
-                        if words > words_peak:
-                            words_peak = self.words_peak = words
-                        # preds[j + at] is arrival j.
-                        at = len(preds) - arrivals.__length_hint__() - i - 1
-                        edge = len(preds) - at - 1
-                        if nbusy and wake < edge:
-                            edge = wake
-                        # Its values, read in windows that double from one
-                        # block, so that a long distance close by costs
-                        # little: a window whose largest distance is at
-                        # most m0 holds none.
-                        vals = []
-                        j = i + 1
-                        w = _BLOCK
-                        while j <= edge:
-                            z = j + w
-                            if z > edge:
-                                z = edge + 1
-                            win = preds[j + at : z + at]
-                            top = max(win)
-                            if top >= m:
-                                win = list(map(mul, win, map(gt, ms, win)))
-                                top = max(win)
-                            if top > m0:
-                                z = next(compress(count(j), map(lt, m0s, win)))
-                                vals += win[: z - j]
-                                break
-                            vals += win
-                            j = z
-                            w += w
-                        if vals:
-                            seg = preds[i + 1 + at : i + 1 + at + len(vals)]
-                            hits = []
-                            # This arrival, as if it had run the machinery.
-                            tally = [i, ops - 8, 0, 0]
-                            try:
-                                done = arrive((seg, hits, tally))
-                            except BaseException:
-                                # The stream ends at the arrival that raised.
-                                i = suba.i
-                                raise
-                            last = hits[0] if hits else i + len(seg)
-                            run = last - i
-                            j = i + 1
-                            i = last
-                            vals = iter(vals)
-                            # Arrivals up to `last - H` leave no history
-                            # entry: later ones take their slots.
-                            keep = last - H
-                            fps = []
-                            while j <= last:
-                                off = j & mask
-                                if not off:
-                                    bfp = (bfp + bpw * loc) % p
-                                    bpw = bpw * r_block % p
-                                    loc = 0
-                                    b = 2 * (j // _BLOCK % nb)
-                                    blocks[b] = bfp
-                                    blocks[b + 1] = bpw
-                                z = j - off + _BLOCK
-                                if z > last:
-                                    z = last + 1
-                                terms = map(mul, rtab[off : off + z - j], vals)
-                                if z <= keep + 1:
-                                    loc = sum(terms, loc)
-                                else:
-                                    sums = accumulate(terms, initial=loc)
-                                    next(sums)
-                                    fps += sums
-                                    loc = fps[-1]
-                                j = z
-                            _ring_write(hist_fp, H, i + 1, fps)
-                            _ring_write(hist_pred, H, i + 1, seg[:run])
-                            # Each arrival of the stretch charges 8 ops plus
-                            # the symbols it consumes and holds static_words
-                            # plus the arrivals pending.  The tally has the
-                            # last arrival that ran the machinery, with its
-                            # count, and the peaks of both over such
-                            # arrivals; the others consume 1 and leave none
-                            # pending, as the stream's first arrival did,
-                            # whose 9 ops and static_words are counted.
-                            ops_last = 8 + (tally[1] if last == tally[0] else 1)
-                            ops = 8 + tally[2]
-                            if ops > ops_max:
-                                ops_max = self.ops_max = ops
-                            words = static_words + tally[3]
-                            if words > words_peak:
-                                words_peak = self.words_peak = words
-                            a_prev = done < 0
-                            a_done = -done if a_prev else done
-                            next(islice(arrivals, run, run), None)
-                            # The frame outlives the chunk: drop the
-                            # stretch's lists, and at its end the chunk's.
-                            win = vals = seg = fps = terms = sums = None
-                        continue
+                        # Phase C acts next at the position it compares
+                        # next, or at the next arrival if a match waits
+                        # (which the ladder's spacing rules out: a check
+                        # closes before the next candidate can pass level s).
+                        if c_ip >= 0:
+                            c_at = c_ip + m - H + c_k
+                        else:
+                            c_at = i + 1 if segs[s] else NEVER
 
                     ops_last = ops
                     if ops > ops_max:
@@ -826,6 +727,142 @@ class StreamMatcher(DenseFrontEnd):
                     words = static_words + 3 * len(bbuf) + mq_words + len(pending)
                     if words > words_peak:
                         words_peak = self.words_peak = words
+
+                    if (
+                        out is not None
+                        and wake > i + 1
+                        and not a_prev
+                        and bcur is None
+                        and not bbuf
+                    ):
+                        # An arrival of a chunk that ended no base-prefix
+                        # match: the arrivals after it run in bulk up to the
+                        # next due one (see the module docstring).  A
+                        # caught-up tail check compares one position on
+                        # each, and its verdict runs alone.
+                        tail = c_at == i + 1 and c_ip >= 0
+                        due = c_ip + m - 1 if tail else c_at
+                        if wake < due:
+                            due = wake
+                        rest = arrivals.__length_hint__()
+                        edge = i + rest
+                        if due <= edge:
+                            edge = due - 1
+                        if edge > i and OP_BUDGET > _QUIET_OPS and _C_BUDGET > 0:
+                            # preds[j + at] is arrival j.
+                            at = len(preds) - rest - i - 1
+                            # The stretch's values, read in windows that double
+                            # from four blocks, so that a long distance close
+                            # by costs little: a window whose largest distance
+                            # is at most m0 holds none.
+                            vals = []
+                            j = i + 1
+                            w = 4 * _BLOCK
+                            while j <= edge:
+                                z = j + w
+                                if z > edge:
+                                    z = edge + 1
+                                win = preds[j + at : z + at]
+                                top = max(win)
+                                if top >= m:
+                                    win = list(map(mul, win, map(gt, ms, win)))
+                                    top = max(win)
+                                if top > m0:
+                                    z = next(compress(count(j), map(lt, m0s, win)))
+                                    vals += win[: z - j]
+                                    break
+                                vals += win
+                                j = z
+                                w += w
+                            if tail and vals:
+                                # Arrival j compares its own distance, read as
+                                # `v if 0 < v <= j - c_ip else 0`: below m0 <
+                                # m - H <= j - c_ip, so it is its value, which
+                                # vals holds (0 for one of m or more).  A
+                                # negative one may read as a mismatch here: that
+                                # only ends the stretch early.  The first
+                                # mismatch closes the check and runs alone.
+                                cut = target[c_k : c_k + len(vals)]
+                                if vals != cut:
+                                    vals = vals[: next(compress(count(), map(ne, vals, cut)))]
+                            if vals:
+                                j = i + 1
+                                seg = preds[j + at : j + at + len(vals)]
+                                hits = []
+                                # [the last arrival that ran the machinery, the
+                                # symbols it consumed, the most any consumed,
+                                # the most any left pending].
+                                tally = [i, 0, 0, 0]
+                                try:
+                                    done = arrive((seg, hits, tally))
+                                except BaseException:
+                                    # The stream ends at the arrival that raised.
+                                    i = suba.i
+                                    raise
+                                last = hits[0] if hits else i + len(seg)
+                                run = last - i
+                                # Arrivals up to `last - H` leave no history
+                                # entry (later ones take their slots), so a
+                                # block of them only adds to its sum, with
+                                # `sum`; in the other blocks each arrival
+                                # writes its entries, as a stepped one does.
+                                keep = last - H
+                                vals = iter(vals)
+                                while j <= last:
+                                    off = j & mask
+                                    if not off:
+                                        bfp = (bfp + bpw * loc) % p
+                                        bpw = bpw * r_block % p
+                                        loc = 0
+                                        b = 2 * (j // _BLOCK % nb)
+                                        blocks[b] = bfp
+                                        blocks[b + 1] = bpw
+                                    z = j - off + _BLOCK
+                                    if z > last:
+                                        z = last + 1
+                                    if z <= keep + 1:
+                                        loc = sum(map(mul, rtab[off : off + z - j], vals), loc)
+                                        j = z
+                                        continue
+                                    for pv in seg[j - i - 1 : z - i - 1]:
+                                        if pv < m:
+                                            loc += pv * rtab[off]
+                                        slot = j % H
+                                        hist_fp[slot] = loc
+                                        hist_pred[slot] = pv
+                                        off += 1
+                                        j += 1
+                                i = last
+                                if tail:
+                                    c_k += run
+                                    c_at = i + 1
+                                # Each arrival of the stretch charges 8 ops, plus
+                                # the symbols it consumes, plus 1 for a tail
+                                # comparison, and holds static_words and the
+                                # queued matches' words plus the arrivals
+                                # pending.  The tally has the last arrival that
+                                # ran the machinery, with its count, and the
+                                # peaks of both over such arrivals; the others
+                                # consume 1 and leave none pending.  Such an
+                                # arrival's 9 ops, or 10 with a comparison, are
+                                # already counted: the stream's first arrival
+                                # charged 9, the tail check's pop 10 or more;
+                                # and so are its words: the arrival before the
+                                # stretch ran alone and held at least as many.
+                                ops_last = 8 + tail + (tally[1] if last == tally[0] else 1)
+                                ops = 8 + tail + tally[2]
+                                if ops > ops_max:
+                                    ops_max = self.ops_max = ops
+                                words = static_words + mq_words + tally[3]
+                                if words > words_peak:
+                                    words_peak = self.words_peak = words
+                                a_prev = done < 0
+                                a_done = -done if a_prev else done
+                                # On from the arrival after the stretch.
+                                arrivals.__setstate__(i + 1 + at)
+                            # The frame outlives the chunk: drop the stretch's
+                            # lists, and at its end the chunk's.
+                            win = vals = seg = cut = None
             except BaseException as e:
                 # Unless the error was its own, phase A's core holds its
                 # state in its generator: it is written back, and the core

@@ -234,7 +234,8 @@ def test_verify_counts_violations_and_discrepancies(monkeypatch):
     # verify builds a new matcher for each trial, so an error ends only
     # that trial's stream.  An engine whose first matcher raises a
     # structural violation and whose second reports a match past the
-    # stream's end is counted once for each, and verify exits 1.
+    # stream's end is counted once for each, and verify exits 3, the
+    # structural code, not 1, which a bad argument gets.
     built = []
 
     class Faulty:
@@ -250,7 +251,7 @@ def test_verify_counts_violations_and_discrepancies(monkeypatch):
 
     monkeypatch.setattr(cli, "StreamMatcher", Faulty)
     code, out, _ = run_cli(["verify", "--trials", "6", "--max-m", "30", "--seed", "4"])
-    assert code == 1
+    assert code == 3
     assert out == "trials=6\ndiscrepancies=1\nstructural_violations=1\n"
     assert len(set(map(id, built))) == 6
 
@@ -264,6 +265,7 @@ def test_verify_counts_violations_and_discrepancies(monkeypatch):
             ["gen", "--kind", "planted", "--period", "4", "--m", "8", "--n", "16"],
             "--period applies to --kind periodic, not planted",
         ),
+        (["verify", "--trials", "0"], "expected an integer >= 1, got 0"),
     ],
 )
 def test_a_rejected_argument_is_a_usage_error_in_process(tmp_path, argv, why):

@@ -648,9 +648,40 @@ def matcher_state(sm):
     }
 
 
+def tail_mismatches(m, n, seed):
+    """The periodic instance's pattern and a text that differs from it in
+    one symbol ten positions before the end of a matching window, in every
+    window that holds no earlier change: those windows' level checks pass,
+    and their tail checks close on a mismatch."""
+    inst = make_instance("periodic", m, n, 4, seed=seed)
+    text = list(inst.text)
+    cut = -m
+    for s in naive_all_matches(inst.pattern, text):
+        if s + m - 11 - cut >= m:
+            cut = s + m - 11
+            text[cut] = (text[cut] + 1) % 4
+    return inst.pattern, text
+
+
+def tail_closes(sm, text):
+    """Step `text` through `sm`; the arrivals where a tail check closed on
+    a mismatch."""
+    closes = []
+    for j, sym in enumerate(text):
+        open_check = sm.c_ip >= 0
+        if not sm.step(sym) and open_check and sm.c_ip < 0:
+            closes.append(j)
+    return closes
+
+
 @pytest.mark.parametrize(
     "kind, m, n, seed",
-    [("planted", 3000, 9000, 5), ("periodic", 2500, 10000, 2), ("long_gap", 2100, 9000, 8)],
+    [
+        ("planted", 3000, 9000, 5),
+        ("periodic", 2500, 10000, 2),
+        ("mismatched", 2500, 10000, 2),
+        ("long_gap", 2100, 9000, 8),
+    ],
 )
 def test_scan_chunks_equal_step(kind, m, n, seed):
     # A matcher fed chunk by chunk through scan and one stepped through
@@ -658,18 +689,22 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
     # after each chunk.  Chunks of H + _BLOCK + 1 hold quiet stretches
     # longer than the history, which write the entries of their last H
     # arrivals only; H is a multiple of 4, so over 32 chunks the first of
-    # those falls at every offset of a block.
+    # those falls at every offset of a block.  On the mismatched periodic
+    # text, tail checks compare inside stretches and close on a mismatch.
     if kind == "long_gap":
         # Recurrences inside (m0, m), which load the buffers.
         inst = gap_instance(m, n, 4, seed, gap=m - 11)
+        pattern, text = inst.pattern, inst.text
+    elif kind == "mismatched":
+        pattern, text = tail_mismatches(m, n, seed)
     else:
         inst = make_instance(kind, m, n, 4, seed=seed)
-    text = inst.text
-    want = [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
-    H = StreamMatcher(inst.pattern, 4, seed=12).H
+        pattern, text = inst.pattern, inst.text
+    want = [s + m - 1 for s in naive_all_matches(pattern, text)]
+    H = StreamMatcher(pattern, 4, seed=12).H
     for chunk in (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, H + _BLOCK + 1, 4096, n):
-        stepped = StreamMatcher(inst.pattern, 4, seed=12)
-        scanned = StreamMatcher(inst.pattern, 4, seed=12)
+        stepped = StreamMatcher(pattern, 4, seed=12)
+        scanned = StreamMatcher(pattern, 4, seed=12)
         assert stepped.mode == "rand"
         stepped.debug_checks = []
         scanned.debug_checks = []
@@ -683,6 +718,8 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
         assert scanned.debug_checks == stepped.debug_checks, chunk
     if kind == "periodic":
         assert want and len(stepped.debug_checks) > 10
+    if kind == "mismatched":
+        assert tail_closes(StreamMatcher(pattern, 4, seed=12), text) == [2489, 5297, 8105]
     if kind == "long_gap":
         assert stepped.b_peak > 0 and stepped.d_fill_max() > 0
 
@@ -721,37 +758,62 @@ class StretchLog:
         ("match", None),
         ("deadline", None),
         ("long", None),
+        ("idle turn", None),
+        ("waiting", None),
+        ("mismatch", None),
+        ("verdict", None),
         ("overflow", 5),
         ("overflow", 4),
+        ("overflow", 3),
+        ("tail budget", 1),
+        ("history", 4),
     ],
 )
-def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundary, cap):
-    # Phase A takes a stretch of quiet arrivals in one send, and the
-    # arrivals after it run one at a time, where a stepped run would leave
-    # the quiet branch: right after a base-prefix match (the next arrival
-    # pushes it), at a waiting level's deadline, before a distance in
-    # (m0, m), or at a deferral overflow, which the core raises inside the
-    # stretch: with a cap of 5 on this stream at its second arrival, with
-    # 4 at its first, after an arrival that consumed nothing.  Chunks of
-    # 1000 put each boundary inside a chunk; after every call, the whole
-    # state equals a stepped run's, the front end's table, ops and words
+def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
+    monkeypatch, boundary, cap
+):
+    # Inside a chunk, the arrivals where nothing is due run in bulk, and a
+    # due one runs alone, where a stepped run's phases B or C act: right
+    # after a base-prefix match (the next arrival pushes it), at the first
+    # turn of a waiting level past its deadline, before a distance in
+    # (m0, m), at the turn of an idle level whose queue holds a match, and
+    # before a tail check's mismatch or verdict.  A waiting level with
+    # matches queued behind it is crossed.  A deferral overflow, which the
+    # core raises inside a stretch, stops it: with caps 5, 4 and 3 on this
+    # stream at the stretch's third, second and first arrival, the first
+    # after an arrival that consumed nothing.  A tail budget of 1 never
+    # catches a tail check up, and a quarter of the history expires
+    # before a split: both raise where a stepped run does.  Chunks of 1000
+    # put each boundary inside a chunk; after every call, the whole state
+    # equals a stepped run's, the front end's table, ops and words
     # included.  An error ends both streams at the same arrival, with the
     # same matches and phase A state, and both refuse to go on.
     if boundary == "long":
         inst = gap_instance(2100, 9000, 4, 8, gap=2100 - 11)
-    elif boundary == "overflow":
-        inst = make_instance("periodic", 2500, 10000, 4, seed=2)
-    else:
+        pattern, text = inst.pattern, inst.text
+    elif boundary in ("match", "deadline"):
         inst = make_instance("planted", 3000, 9000, 4, seed=5)
-    text = inst.text
-    scanned, stepped = (StreamMatcher(inst.pattern, 4, seed=12) for _ in range(2))
+        pattern, text = inst.pattern, inst.text
+    elif boundary == "mismatch":
+        pattern, text = tail_mismatches(2500, 10000, 2)
+    else:
+        inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+        pattern, text = inst.pattern, inst.text
+    if boundary == "tail budget":
+        monkeypatch.setattr(stream_matcher, "_C_BUDGET", cap)
+    scanned, stepped = (StreamMatcher(pattern, 4, seed=12) for _ in range(2))
     assert scanned.mode == "rand"
-    if cap is not None:
-        # Read when the core's generator starts, which StretchLog does.
+    # Read when the generators start, which StretchLog does for the core.
+    if boundary == "overflow":
         scanned.suba.pend_cap = stepped.suba.pend_cap = cap
+    if boundary == "history":
+        scanned.H = stepped.H = stepped.H // cap
     log = StretchLog(scanned)
     by_scan, by_step, errors = [], [], []
-    pushes, dues = set(), set()
+    # What a stepped run's phases do at each arrival, from the level whose
+    # turn it is and the tail check as they stand before it.
+    events = {}
+    s = stepped.s
     k = 0
     while k < len(text):
         try:
@@ -759,18 +821,25 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundar
         except StructuralViolation as e:
             errors.append((str(e), scanned.i))
         for j in range(k, scanned.i + 1):
+            ell = 1 + j % s
+            ph = stepped.lv_phase[ell]
+            queued = bool(stepped.mq[ell - 1].segs)
+            due = stepped.lv_ip[ell] + stepped.mlen[ell] + stepped.delta
+            checking = stepped.c_ip >= 0
             try:
                 if stepped.step(text[j]):
                     by_step.append(j)
+                    events[j] = "verdict"
+                elif checking and stepped.c_ip < 0:
+                    events[j] = "mismatch"
             except StructuralViolation as e:
                 errors.append((str(e), j))
             if stepped.mq[0].last_pos == j - stepped.m0 + 1:
-                pushes.add(j)
-            dues.update(
-                stepped.lv_ip[ell] + stepped.mlen[ell] + stepped.delta
-                for ell in range(1, stepped.s + 1)
-                if stepped.lv_phase[ell] == stream_matcher._WAIT
-            )
+                events[j] = "match"
+            elif ph == stream_matcher._WAIT:
+                events.setdefault(j, "deadline" if j > due else "waiting" if queued else None)
+            elif ph == stream_matcher._IDLE and queued:
+                events.setdefault(j, "idle turn")
         if errors:
             # The stepped run has written the raising arrival's base
             # phase, the stretch has not.
@@ -783,17 +852,19 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundar
         for first, last, end in log.stretches
         if first <= last and (last + 1) % 1000
     ]
-    if boundary == "match":
-        assert any(end == [last] and last + 1 in pushes for _, last, end in inside)
-    elif boundary == "deadline":
-        assert any(end == [] and last in dues for _, last, end in inside)
-    elif boundary == "long":
+    if boundary == "long":
         pv = pred_string(text)
         assert any(scanned.m0 < pv[last + 1] < 2100 for _, last, _ in inside)
-    else:
+    elif boundary == "waiting":
+        assert any(
+            events.get(j) == "waiting" for first, last, _ in inside for j in range(first, last + 1)
+        )
+    elif cap is None:
+        assert any(events.get(last + 1) == boundary for _, last, _ in inside)
+    if boundary == "overflow":
         at = 146 + cap
         assert errors == [(f"deferral buffer exceeded capacity {cap}", at)] * 2
-        assert (150, at, "raised") in log.stretches
+        assert (149, at, "raised") in log.stretches
         assert scanned.i == stepped.i == at
         assert core_state(scanned.suba) == core_state(stepped.suba)
         for sm in (scanned, stepped):
@@ -803,16 +874,23 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(boundar
         # Up to the error, a scanned run's whole state is a stepped one's.
         before = []
         for _ in range(2):
-            sm = StreamMatcher(inst.pattern, 4, seed=12)
+            sm = StreamMatcher(pattern, 4, seed=12)
             sm.suba.pend_cap = cap
             before.append(sm)
         before[0].scan(text[:at])
         for sym in text[:at]:
             before[1].step(sym)
         assert matcher_state(before[0]) == matcher_state(before[1])
-    if boundary != "overflow":
-        m = len(inst.pattern)
-        assert by_scan == [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
+    elif cap is not None:
+        # The error's arrival ran alone, after stretches that compared
+        # tail positions or crossed waiting levels.
+        at = errors[0][1]
+        why = "tail check behind schedule" if cap == 1 else "fingerprint history expired"
+        assert errors[0][0].startswith(why) and errors == [errors[0]] * 2
+        assert inside and all(last < at for _, last, _ in log.stretches)
+        assert scanned.i == stepped.i == at
+    else:
+        assert by_scan == [s + len(pattern) - 1 for s in naive_all_matches(pattern, text)]
 
 
 def test_the_arrival_before_a_stretch_counts_its_own_words():
@@ -836,6 +914,21 @@ def test_the_arrival_before_a_stretch_counts_its_own_words():
     assert log.stretches[before:] == [(1292, 1340, [])]
     assert scanned.live_words_peak() == stepped.live_words_peak()
     assert matcher_state(scanned) == matcher_state(stepped)
+
+
+def test_a_periodic_stream_runs_mostly_in_stretches():
+    # The share of a periodic stream's arrivals that run in bulk, as
+    # StretchLog counts them over chunks of 4096: 9289 of 10000, in 353
+    # stretches.  While any queued match made an arrival busy, and a
+    # stretch could start only after a quiet arrival, it was 902, in 7.
+    # A change that turns the bulk path off fails here without a timing.
+    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    log = StretchLog(sm)
+    for k in range(0, 10000, 4096):
+        sm.scan(inst.text[k : k + 4096])
+    inside = sum(last - first + 1 for first, last, _ in log.stretches)
+    assert (inside, len(log.stretches)) == (9289, 353)
 
 
 @pytest.mark.parametrize(
@@ -1214,6 +1307,80 @@ def test_copies_made_mid_stream_go_on_like_the_original():
             assert other.scan(rest) == want, kind
             assert other.debug_checks == sm.debug_checks, kind
             assert matcher_state(other) == matcher_state(sm), kind
+
+
+def take_turns(sm, text, start):
+    """Step text[start:] through `sm` and check that whatever has work
+    acts on its turn: the level whose turn an arrival is, when it idles
+    with a match queued, waits past its deadline or scans, and phase C,
+    when its tail check's next position has arrived or a match waits
+    while no check is open.  Returns the arrivals where each acted."""
+    acted = []
+    s = sm.s
+    for j in range(start, len(text)):
+        ell = 1 + j % s
+        ph = sm.lv_phase[ell]
+        work = (
+            (ph == stream_matcher._IDLE and bool(sm.mq[ell - 1].segs))
+            or (ph == stream_matcher._WAIT and j > sm.lv_ip[ell] + sm.mlen[ell] + sm.delta)
+            or ph == stream_matcher._SCAN
+        )
+        cur = sm.lv_cur[ell]
+        c_ip, c_k = sm.c_ip, sm.c_k
+        tail = (c_ip >= 0 and c_ip + sm.m - sm.H + c_k <= j) or (c_ip < 0 and sm.mq[s].segs)
+        sm.step(text[j])
+        if work:
+            assert sm.lv_phase[ell] != ph or sm.lv_cur[ell] > cur, (j, ell, ph)
+            acted.append(j)
+        if tail:
+            assert (sm.c_ip, sm.c_k) != (c_ip, c_k), j
+            acted.append(j)
+    return acted
+
+
+def test_whatever_has_work_acts_on_its_turn():
+    # Phases B and C are skipped on an arrival where nothing is due, so
+    # a level that is owed its turn, or a tail check owed a comparison,
+    # must still get it, on the periodic, mismatched, planted and
+    # block-tiled streams.  On the binary periodic one, level 2 splits at
+    # 484, the arrival that pushes a base-prefix match, which level 1
+    # takes at its turn, 486.
+    # So must a copy whose generator computes the schedule again: one cut
+    # right after a push while level 1 idles, one while a level waits
+    # with matches queued behind it.
+    periodic = make_instance("periodic", 2500, 10000, 4, seed=2)
+    planted = make_instance("planted", 3000, 9000, 4, seed=5)
+    binary = periodic_instance(641, 4 * 641, 2, 438433, block=211)
+    streams = [
+        (periodic.pattern, periodic.text, 4),
+        (*tail_mismatches(2500, 10000, 2), 4),
+        (planted.pattern, planted.text, 4),
+        (*BLOCKS, 4),
+        (binary.pattern, binary.text, 2),
+    ]
+    for pattern, text, sigma in streams:
+        sm = StreamMatcher(pattern, sigma, seed=12)
+        assert sm.mode == "rand"
+        assert take_turns(sm, text, 0)
+    sm = StreamMatcher(periodic.pattern, 4, seed=12)
+    text = periodic.text
+    cuts = []
+    for j, sym in enumerate(text):
+        sm.step(sym)
+        idle_queued = sm.lv_phase[1] == stream_matcher._IDLE and sm.mq[0].segs
+        waiting_queued = any(
+            sm.lv_phase[ell] == stream_matcher._WAIT and sm.mq[ell - 1].segs
+            for ell in range(1, sm.s + 1)
+        )
+        if (idle_queued and j % sm.s) or (waiting_queued and len(cuts) == 1):
+            cuts.append(j + 1)
+        if len(cuts) == 2:
+            break
+    assert len(cuts) == 2
+    for cut in cuts:
+        sm = StreamMatcher(periodic.pattern, 4, seed=12)
+        sm.scan(text[:cut])
+        take_turns(copy.deepcopy(sm), text, cut)
 
 
 def test_two_levels_scanning_with_the_queues_empty():
