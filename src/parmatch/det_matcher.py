@@ -4,7 +4,8 @@ A parameterized analogue of KMP run over compressed tables.  The state
 that survives between arrivals is O(|alphabet| + rho) words: the current
 matched length, a cursor into the run-length table of prefix periods, a
 cursor into the first-occurrence list, the O(rho) encoding of pred(P),
-and a bounded FIFO of deferred arrivals.
+a bounded FIFO of deferred arrivals, and a table for matched lengths
+below a constant K.
 
 On a mismatch at matched length x the next candidate border is x minus
 the period of the length-x prefix.  Walking candidates one at a time can
@@ -23,17 +24,33 @@ that cannot be processed in time wait in the FIFO and are reported as
 non-matches immediately; the buffer provably drains before the next true
 match, which is asserted whenever a match is reported.
 
-Most arrivals never reach that machinery.  With nothing deferred, the
-fresh symbol is compared at once; when that fails and the next candidate
-is the top of the current run, or a first occurrence found by at most one
-step of the first-occurrence cursor, that candidate is tested inline as
-well: the one-shift path.  Its outcome, cursors and counters are exactly
-those the machinery would produce, which it enters otherwise, from the
-phase reached.
+Most arrivals never reach that machinery.  With nothing deferred, a
+matched length r below K = 12 moves by a table: the next matched length
+depends only on r and on the arrival's distance clipped at r, c = `v if
+0 < v <= r else 0`, so it is entry r(r+1)/2 + c of a table of K(K+1)/2
+bytes, the p-string KMP automaton of Idury and Schäffer below K.  Each
+row is built in O(1) steps from the row of its failure link r -
+periods[r], read at `c if c <= x else 0`.  A table arrival consumes one
+symbol, counts no shift and no cursor unit, and never defers.  The
+cursors are not kept below K: when the table hands the core to the fast
+path at K, they take their values there.  A pattern of length q <= K is
+the whole table, where a match is an entry of q.  At r >= K the fresh
+symbol is compared at once, the fast path, and a failed comparison goes
+on in the machinery from _SYNC, with the failed length as the first
+candidate.
+
+So the machinery starts only at r >= K with nothing pending, and once
+started it runs, below K too, until it is idle with nothing pending; the
+table takes over only then.  Every deferral falls inside such a busy
+stretch, and a table arrival, which comes only with nothing pending,
+neither adds to the backlog nor delays its draining: the argument that
+the buffer drains before the next match is the machinery's alone, as
+without the table, over busy stretches that each start with an empty
+buffer.
 
 The arrival logic is written once, as a generator that holds the tables,
 cursors and counters in local variables and runs each chunk of distances
-sent to it through the fast path, the one-shift path and the machinery.
+sent to it through the table, the fast path and the machinery.
 `DetMatcher.feed` and `scan` send it a whole chunk; `step`, `step_pred`
 and the randomized matcher's phase A send one arrival.  Phase A also
 sends a stretch of arrivals where its phases B and C have nothing due as
@@ -41,7 +58,7 @@ one chunk with a tally: such a chunk stops right
 after an arrival where a match ends (the arrival after it may push into
 a queue, so it runs on its own), and its arrivals that run the shift
 machinery count into the tally what the caller needs to account for them
-exactly as for one arrival at a time (a fast or one-shift arrival
+exactly as for one arrival at a time (a table or fast-path arrival
 consumes 1 symbol and leaves nothing pending).  The state is written
 back to the core's attributes only when one of them is read, so no send
 pays for a write-back; the attributes are read-only, since no program
@@ -77,6 +94,9 @@ from .predecessor import DenseFrontEnd, LastOccurrence
 SHIFTS_PER_ARRIVAL = 2
 UNITS_PER_ARRIVAL = 16
 CONSUMES_PER_ARRIVAL = 2
+# Matched lengths below K move by a table of K(K+1)/2 bytes, which
+# `live_words` counts as ceil(K(K+1)/16) words: 10 at K = 12.
+K = 12
 
 _IDLE, _TEST, _SYNC, _SCAN = 0, 1, 2, 3
 
@@ -119,8 +139,8 @@ class DetCore:
     the ladder base with the distances it is fed: its phase A sends the
     core's generator one arrival, or a stretch, at a time and reads
     the verdict and the symbols consumed from each send, and `pending` and
-    `live_words()` besides.  The tables, cursors, counters and the fast
-    path all live here.
+    `live_words()` besides.  The tables, cursors, counters, the table
+    path and the fast path all live here.
 
     `run` is the generator (None until the first arrival, and a `Stopped`
     after an error, which ends the stream), and `synced` tells whether the
@@ -137,6 +157,7 @@ class DetCore:
         "occ",
         "cp_ks",
         "cp_cs",
+        "table",
         "pending",
         "pend_cap",
         "run",
@@ -179,6 +200,19 @@ class DetCore:
         self.occ = build_first_occurrences(profile.pred)
         self.cp_ks = cp.ks
         self.cp_cs = cp.cs
+        # The automaton below min(K, q): at r(r+1)/2 + c, row r holds the
+        # matched length after an arrival whose distance, clipped at r, is
+        # c.  Row 0 takes every arrival to 1.  Row r is the row of its
+        # failure link x = r - periods[r], read at `c if c <= x else 0`,
+        # except at c = pred[r], which extends the match to r + 1.
+        periods = profile.periods
+        table = bytearray(b"\x01")
+        for r in range(1, min(K, self.q)):
+            x = r - periods[r]
+            row = x * (x + 1) // 2
+            table += table[row : row + x + 1] + table[row : row + 1] * (r - x)
+            table[r * (r + 1) // 2 + profile.pred[r]] = r + 1
+        self.table = bytes(table)
         if pend_cap is None:
             pend_cap = 4 * (profile.sigma + rho) + 16
         self.pending: deque = deque()
@@ -245,6 +279,12 @@ class DetCore:
         last_occ = len(occ) - 1
         cp_ks = self.cp_ks
         cp_cs = self.cp_cs
+        table = self.table
+        top = min(K, q)
+        rows = tuple(r * (r + 1) // 2 for r in range(top))
+        # The cursors' values at r == K, where the fast path takes over.
+        run_k = sum(run[2] < K for run in runs[:K])
+        occ_k = sum(f <= K for f in occ[1 : K + 1])
         pending = self.pending
         pend_cap = self.pend_cap
         i = self._i
@@ -286,15 +326,35 @@ class DetCore:
                             continue
                     i += 1
                     if phase == _IDLE and not pending:
-                        # Fast path: nothing deferred, test the fresh
-                        # symbol directly.
-                        x = r
-                        j = x % rho
-                        pv_p = 0 if x // rho < cp_ks[j] else cp_cs[j]
-                        if (pv_p == pv) if 0 < pv <= x else (pv_p == 0):
+                        if r < top:
+                            # Table path: below K the next matched length
+                            # is the automaton's, read at r and the
+                            # distance clipped at r.
+                            r = table[rows[r] + (pv if 0 < pv <= r else 0)]
                             consumed += 1
                             shifts_last = units_last = 0
-                            r = x + 1
+                            if r == top:
+                                if r < q:
+                                    # At K the fast path takes over, with
+                                    # the cursors at their values there.
+                                    run_i = run_k
+                                    occ_i = occ_k
+                                else:
+                                    r -= rho
+                                    hit = True
+                                    if out is not None:
+                                        out.append(i)
+                                        if tally is not None:
+                                            chunk = drained
+                            continue
+                        # Fast path, at r >= K: test the fresh symbol
+                        # directly.
+                        j = r % rho
+                        pv_p = 0 if r // rho < cp_ks[j] else cp_cs[j]
+                        if (pv_p == pv) if 0 < pv <= r else (pv_p == 0):
+                            consumed += 1
+                            shifts_last = units_last = 0
+                            r += 1
                             if r < q:
                                 # Cursor growth.  Here and in _TEST's
                                 # commit r < q, and the last run ends
@@ -312,78 +372,22 @@ class DetCore:
                                 if tally is not None:
                                     chunk = drained
                             continue
-                        # First comparison failed.  Do what _SYNC would
-                        # do with the cursors as they stand; when that
-                        # leaves the first-occurrence cursor to descend,
-                        # take _SCAN's first unit, one step down.  When
-                        # that names the next candidate (the top of the
-                        # run, or a first-occurrence probe at most one
-                        # step below the cursor), test it here, as
-                        # _TEST would: the one-shift path.  Otherwise,
-                        # or when the test fails, go on in the machinery
-                        # from the phase reached.
-                        shifts = SHIFTS_PER_ARRIVAL
-                        units = UNITS_PER_ARRIVAL
-                        rho_s, lo, hi = runs[run_i]
-                        if lo > x:
-                            ph = _SYNC  # the run cursor has to descend
-                        elif x == hi:
-                            x -= rho_s
-                            ph = _TEST
-                        else:
-                            xlow = x - ((x - lo) // rho_s) * rho_s
-                            f = occ[occ_i]
-                            ph = _TEST
-                            if not (f < x and (f < xlow or (f - xlow) % rho_s == 0)):
-                                occ_i -= 1
-                                units -= 1
-                                f = occ[occ_i]
-                                if not (
-                                    f < x and (f < xlow or (f - xlow) % rho_s == 0)
-                                ):
-                                    ph = _SCAN  # the cursor descends further
-                            if ph == _TEST:
-                                x = f if f >= xlow else xlow - rho_s
-                        if ph == _TEST:
-                            shifts -= 1
-                            j = x % rho
-                            pv_p = 0 if x // rho < cp_ks[j] else cp_cs[j]
-                            if (pv_p == pv) if 0 < pv <= x else (pv_p == 0):
-                                # x < r < q, so no match completes, and
-                                # the run cursor stays: an idle core's
-                                # cursors never lag behind r, and r does
-                                # not rise.  After a first-occurrence
-                                # step, the entry stepped past may lie at
-                                # or below the new r: _TEST's growth rule
-                                # then takes the cursor back up to it.
-                                # The working values (g, cand) are set
-                                # before they are next read, so they stay
-                                # as they are.
-                                consumed += 1
-                                shifts_last = 1
-                                units_last = UNITS_PER_ARRIVAL - units
-                                r = x + 1
-                                if units != UNITS_PER_ARRIVAL and occ[occ_i + 1] <= r:
-                                    occ_i += 1
-                                continue
-                            ph = _SYNC
-                        phase = ph
+                        # The first comparison failed, at r >= K: on in
+                        # the shift machinery, from _SYNC at cand = r.
+                        phase = _SYNC
                         g = pv
-                        cand = x
+                        cand = r
                         consumes = CONSUMES_PER_ARRIVAL - 1
-                        before = consumed
                     else:
-                        before = consumed
                         pending.append(pv)
                         if len(pending) > pend_cap:
                             raise StructuralViolation(
                                 f"deferral buffer exceeded capacity {pend_cap}"
                             )
-                        if len(pending) > pend_peak:
-                            pend_peak = len(pending)
-                        shifts = SHIFTS_PER_ARRIVAL
-                        units = UNITS_PER_ARRIVAL
                         consumes = CONSUMES_PER_ARRIVAL
+                    before = consumed
+                    shifts = SHIFTS_PER_ARRIVAL
+                    units = UNITS_PER_ARRIVAL
 
                     # The shift machinery, from the phase reached.
                     while True:
@@ -480,6 +484,8 @@ class DetCore:
                                 break  # out of units: go on next arrival
                     shifts_last = SHIFTS_PER_ARRIVAL - shifts
                     units_last = UNITS_PER_ARRIVAL - units
+                    if len(pending) > pend_peak:
+                        pend_peak = len(pending)
                     if tally is not None:
                         took = consumed - before
                         tally[0] = i
@@ -512,6 +518,7 @@ class DetCore:
         """Words held across arrivals (tables included, pattern excluded)."""
         return (
             len(self.pending)
+            + (len(self.table) + 7) // 8
             + 3 * len(self.runs)
             + len(self.occ)
             + 2 * self.rho

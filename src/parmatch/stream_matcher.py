@@ -488,9 +488,10 @@ class StreamMatcher(DenseFrontEnd):
 
                     # Phase A: base-prefix matches.  The core answers each
                     # send with the symbols it has consumed, negated when a
-                    # match ends.  Its fast path (idle, nothing deferred,
-                    # the first comparison succeeds) consumes one symbol,
-                    # so the common case costs 9 ops.
+                    # match ends.  Idle with nothing deferred, its table
+                    # path (below K) and its fast path (a first comparison
+                    # that succeeds) consume one symbol, so the common case
+                    # costs 9 ops.
                     prev = a_prev
                     done = arrive(pv)
                     a_prev = done < 0

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
-from parmatch.det_matcher import _IDLE, DetCore, DetMatcher, _Live
+from parmatch.det_matcher import _IDLE, K, DetCore, DetMatcher, _Live
 from parmatch.errors import AlphabetError, Stopped, StructuralViolation, UsageError
 from parmatch.gen import make_instance
-from parmatch.oracle import naive_all_matches
+from parmatch.oracle import naive_all_matches, naive_pmatch
 from parmatch.pattern import build_profile
-from parmatch.predecessor import LastOccurrence
+from parmatch.predecessor import LastOccurrence, pred_string
 
 from cores import core_state
+from misses import near_misses
 
 
 def starts(pattern, sigma, text):
@@ -75,6 +76,53 @@ def test_oracle_equivalence_structured():
         ), (kind, sigma, m, inst.seed)
 
 
+def test_the_table_is_the_automaton_below_k():
+    # Entry r(r+1)/2 + c of the table, for r < min(K, m) and c <= r, is the
+    # longest prefix of the pattern that p-matches a suffix of a window
+    # p-matching its length-r prefix extended by a symbol at clipped
+    # distance c: by the oracle's p-match on symbols, where the window
+    # pattern[:r] can be followed by such a symbol, and otherwise by the
+    # window-relative reading of its predecessor string.  With m <= K the
+    # table is the whole automaton, and an entry of m is a match.
+    rng = random.Random(23)
+    reached = 0
+    for t in range(300):
+        sigma = rng.randint(2, 8)
+        m = rng.randint(1, 40)
+        if t % 2:
+            block = [rng.randrange(sigma) for _ in range(rng.randint(1, 6))]
+            pattern = [block[j % len(block)] for j in range(m)]
+        else:
+            pattern = [rng.randrange(sigma) for _ in range(m)]
+        core = DetCore(build_profile(pattern, sigma))
+        top = min(K, m)
+        assert len(core.table) == top * (top + 1) // 2
+        pred = pred_string(pattern)
+        for r in range(top):
+            window = pattern[:r]
+            for c in range(r + 1):
+                if c == 0:
+                    ext = window + [sigma]
+                elif window[r - c] not in window[r - c + 1 :]:
+                    ext = window + [window[r - c]]
+                else:
+                    ext = None
+                lengths = range(min(r + 1, m), 0, -1)
+                if ext is not None:
+                    want = next(n for n in lengths if naive_pmatch(ext[r + 1 - n :], pattern[:n]))
+                else:
+                    ext = pred[:r] + [c]
+                    want = next(
+                        n
+                        for n in lengths
+                        if [v if v <= k else 0 for k, v in enumerate(ext[r + 1 - n :])]
+                        == pred[:n]
+                    )
+                assert core.table[r * (r + 1) // 2 + c] == want, (pattern, r, c)
+                reached += want == m
+    assert reached > 0
+
+
 def test_shift_budget_and_buffer():
     rng = random.Random(9)
     for kind in ("random", "periodic", "planted"):
@@ -131,25 +179,34 @@ def zipf_tokens(n, m, seed, plants=6):
     return pattern, text
 
 
+# (kind, m, n, sigma, seed, and the seed of 3 near misses, or None).
 DET_INSTANCES = {
-    "random": ("random", 300, 6000, 2, 1),
-    "periodic": ("periodic", 1000, 8000, 3, 3),
-    "planted": ("planted", 1500, 9000, 4, 5),
-    "planted_binary": ("planted", 600, 6000, 2, 6),
+    "random": ("random", 300, 6000, 2, 1, None),
+    "periodic": ("periodic", 1000, 8000, 3, 3, None),
+    "planted": ("planted", 1500, 9000, 4, 5, None),
+    "planted_binary": ("planted", 600, 6000, 2, 6, 3),
 }
 
 
 def det_instance(name):
-    """(dense pattern, sigma, symbols fed to the matcher, match starts)."""
+    """(dense pattern, sigma, symbols fed to the matcher, match starts).
+
+    The near misses make a comparison fail at a matched length of K or
+    more, where the shift machinery runs; the zipf tokens get 3 as well.
+    """
     if name == "zipf":
         raw_pattern, raw_text = zipf_tokens(20000, 64, seed=7)
+        raw_text = near_misses(raw_pattern, raw_text, sorted(set(raw_text)), 7, 3)
         dense, distinct = densify_pattern(raw_pattern)
         f = AlphabetFilter(distinct, len(dense))
         codes = [f.step(x) for x in raw_text]
         return dense, distinct + 1, codes, naive_all_matches(raw_pattern, raw_text)
-    kind, m, n, sigma, seed = DET_INSTANCES[name]
+    kind, m, n, sigma, seed, misses = DET_INSTANCES[name]
     inst = make_instance(kind, m, n, sigma, seed=seed)
-    return inst.pattern, sigma, inst.text, naive_all_matches(inst.pattern, inst.text)
+    text = inst.text
+    if misses is not None:
+        text = near_misses(inst.pattern, text, range(sigma), misses, 3)
+    return inst.pattern, sigma, text, naive_all_matches(inst.pattern, text)
 
 
 @pytest.mark.parametrize("name", [*DET_INSTANCES, "zipf"])
@@ -180,6 +237,47 @@ def test_scan_chunks_equal_step(name):
         assert stepped.core.pend_peak > 0
     if name in ("periodic", "zipf"):
         assert want
+
+
+def test_chunks_equal_steps_on_a_stream_that_crosses_k():
+    # A stream that rises through K, where the table hands the core to the
+    # fast path with the cursors set for K; fails a first comparison
+    # there, into the shift machinery; drops below K and mismatches at the
+    # next arrival; and once leaves the machinery busy below K.  A matcher
+    # fed it in chunks of any size and one stepped through the same
+    # chunks agree on every answer and, after each chunk, on their whole
+    # state.
+    rng = random.Random(4)
+    pattern = [rng.randrange(4) for _ in range(30)]
+    text = near_misses(pattern, [rng.randrange(4) for _ in range(400)], range(4), 4, 8)
+    text[200:230] = pattern
+    want = [s + 29 for s in naive_all_matches(pattern, text)]
+    core = DetMatcher(build_profile(pattern, 4)).core
+    tracker = LastOccurrence(4)
+    rises = fails = misses_after_drop = busy_below = 0
+    dropped = False
+    for j, sym in enumerate(text):
+        idle = core.phase == _IDLE and not core.pending
+        r, consumed = core.r, core.consumed
+        core.step_pred(tracker.step(sym, j))
+        grew = core.consumed == consumed + 1 and core.r == r + 1
+        failed = core.consumed == consumed or core.shifts_last > 0
+        misses_after_drop += dropped and not grew
+        dropped = r >= K > core.r
+        rises += r < K <= core.r
+        fails += idle and r >= K and failed
+        busy_below += not idle and r < K
+    assert (rises, fails, misses_after_drop, busy_below) == (8, 7, 6, 1)
+    for chunk in (1, 2, 3, 5, 7, len(text)):
+        stepped = DetMatcher(build_profile(pattern, 4))
+        scanned = DetMatcher(build_profile(pattern, 4))
+        by_step, by_scan = [], []
+        for k in range(0, len(text), chunk):
+            piece = text[k : k + chunk]
+            by_step += [k + j for j, sym in enumerate(piece) if stepped.step(sym)]
+            by_scan += scanned.scan(piece)
+            assert det_state(scanned) == det_state(stepped), (chunk, k)
+        assert by_step == by_scan == want != [], chunk
 
 
 def test_scan_rejects_a_symbol_like_step():
@@ -218,66 +316,70 @@ def test_scan_keeps_matches_found_before_an_error():
     assert ends == [end]
 
 
-def test_each_arrival_agrees_with_the_oracle_through_the_one_shift_path():
-    # Per arrival, on an idle core whose first comparison fails: the
-    # one-shift path commits (one shift, and no cursor unit, or the one
-    # unit of a first-occurrence step), or its test fails and the shift
-    # machinery goes on from there (a second shift).  A wrong shortcut can
-    # keep every answer right and only cost more, so the totals of the
-    # work done and of the cursors are pinned as well, to the values the
-    # engine without the shortcut gives.
+def test_each_arrival_agrees_with_the_oracle_on_both_sides_of_k():
+    # Per arrival, on random and periodic streams with near misses: an
+    # idle core below K takes one symbol by the table, with no shift and
+    # no cursor unit, and defers nothing; at K or above, a first
+    # comparison that fails enters the shift machinery.  A wrong shortcut
+    # can keep every answer right and only cost more, so the counts of
+    # both kinds of arrival, and the totals of the work done and of the
+    # cursors, are pinned.
     rng = random.Random(17)
-    one_shift = [0, 0]  # by units spent: none, or one first-occurrence step
-    fall_through = 0
+    table = entered = 0
     totals = dict.fromkeys(("shifts", "units", "run_i", "occ_i", "pending"), 0)
     for t in range(240):
         kind = ("random", "periodic")[t % 2]
         sigma = rng.randint(1, 6)
         m = rng.randint(1, 60)
         inst = make_instance(kind, m, 8 * m, sigma, seed=rng.randrange(2**31))
-        ends = {s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)}
+        text = inst.text
+        if m > K and sigma > 1:
+            text = near_misses(inst.pattern, text, range(sigma), t, 2)
+        ends = {s + m - 1 for s in naive_all_matches(inst.pattern, text)}
         dm = DetMatcher(build_profile(inst.pattern, sigma))
         core = dm.core
-        for j, sym in enumerate(inst.text):
+        for j, sym in enumerate(text):
             idle = core.phase == _IDLE and not core.pending
+            r = core.r
             consumed = core.consumed
             assert dm.step(sym) == (j in ends), (t, j)
-            if idle and core.consumed == consumed + 1 and core.shifts_last == 1:
-                if core.units_last < 2:
-                    one_shift[core.units_last] += 1
-            if idle and core.shifts_last == 2:
-                fall_through += 1
+            took = core.consumed - consumed
+            if idle and r < K:
+                assert (took, core.shifts_last, core.units_last) == (1, 0, 0), (t, j)
+                table += 1
+            entered += idle and r >= K and (took == 0 or core.shifts_last > 0)
             totals["shifts"] += core.shifts_last
             totals["units"] += core.units_last
             totals["run_i"] += core.run_i
             totals["occ_i"] += core.occ_i
             totals["pending"] += len(core.pending)
-    assert (one_shift, fall_through) == ([8161, 1780], 3575)
+    assert (table, entered) == (28286, 420)
     assert totals == {
-        "shifts": 18450, "units": 10244, "run_i": 65621, "occ_i": 70596, "pending": 1
+        "shifts": 904, "units": 1801, "run_i": 133818, "occ_i": 70577, "pending": 6
     }
 
 
 @pytest.mark.parametrize(
     "kind, m, seed, pinned",
     [
-        # Nearly every long_gap arrival fails its first comparison on a
-        # cursor that points at the candidate itself, and commits after
-        # one first-occurrence step.
-        ("long_gap", 2100, 8, (8970, 8999, 8985, 0, 9014, 0)),
-        ("planted", 3000, 5, (41, 2091, 5060, 5468483, 21900, 22898)),
+        ("long_gap", 2100, 8, (0, 66, 573, 459715, 13155, 929)),
+        ("planted", 3000, 5, (0, 154, 2186, 6715781, 26020, 10019)),
     ],
 )
 def test_one_step_commits_and_totals_are_pinned(kind, m, seed, pinned):
-    # The idle arrivals that commit with one shift after one cursor unit,
-    # and the totals of shifts, units, run_i, occ_i and pending, are those
-    # of the engine without the one-shift path.
+    # On a stream with three near misses, the idle arrivals that commit
+    # with one shift after one cursor unit, and the totals of shifts,
+    # units, run_i, occ_i and pending, are pinned: a wrong shortcut can
+    # keep every answer right and only move them.  No idle arrival commits
+    # so here: below K the table takes every idle arrival, and above it
+    # these patterns have no first occurrence for the cursor to step past.
     inst = make_instance(kind, m, 9000, 4, seed=seed)
-    ends = {s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)}
+    text = near_misses(inst.pattern, inst.text, range(4), 8, 3)
+    ends = {s + m - 1 for s in naive_all_matches(inst.pattern, text)}
     dm = DetMatcher(build_profile(inst.pattern, 4))
     core = dm.core
     got = [0] * 6
-    for j, sym in enumerate(inst.text):
+    for j, sym in enumerate(text):
         idle = core.phase == _IDLE and not core.pending
         consumed = core.consumed
         assert dm.step(sym) == (j in ends), j
@@ -334,17 +436,18 @@ def test_scan_steps_past_a_first_occurrence_off_the_chain():
 
 
 def test_a_full_deferral_buffer_raises():
-    # The planted stream defers up to `peak` arrivals.  With the buffer's
+    # The binary planted stream, whose near misses fail at a matched
+    # length of K or more, defers up to `peak` arrivals.  With the buffer's
     # capacity set one below that before the first arrival, the arrival
     # that reaches it raises: it waits in `pending`, the matcher's index
     # is its own, every other state attribute is as the arrival before
     # left it, and the matches before it are kept.  The error ends the
     # stream: the core's generator is stopped, and the next arrival is
     # refused without moving the index.
-    inst = make_instance("planted", 80, 1200, 3, seed=0)
-    profile = build_profile(inst.pattern, 3)
+    pattern, sigma, text, want = det_instance("planted_binary")
+    profile = build_profile(pattern, sigma)
     ref = DetMatcher(profile)
-    ref.scan(inst.text)
+    ref.scan(text)
     peak = ref.core.pend_peak
     assert peak > 1
     dm = DetMatcher(profile)
@@ -353,15 +456,15 @@ def test_a_full_deferral_buffer_raises():
     with pytest.raises(
         StructuralViolation, match=f"^deferral buffer exceeded capacity {peak - 1}$"
     ):
-        dm.scan(inst.text, out)
+        dm.scan(text, out)
     bad = dm.i
-    want = [s + 79 for s in naive_all_matches(inst.pattern, inst.text)]
+    want = [s + len(pattern) - 1 for s in want]
     assert out == [e for e in want if e < bad] != []
     ref = DetMatcher(profile)
-    ref.scan(inst.text[:bad])
+    ref.scan(text[:bad])
     assert ref.core.pend_peak < peak
     before = core_state(ref.core)
-    ref.step(inst.text[bad])
+    ref.step(text[bad])
     assert ref.core.pend_peak == peak
     assert type(dm.core.run) is Stopped
     assert core_state(dm.core) == {
@@ -371,7 +474,7 @@ def test_a_full_deferral_buffer_raises():
         "pending": before["pending"] + [ref.core.pending[-1]],
     }
     with pytest.raises(UsageError, match="deferral buffer exceeded capacity"):
-        dm.step(inst.text[bad + 1])
+        dm.step(text[bad + 1])
     assert dm.i == dm.core.i == bad
 
 
@@ -380,9 +483,8 @@ def test_a_violation_mid_chunk_stops_where_a_stepped_run_stops():
     # reaches, breaks part-way through a scanned chunk.  The scanned and
     # the stepped matcher raise at the same arrival with the same matches
     # and core state, and then both refuse every call.
-    inst = make_instance("planted", 80, 1200, 3, seed=0)
-    text = inst.text
-    profile = build_profile(inst.pattern, 3)
+    pattern, sigma, text, want = det_instance("planted_binary")
+    profile = build_profile(pattern, sigma)
     ref = DetMatcher(profile)
     ref.scan(text)
     peak = ref.core.pend_peak
@@ -399,7 +501,7 @@ def test_a_violation_mid_chunk_stops_where_a_stepped_run_stops():
                 by_step.append(j)
     assert stepped.i == bad and bad % 500 not in (0, 499)
     assert core_state(scanned.core) == core_state(stepped.core)
-    want = [s + 79 for s in naive_all_matches(inst.pattern, text)]
+    want = [s + len(pattern) - 1 for s in want]
     assert by_scan == by_step == [e for e in want if e < bad] != []
     for dm in (scanned, stepped):
         for call in (dm.step, dm.scan, dm.feed):
@@ -459,6 +561,31 @@ def test_chunks_and_one_arrival_sends_equal_step_pred():
     assert by_step == by_chunk == by_stop == by_send == ends != []
     assert tally[2:] == [most_took, most_held] and most_took > 1 and most_held > 0
     assert stepped.i == len(preds) - 1 and stepped.pend_peak > 0
+
+
+def test_a_tallied_chunk_stops_after_a_match_in_the_table():
+    # A pattern of at most K symbols is the whole table, which reports its
+    # matches.  A chunk sent with a tally returns right after the first
+    # match, as after one on the fast path; sent again from the next
+    # arrival each time, the core finds the oracle's matches, and no
+    # arrival runs the shift machinery, so the tally stays as it was.
+    rng = random.Random(5)
+    pattern = [0, 1, 1, 0, 2]
+    text = [rng.randrange(3) for _ in range(300)]
+    for at in (40, 41, 150, 296):
+        text[at - 4 : at + 1] = [(x + at) % 3 for x in pattern]
+    tracker = LastOccurrence(3)
+    preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
+    core = DetCore(build_profile(pattern, 3))
+    tally = [-1, 0, 0, 0]
+    got = []
+    while core.i + 1 < len(preds):
+        ends = []
+        done = (core.run or core._start()).send((preds[core.i + 1 :], ends, tally))
+        assert (done < 0) == bool(ends) and ends in ([], [core.i])
+        got += ends
+    assert got == [s + 4 for s in naive_all_matches(pattern, text)] != []
+    assert tally == [-1, 0, 0, 0]
 
 
 def test_copies_taken_between_sends_go_on_like_the_original():

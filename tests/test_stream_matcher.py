@@ -17,7 +17,7 @@ from parmatch.fingerprint import (
     power_table,
     prime_for_bits,
 )
-from parmatch.gen import make_instance, periodic_instance
+from parmatch.gen import Instance, make_instance, periodic_instance
 from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
 from parmatch.predecessor import NEVER, LastOccurrence, pred_string
@@ -26,6 +26,7 @@ from parmatch.stream_matcher import _BLOCK, OP_BUDGET, StreamMatcher
 
 from cores import core_state
 from gaps import gap_instance
+from misses import near_misses
 
 
 def starts(matcher, m, text):
@@ -724,6 +725,16 @@ def test_scan_chunks_equal_step(kind, m, n, seed):
         assert stepped.b_peak > 0 and stepped.d_fill_max() > 0
 
 
+def periodic_misses():
+    """The periodic instance of the stretch tests, with ten near misses of
+    its ladder base minus its last symbol, phase A's pattern: a base
+    prefix match fails at a matched length of K or more, and phase A's
+    core defers arrivals."""
+    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    m0 = StreamMatcher(inst.pattern, 4, seed=12).m0
+    return inst.pattern, near_misses(inst.pattern, inst.text, range(4), 11, 10, m0 - 1)
+
+
 class StretchLog:
     """Stands in for a matcher's phase-A core generator: passes every send
     and throw on, and logs each quiet stretch sent as one chunk as (its
@@ -779,9 +790,11 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
     # (m0, m), at the turn of an idle level whose queue holds a match, and
     # before a tail check's mismatch or verdict.  A waiting level with
     # matches queued behind it is crossed.  A deferral overflow, which the
-    # core raises inside a stretch, stops it: with caps 5, 4 and 3 on this
-    # stream at the stretch's third, second and first arrival, the first
-    # after an arrival that consumed nothing.  A tail budget of 1 never
+    # core raises inside a stretch, stops it: on the periodic stream with
+    # near misses, a near miss of phase A's pattern fails at arrival 1392,
+    # which consumed nothing, and each arrival after it waits, so caps 3,
+    # 4 and 5 overflow at arrivals 1396, 1397 and 1398 of a stretch from
+    # 1285.  A tail budget of 1 never
     # catches a tail check up, and a quarter of the history expires
     # before a split: both raise where a stepped run does.  Chunks of 1000
     # put each boundary inside a chunk; after every call, the whole state
@@ -796,6 +809,8 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
         pattern, text = inst.pattern, inst.text
     elif boundary == "mismatch":
         pattern, text = tail_mismatches(2500, 10000, 2)
+    elif boundary == "overflow":
+        pattern, text = periodic_misses()
     else:
         inst = make_instance("periodic", 2500, 10000, 4, seed=2)
         pattern, text = inst.pattern, inst.text
@@ -862,9 +877,9 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
     elif cap is None:
         assert any(events.get(last + 1) == boundary for _, last, _ in inside)
     if boundary == "overflow":
-        at = 146 + cap
+        at = 1393 + cap
         assert errors == [(f"deferral buffer exceeded capacity {cap}", at)] * 2
-        assert (149, at, "raised") in log.stretches
+        assert (1285, at, "raised") in log.stretches
         assert scanned.i == stepped.i == at
         assert core_state(scanned.suba) == core_state(stepped.suba)
         for sm in (scanned, stepped):
@@ -894,24 +909,24 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
 
 
 def test_the_arrival_before_a_stretch_counts_its_own_words():
-    # Arrival 1291 leaves the deferral buffer at its fullest, and every
-    # arrival up to 1340 leaves it emptier.  A chunk that starts there runs
-    # 1291 on its own and 1292 .. 1340 as one stretch; the words gauge
-    # still reads 1291's peak, as a stepped run's does.
-    inst = make_instance("planted", 3000, 9000, 4, seed=5)
-    text = inst.text
-    stepped = StreamMatcher(inst.pattern, 4, seed=12)
+    # On the periodic stream with near misses, arrival 1397 leaves the
+    # deferral buffer at its fullest, and every arrival up to 1446 leaves
+    # it emptier.  A chunk that starts there runs 1397 on its own and
+    # 1398 .. 1446 as one stretch; the words gauge still reads 1397's
+    # peak, as a stepped run's does.
+    pattern, text = periodic_misses()
+    stepped = StreamMatcher(pattern, 4, seed=12)
     held = []
-    for sym in text[:1341]:
+    for sym in text[:1447]:
         stepped.step(sym)
         held.append(len(stepped.suba.pending))
-    assert held.index(max(held)) == 1291 and max(held[1292:]) < held[1291]
-    scanned = StreamMatcher(inst.pattern, 4, seed=12)
+    assert held.index(max(held)) == 1397 and max(held[1398:]) < held[1397]
+    scanned = StreamMatcher(pattern, 4, seed=12)
     log = StretchLog(scanned)
-    scanned.scan(text[:1291])
+    scanned.scan(text[:1397])
     before = len(log.stretches)
-    scanned.scan(text[1291:1341])
-    assert log.stretches[before:] == [(1292, 1340, [])]
+    scanned.scan(text[1397:1447])
+    assert log.stretches[before:] == [(1398, 1446, [])]
     assert scanned.live_words_peak() == stepped.live_words_peak()
     assert matcher_state(scanned) == matcher_state(stepped)
 
@@ -936,16 +951,17 @@ def test_a_periodic_stream_runs_mostly_in_stretches():
     [
         (
             "planted", 3000, 9000, 5,
-            (81474, 5995, 4757, 19, 9000, 5, 3937, 10, 8, 1858, 0),
+            (81474, 29, 315, 19, 9000, 2, 8969, 17, 11, 1866, 0),
         ),
         (
             "periodic", 2500, 10000, 2,
-            (96112, 3904, 3936, 19, 10000, 6, 6160, 192, 160, 1873, 0),
+            (91447, 37, 468, 19, 10000, 5, 9948, 26, 22, 1880, 0),
         ),
         (
-            # Its recurrences, past m, are first occurrences: no Bdelta.
+            # Its recurrences, past m, are first occurrences: only the
+            # near misses bring distances in (m0, m) to Bdelta.
             "long_gap", 2100, 9000, 8,
-            (81000, 8999, 8985, 10, 9000, 1, 11, 5, 5, 1650, 0),
+            (81302, 49, 276, 14, 9000, 3, 8964, 14, 14, 1666, 2),
         ),
     ],
 )
@@ -957,14 +973,18 @@ def test_phase_a_accounting_is_pinned_arrival_by_arrival(kind, m, n, seed, pinne
     # the largest ops, the symbols consumed, the deferral peak, the
     # arrivals committed by the fast path (idle, one symbol, no shift),
     # the arrivals that consumed no symbol or more than one, the words
-    # gauge's peak and the distance buffer's.
+    # gauge's peak and the distance buffer's.  Ten near misses of phase
+    # A's pattern, which spare the plants, make its core leave the table
+    # path.
     inst = make_instance(kind, m, n, 4, seed=seed)
-    ends = {s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)}
     sm = StreamMatcher(inst.pattern, 4, seed=12)
     assert sm.mode == "rand"
+    plants = naive_all_matches(inst.pattern, inst.text) if kind == "planted" else ()
+    text = near_misses(inst.pattern, inst.text, range(4), seed, 10, sm.m0 - 1, plants)
+    ends = {s + m - 1 for s in naive_all_matches(inst.pattern, text)}
     core = sm.suba
     ops = shifts = units = fast = deferred = caught_up = 0
-    for j, sym in enumerate(inst.text):
+    for j, sym in enumerate(text):
         idle = core.phase == _IDLE and not core.pending
         consumed = core.consumed
         assert sm.step(sym) == (j in ends), j
@@ -983,14 +1003,15 @@ def test_phase_a_stays_within_its_stated_caps():
     # A test carried over from the previous arrival may commit before the
     # core pops CONSUMES_PER_ARRIVAL fresh symbols, so phase A consumes at
     # most one more than that, and charges at most 1 + 3 + 3 = 7 ops (the
-    # push to the base queue included): its share of OP_BUDGET.  This
-    # instance reaches three symbols, so the caps are met, not only unseen.
-    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
-    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    # push to the base queue included): its share of OP_BUDGET.  The
+    # periodic stream with near misses reaches three symbols, so the caps
+    # are met, not only unseen.
+    pattern, text = periodic_misses()
+    sm = StreamMatcher(pattern, 4, seed=12)
     assert sm.mode == "rand"
     core, q0 = sm.suba, sm.mq[0]
     at_cap = 0
-    for j, sym in enumerate(inst.text):
+    for j, sym in enumerate(text):
         consumed = core.consumed
         sm.step(sym)
         took = core.consumed - consumed
@@ -998,7 +1019,7 @@ def test_phase_a_stays_within_its_stated_caps():
         assert took <= CONSUMES_PER_ARRIVAL + 1, j
         assert 1 + took + 3 * pushed <= 7, j
         at_cap += took == CONSUMES_PER_ARRIVAL + 1
-    assert at_cap == 32
+    assert at_cap == 5
 
 
 def test_scan_rejects_a_symbol_like_step():
@@ -1494,15 +1515,23 @@ def reference_at(inst, sigma, seed, i):
 
 
 def test_an_arrival_over_the_op_budget_raises(monkeypatch):
+    # A near miss of phase A's pattern over the periodic stream's first m0
+    # arrivals makes phase A's core fall behind; catching up at arrival 78,
+    # it takes three symbols, 11 ops, the first arrival over 9.
     ref = StreamMatcher(PERIODIC.pattern, 4, seed=2)
-    for sym in PERIODIC.text:
+    m0 = ref.m0
+    text = list(PERIODIC.text)
+    text[:m0] = near_misses(PERIODIC.pattern, text[:m0], range(4), 3, 1, m0 - 1)
+    for sym in text:
+        consumed = ref.suba.consumed
         ref.step(sym)
         if ref.ops_last > 9:
             break
-    assert (ref.i, ref.ops_last) == (147, 11)
+    assert (ref.i, ref.ops_last, ref.suba.consumed - consumed) == (78, 11, 3)
     monkeypatch.setattr(stream_matcher, "OP_BUDGET", 9)
-    msg, i = violation(PERIODIC, 4, 2, 0, lambda sm: None)
-    assert (msg, i) == ("arrival 147 used 11 ops, budget 9", 147)
+    inst = Instance(PERIODIC.pattern, text, 4, "periodic", PERIODIC.seed)
+    msg, i = violation(inst, 4, 2, 0, lambda sm: None)
+    assert (msg, i) == ("arrival 78 used 11 ops, budget 9", 78)
 
 
 def test_a_tail_check_behind_schedule_raises(monkeypatch):
@@ -1684,41 +1713,44 @@ def stopped_matcher(where):
     """A matcher that an engine error stops at arrival `at`, with the
     matches it reported before, the oracle's, and the error's message.
 
-    The error is a deferral overflow inside a quiet stretch, an expired
-    history outside one (phase B, in a copy whose history is cut after
-    4096 arrivals), a deferral overflow in a det-routed matcher's core,
-    and the same in a det-routed matcher fed by an `AlphabetFilter`.
+    The error is a deferral overflow inside a quiet stretch (on the
+    periodic stream with near misses), an expired history outside one
+    (phase B, in a copy whose history is cut after 4096 arrivals), a
+    deferral overflow in a det-routed matcher's core (on a binary planted
+    stream with near misses), and the same in a det-routed matcher fed by
+    an `AlphabetFilter`.
     """
     out = []
     start = 0
     if where in ("stretch", "outside"):
         if where == "stretch":
-            inst = make_instance("periodic", 2500, 10000, 4, seed=2)
-            sm = StreamMatcher(inst.pattern, 4, seed=12)
+            pattern, text = periodic_misses()
+            sm = StreamMatcher(pattern, 4, seed=12)
             sm.suba.pend_cap = 5
-            at, msg = 151, "deferral buffer exceeded capacity 5"
+            at, msg = 1398, "deferral buffer exceeded capacity 5"
         else:
-            inst = PERIODIC
-            sm = StreamMatcher(inst.pattern, 4, seed=2)
+            pattern, text = PERIODIC.pattern, PERIODIC.text
+            sm = StreamMatcher(pattern, 4, seed=2)
             start = 4096
-            sm.scan(inst.text[:start], out)
+            sm.scan(text[:start], out)
             sm = copy.copy(sm)
             sm.H //= 4
             at, msg = 4225, "fingerprint history expired for level 2"
         assert sm.mode == "rand"
         core = sm.suba
     else:
-        inst = make_instance("planted", 80, 1200, 3, seed=0)
-        sm = StreamMatcher(inst.pattern, 3, mode="det")
-        ref = DetMatcher(build_profile(inst.pattern, 3))
-        ref.scan(inst.text)
+        inst = make_instance("planted", 600, 6000, 2, seed=6)
+        pattern = inst.pattern
+        text = near_misses(pattern, inst.text, range(2), 3, 3)
+        sm = StreamMatcher(pattern, 2, mode="det")
+        ref = DetMatcher(build_profile(pattern, 2))
+        ref.scan(text)
         core = sm.det.core
         core.pend_cap = cap = ref.core.pend_peak - 1
         at, msg = None, f"deferral buffer exceeded capacity {cap}"
-    text = inst.text
     with pytest.raises(StructuralViolation, match=f"^{msg}$"):
         if where == "feed":
-            filt = AlphabetFilter(densify_pattern(inst.pattern)[1])
+            filt = AlphabetFilter(densify_pattern(pattern)[1])
             for k in range(0, len(text), 500):
                 sm.feed(filt.scan_pred(text[k : k + 500]), out)
         else:
@@ -1728,8 +1760,8 @@ def stopped_matcher(where):
         at = core.i
         # The arrival that overflowed waits in the buffer.
         assert len(core.pending) == cap + 1
-    m = len(inst.pattern)
-    want = [s + m - 1 for s in naive_all_matches(inst.pattern, text)]
+    m = len(pattern)
+    want = [s + m - 1 for s in naive_all_matches(pattern, text)]
     assert sm.i == at and out == [e for e in want if e < at]
     return sm, text[at + 1 :], msg
 
