@@ -39,17 +39,49 @@ step:
 
 Phases B and C act only on a due arrival: one with a distance in
 (m0, m) to buffer, one while a buffered distance is distributed, the
-turn of a level that acts (an idle level whose input queue holds a
-match, a waiting level past its deadline ip + m_l + delta, a scanning
-level), or one where phase C acts (its tail check's next position has
-arrived, or a match waits while no check is open).  A level acts only on
-its own turn, 1 + i % s, so a queued match waits for it.  The
-generator's frame keeps the first arrival at which each level acts
-(`lv_next`), `wake`, the earliest of them, and `c_at`, phase C's; it
-updates them at every push, pop and transition, and computes them again
-when a generator starts.  One test of these after phase A skips both
-phases on any other arrival, where they would only have tested their
-conditions.
+turn of a level that acts, or one where phase C acts (its tail check's
+next position has arrived, or a match waits while no check is open).
+A level idles (`lv_ip[l]` is -1) or checks the candidate at `lv_ip[l]`,
+and acts only on its own turn, 1 + i % s.  An idle level whose input
+queue holds a match acts at its first turn past the head's deadline
+ip + m_l + delta: in that one turn it pops the head, splits and scans
+up to _SCAN_BATCH - 7 zeroing-queue entries, so that with a short ring
+it also compares and pushes.  A checking level scans _SCAN_BATCH
+entries at each later turn, until its check completes.  The generator's
+frame keeps the first arrival at which each level acts (`lv_next`),
+`wake`, the earliest of them, and `c_at`, phase C's; it updates them at
+every turn a level acts and at a push into an empty queue (a push
+behind a head leaves the head's deadline as it was), and computes them
+again when a generator starts.  One test of these after phase A skips
+both phases on any other arrival, where they would only have tested
+their conditions.
+
+Matches of one prefix lie more than 3*delta apart (two closer than the
+prefix's length differ by a parameterized period of it), while a check
+scans at most the ring's 12*sigma entries, 6 at its split and 13 at each
+later turn, so it completes within sigma more turns, at most
+sigma*s <= delta arrivals.  So a level is idle again before its next
+head's deadline, splits every candidate within s arrivals past the
+deadline, and completes by ip + m_l + delta + (sigma + 1)*s, inside the
+asserted ip + m_l + 3*delta.  Were the head popped at the level's first
+idle turn instead, to wait outside the queue for its deadline and split
+at a turn that scans nothing, the splits would fall on the same
+arrivals and every check's scan would run _SCAN_BATCH - 7 entries
+behind: no completion or push here comes later than under that
+schedule, and every deadline keeps at least its margin.
+
+The match queues keep their 6*sigma + 2 segment budget.  A queue holds
+the positions x its level l pushed and level l + 1 has not split: each
+pushed after x + m_l - 1 and split by x + m_(l+1) + delta + s, so at
+arrival i the starts it holds lie in [i - m_(l+1) - delta - s,
+i - m_l + 1].  With the early pop a queue held only matches after
+the one its level checked, which started at most
+m_(l+1) + delta + (sigma + 1)*s arrivals ago, so only starts from
+i - m_(l+1) + 2*delta - (sigma + 1)*s on.  The window here is less than
+3*delta longer, at its old end, so it holds at most one match more, and
+the queue at most one segment more.  That is the budget's one segment
+beyond the structure lemma's 6*sigma explicit positions and one
+progression, and every push still checks it.
 
 Inside a chunk, after any arrival that ended no base-prefix match and
 left no distance to distribute, the arrivals up to the next due one run
@@ -71,10 +103,10 @@ the arrivals the core leaves pending.  The core counts into a tally sent
 with the stretch the last of its arrivals that ran the shift machinery,
 with its count, and the peaks of both over them; every other arrival
 consumes 1 and leaves nothing pending.  On the `periodic_dense`
-benchmark workload, whose match queues are never empty, 87.3% of the
-first 196,608 arrivals (chunks of 16,384) run in 14,799 stretches; the
-others pop, split, scan or push at a level, catch a tail check up or
-close it, or follow a base-prefix match.
+benchmark workload, whose match queues are never empty, 92.3% of the
+first 196,608 arrivals (chunks of 16,384) run in 6,468 stretches; the
+others split, scan or push at a level, catch a tail check up or close
+it, or follow a base-prefix match.
 
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
@@ -115,15 +147,14 @@ from .match_queue import MatchQueue
 from .pattern import PatternProfile, build_profile, level_fingerprints
 from .predecessor import NEVER, DenseFrontEnd, LastOccurrence
 
-_IDLE, _WAIT, _SCAN = 0, 1, 2
-
 # Arrivals per fingerprint block, a power of two.  With every value below
 # m <= p, a block's unreduced sum stays below _BLOCK * m * p (2^127 for a
 # 61-bit prime).
 _BLOCK = 32
 
 # Bphi batch: the zeroing queue holds at most 12*sigma entries and must be
-# scanned within sigma round-robin turns.
+# scanned within sigma round-robin turns after a split.  A split turn
+# scans _SCAN_BATCH - 7 entries, since it also pops (2) and splits (5).
 _SCAN_BATCH = 13
 # Process C: 4*delta comparisons spread over the final delta arrivals.
 _C_BUDGET = 5
@@ -132,8 +163,9 @@ _C_BUDGET = 5
 # buffer touches), summed over the phase caps: base 7 (a flat charge that
 # covers its table and history touches, one product per arrival and two
 # per block), phase A 7 (1 + at most 3 consumed symbols + 3 for the push),
-# Bdelta 5, Bphi 16 (scan turn), C 7.  Independent of the pattern length by
-# construction; enforced per arrival.
+# Bdelta 5, Bphi 16 (a split turn's pop 2 + split 5 + 1 + 6 entries +
+# push 2, or a later turn's 1 + 13 entries + push 2), C 7.  Independent of
+# the pattern length by construction; enforced per arrival.
 OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
 # The most ops an arrival where nothing is due can charge: the base
 # phase's flat 7, and phase A's 1 plus its symbols; nothing pushes.  A
@@ -177,7 +209,6 @@ class StreamMatcher(DenseFrontEnd):
         "dq_bufs",
         "dq_next",
         "dq_cap",
-        "lv_phase",
         "lv_ip",
         "lv_acc",
         "lv_rlo",
@@ -291,8 +322,9 @@ class StreamMatcher(DenseFrontEnd):
         self.dq_bufs = [None] + [[None] * cap for _ in range(s)]
         self.dq_next = [0] * (s + 1)
 
-        self.lv_phase = [0] * (s + 1)
-        self.lv_ip = [0] * (s + 1)
+        # A level checks the candidate at lv_ip while it is >= 0, and
+        # idles at -1.
+        self.lv_ip = [-1] * (s + 1)
         self.lv_acc = [0] * (s + 1)
         self.lv_rlo = [0] * (s + 1)
         self.lv_cur = [0] * (s + 1)
@@ -322,7 +354,7 @@ class StreamMatcher(DenseFrontEnd):
             + len(self.blocks)
             + sigma  # the front end's table
             + 3 * cap * s
-            + 6 * (s + 1)
+            + 5 * (s + 1)
             + self.suba.live_words()
             + 32
         )
@@ -400,7 +432,6 @@ class StreamMatcher(DenseFrontEnd):
         dq_bufs = self.dq_bufs
         dq_next = self.dq_next
         dq_cap = self.dq_cap
-        lv_phase = self.lv_phase
         lv_ip = self.lv_ip
         lv_acc = self.lv_acc
         lv_rlo = self.lv_rlo
@@ -433,8 +464,8 @@ class StreamMatcher(DenseFrontEnd):
         c_k = self.c_k
         mq_words = self.mq_words
         # The first arrival at which each level acts: its next turn while
-        # it scans or idles with a match queued, its first turn past its
-        # deadline while it waits, NEVER while it idles on an empty queue.
+        # it checks, its first turn past its queue head's deadline while it
+        # idles with a match queued, NEVER while it idles on an empty queue.
         # `wake` is the earliest, and `c_at` the first arrival at which
         # phase C acts: the position its tail check compares next, or the
         # next arrival while a match waits and no check is open.  Locals,
@@ -446,11 +477,10 @@ class StreamMatcher(DenseFrontEnd):
         # variables, which every arrival then loads more slowly.
         lv_next = [NEVER] * (s + 1)
         for ell in range(1, s + 1):
-            ph = lv_phase[ell]
-            if ph == _WAIT:
-                x = max(lv_ip[ell] + mlen[ell] + delta, i) + 1
-            elif ph == _SCAN or segs[ell - 1]:
+            if lv_ip[ell] >= 0:
                 x = i + 1
+            elif segs[ell - 1]:
+                x = max(segs[ell - 1][0][0] + mlen[ell] + delta, i) + 1
             else:
                 continue
             lv_next[ell] = x + (ell - 1 - x) % s
@@ -504,9 +534,11 @@ class StreamMatcher(DenseFrontEnd):
                         q0.push(i - m0 + 1, (bfp + bpw * loc) % p)
                         mq_words += q0.words - w0
                         ops += 3
-                        if lv_phase[1] == _IDLE:
-                            # Level 1 takes it at its first turn from now.
-                            x = i + (-i) % s
+                        if not w0 and lv_ip[1] < 0:
+                            # A new head of an idle level 1's queue: its
+                            # first turn past the head's deadline.
+                            x = max(i - m0 + 1 + mlen[1] + delta, i) + 1
+                            x += (-x) % s
                             lv_next[1] = x
                             if x < wake:
                                 wake = x
@@ -554,116 +586,106 @@ class StreamMatcher(DenseFrontEnd):
                         # turn this is can be due.
                         if i >= wake:
                             ell = 1 + i % s
-                            ph = lv_phase[ell]
-                            if ph == _IDLE:
+                            ip = lv_ip[ell]
+                            batch = _SCAN_BATCH
+                            if ip < 0:
+                                # An idle level's first turn past its queue
+                                # head's deadline: pop, split and scan.
                                 ql = mq[ell - 1]
                                 w0 = ql.words
-                                got = ql.pop()
+                                ip, fp = ql.pop()
                                 mq_words += ql.words - w0
-                                lv_ip[ell] = got[0]
-                                # The popped prefix fingerprint waits in
-                                # lv_acc: the split below reads it once and
-                                # replaces it with the running difference.
-                                lv_acc[ell] = got[1]
-                                ph = lv_phase[ell] = _WAIT
-                                ops += 2
-                            if ph == _WAIT:
-                                ip = lv_ip[ell]
-                                ml = mlen[ell]
-                                if i > ip + ml + delta:
-                                    idx = ip + ml - 1
-                                    if i - idx >= H:
-                                        raise StructuralViolation(
-                                            f"fingerprint history expired for level {ell}"
-                                        )
-                                    # Prefix fingerprint through idx, and
-                                    # r^(idx + 1).
-                                    b = 2 * (idx // _BLOCK % nb)
-                                    fp = blocks[b] + blocks[b + 1] * hist_fp[idx % H]
-                                    lv_acc[ell] = (fp - lv_acc[ell]) % p
-                                    b = 2 * ((idx + 1) // _BLOCK % nb)
-                                    pw = blocks[b + 1] * rtab[(idx + 1) & mask]
-                                    lv_rlo[ell] = pw * gap_inv[ell] % p
-                                    # Scanning starts from the queue's first
-                                    # entry ever, so the first scan turn
-                                    # checks what the ring lost before the
-                                    # split as well.
-                                    lv_cur[ell] = 0
-                                    lv_end[ell] = dq_next[ell]
-                                    ph = lv_phase[ell] = _SCAN
-                                    ops += 5
-                            elif ph == _SCAN:
-                                ip = lv_ip[ell]
-                                lo = ip + mlen[ell - 1]
-                                hi = ip + mlen[ell] - 1
+                                lv_ip[ell] = ip
+                                idx = ip + mlen[ell] - 1
+                                if i - idx >= H:
+                                    raise StructuralViolation(
+                                        f"fingerprint history expired for level {ell}"
+                                    )
+                                # Prefix fingerprint through idx, less the
+                                # popped one, and r^(idx + 1).
+                                b = 2 * (idx // _BLOCK % nb)
+                                acc = (blocks[b] + blocks[b + 1] * hist_fp[idx % H] - fp) % p
+                                b = 2 * ((idx + 1) // _BLOCK % nb)
+                                pw = blocks[b + 1] * rtab[(idx + 1) & mask]
+                                lv_rlo[ell] = pw * gap_inv[ell] % p
+                                # Scanning starts from the queue's first entry
+                                # ever, so the split turn checks what the ring
+                                # lost before it as well.
+                                cur = 0
+                                end = lv_end[ell] = dq_next[ell]
+                                batch -= 7
+                                ops += 7
+                            else:
+                                acc = lv_acc[ell]
                                 cur = lv_cur[ell]
                                 end = lv_end[ell]
-                                front = dq_next[ell] - dq_cap
-                                if front < 0:
-                                    front = 0
-                                buf = dq_bufs[ell]
-                                if cur < front:
-                                    # Entries were evicted before being
-                                    # scanned (entries enter in position
-                                    # order); safe only if everything lost
-                                    # sat below the zeroing range.
-                                    if front >= end:
-                                        raise StructuralViolation(
-                                            f"level {ell} zeroing queue evicted"
-                                            " unscanned entries"
-                                        )
-                                    if buf[front % dq_cap][0] > lo:
-                                        raise StructuralViolation(
-                                            f"level {ell} may have lost zeroing candidates"
-                                        )
-                                    cur = front
-                                stop = cur + _SCAN_BATCH
-                                if stop > end:
-                                    stop = end
-                                acc = lv_acc[ell]
-                                ops += 1 + stop - cur
-                                while cur < stop:
-                                    pos, pvj, rj = buf[cur % dq_cap]
-                                    if lo <= pos <= hi and pvj > pos - ip:
-                                        acc = (acc - pvj * rj) % p
-                                    cur += 1
-                                lv_acc[ell] = acc
-                                lv_cur[ell] = cur
-                                if cur >= end:
-                                    rlo = lv_rlo[ell]
-                                    debug = self.debug_checks
-                                    if debug is not None:
-                                        debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
-                                    if acc == level_fp[ell] * rlo % p:
-                                        if i >= ip + mlen[ell] + 3 * delta:
-                                            raise StructuralViolation(
-                                                f"level {ell} missed its reporting deadline"
-                                            )
-                                        qn = mq[ell]
-                                        w0 = qn.words
-                                        # Still in the history: i - hi <=
-                                        # 3*delta < H by the deadline above.
-                                        b = 2 * (hi // _BLOCK % nb)
-                                        fp = blocks[b] + blocks[b + 1] * hist_fp[hi % H]
-                                        qn.push(ip, fp % p)
-                                        mq_words += qn.words - w0
-                                        ops += 2
-                                        # The next level's turn is the next
-                                        # arrival; phase C takes the last
-                                        # level's below.
-                                        if ell < s and lv_phase[ell + 1] == _IDLE:
-                                            lv_next[ell + 1] = i + 1
-                                    ph = lv_phase[ell] = _IDLE
-                            # This level acts next at its first turn past its
-                            # deadline while it waits, at its next turn while
-                            # it scans or its queue holds a match.
-                            if ph == _WAIT:
-                                x = lv_ip[ell] + mlen[ell] + delta + 1
-                                lv_next[ell] = x + (ell - 1 - x) % s
-                            elif ph == _SCAN or segs[ell - 1]:
+                            lo = ip + mlen[ell - 1]
+                            hi = ip + mlen[ell] - 1
+                            front = dq_next[ell] - dq_cap
+                            if front < 0:
+                                front = 0
+                            buf = dq_bufs[ell]
+                            if cur < front:
+                                # Entries were evicted before being scanned
+                                # (entries enter in position order); safe only
+                                # if everything lost sat below the zeroing
+                                # range.
+                                if front >= end:
+                                    raise StructuralViolation(
+                                        f"level {ell} zeroing queue evicted"
+                                        " unscanned entries"
+                                    )
+                                if buf[front % dq_cap][0] > lo:
+                                    raise StructuralViolation(
+                                        f"level {ell} may have lost zeroing candidates"
+                                    )
+                                cur = front
+                            stop = cur + batch
+                            if stop > end:
+                                stop = end
+                            ops += 1 + stop - cur
+                            while cur < stop:
+                                pos, pvj, rj = buf[cur % dq_cap]
+                                if lo <= pos <= hi and pvj > pos - ip:
+                                    acc = (acc - pvj * rj) % p
+                                cur += 1
+                            lv_acc[ell] = acc
+                            lv_cur[ell] = cur
+                            if cur < end:
                                 lv_next[ell] = i + s
                             else:
-                                lv_next[ell] = NEVER
+                                rlo = lv_rlo[ell]
+                                debug = self.debug_checks
+                                if debug is not None:
+                                    debug.append((ell, ip, acc * pow(rlo, -1, p) % p))
+                                if acc == level_fp[ell] * rlo % p:
+                                    if i >= ip + mlen[ell] + 3 * delta:
+                                        raise StructuralViolation(
+                                            f"level {ell} missed its reporting deadline"
+                                        )
+                                    qn = mq[ell]
+                                    w0 = qn.words
+                                    # Still in the history: i - hi <= 3*delta
+                                    # < H by the deadline above.
+                                    b = 2 * (hi // _BLOCK % nb)
+                                    fp = blocks[b] + blocks[b + 1] * hist_fp[hi % H]
+                                    qn.push(ip, fp % p)
+                                    mq_words += qn.words - w0
+                                    ops += 2
+                                    # A new head of an idle level's queue: its
+                                    # first turn past the head's deadline.
+                                    # Phase C takes the last level's below.
+                                    if ell < s and not w0 and lv_ip[ell + 1] < 0:
+                                        x = max(ip + mlen[ell + 1] + delta, i) + 1
+                                        lv_next[ell + 1] = x + (ell - x) % s
+                                lv_ip[ell] = -1
+                                # Idle: its first turn past its queue head's
+                                # deadline, if a match is queued.
+                                if segs[ell - 1]:
+                                    x = max(segs[ell - 1][0][0] + mlen[ell] + delta, i) + 1
+                                    lv_next[ell] = x + (ell - 1 - x) % s
+                                else:
+                                    lv_next[ell] = NEVER
                             wake = min(lv_next)
 
                         # Phase C: extend final-level matches across the

@@ -22,7 +22,7 @@ from parmatch.oracle import naive_all_matches
 from parmatch.pattern import build_profile
 from parmatch.predecessor import NEVER, LastOccurrence, pred_string
 from parmatch import stream_matcher
-from parmatch.stream_matcher import _BLOCK, OP_BUDGET, StreamMatcher
+from parmatch.stream_matcher import _BLOCK, _SCAN_BATCH, OP_BUDGET, StreamMatcher
 
 from cores import core_state
 from gaps import gap_instance
@@ -770,6 +770,7 @@ class StretchLog:
         ("deadline", None),
         ("long", None),
         ("idle turn", None),
+        ("scan turn", None),
         ("waiting", None),
         ("mismatch", None),
         ("verdict", None),
@@ -785,18 +786,19 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
 ):
     # Inside a chunk, the arrivals where nothing is due run in bulk, and a
     # due one runs alone, where a stepped run's phases B or C act: right
-    # after a base-prefix match (the next arrival pushes it), at the first
-    # turn of a waiting level past its deadline, before a distance in
-    # (m0, m), at the turn of an idle level whose queue holds a match, and
-    # before a tail check's mismatch or verdict.  A waiting level with
-    # matches queued behind it is crossed.  A deferral overflow, which the
+    # after a base-prefix match (the next arrival pushes it), at an idle
+    # level's first turn past its queue head's deadline (with no match
+    # queued behind the head, or with some), before a distance in
+    # (m0, m), at a later turn of a level that checks, and before a tail
+    # check's mismatch or verdict.  An idle level's turn before its queue
+    # head's deadline is crossed.  A deferral overflow, which the
     # core raises inside a stretch, stops it: on the periodic stream with
     # near misses, a near miss of phase A's pattern fails at arrival 1392,
     # which consumed nothing, and each arrival after it waits, so caps 3,
     # 4 and 5 overflow at arrivals 1396, 1397 and 1398 of a stretch from
-    # 1285.  A tail budget of 1 never
-    # catches a tail check up, and a quarter of the history expires
-    # before a split: both raise where a stepped run does.  Chunks of 1000
+    # 1281.  A tail budget of 1 never catches a tail check up, and a
+    # quarter of the history expires before a split: both raise where a
+    # stepped run does.  Chunks of 1000
     # put each boundary inside a chunk; after every call, the whole state
     # equals a stepped run's, the front end's table, ops and words
     # included.  An error ends both streams at the same arrival, with the
@@ -809,6 +811,8 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
         pattern, text = inst.pattern, inst.text
     elif boundary == "mismatch":
         pattern, text = tail_mismatches(2500, 10000, 2)
+    elif boundary == "scan turn":
+        pattern, text = BLOCKS
     elif boundary == "overflow":
         pattern, text = periodic_misses()
     else:
@@ -837,9 +841,10 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
             errors.append((str(e), scanned.i))
         for j in range(k, scanned.i + 1):
             ell = 1 + j % s
-            ph = stepped.lv_phase[ell]
-            queued = bool(stepped.mq[ell - 1].segs)
-            due = stepped.lv_ip[ell] + stepped.mlen[ell] + stepped.delta
+            scanning = stepped.lv_ip[ell] >= 0
+            queue = stepped.mq[ell - 1]
+            due = queue.segs[0][0] + stepped.mlen[ell] + stepped.delta if queue.segs else None
+            behind = len(queue) > 1
             checking = stepped.c_ip >= 0
             try:
                 if stepped.step(text[j]):
@@ -851,10 +856,12 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
                 errors.append((str(e), j))
             if stepped.mq[0].last_pos == j - stepped.m0 + 1:
                 events[j] = "match"
-            elif ph == stream_matcher._WAIT:
-                events.setdefault(j, "deadline" if j > due else "waiting" if queued else None)
-            elif ph == stream_matcher._IDLE and queued:
-                events.setdefault(j, "idle turn")
+            elif scanning:
+                events.setdefault(j, "scan turn")
+            elif due is not None and j > due:
+                events.setdefault(j, "idle turn" if behind else "deadline")
+            elif due is not None:
+                events.setdefault(j, "waiting")
         if errors:
             # The stepped run has written the raising arrival's base
             # phase, the stretch has not.
@@ -879,7 +886,7 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
     if boundary == "overflow":
         at = 1393 + cap
         assert errors == [(f"deferral buffer exceeded capacity {cap}", at)] * 2
-        assert (1285, at, "raised") in log.stretches
+        assert (1281, at, "raised") in log.stretches
         assert scanned.i == stepped.i == at
         assert core_state(scanned.suba) == core_state(stepped.suba)
         for sm in (scanned, stepped):
@@ -898,7 +905,8 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
         assert matcher_state(before[0]) == matcher_state(before[1])
     elif cap is not None:
         # The error's arrival ran alone, after stretches that compared
-        # tail positions or crossed waiting levels.
+        # tail positions or crossed idle levels' turns before their queue
+        # heads' deadlines.
         at = errors[0][1]
         why = "tail check behind schedule" if cap == 1 else "fingerprint history expired"
         assert errors[0][0].startswith(why) and errors == [errors[0]] * 2
@@ -933,7 +941,7 @@ def test_the_arrival_before_a_stretch_counts_its_own_words():
 
 def test_a_periodic_stream_runs_mostly_in_stretches():
     # The share of a periodic stream's arrivals that run in bulk, as
-    # StretchLog counts them over chunks of 4096: 9289 of 10000, in 353
+    # StretchLog counts them over chunks of 4096: 9524 of 10000, in 176
     # stretches.  While any queued match made an arrival busy, and a
     # stretch could start only after a quiet arrival, it was 902, in 7.
     # A change that turns the bulk path off fails here without a timing.
@@ -943,7 +951,7 @@ def test_a_periodic_stream_runs_mostly_in_stretches():
     for k in range(0, 10000, 4096):
         sm.scan(inst.text[k : k + 4096])
     inside = sum(last - first + 1 for first, last, _ in log.stretches)
-    assert (inside, len(log.stretches)) == (9289, 353)
+    assert (inside, len(log.stretches)) == (9524, 176)
 
 
 @pytest.mark.parametrize(
@@ -951,17 +959,17 @@ def test_a_periodic_stream_runs_mostly_in_stretches():
     [
         (
             "planted", 3000, 9000, 5,
-            (81474, 29, 315, 19, 9000, 2, 8969, 17, 11, 1866, 0),
+            (81474, 29, 315, 26, 9000, 2, 8969, 17, 11, 1861, 0),
         ),
         (
             "periodic", 2500, 10000, 2,
-            (91447, 37, 468, 19, 10000, 5, 9948, 26, 22, 1880, 0),
+            (91441, 37, 468, 26, 10000, 5, 9948, 26, 22, 1881, 0),
         ),
         (
             # Its recurrences, past m, are first occurrences: only the
             # near misses bring distances in (m0, m) to Bdelta.
             "long_gap", 2100, 9000, 8,
-            (81302, 49, 276, 14, 9000, 3, 8964, 14, 14, 1666, 2),
+            (81302, 49, 276, 14, 9000, 3, 8964, 14, 14, 1662, 2),
         ),
     ],
 )
@@ -1280,50 +1288,46 @@ def test_history_entries_stay_below_the_block_bound():
 
 def test_copies_made_mid_stream_go_on_like_the_original():
     # deepcopy and pickle leave out the running phase generator; each
-    # copy builds its own from the copied state, and computes the earliest
-    # deadline of the waiting levels again from lv_phase and lv_ip.  The
-    # periodic cut falls while four levels wait for their checks and the
-    # match queues hold candidates, and after it checks complete while two
-    # or more levels wait; the two planted cuts while one level, or two,
-    # wait before their deadlines and nothing else is in flight, so only
-    # the rebuilt deadline wakes phase B; the sigma = 2 planted cut while
-    # one level scans and nothing else is in flight, so only the rebuilt
-    # `wake` below i keeps phase B running to finish that check; the
-    # long_gap cut on a quiet arrival, with every level idle and nothing
-    # in flight.
-    for kind, m, n, sigma, seed, mseed, cut, waiting, scanning, queued in [
-        ("periodic", 2500, 10000, 4, 2, 12, 5000, 4, 0, True),
-        ("planted", 3000, 9000, 4, 5, 12, 7000, 1, 0, False),
-        ("planted", 6000, 18000, 4, 5, 12, 11000, 2, 0, False),
-        ("planted", 650, 2600, 2, 905036695, 987654321, 577, 0, 1, False),
-        ("long_gap", 2100, 9000, 4, 8, 12, 5000, 0, 0, False),
+    # copy builds its own from the copied state, and computes each level's
+    # next acting turn again from lv_ip and its queue's head.  The periodic
+    # cut falls while four levels idle with matches queued, before their
+    # heads' deadlines; the two planted cuts while one level, or two, idle
+    # so and nothing else is in flight, so only the rebuilt deadline wakes
+    # phase B; the block-tiled cut while level 1 checks and level 2 idles
+    # with a match queued, so the rebuilt next turn of a checking level
+    # keeps phase B running to finish that check; the long_gap cut on a
+    # quiet arrival, with every level idle and nothing in flight.
+    periodic = make_instance("periodic", 2500, 10000, 4, seed=2)
+    planted = make_instance("planted", 3000, 9000, 4, seed=5)
+    longer = make_instance("planted", 6000, 18000, 4, seed=5)
+    long_gap = make_instance("long_gap", 2100, 9000, 4, seed=8)
+    for kind, pattern, text, cut, checking, waiting in [
+        ("periodic", periodic.pattern, periodic.text, 5000, 0, 4),
+        ("planted", planted.pattern, planted.text, 7000, 0, 1),
+        ("planted", longer.pattern, longer.text, 11000, 0, 2),
+        ("blocks", *BLOCKS, 1200, 1, 1),
+        ("long_gap", long_gap.pattern, long_gap.text, 5000, 0, 0),
     ]:
-        inst = make_instance(kind, m, n, sigma, seed=seed)
-        sm = StreamMatcher(inst.pattern, sigma, seed=mseed)
+        sm = StreamMatcher(pattern, 4, seed=12)
         assert sm.mode == "rand"
-        sm.scan(inst.text[:cut])
-        phases = sm.lv_phase
-        assert phases.count(stream_matcher._WAIT) == waiting, kind
-        assert phases.count(stream_matcher._SCAN) == scanning, kind
-        idle = len(phases) - waiting - scanning
-        assert phases.count(stream_matcher._IDLE) == idle, kind
+        sm.scan(text[:cut])
+        levels = range(1, sm.s + 1)
+        assert sum(sm.lv_ip[ell] >= 0 for ell in levels) == checking, kind
+        idle_queued = [ell for ell in levels if sm.lv_ip[ell] < 0 and sm.mq[ell - 1].segs]
+        assert len(idle_queued) == waiting, kind
         in_flight = (bool(sm.mq_words), sm.bcur, len(sm.bbuf), sm.c_ip)
-        assert in_flight == (queued, None, 0, -1), kind
-        if kind == "planted" and waiting:
-            dues = [
-                sm.lv_ip[ell] + sm.mlen[ell] + sm.delta
-                for ell, ph in enumerate(phases)
-                if ph == stream_matcher._WAIT
-            ]
-            assert sm.i < min(dues), kind
+        assert in_flight == (bool(waiting), None, 0, -1), kind
+        dues = [sm.mq[ell - 1].segs[0][0] + sm.mlen[ell] + sm.delta for ell in idle_queued]
+        assert all(sm.i < due for due in dues), kind
         copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
-        rest = inst.text[cut:]
+        rest = text[cut:]
         for matcher in [sm] + copies:
             matcher.debug_checks = []
         want = sm.scan(rest)
-        ends = [s + m - 1 for s in naive_all_matches(inst.pattern, inst.text)]
+        m = len(pattern)
+        ends = [s + m - 1 for s in naive_all_matches(pattern, text)]
         assert want == [e for e in ends if e >= cut], kind
-        assert bool(want) == bool(waiting or scanning), kind
+        assert bool(want) == bool(waiting or checking), kind
         for other in copies:
             assert other.scan(rest) == want, kind
             assert other.debug_checks == sm.debug_checks, kind
@@ -1332,26 +1336,28 @@ def test_copies_made_mid_stream_go_on_like_the_original():
 
 def take_turns(sm, text, start):
     """Step text[start:] through `sm` and check that whatever has work
-    acts on its turn: the level whose turn an arrival is, when it idles
-    with a match queued, waits past its deadline or scans, and phase C,
-    when its tail check's next position has arrived or a match waits
-    while no check is open.  Returns the arrivals where each acted."""
+    acts on its turn: the level whose turn an arrival is, when it checks
+    (its scan advances) or idles past its queue head's deadline (it pops
+    the head), and phase C, when its tail check's next position has
+    arrived or a match waits while no check is open.  Returns the
+    arrivals where each acted."""
     acted = []
     s = sm.s
     for j in range(start, len(text)):
         ell = 1 + j % s
-        ph = sm.lv_phase[ell]
-        work = (
-            (ph == stream_matcher._IDLE and bool(sm.mq[ell - 1].segs))
-            or (ph == stream_matcher._WAIT and j > sm.lv_ip[ell] + sm.mlen[ell] + sm.delta)
-            or ph == stream_matcher._SCAN
-        )
+        segs = sm.mq[ell - 1].segs
+        head = segs[0][0] if segs else None
+        checking = sm.lv_ip[ell] >= 0
+        work = checking or (head is not None and j > head + sm.mlen[ell] + sm.delta)
         cur = sm.lv_cur[ell]
         c_ip, c_k = sm.c_ip, sm.c_k
         tail = (c_ip >= 0 and c_ip + sm.m - sm.H + c_k <= j) or (c_ip < 0 and sm.mq[s].segs)
         sm.step(text[j])
         if work:
-            assert sm.lv_phase[ell] != ph or sm.lv_cur[ell] > cur, (j, ell, ph)
+            if checking:
+                assert sm.lv_cur[ell] > cur, (j, ell)
+            else:
+                assert not segs or segs[0][0] != head, (j, ell)
             acted.append(j)
         if tail:
             assert (sm.c_ip, sm.c_k) != (c_ip, c_k), j
@@ -1365,10 +1371,11 @@ def test_whatever_has_work_acts_on_its_turn():
     # must still get it, on the periodic, mismatched, planted and
     # block-tiled streams.  On the binary periodic one, level 2 splits at
     # 484, the arrival that pushes a base-prefix match, which level 1
-    # takes at its turn, 486.
+    # splits at 570, its first turn past the match's deadline, 568.
     # So must a copy whose generator computes the schedule again: one cut
-    # right after a push while level 1 idles, one while a level waits
-    # with matches queued behind it.
+    # right after a push gives idle level 1 a new queue head, off level
+    # 1's turn, and one while a level idles with two matches or more
+    # queued.
     periodic = make_instance("periodic", 2500, 10000, 4, seed=2)
     planted = make_instance("planted", 3000, 9000, 4, seed=5)
     binary = periodic_instance(641, 4 * 641, 2, 438433, block=211)
@@ -1387,13 +1394,13 @@ def test_whatever_has_work_acts_on_its_turn():
     text = periodic.text
     cuts = []
     for j, sym in enumerate(text):
+        fresh = not sm.mq[0].segs
         sm.step(sym)
-        idle_queued = sm.lv_phase[1] == stream_matcher._IDLE and sm.mq[0].segs
-        waiting_queued = any(
-            sm.lv_phase[ell] == stream_matcher._WAIT and sm.mq[ell - 1].segs
-            for ell in range(1, sm.s + 1)
+        new_head = fresh and sm.lv_ip[1] < 0 and sm.mq[0].segs
+        idle_queued = any(
+            sm.lv_ip[ell] < 0 and len(sm.mq[ell - 1]) >= 2 for ell in range(1, sm.s + 1)
         )
-        if (idle_queued and j % sm.s) or (waiting_queued and len(cuts) == 1):
+        if (new_head and j % sm.s) or (idle_queued and len(cuts) == 1):
             cuts.append(j + 1)
         if len(cuts) == 2:
             break
@@ -1406,32 +1413,83 @@ def test_whatever_has_work_acts_on_its_turn():
 
 def test_two_levels_scanning_with_the_queues_empty():
     # Two level checks run at once while the match queues, the distance
-    # buffer and the tail check are empty.  The first to complete must
-    # leave phase B running for the other.
-    inst = make_instance("planted", 650, 2600, 2, seed=905036695)
-    want = [s + 649 for s in naive_all_matches(inst.pattern, inst.text)]
+    # buffer and the tail check are empty: on a block tiling whose
+    # recurrences (399) fill every zeroing ring, at arrival 1430.  The
+    # first to complete must leave phase B running for the other.
+    pattern, text = block_tiling(4, 399, 600, 1800, seed=13)
+    want = [s + 599 for s in naive_all_matches(pattern, text)]
     assert want
-    stepped = StreamMatcher(inst.pattern, 2, seed=987654321)
-    scanned = StreamMatcher(inst.pattern, 2, seed=987654321)
+    stepped = StreamMatcher(pattern, 4, seed=1)
+    scanned = StreamMatcher(pattern, 4, seed=1)
     assert stepped.mode == "rand"
     stepped.debug_checks = []
     scanned.debug_checks = []
     ends = []
-    reached = False
-    for k, sym in enumerate(inst.text):
+    reached = []
+    for k, sym in enumerate(text):
         if stepped.step(sym):
             ends.append(k)
-        reached = reached or (
-            stepped.lv_phase.count(stream_matcher._SCAN) >= 2
+        if (
+            sum(ip >= 0 for ip in stepped.lv_ip) >= 2
             and stepped.mq_words == 0
             and not stepped.bbuf
             and stepped.bcur is None
             and stepped.c_ip < 0
-        )
-    assert reached
+        ):
+            reached.append(k)
+    assert reached == [1430]
     assert ends == want
-    assert scanned.scan(inst.text) == want
+    assert scanned.scan(text) == want
     assert scanned.debug_checks == stepped.debug_checks
+
+
+def split_turns(sm, text):
+    """Step `text` through `sm`; for each split, the entries its ring held
+    and how far past the ring's front the split turn scanned, and whether
+    the check completed there, and for each later turn of a check, how
+    far it scanned."""
+    s = sm.s
+    sm.debug_checks = []
+    splits, later = [], []
+    for j, sym in enumerate(text):
+        ell = 1 + j % s
+        ip = sm.lv_ip[ell]
+        segs = sm.mq[ell - 1].segs
+        split = ip < 0 and bool(segs) and j > segs[0][0] + sm.mlen[ell] + sm.delta
+        cur = sm.lv_cur[ell]
+        checks = len(sm.debug_checks)
+        sm.step(sym)
+        front = max(0, sm.dq_next[ell] - sm.dq_cap)
+        if split:
+            done = len(sm.debug_checks) > checks
+            splits.append((sm.lv_end[ell] - front, sm.lv_cur[ell] - front, done))
+        elif ip >= 0:
+            later.append(sm.lv_cur[ell] - max(cur, front))
+    return splits, later
+
+
+def test_a_split_turn_scans_what_bphi_cap_leaves():
+    # A split turn pops (2 ops) and splits (5) before it scans, so it
+    # scans at most _SCAN_BATCH - 7 entries: with the pass's 1 and the
+    # push's 2 it charges 16 ops, as a later turn does with 1 + 13 + 2.
+    # OP_BUDGET alone would not catch a split that scans the full batch
+    # (23 ops, under 42).  On BLOCKS a split finds 0 to 48 ring entries:
+    # some splits scan exactly 6 past the ring's front, some later turns
+    # exactly 13, and 4 of the 37 checks complete at their split.  On the
+    # periodic stream every ring is empty, and each of the 116 checks
+    # completes in its split arrival.
+    pattern, text = BLOCKS
+    splits, later = split_turns(StreamMatcher(pattern, 4, seed=1), text)
+    found = [held for held, _, _ in splits]
+    assert (min(found), max(found)) == (0, 48)
+    assert max(scanned for _, scanned, _ in splits) == _SCAN_BATCH - 7
+    assert max(later) == _SCAN_BATCH
+    assert (len(splits), sum(done for _, _, done in splits)) == (37, 4)
+    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    splits, later = split_turns(sm, inst.text)
+    assert len(splits) == len(sm.debug_checks) == 116
+    assert all(done for _, _, done in splits) and not later
 
 
 def test_copies_of_a_det_routed_matcher_go_on_like_the_original():
@@ -1555,9 +1613,13 @@ def test_an_expired_history_raises_at_the_split():
     ref = reference_at(PERIODIC, 4, 2, i)
     ell = 1 + i % ref.s
     assert msg == f"fingerprint history expired for level {ell}"
-    assert ref.lv_phase[ell] == stream_matcher._WAIT
+    # Unpatched, the level idles past its queue head's deadline and pops
+    # the head, splits and, with an empty ring, completes the check.
+    head = ref.mq[ell - 1].segs[0][0]
+    assert ref.lv_ip[ell] < 0 and i > head + ref.mlen[ell] + ref.delta
+    ref.debug_checks = []
     ref.step(PERIODIC.text[i])
-    assert ref.lv_phase[ell] == stream_matcher._SCAN
+    assert [check[:2] for check in ref.debug_checks] == [(ell, head)]
 
 
 def test_a_late_level_report_raises():
@@ -1588,16 +1650,25 @@ def tail_pop_after_the_first_match():
 
 
 def test_a_tail_pop_past_the_history_raises():
-    # The candidate leaves its queue `lag` arrivals past its last level;
-    # a history of `lag` entries no longer holds the tail's first position.
-    ref = tail_pop_after_the_first_match()
-    pop = ref.i
-    lag = pop - ref.c_ip - ref.mlen[-1]
+    # Phase C pops a final-level candidate `lag` arrivals past its last
+    # level; a history of `lag` entries no longer holds the tail's first
+    # position.  Where the level's check completes at its split, the
+    # split's own bound on the history, one stricter, raises first.  On
+    # BLOCKS the final level's check of 318 splits at 1199 and completes at
+    # its next turn, 1201, where phase C pops the candidate 43 arrivals
+    # past its last level.
+    inst = Instance(*BLOCKS, 4, "blocks", 13)
+    ref = reference_at(inst, 4, 1, 1201)
+    s = ref.s
+    assert ref.lv_ip[s] == 318 and ref.c_ip < 0
+    ref.step(inst.text[1201])
+    lag = ref.i - ref.c_ip - ref.mlen[s]
+    assert (ref.c_ip, lag) == (318, 43)
 
     def patch(sm):
         sm.H = lag
 
-    assert violation(PERIODIC, 4, 2, pop, patch) == ("predecessor history expired", pop)
+    assert violation(inst, 4, 1, 1201, patch) == ("predecessor history expired", 1201)
 
 
 def test_a_tail_check_completed_early_raises():
@@ -1830,20 +1901,27 @@ def test_zeroing_queues_that_wrap_answer_as_the_oracle():
 
 
 @pytest.mark.parametrize(
-    "cap, why, at",
+    "cap, why, at, seed, batch",
     [
-        (1, "level 1 zeroing queue evicted unscanned entries", 632),
-        (2, "level 1 may have lost zeroing candidates", 632),
-        (6, "level 2 may have lost zeroing candidates", 1201),
+        (1, "level 1 zeroing queue evicted unscanned entries", 346, 27, 7),
+        (2, "level 1 may have lost zeroing candidates", 696, 1, _SCAN_BATCH),
+        (6, "level 2 may have lost zeroing candidates", 1199, 13, _SCAN_BATCH),
     ],
 )
-def test_a_zeroing_queue_too_small_raises(cap, why, at):
-    # With 1 or 2 slots, level 1's queue loses entries between its first
-    # check's split and its first scan turn.  With 6, level 2's queue has
-    # lost them before the split: scanning from the ring's front there
-    # would report 1 of the 17 matches and raise nothing.
-    pattern, text = BLOCKS
+def test_a_zeroing_queue_too_small_raises(monkeypatch, cap, why, at, seed, batch):
+    # On block tilings like BLOCKS (seed 13): with 2 slots, level 1's ring
+    # has lost entries inside its zeroing range before a split; with 6,
+    # level 2's, and scanning from the ring's front there would report 1 of
+    # the 17 matches and raise nothing.  A split scans up to
+    # _SCAN_BATCH - 7 entries at once, and a level's ring takes at most one
+    # entry per turn, so no capacity alone evicts an entry that a check
+    # still has to scan: with a batch of 7 a split scans none, and then a
+    # one-slot ring loses the entry it held at the split to the one pushed
+    # before the level's next turn.
+    monkeypatch.setattr(stream_matcher, "_SCAN_BATCH", batch)
+    pattern, text = block_tiling(4, 300, 1000, 6000, seed=seed)
     sm = StreamMatcher(pattern, 4, seed=1)
+    assert sm.mode == "rand" and sm.m0 < 300
     sm.dq_cap = cap
     sm.dq_bufs = [None] + [[None] * cap for _ in range(sm.s)]
     out = []
@@ -1852,4 +1930,4 @@ def test_a_zeroing_queue_too_small_raises(cap, why, at):
     assert sm.i == at
     assert out == [s + 999 for s in naive_all_matches(pattern, text) if s + 999 < at]
     ell = 1 + at % sm.s
-    assert why.startswith(f"level {ell} ") and sm.lv_phase[ell] == stream_matcher._SCAN
+    assert why.startswith(f"level {ell} ") and sm.lv_ip[ell] >= 0
