@@ -14,7 +14,7 @@ import time
 from .alphabet_filter import AlphabetFilter, densify_pattern
 from .errors import AlphabetError, ConfigError, StructuralViolation, UsageError
 from .fingerprint import DEFAULT_PRIME_BITS
-from .gen import make_instance
+from .gen import KINDS, make_instance
 from .oracle import naive_all_matches
 from .stream_matcher import StreamMatcher
 
@@ -22,8 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_STRUCTURAL = 3
-
-_KINDS = ("random", "planted", "periodic", "long_gap")
 
 
 class _UsageExit(Exception):
@@ -170,7 +168,7 @@ def build_parser() -> _Parser:
     b.add_argument("--m", type=_POSITIVE, default=4096)
     b.add_argument("--n", type=_NON_NEGATIVE, default=0, help="default 3*m")
     b.add_argument("--sigma", type=_POSITIVE, default=4)
-    b.add_argument("--kind", default="planted", choices=_KINDS)
+    b.add_argument("--kind", default="planted", choices=KINDS)
     b.add_argument("--mode", choices=("auto", "det", "rand"), default="auto")
     _add_common(b)
 
@@ -178,7 +176,7 @@ def build_parser() -> _Parser:
     g.add_argument("--m", type=_POSITIVE, required=True)
     g.add_argument("--n", type=_NON_NEGATIVE, required=True)
     g.add_argument("--sigma", type=_POSITIVE, default=4)
-    g.add_argument("--kind", default="random", choices=_KINDS)
+    g.add_argument("--kind", default="random", choices=KINDS)
     g.add_argument(
         "--period", type=_POSITIVE, default=None, help="block length (periodic)"
     )

@@ -91,7 +91,7 @@ def long_gap_instance(m: int, n: int, sigma: int, seed: int) -> Instance:
     return Instance(pattern, text[:n], sigma, "long_gap", seed)
 
 
-_KINDS = {
+KINDS = {
     "random": random_instance,
     "planted": planted_instance,
     "periodic": periodic_instance,
@@ -101,7 +101,7 @@ _KINDS = {
 
 def make_instance(kind: str, m: int, n: int, sigma: int, seed: int, **kw) -> Instance:
     try:
-        builder = _KINDS[kind]
+        builder = KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown instance kind {kind!r}") from None
     return builder(m, n, sigma, seed, **kw)

@@ -49,12 +49,14 @@ up to _SCAN_BATCH - 7 zeroing-queue entries, so that with a short ring
 it also compares and pushes.  A checking level scans _SCAN_BATCH
 entries at each later turn, until its check completes.  The generator's
 frame keeps the first arrival at which each level acts (`lv_next`),
-`wake`, the earliest of them, and `c_at`, phase C's; it updates them at
-every turn a level acts and at a push into an empty queue (a push
-behind a head leaves the head's deadline as it was), and computes them
-again when a generator starts.  One test of these after phase A skips
-both phases on any other arrival, where they would only have tested
-their conditions.
+`wake`, the earliest of them, and `c_at`, phase C's.  One function,
+`_turn`, holds the rule for a level's entry, and every update calls it:
+at every turn a level acts, at a push that gives an idle level a new
+queue head (a push behind a head leaves the head's deadline as it was,
+and a checking level's next turn does not move), and for every level
+when a generator starts.  One test of these after phase A skips both
+phases on any other arrival, where they would only have tested their
+conditions.
 
 Matches of one prefix lie more than 3*delta apart (two closer than the
 prefix's length differ by a parameterized period of it), while a check
@@ -63,12 +65,17 @@ later turn, so it completes within sigma more turns, at most
 sigma*s <= delta arrivals.  So a level is idle again before its next
 head's deadline, splits every candidate within s arrivals past the
 deadline, and completes by ip + m_l + delta + (sigma + 1)*s, inside the
-asserted ip + m_l + 3*delta.  Were the head popped at the level's first
-idle turn instead, to wait outside the queue for its deadline and split
-at a turn that scans nothing, the splits would fall on the same
-arrivals and every check's scan would run _SCAN_BATCH - 7 entries
-behind: no completion or push here comes later than under that
-schedule, and every deadline keeps at least its margin.
+asserted ip + m_l + 3*delta.  Bdelta hands a level at most one entry
+per s arrivals, so at most one between two of its turns, and a split
+scans at least one: the ring's front never passes a check's cursor, and
+the "evicted unscanned entries" raise cannot fire at this batch.  It
+stays to guard a lowered batch, whose split scans none (a test lowers it
+to 7).  Were the head popped at the level's first idle turn instead, to
+wait outside the queue for its deadline and split at a turn that scans
+nothing, the splits would fall on the same arrivals and every check's
+scan would run _SCAN_BATCH - 7 entries behind: no completion or push
+here comes later than under that schedule, and every deadline keeps at
+least its margin.
 
 The match queues keep their 6*sigma + 2 segment budget.  A queue holds
 the positions x its level l pushed and level l + 1 has not split: each
@@ -155,6 +162,11 @@ _BLOCK = 32
 # Bphi batch: the zeroing queue holds at most 12*sigma entries and must be
 # scanned within sigma round-robin turns after a split.  A split turn
 # scans _SCAN_BATCH - 7 entries, since it also pops (2) and splits (5).
+# That is at least one, and Bdelta adds at most one entry to a level's
+# ring between two of its turns, so a check's cursor never falls behind
+# the ring's front and "evicted unscanned entries" cannot fire; the raise
+# guards a lowered batch (`test_a_zeroing_queue_too_small_raises` sets 7,
+# whose split scans nothing).
 _SCAN_BATCH = 13
 # Process C: 4*delta comparisons spread over the final delta arrivals.
 _C_BUDGET = 5
@@ -171,6 +183,21 @@ OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
 # phase's flat 7, and phase A's 1 plus its symbols; nothing pushes.  A
 # caught-up tail check adds 1.
 _QUIET_OPS = 8 + CONSUMES_PER_ARRIVAL + 1
+
+
+def _turn(ell, i, ip, queue, wait, s):
+    """The first arrival after i at which level ell acts: its next turn
+    while it checks (ip >= 0), its first turn past its queue head's
+    deadline, the head's start plus `wait` (m_ell + delta), while it
+    idles with a match queued, NEVER while it idles on an empty queue.
+    Its turns are the arrivals t with 1 + t % s == ell."""
+    if ip >= 0:
+        x = i + 1
+    elif queue:
+        x = max(queue[0][0] + wait, i) + 1
+    else:
+        return NEVER
+    return x + (ell - 1 - x) % s
 
 
 class StreamMatcher(DenseFrontEnd):
@@ -369,11 +396,7 @@ class StreamMatcher(DenseFrontEnd):
     def __getstate__(self):
         # A generator cannot be copied; the copy builds its own.  A
         # stopped matcher's copy stays stopped.
-        state = {
-            k: getattr(self, k)
-            for k in self.__slots__
-            if k != "__weakref__" and hasattr(self, k)
-        }
+        state = {k: getattr(self, k) for k in self.__slots__ if k != "__weakref__"}
         if type(self.run) is not Stopped:
             state["run"] = None
         return None, state
@@ -463,27 +486,20 @@ class StreamMatcher(DenseFrontEnd):
         c_ip = self.c_ip
         c_k = self.c_k
         mq_words = self.mq_words
-        # The first arrival at which each level acts: its next turn while
-        # it checks, its first turn past its queue head's deadline while it
-        # idles with a match queued, NEVER while it idles on an empty queue.
-        # `wake` is the earliest, and `c_at` the first arrival at which
-        # phase C acts: the position its tail check compares next, or the
-        # next arrival while a match waits and no check is open.  Locals,
-        # kept up to date at every push, pop and transition, so a new
-        # generator computes them again; an open tail check gets the next
-        # arrival, where phase C sets its own (which also covers a history
-        # shorter than the comparisons made).  A plain loop: a
-        # comprehension would turn the tables it reads into cell
-        # variables, which every arrival then loads more slowly.
+        # The first arrival at which each level acts (`_turn`), `wake`,
+        # the earliest, and `c_at`, the first arrival at which phase C
+        # acts: the position its tail check compares next, or the next
+        # arrival while a match waits and no check is open.  Locals, kept
+        # up to date at every push, pop and transition, so a new generator
+        # computes them again; an open tail check gets the next arrival,
+        # where phase C sets its own (which also covers a history shorter
+        # than the comparisons made).  A plain loop, and `_turn` a module
+        # function: a comprehension or a closure would turn the tables
+        # they read into cell variables, which every arrival then loads
+        # more slowly.
         lv_next = [NEVER] * (s + 1)
         for ell in range(1, s + 1):
-            if lv_ip[ell] >= 0:
-                x = i + 1
-            elif segs[ell - 1]:
-                x = max(segs[ell - 1][0][0] + mlen[ell] + delta, i) + 1
-            else:
-                continue
-            lv_next[ell] = x + (ell - 1 - x) % s
+            lv_next[ell] = _turn(ell, i, lv_ip[ell], segs[ell - 1], mlen[ell] + delta, s)
         wake = min(lv_next)
         c_at = i + 1 if c_ip >= 0 or segs[s] else NEVER
         ops_last = self.ops_last
@@ -535,11 +551,8 @@ class StreamMatcher(DenseFrontEnd):
                         mq_words += q0.words - w0
                         ops += 3
                         if not w0 and lv_ip[1] < 0:
-                            # A new head of an idle level 1's queue: its
-                            # first turn past the head's deadline.
-                            x = max(i - m0 + 1 + mlen[1] + delta, i) + 1
-                            x += (-x) % s
-                            lv_next[1] = x
+                            # A new head of an idle level 1's queue.
+                            x = lv_next[1] = _turn(1, i, -1, segs[0], mlen[1] + delta, s)
                             if x < wake:
                                 wake = x
 
@@ -651,9 +664,7 @@ class StreamMatcher(DenseFrontEnd):
                                 cur += 1
                             lv_acc[ell] = acc
                             lv_cur[ell] = cur
-                            if cur < end:
-                                lv_next[ell] = i + s
-                            else:
+                            if cur >= end:
                                 rlo = lv_rlo[ell]
                                 debug = self.debug_checks
                                 if debug is not None:
@@ -672,20 +683,16 @@ class StreamMatcher(DenseFrontEnd):
                                     qn.push(ip, fp % p)
                                     mq_words += qn.words - w0
                                     ops += 2
-                                    # A new head of an idle level's queue: its
-                                    # first turn past the head's deadline.
+                                    # A new head of an idle level's queue.
                                     # Phase C takes the last level's below.
                                     if ell < s and not w0 and lv_ip[ell + 1] < 0:
-                                        x = max(ip + mlen[ell + 1] + delta, i) + 1
-                                        lv_next[ell + 1] = x + (ell - x) % s
-                                lv_ip[ell] = -1
-                                # Idle: its first turn past its queue head's
-                                # deadline, if a match is queued.
-                                if segs[ell - 1]:
-                                    x = max(segs[ell - 1][0][0] + mlen[ell] + delta, i) + 1
-                                    lv_next[ell] = x + (ell - 1 - x) % s
-                                else:
-                                    lv_next[ell] = NEVER
+                                        lv_next[ell + 1] = _turn(
+                                            ell + 1, i, -1, segs[ell], mlen[ell + 1] + delta, s
+                                        )
+                                ip = lv_ip[ell] = -1
+                            lv_next[ell] = _turn(
+                                ell, i, ip, segs[ell - 1], mlen[ell] + delta, s
+                            )
                             wake = min(lv_next)
 
                         # Phase C: extend final-level matches across the

@@ -96,3 +96,36 @@ def test_unreached_lines_lists_what_a_suite_leaves_out():
         source = (ROOT / "src" / "parmatch" / f"{module}.py").read_text().splitlines()
         assert source[int(line) - 1].strip() == text
     assert re.search(r"^\d+ executable lines, \d+ run, \d+ never run", done.stdout, re.M)
+
+
+def test_code_lines_leaves_out_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Module\n docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "def f(y):\n"
+        '    """Function docstring."""\n'
+        "    return (y,\n"
+        '            """a string\n'
+        '            that is not a docstring""")\n'
+    )
+    (tmp_path / "b.py").write_text("class C:\n    '''Doc.'''\n\n    z = 2\n")
+    done = run_python(ROOT / "scripts" / "code_lines.py", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["a 5 11", "b 2 4", "total 7 15"]
+
+
+def test_code_lines_counts_the_package():
+    done = run_python(ROOT / "scripts" / "code_lines.py")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    modules = {row[0]: (int(row[1]), int(row[2])) for row in rows[:-1]}
+    assert set(modules) == {p.stem for p in (ROOT / "src" / "parmatch").glob("*.py")}
+    assert all(0 < code < physical for code, physical in modules.values())
+    assert rows[-1] == [
+        "total",
+        str(sum(code for code, _ in modules.values())),
+        str(sum(physical for _, physical in modules.values())),
+    ]

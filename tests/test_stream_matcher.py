@@ -1411,6 +1411,53 @@ def test_whatever_has_work_acts_on_its_turn():
         take_turns(copy.deepcopy(sm), text, cut)
 
 
+def test_a_level_acts_at_its_first_turn_after_what_it_waits_for():
+    # `_turn` against a search, arrival by arrival, for the first turn
+    # of level ell (1 + t % s == ell) after i that the level acts at:
+    # any while it checks, only one past head + wait while it idles with
+    # a match queued, none on an empty queue.  i = -1 is a stream's start.
+    def search(ell, i, s, past):
+        t = i + 1
+        while 1 + t % s != ell or t <= past:
+            t += 1
+        return t
+
+    for s in range(1, 7):
+        for ell in range(1, s + 1):
+            for i in range(-1, 3 * s + 4):
+                want = search(ell, i, s, i)
+                assert stream_matcher._turn(ell, i, 0, [], 5, s) == want
+                assert stream_matcher._turn(ell, i, 7, [[0, 1]], 5, s) == want
+                assert stream_matcher._turn(ell, i, -1, [], 5, s) == NEVER
+                for head in range(max(i - 8, 0), i + 4):
+                    for wait in range(0, 2 * s + 2):
+                        queue = [[head, 1], [head + 9, 1]]
+                        got = stream_matcher._turn(ell, i, -1, queue, wait, s)
+                        assert got == search(ell, i, s, head + wait), (s, ell, i, head, wait)
+
+
+def test_a_push_behind_a_due_head_leaves_the_level_its_turn():
+    # Base-prefix matches lie 166 apart here, so phase A can push a match
+    # behind idle level 1's queue head at the very arrival the head is
+    # due.  Only a push that gives an idle level a new head moves its
+    # turn, so level 1 still pops the head there.
+    inst = periodic_instance(1000, 5000, 4, 0, block=166)
+    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    assert sm.mode == "rand"
+    m0, s = sm.m0, sm.s
+    pushes = {x + m0 - 1 for x in naive_all_matches(inst.pattern[:m0], inst.text)}
+    due = []
+    for j, sym in enumerate(inst.text):
+        segs = sm.mq[0].segs
+        if j in pushes and j % s == 0 and sm.lv_ip[1] < 0 and segs:
+            if j > segs[0][0] + sm.mlen[1] + sm.delta:
+                due.append(j)
+        sm.step(sym)
+    assert len(due) >= 5
+    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    assert set(due) <= set(take_turns(sm, inst.text, 0))
+
+
 def test_two_levels_scanning_with_the_queues_empty():
     # Two level checks run at once while the match queues, the distance
     # buffer and the tail check are empty: on a block tiling whose
