@@ -60,13 +60,16 @@ a queue, so it runs on its own), and its arrivals that run the shift
 machinery count into the tally what the caller needs to account for them
 exactly as for one arrival at a time (a table or fast-path arrival
 consumes 1 symbol and leaves nothing pending).  The state is written
-back to the core's attributes only when one of them is read, so no send
-pays for a write-back; the attributes are read-only, since no program
-writes a running core's state.  An error, the deferral buffer's overflow
-say, writes the state back at the arrival that raised and ends the
-stream: the core's `run` becomes an `errors.Stopped`, and every later
-arrival raises `UsageError`.  `AlphabetFilter.scan_pred` knows the
-distances for a raw stream, which then needs no dense table at all.
+back to the core's `state` record only when one of its attributes is
+read, so no send pays for a write-back; the attributes are read-only,
+since no program writes a running core's state.  The randomized matcher
+keeps its phases' scalars the same way, with the same `_Live`
+attributes, write-back and `__getstate__`.  An error, the deferral
+buffer's overflow say, writes the state back at the arrival that raised
+and ends the stream: the core's `run` becomes an `errors.Stopped`, and
+every later arrival raises `UsageError`.  `AlphabetFilter.scan_pred`
+knows the distances for a raw stream, which then needs no dense table at
+all.
 Over a dense alphabet, `step` and `scan` are the shared front end of
 `predecessor.DenseFrontEnd`: a last-occurrence table, and a symbol
 outside the alphabet entering as a fresh one.
@@ -98,38 +101,50 @@ CONSUMES_PER_ARRIVAL = 2
 # `live_words` counts as ceil(K(K+1)/16) words: 10 at K = 12.
 K = 12
 
-_IDLE, _TEST, _SYNC, _SCAN = 0, 1, 2, 3
+_IDLE, _TEST, _SYNC = 0, 1, 2
 
 
 class _Flush(Exception):
-    """Thrown into a core's generator: write the state back to the slots."""
+    """Thrown into an engine's generator: write its state record back."""
 
 
-def _write_back(core: DetCore) -> None:
-    """Write the state held by `core`'s generator back to its slots,
-    unless no arrival has run since the last write-back."""
-    if not core.synced:
-        core.run.throw(_Flush)
+def _write_back(engine) -> None:
+    """Write the state held by `engine`'s generator back to its `state`
+    record, unless no arrival has run since the last write-back."""
+    if not engine.synced:
+        engine.run.throw(_Flush)
 
 
 class _Live:
-    """A read-only state attribute of `DetCore`, stored in the slot of the
-    same name with a leading underscore.
+    """A read-only state attribute of an engine: entry k of its `state`
+    record, where k is the attribute's place in the class's `_STATE`.
 
-    While a generator runs the core, the value lives in the generator's
+    While a generator runs the engine, the value lives in the generator's
     locals, so a read writes them back first.
     """
 
-    __slots__ = ("slot",)
+    __slots__ = ("k",)
 
     def __set_name__(self, owner, name):
-        self.slot = owner.__dict__["_" + name]
+        self.k = owner._STATE.index(name)
 
-    def __get__(self, core, owner=None):
-        if core is None:
+    def __get__(self, engine, owner=None):
+        if engine is None:
             return self
-        _write_back(core)
-        return self.slot.__get__(core)
+        _write_back(engine)
+        return engine.state[self.k]
+
+
+def _getstate(engine):
+    """`__getstate__` of both engines.  A generator cannot be copied: the
+    state is written back, every slot is copied, and the copy starts its
+    own generator from that record, unless the original is stopped, whose
+    copy stays stopped."""
+    _write_back(engine)
+    state = {k: getattr(engine, k) for k in engine.__slots__ if k != "__weakref__"}
+    if type(engine.run) is not Stopped:
+        state["run"] = None
+    return None, state
 
 
 class DetCore:
@@ -144,11 +159,16 @@ class DetCore:
 
     `run` is the generator (None until the first arrival, and a `Stopped`
     after an error, which ends the stream), and `synced` tells whether the
-    state attributes hold its locals.  The state attributes are `_Live`:
-    reading one writes the generator's state back first, and none can be
-    written.  `pend_cap`, the deferral buffer's capacity, is a plain
-    attribute, read when the generator starts.
+    `state` record holds its locals: the attributes that `_STATE` names,
+    in that order.  Those are `_Live`: reading one writes the generator's
+    state back first, and none can be written.  `pend_cap`, the deferral
+    buffer's capacity, is a plain attribute, read when the generator
+    starts.
     """
+
+    # `i` is the index of the last arrival fed, counted from 0.
+    _STATE = ("i", "r", "run_i", "occ_i", "consumed", "phase", "g", "cand",
+              "shifts_last", "units_last", "pend_peak")
 
     __slots__ = (
         "q",
@@ -162,21 +182,10 @@ class DetCore:
         "pend_cap",
         "run",
         "synced",
+        "state",
         "__weakref__",
-        "_i",
-        "_r",
-        "_run_i",
-        "_occ_i",
-        "_consumed",
-        "_phase",
-        "_g",
-        "_cand",
-        "_shifts_last",
-        "_units_last",
-        "_pend_peak",
     )
 
-    # The index of the last arrival fed, counted from 0.
     i = _Live()
     r = _Live()
     run_i = _Live()
@@ -219,26 +228,9 @@ class DetCore:
         self.run = None
         self.synced = True
         self.pend_cap = pend_cap
-        self._i = -1
-        self._r = 0
-        self._run_i = 0
-        self._occ_i = 0
-        self._consumed = 0
-        self._phase = _IDLE
-        self._g = 0
-        self._cand = 0
-        self._shifts_last = 0
-        self._units_last = 0
-        self._pend_peak = 0
+        self.state = (-1, 0, 0, 0, 0, _IDLE, 0, 0, 0, 0, 0)
 
-    def __getstate__(self):
-        # A generator cannot be copied; the copy starts its own from the
-        # state written back here.  A stopped core's copy stays stopped.
-        _write_back(self)
-        state = {k: getattr(self, k) for k in self.__slots__ if k != "__weakref__"}
-        if type(self.run) is not Stopped:
-            state["run"] = None
-        return None, state
+    __getstate__ = _getstate
 
     def step_pred(self, pv: int) -> bool:
         """Feed the predecessor value of the arriving symbol.
@@ -264,9 +256,10 @@ class DetCore:
         machinery sets `at` to its index and `took` to the symbols it
         consumed, and raises `most took` to that and `most held` to the
         arrivals it leaves pending.  The state is held in locals from the
-        start, and written back only when `_Flush` is thrown in.  An error
-        writes it back too, with `i` at the arrival that raised, and ends
-        the stream: `run` becomes a `Stopped`.
+        start, and written back to the `state` record only when `_Flush`
+        is thrown in.  An error writes it back too, with `i` at the
+        arrival that raised, and ends the stream: `run` becomes a
+        `Stopped`.
         """
         # The core holds this generator, so the generator holds the core
         # only weakly: a strong reference would make a cycle, and a dropped
@@ -287,17 +280,8 @@ class DetCore:
         occ_k = sum(f <= K for f in occ[1 : K + 1])
         pending = self.pending
         pend_cap = self.pend_cap
-        i = self._i
-        r = self._r
-        run_i = self._run_i
-        occ_i = self._occ_i
-        consumed = self._consumed
-        phase = self._phase
-        g = self._g
-        cand = self._cand
-        shifts_last = self._shifts_last
-        units_last = self._units_last
-        pend_peak = self._pend_peak
+        (i, r, run_i, occ_i, consumed, phase, g, cand,
+         shifts_last, units_last, pend_peak) = self.state
         synced = True
         # An exhausted iterator: the chunk when none is being run.
         chunk = drained = iter(())
@@ -441,7 +425,7 @@ class DetCore:
                                 # cand == 0 cannot fail: two first
                                 # occurrences match.
                                 phase = _SYNC
-                        elif phase == _SYNC:
+                        else:  # _SYNC
                             while units and runs[run_i][1] > cand:
                                 run_i -= 1
                                 units -= 1
@@ -454,14 +438,14 @@ class DetCore:
                                 # successor, so test it.
                                 cand -= rho_s
                                 phase = _TEST
-                            else:
-                                phase = _SCAN
-                        else:  # _SCAN
-                            # xlow, the lowest member of cand's chain in
-                            # this run, follows from cand and the run:
-                            # the run cursor stays put while the
-                            # first-occurrence cursor descends.
-                            rho_s, lo, _ = runs[run_i]
+                                continue
+                            # The first-occurrence scan.  xlow, the
+                            # lowest member of cand's chain in this run,
+                            # follows from cand and the run: the run
+                            # cursor stays put while the first-occurrence
+                            # cursor descends.  Out of units, the next
+                            # arrival resumes here: the walk above then
+                            # moves over no run and costs nothing.
                             xlow = lo + (cand - lo) % rho_s
                             while units:
                                 f = occ[occ_i]
@@ -498,17 +482,8 @@ class DetCore:
                 # Closed as its core is freed: there is nothing to write to.
                 raise
             except BaseException as e:
-                self._i = i
-                self._r = r
-                self._run_i = run_i
-                self._occ_i = occ_i
-                self._consumed = consumed
-                self._phase = phase
-                self._g = g
-                self._cand = cand
-                self._shifts_last = shifts_last
-                self._units_last = units_last
-                self._pend_peak = pend_peak
+                self.state = (i, r, run_i, occ_i, consumed, phase, g, cand,
+                              shifts_last, units_last, pend_peak)
                 synced = self.synced = True
                 if e.__class__ is not _Flush:
                     self.run = Stopped(e)

@@ -120,9 +120,11 @@ the body of a generator that holds the matcher's tables and scalars in
 local variables and runs one chunk of distances per `send`: `feed` sends
 the distances it is given, and `step` and `scan` those of the shared
 dense front end (`predecessor.DenseFrontEnd`), which looks a chunk's up
-in a last-occurrence table at once.  After each chunk the scalars are
-written back to the attributes, so the calls may be mixed and the
-matcher copied between them.
+in a last-occurrence table at once.  After each chunk `i` is written
+back; the other scalars are written to the matcher's `state` record only
+when one of them is read or the matcher is copied, as `DetCore`'s are
+(`det_matcher._Live`), so no chunk pays for a write-back, and the calls
+may be mixed and the matcher copied between them.
 Only the randomized route builds a FieldContext, from `prime_bits` and
 `seed`, and computes the level fingerprints.  The prime binds that route
 alone: a pattern longer than the prime, whose distances would not stay
@@ -143,11 +145,20 @@ whose parameterized period is at most 3*delta, or that are shorter than
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from itertools import compress, count, repeat
 from operator import gt, lt, mul, ne
 
-from .det_matcher import CONSUMES_PER_ARRIVAL, DetCore, DetMatcher, _write_back
+from .det_matcher import (
+    CONSUMES_PER_ARRIVAL,
+    DetCore,
+    DetMatcher,
+    _Flush,
+    _getstate,
+    _Live,
+    _write_back,
+)
 from .errors import ConfigError, Stopped, StructuralViolation
 from .fingerprint import DEFAULT_PRIME_BITS, context_new, power_table, prime_for_bits
 from .match_queue import MatchQueue
@@ -207,6 +218,13 @@ class StreamMatcher(DenseFrontEnd):
     the dense front end's `step` and `scan`.  A pattern routed to the
     deterministic engine makes a `_DetRouted` matcher instead, which
     passes every call to its `DetMatcher`.
+
+    Its state is kept as `DetCore`'s is: `run` is the phase generator,
+    `synced` tells whether the `state` record holds the generator's
+    scalars that `_STATE` names, and those are `_Live` attributes, which
+    write the generator back when read and cannot be written.  `i` is a
+    plain attribute, written after every chunk: the front end reads it
+    on every `step`.
     """
 
     __slots__ = (
@@ -221,18 +239,14 @@ class StreamMatcher(DenseFrontEnd):
         "mlen",
         "m0",
         "i",
-        "loc",
         "rtab",
         "blocks",
         "tracker",
         "hist_fp",
         "hist_pred",
         "suba",
-        "a_prev",
         "p0_last",
         "bbuf",
-        "bcur",
-        "bnext",
         "dq_bufs",
         "dq_next",
         "dq_cap",
@@ -244,19 +258,29 @@ class StreamMatcher(DenseFrontEnd):
         "gap_inv",
         "level_fp",
         "mq",
-        "c_ip",
-        "c_k",
         "tail_target",
-        "mq_words",
         "static_words",
-        "ops_last",
-        "ops_max",
-        "words_peak",
-        "b_peak",
         "debug_checks",
         "run",
+        "synced",
+        "state",
         "__weakref__",
     )
+
+    _STATE = ("loc", "a_prev", "bcur", "bnext", "c_ip", "c_k", "mq_words",
+              "ops_last", "ops_max", "words_peak", "b_peak")
+
+    loc = _Live()
+    a_prev = _Live()
+    bcur = _Live()
+    bnext = _Live()
+    c_ip = _Live()
+    c_k = _Live()
+    mq_words = _Live()
+    ops_last = _Live()
+    ops_max = _Live()
+    words_peak = _Live()
+    b_peak = _Live()
 
     def __init__(
         self,
@@ -319,7 +343,6 @@ class StreamMatcher(DenseFrontEnd):
         # hist_fp[j % H]: the sum over arrivals k of j's block, up to j, of
         # pred value times r^(k % _BLOCK), unreduced; loc is the current
         # block's sum.
-        self.loc = 0
         self.hist_fp = [0] * H
         self.hist_pred = [0] * H
         # r^0 .. r^_BLOCK.
@@ -337,12 +360,9 @@ class StreamMatcher(DenseFrontEnd):
         self.suba = DetCore(
             PatternProfile(m0 - 1, sigma, profile.periods[:m0], pred[: m0 - 1], None)
         )
-        self.a_prev = False
         self.p0_last = pred[m0 - 1]
 
         self.bbuf = deque()
-        self.bcur = None
-        self.bnext = 1
         s = self.s
         cap = 12 * sigma
         self.dq_cap = cap
@@ -371,10 +391,7 @@ class StreamMatcher(DenseFrontEnd):
             )
             for l in range(0, s + 1)
         ]
-        self.c_ip = -1
-        self.c_k = 0
         self.tail_target = pred[m - H :]
-        self.mq_words = 0
         self.static_words = (
             3 * H  # two histories and the tail
             + len(self.rtab)
@@ -385,31 +402,25 @@ class StreamMatcher(DenseFrontEnd):
             + self.suba.live_words()
             + 32
         )
-        self.ops_last = 0
-        self.ops_max = 0
-        self.words_peak = 0
-        self.b_peak = 0
+        # An empty block sum, no base-prefix match, no distance being
+        # distributed, no tail check, and empty queues and gauges.
+        self.state = (0, False, None, 1, -1, 0, 0, 0, 0, 0, 0)
+        self.synced = True
         # When set to a list, every completed level check appends
         # (level, candidate, computed second-half fingerprint rebased to r^0).
         self.debug_checks = None
 
-    def __getstate__(self):
-        # A generator cannot be copied; the copy builds its own.  A
-        # stopped matcher's copy stays stopped.
-        state = {k: getattr(self, k) for k in self.__slots__ if k != "__weakref__"}
-        if type(self.run) is not Stopped:
-            state["run"] = None
-        return None, state
+    __getstate__ = _getstate
 
     # ------------------------------------------------------------------
 
     def _arrive(self, pv: int) -> bool:
-        return (self.run or self._start()).send(((pv,), None, None, self))
+        return (self.run or self._start()).send(((pv,), None, None))
 
     def _run(self, preds, out) -> None:
         if type(preds) is not list:
             preds = list(preds)
-        (self.run or self._start()).send((iter(preds), out, preds, self))
+        (self.run or self._start()).send((iter(preds), out, preds))
 
     def _start(self):
         run = self.run = self._phases()
@@ -418,20 +429,22 @@ class StreamMatcher(DenseFrontEnd):
 
     def _phases(self):
         """The four phases, run over each chunk of distances sent as
-        (arrivals, out, preds, matcher).
+        (arrivals, out, preds).
 
         A chunk is one arrival's distance in a tuple, with `out` and
         `preds` None, or an iterator over the list `preds`.  Every table
         and scalar of the matcher is held in this frame's locals between
-        chunks; the scalars are written back to the attributes after each
-        chunk, also when an error stops it (the peaks as soon as they
-        rise).  An error, with `i` at the arrival that raised, ends the
-        stream (see the module docstring).  Match end indices are appended
-        to `out` unless it is None; yields whether the chunk had any.  The
-        matcher holds this generator, so the generator holds the matcher
-        only while it runs a chunk, which sends it in: a dropped matcher
-        goes at once, not by the cyclic collector.
+        chunks.  `i` is written back after each chunk; the scalars that
+        `_STATE` names are written back to the `state` record only when
+        `_Flush` is thrown in, as `DetCore`'s are.  An error writes them
+        back too, with `i` at the arrival that raised, and ends the stream
+        (see the module docstring).  Match end indices are appended to
+        `out` unless it is None; yields whether the chunk had any.
         """
+        # The matcher holds this generator, so the generator holds the
+        # matcher only weakly: a dropped matcher goes at once, not by the
+        # cyclic collector.
+        self = weakref.proxy(self)
         sigma = self.sigma
         p = self.p
         H = self.H
@@ -475,17 +488,12 @@ class StreamMatcher(DenseFrontEnd):
         pending = suba.pending
 
         i = self.i
-        loc = self.loc
+        (loc, a_prev, bcur, bnext, c_ip, c_k, mq_words,
+         ops_last, ops_max, words_peak, b_peak) = self.state
         # The current block's offset fingerprint and r^(its first index).
         b = 2 * (i // _BLOCK % nb)
         bfp = blocks[b]
         bpw = blocks[b + 1]
-        a_prev = self.a_prev
-        bcur = self.bcur
-        bnext = self.bnext
-        c_ip = self.c_ip
-        c_k = self.c_k
-        mq_words = self.mq_words
         # The first arrival at which each level acts (`_turn`), `wake`,
         # the earliest, and `c_at`, the first arrival at which phase C
         # acts: the position its tail check compares next, or the next
@@ -502,16 +510,14 @@ class StreamMatcher(DenseFrontEnd):
             lv_next[ell] = _turn(ell, i, lv_ip[ell], segs[ell - 1], mlen[ell] + delta, s)
         wake = min(lv_next)
         c_at = i + 1 if c_ip >= 0 or segs[s] else NEVER
-        ops_last = self.ops_last
-        ops_max = self.ops_max
-        words_peak = self.words_peak
-        b_peak = self.b_peak
+        synced = True
         hit = False
-        self = None
         while True:
-            arrivals, out, preds, self = yield hit
-            hit = False
             try:
+                arrivals, out, preds = yield hit
+                hit = False
+                if synced:
+                    synced = self.synced = False
                 for pv in arrivals:
                     i += 1
                     off = i & mask
@@ -577,7 +583,7 @@ class StreamMatcher(DenseFrontEnd):
                                     f"distance buffer exceeded {sigma} entries"
                                 )
                             if lb > b_peak:
-                                b_peak = self.b_peak = lb
+                                b_peak = lb
                             ops += 2
                         if bcur is None and bbuf:
                             bcur = bbuf.popleft()
@@ -749,14 +755,14 @@ class StreamMatcher(DenseFrontEnd):
 
                     ops_last = ops
                     if ops > ops_max:
-                        ops_max = self.ops_max = ops
+                        ops_max = ops
                         if ops > OP_BUDGET:
                             raise StructuralViolation(
                                 f"arrival {i} used {ops} ops, budget {OP_BUDGET}"
                             )
                     words = static_words + 3 * len(bbuf) + mq_words + len(pending)
                     if words > words_peak:
-                        words_peak = self.words_peak = words
+                        words_peak = words
 
                     if (
                         out is not None
@@ -882,10 +888,10 @@ class StreamMatcher(DenseFrontEnd):
                                 ops_last = 8 + tail + (tally[1] if last == tally[0] else 1)
                                 ops = 8 + tail + tally[2]
                                 if ops > ops_max:
-                                    ops_max = self.ops_max = ops
+                                    ops_max = ops
                                 words = static_words + mq_words + tally[3]
                                 if words > words_peak:
-                                    words_peak = self.words_peak = words
+                                    words_peak = words
                                 a_prev = done < 0
                                 a_done = -done if a_prev else done
                                 # On from the arrival after the stretch.
@@ -893,24 +899,23 @@ class StreamMatcher(DenseFrontEnd):
                             # The frame outlives the chunk: drop the stretch's
                             # lists, and at its end the chunk's.
                             win = vals = seg = cut = None
-            except BaseException as e:
-                # Unless the error was its own, phase A's core holds its
-                # state in its generator: it is written back, and the core
-                # stops with the matcher.
-                _write_back(suba)
-                self.run = suba.run = Stopped(e)
-                raise
-            finally:
                 self.i = i
-                self.loc = loc
-                self.a_prev = a_prev
-                self.bcur = bcur
-                self.bnext = bnext
-                self.c_ip = c_ip
-                self.c_k = c_k
-                self.mq_words = mq_words
-                self.ops_last = ops_last
-                self = arrivals = preds = None
+                arrivals = preds = None
+            except GeneratorExit:
+                # Closed as its matcher is freed: there is nothing to write to.
+                raise
+            except BaseException as e:
+                self.state = (loc, a_prev, bcur, bnext, c_ip, c_k, mq_words,
+                              ops_last, ops_max, words_peak, b_peak)
+                synced = self.synced = True
+                if e.__class__ is not _Flush:
+                    # Unless the error was its own, phase A's core holds
+                    # its state in its generator: it is written back, and
+                    # the core stops with the matcher.
+                    self.i = i
+                    _write_back(suba)
+                    self.run = suba.run = Stopped(e)
+                    raise
 
     def live_words_peak(self) -> int:
         return self.words_peak

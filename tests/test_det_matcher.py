@@ -11,7 +11,8 @@ from parmatch.errors import AlphabetError, Stopped, StructuralViolation, UsageEr
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches, naive_pmatch
 from parmatch.pattern import build_profile
-from parmatch.predecessor import LastOccurrence, pred_string
+from parmatch.predecessor import NEVER, LastOccurrence, pred_string
+from parmatch.stream_matcher import StreamMatcher
 
 from cores import core_state
 from misses import near_misses
@@ -613,13 +614,30 @@ def test_copies_taken_between_sends_go_on_like_the_original():
 
 
 def test_state_attributes_are_live_descriptors():
-    # On the class each state attribute is its descriptor, which reads
-    # the slot; no program writes a core's state, so a write is refused.
-    assert isinstance(DetCore.consumed, _Live)
+    # On each engine's class every name in `_STATE` is its descriptor,
+    # which reads its entry of the state record; no program writes an
+    # engine's state, so a write is refused.  Each engine has run since
+    # its last write-back, so the first read writes its generator back.
     core = DetCore(build_profile([0, 1, 0], 2))
-    with pytest.raises(AttributeError):
-        core.r = 2
-    assert (core.r, core._r, core.run) == (0, 0, None)
+    core.step_pred(NEVER)
+    inst = make_instance("periodic", 2500, 10000, 4, seed=2)
+    sm = StreamMatcher(inst.pattern, 4, seed=12)
+    sm.scan(inst.text[:100])
+    for engine in (core, sm):
+        cls = type(engine)
+        assert not engine.synced
+        for k, name in enumerate(cls._STATE):
+            assert isinstance(getattr(cls, name), _Live)
+            with pytest.raises(AttributeError):
+                setattr(engine, name, 0)
+            assert getattr(engine, name) == engine.state[k]
+            assert engine.synced
+    assert (core.i, core.r, core.run is not None) == (0, 1, True)
+    # A det-routed matcher holds none of the randomized engine's state.
+    routed = StreamMatcher(inst.pattern, 4, mode="det")
+    for name in StreamMatcher._STATE:
+        with pytest.raises(AttributeError):
+            getattr(routed, name)
 
 
 def test_a_bare_core_stops_at_its_first_error():

@@ -629,8 +629,20 @@ def test_det_and_rand_agree_on_long_streams():
     assert a == b
 
 
-# Slots matcher_state leaves out or reads in its own way.
-LEFT_OUT = ("det", "tracker", "suba", "bbuf", "mq", "debug_checks", "run", "__weakref__")
+# Slots matcher_state leaves out or reads in its own way: the state
+# record is read by the names in `_STATE`.
+LEFT_OUT = (
+    "det",
+    "tracker",
+    "suba",
+    "bbuf",
+    "mq",
+    "debug_checks",
+    "run",
+    "synced",
+    "state",
+    "__weakref__",
+)
 
 
 def matcher_state(sm):
@@ -638,7 +650,7 @@ def matcher_state(sm):
     return {
         "matcher": {
             name: getattr(sm, name)
-            for name in StreamMatcher.__slots__
+            for name in StreamMatcher.__slots__ + StreamMatcher._STATE
             if name not in LEFT_OUT
         },
         "table": None if sm.tracker is None else list(sm.tracker.table),
@@ -1332,6 +1344,39 @@ def test_copies_made_mid_stream_go_on_like_the_original():
             assert other.scan(rest) == want, kind
             assert other.debug_checks == sm.debug_checks, kind
             assert matcher_state(other) == matcher_state(sm), kind
+
+
+def test_copies_taken_between_sends_go_on_like_the_original():
+    # A deep copy and a pickle of a randomized matcher whose phase
+    # generator has run since its last write-back carry its state: a
+    # `scan` and then a `step`, with no read between, leave the state
+    # record behind the generator, and taking the copies writes it back.
+    # The cut falls while level 2 checks and level 1 idles with a match
+    # queued.  The copies and the original, whose generator keeps
+    # running, answer the rest alike and end in the same state.
+    pattern, text = BLOCKS
+    m = len(pattern)
+    cut = 1200
+    sm = StreamMatcher(pattern, 4, seed=12)
+    assert sm.mode == "rand"
+    sm.scan(text[: cut - 1])
+    sm.step(text[cut - 1])
+    assert not sm.synced and not sm.suba.synced
+    run, stale = sm.run, sm.state
+    copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
+    assert sm.run is run and sm.synced and sm.state != stale
+    for c in copies:
+        assert c.run is None and matcher_state(c) == matcher_state(sm)
+    rest = text[cut:]
+    want = [s + m - 1 for s in naive_all_matches(pattern, text) if s + m - 1 >= cut]
+    assert want
+    for c in (sm, *copies):
+        got = c.scan(rest[:100])
+        got += [cut + 100 + j for j, sym in enumerate(rest[100:300]) if c.step(sym)]
+        got += c.scan(rest[300:])
+        assert got == want
+    for c in copies:
+        assert matcher_state(c) == matcher_state(sm)
 
 
 def take_turns(sm, text, start):
