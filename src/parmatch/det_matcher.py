@@ -54,20 +54,21 @@ sent to it through the table, the fast path and the machinery.
 `DetMatcher.feed` and `scan` send it a whole chunk; `step`, `step_pred`
 and the randomized matcher's phase A send one arrival.  Phase A also
 sends a stretch of arrivals where its phases B and C have nothing due as
-one chunk with a tally: such a chunk stops right
-after an arrival where a match ends (the arrival after it may push into
-a queue, so it runs on its own), and its arrivals that run the shift
-machinery count into the tally what the caller needs to account for them
-exactly as for one arrival at a time (a table or fast-path arrival
-consumes 1 symbol and leaves nothing pending).  The state is written
-back to the core's `state` record only when one of its attributes is
-read, so no send pays for a write-back; the attributes are read-only,
-since no program writes a running core's state.  The randomized matcher
-keeps its phases' scalars the same way, with the same `_Live`
-attributes, write-back and `__getstate__`.  An error, the deferral
-buffer's overflow say, writes the state back at the arrival that raised
-and ends the stream: the core's `run` becomes an `errors.Stopped`, and
-every later arrival raises `UsageError`.  `AlphabetFilter.scan_pred`
+one chunk in stop mode, which takes only table and fast-path arrivals:
+it returns right after an arrival where a match ends (the arrival after
+it may push into a queue, so it runs on its own), and before an arrival
+that finds the core busy or whose first comparison fails at r >= K,
+which it leaves unread for phase A to send on its own.  So each arrival
+a stop-mode chunk takes consumes one symbol and leaves nothing pending,
+and the count of symbols consumed tells the caller how far it went.
+The state is written back to the core's `state` record only when one of
+its attributes is read, so no send pays for a write-back; the
+attributes are read-only, since no program writes a running core's
+state.  The randomized matcher keeps its phases' scalars the same way,
+with the same `_Live` attributes, write-back and `__getstate__`.  An
+error, the deferral buffer's overflow say, writes the state back at the
+arrival that raised and ends the stream: the core's `run` becomes an
+`errors.Stopped`, and every later arrival raises `UsageError`.  `AlphabetFilter.scan_pred`
 knows the distances for a raw stream, which then needs no dense table at
 all.
 Over a dense alphabet, `step` and `scan` are the shared front end of
@@ -247,15 +248,13 @@ class DetCore:
 
     def _arrivals(self):
         """The arrival logic, run over each arrival's distance sent, or
-        each chunk of distances sent as (preds, out, tally).
+        each chunk of distances sent as (preds, out, stop).
 
         A chunk appends the index of each arrival at which a match ends to
-        `out`, unless it is None.  With a tally, a list [at, took, most
-        took, most held], it returns right after the first such arrival,
-        and the caller reads from `out` where; an arrival that runs the
-        machinery sets `at` to its index and `took` to the symbols it
-        consumed, and raises `most took` to that and `most held` to the
-        arrivals it leaves pending.  The state is held in locals from the
+        `out`, unless it is None.  With `stop` set, it returns right after
+        the first such arrival, and right before an arrival that would run
+        the shift machinery, which is left unread: `i` stays before it and
+        nothing else changes.  The state is held in locals from the
         start, and written back to the `state` record only when `_Flush`
         is thrown in.  An error writes it back too, with `i` at the
         arrival that raised, and ends the stream: `run` becomes a
@@ -292,7 +291,7 @@ class DetCore:
                 while True:
                     # The next arrival: from the chunk being run, or else
                     # from the next send, which is one arrival's distance
-                    # or a chunk (preds, out, tally).  A send is answered
+                    # or a chunk (preds, out, stop).  A send is answered
                     # with the count of symbols consumed so far, negated
                     # when a match ended during the send (a match consumes
                     # one).
@@ -303,9 +302,9 @@ class DetCore:
                         hit = False
                         if synced:
                             synced = self.synced = False
-                        out = tally = None
+                        out = stop = None
                         if type(pv) is tuple:
-                            chunk, out, tally = pv
+                            chunk, out, stop = pv
                             chunk = iter(chunk)
                             continue
                     i += 1
@@ -328,8 +327,8 @@ class DetCore:
                                     hit = True
                                     if out is not None:
                                         out.append(i)
-                                        if tally is not None:
-                                            chunk = drained
+                                    if stop:
+                                        chunk = drained
                             continue
                         # Fast path, at r >= K: test the fresh symbol
                         # directly.
@@ -353,11 +352,18 @@ class DetCore:
                             hit = True
                             if out is not None:
                                 out.append(i)
-                                if tally is not None:
-                                    chunk = drained
+                            if stop:
+                                chunk = drained
                             continue
-                        # The first comparison failed, at r >= K: on in
-                        # the shift machinery, from _SYNC at cand = r.
+                    # The core is busy, or the first comparison failed
+                    # at r >= K: the arrival runs the shift machinery,
+                    # unless a chunk in stop mode leaves it unread.
+                    if stop:
+                        i -= 1
+                        chunk = drained
+                        continue
+                    if phase == _IDLE and not pending:
+                        # On from _SYNC at cand = r.
                         phase = _SYNC
                         g = pv
                         cand = r
@@ -369,7 +375,6 @@ class DetCore:
                                 f"deferral buffer exceeded capacity {pend_cap}"
                             )
                         consumes = CONSUMES_PER_ARRIVAL
-                    before = consumed
                     shifts = SHIFTS_PER_ARRIVAL
                     units = UNITS_PER_ARRIVAL
 
@@ -410,8 +415,6 @@ class DetCore:
                                     hit = True
                                     if out is not None:
                                         out.append(i)
-                                        if tally is not None:
-                                            chunk = drained
                                 else:
                                     # Cursor growth: r advanced by one,
                                     # so each cursor moves right by at
@@ -470,14 +473,6 @@ class DetCore:
                     units_last = UNITS_PER_ARRIVAL - units
                     if len(pending) > pend_peak:
                         pend_peak = len(pending)
-                    if tally is not None:
-                        took = consumed - before
-                        tally[0] = i
-                        tally[1] = took
-                        if took > tally[2]:
-                            tally[2] = took
-                        if len(pending) > tally[3]:
-                            tally[3] = len(pending)
             except GeneratorExit:
                 # Closed as its core is freed: there is nothing to write to.
                 raise

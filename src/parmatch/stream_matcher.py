@@ -93,34 +93,35 @@ progression, and every push still checks it.
 Inside a chunk, after any arrival that ended no base-prefix match and
 left no distance to distribute, the arrivals up to the next due one run
 in bulk, as a stretch that also stops before the first distance in
-(m0, m).  Phase A sends the stretch to the core in one chunk, which
-returns right after a base-prefix match (the arrival after it pushes, so
-it runs on its own).  A caught-up tail check, whose next position is the
-next arrival, compares each arrival's own distance: the stretch compares
-its values with the tail's in one pass, and ends before the first
-mismatch and before the verdict arrival c_ip + m - 1, which run alone.
+(m0, m).  Phase A sends the stretch to the core in one chunk in stop
+mode, which returns right after a base-prefix match (the arrival after
+it pushes, so it runs on its own), and before an arrival that finds the
+core busy or would enter its shift machinery, which runs alone: so the
+machinery never runs inside a stretch, each of its arrivals consumes
+one symbol, and the symbols consumed tell how far it went.  A caught-up
+tail check, whose next position is the next arrival, compares each
+arrival's own distance: the stretch compares its values with the tail's
+in one pass, and ends before the first mismatch and before the verdict
+arrival c_ip + m - 1, which run alone.
 The base phase adds the arrivals that leave no history entry (all but
 the last H) to their blocks' sums with `sum`, a block at a time, and
 writes the others as a stepped arrival does.  The ops and words
-accounting stays exact.  An arrival of a stretch charges 8 ops, plus the
-symbols phase A consumes (at most 3), plus 1 for a tail comparison, so a
-stretch is taken only while `OP_BUDGET` allows 12 and `_C_BUDGET` one
-comparison.  It holds `static_words` and the queued matches' words, plus
-the arrivals the core leaves pending.  The core counts into a tally sent
-with the stretch the last of its arrivals that ran the shift machinery,
-with its count, and the peaks of both over them; every other arrival
-consumes 1 and leaves nothing pending.  On the `periodic_dense`
-benchmark workload, whose match queues are never empty, 92.3% of the
-first 196,608 arrivals (chunks of 16,384) run in 6,468 stretches; the
-others split, scan or push at a level, catch a tail check up or close
-it, or follow a base-prefix match.
+accounting stays exact.  An arrival of a stretch charges 9 ops, or 10
+with a tail comparison, so a stretch is taken only while `OP_BUDGET`
+allows 10 and `_C_BUDGET` one comparison; it holds `static_words` and
+the queued matches' words, with nothing pending.  On the
+`periodic_dense` benchmark workload, whose match queues are never
+empty, 92.3% of the first 196,608 arrivals (chunks of 16,384) run in
+6,468 stretches; the others split, scan or push at a level, catch a
+tail check up or close it, or follow a base-prefix match.
 
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
 local variables and runs one chunk of distances per `send`: `feed` sends
-the distances it is given, and `step` and `scan` those of the shared
-dense front end (`predecessor.DenseFrontEnd`), which looks a chunk's up
-in a last-occurrence table at once.  After each chunk `i` is written
+the distances it is given, one below 1 as a first occurrence, and `step`
+and `scan` those of the shared dense front end
+(`predecessor.DenseFrontEnd`), which looks a chunk's up in a
+last-occurrence table at once.  After each chunk `i` is written
 back; the other scalars are written to the matcher's `state` record only
 when one of them is read or the matcher is copied, as `DetCore`'s are
 (`det_matcher._Live`), so no chunk pays for a write-back, and the calls
@@ -151,7 +152,6 @@ from itertools import compress, count, repeat
 from operator import gt, lt, mul, ne
 
 from .det_matcher import (
-    CONSUMES_PER_ARRIVAL,
     DetCore,
     DetMatcher,
     _Flush,
@@ -190,10 +190,10 @@ _C_BUDGET = 5
 # push 2, or a later turn's 1 + 13 entries + push 2), C 7.  Independent of
 # the pattern length by construction; enforced per arrival.
 OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
-# The most ops an arrival where nothing is due can charge: the base
-# phase's flat 7, and phase A's 1 plus its symbols; nothing pushes.  A
-# caught-up tail check adds 1.
-_QUIET_OPS = 8 + CONSUMES_PER_ARRIVAL + 1
+# The most ops an arrival of a stretch charges: the base phase's flat 7,
+# and phase A's 1 plus its one symbol; nothing pushes.  A caught-up tail
+# check adds 1.
+_QUIET_OPS = 10
 
 
 def _turn(ell, i, ip, queue, wait, s):
@@ -418,9 +418,17 @@ class StreamMatcher(DenseFrontEnd):
         return (self.run or self._start()).send(((pv,), None, None))
 
     def _run(self, preds, out) -> None:
-        if type(preds) is not list:
-            preds = list(preds)
+        # `preds` is a list: the front end's, or the one `feed` makes.
         (self.run or self._start()).send((iter(preds), out, preds))
+
+    def feed(self, preds, out=None) -> list[int]:
+        # The base phase adds every distance below m to its block sum, so a
+        # fed one below 1, which every other reader takes as a first
+        # occurrence, becomes one; `step` and `scan` make none.
+        preds = list(preds)
+        if min(preds, default=1) < 1:
+            preds = [v if v > 0 else NEVER for v in preds]
+        return super().feed(preds, out)
 
     def _start(self):
         run = self.run = self._phases()
@@ -784,7 +792,7 @@ class StreamMatcher(DenseFrontEnd):
                         edge = i + rest
                         if due <= edge:
                             edge = due - 1
-                        if edge > i and OP_BUDGET > _QUIET_OPS and _C_BUDGET > 0:
+                        if edge > i and OP_BUDGET >= _QUIET_OPS and _C_BUDGET > 0:
                             # preds[j + at] is arrival j.
                             at = len(preds) - rest - i - 1
                             # The stretch's values, read in windows that double
@@ -814,9 +822,7 @@ class StreamMatcher(DenseFrontEnd):
                                 # Arrival j compares its own distance, read as
                                 # `v if 0 < v <= j - c_ip else 0`: below m0 <
                                 # m - H <= j - c_ip, so it is its value, which
-                                # vals holds (0 for one of m or more).  A
-                                # negative one may read as a mismatch here: that
-                                # only ends the stretch early.  The first
+                                # vals holds (0 for one of m or more).  The first
                                 # mismatch closes the check and runs alone.
                                 cut = target[c_k : c_k + len(vals)]
                                 if vals != cut:
@@ -824,19 +830,20 @@ class StreamMatcher(DenseFrontEnd):
                             if vals:
                                 j = i + 1
                                 seg = preds[j + at : j + at + len(vals)]
-                                hits = []
-                                # [the last arrival that ran the machinery, the
-                                # symbols it consumed, the most any consumed,
-                                # the most any left pending].
-                                tally = [i, 0, 0, 0]
-                                try:
-                                    done = arrive((seg, hits, tally))
-                                except BaseException:
-                                    # The stream ends at the arrival that raised.
-                                    i = suba.i
-                                    raise
-                                last = hits[0] if hits else i + len(seg)
-                                run = last - i
+                                # In stop mode the core neither defers an
+                                # arrival nor enters its machinery, so this
+                                # send cannot raise.  Each arrival it takes
+                                # consumes one symbol; an empty run (the core
+                                # was busy, or its first comparison failed)
+                                # changes nothing.
+                                done = arrive((seg, None, True))
+                                a_prev = done < 0
+                                if a_prev:
+                                    done = -done
+                                run = done - a_done
+                                a_done = done
+                            if vals and run:
+                                last = i + run
                                 # Arrivals up to `last - H` leave no history
                                 # entry (later ones take their slots), so a
                                 # block of them only adds to its sum, with
@@ -872,28 +879,14 @@ class StreamMatcher(DenseFrontEnd):
                                 if tail:
                                     c_k += run
                                     c_at = i + 1
-                                # Each arrival of the stretch charges 8 ops, plus
-                                # the symbols it consumes, plus 1 for a tail
-                                # comparison, and holds static_words and the
-                                # queued matches' words plus the arrivals
-                                # pending.  The tally has the last arrival that
-                                # ran the machinery, with its count, and the
-                                # peaks of both over such arrivals; the others
-                                # consume 1 and leave none pending.  Such an
-                                # arrival's 9 ops, or 10 with a comparison, are
-                                # already counted: the stream's first arrival
-                                # charged 9, the tail check's pop 10 or more;
-                                # and so are its words: the arrival before the
-                                # stretch ran alone and held at least as many.
-                                ops_last = 8 + tail + (tally[1] if last == tally[0] else 1)
-                                ops = 8 + tail + tally[2]
-                                if ops > ops_max:
-                                    ops_max = ops
-                                words = static_words + mq_words + tally[3]
-                                if words > words_peak:
-                                    words_peak = words
-                                a_prev = done < 0
-                                a_done = -done if a_prev else done
+                                # Each arrival of the stretch charges 9 ops, or
+                                # 10 with a tail comparison, and holds
+                                # static_words and the queued matches' words.
+                                # Both are already counted: the stream's first
+                                # arrival charged 9, the tail check's pop 10 or
+                                # more, and the arrival before the stretch ran
+                                # alone and held at least as many words.
+                                ops_last = 9 + tail
                                 # On from the arrival after the stretch.
                                 arrivals.__setstate__(i + 1 + at)
                             # The frame outlives the chunk: drop the stretch's

@@ -514,62 +514,71 @@ def test_a_violation_mid_chunk_stops_where_a_stepped_run_stops():
 
 def test_chunks_and_one_arrival_sends_equal_step_pred():
     # One seeded distance stream through four cores: `step_pred`, whole
-    # chunks of 1-800 distances, the same chunks sent with a tally, which
-    # stop after each match and are sent again from the next arrival, and
+    # chunks of 1-800 distances, the same chunks sent in stop mode, each
+    # arrival that one leaves unread sent alone as phase A sends it, and
     # one-arrival sends read as phase A reads them (the symbols consumed
     # so far, negated when a match ends).  They agree on every answer and,
-    # after each call, on every state attribute, and the tally's peaks are
-    # the most symbols one arrival consumed and the most arrivals one left
-    # pending.  Reading the state writes a running generator back once and
-    # leaves it running.
+    # after each call, on every state attribute.  A stop-mode send returns
+    # after a match or before a busy core's arrival, every arrival it
+    # takes consumes one symbol and leaves nothing pending, and one that
+    # takes none leaves the state as it was.  Reading the state writes a
+    # running generator back once and leaves it running.
     pattern, sigma, text, want = det_instance("planted")
     tracker = LastOccurrence(sigma)
     preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
     profile = build_profile(pattern, sigma)
     stepped, chunked, stopped, sent = (DetCore(profile) for _ in range(4))
     send = sent._start().send
+    send_stop = stopped._start().send
     rng = random.Random(22)
     by_step, by_chunk, by_stop, by_send = [], [], [], []
-    tally = [-1, 0, 0, 0]
-    most_took = most_held = 0
+    alone = 0
     k = 0
     while k < len(preds):
         chunk = preds[k : k + rng.randint(1, 800)]
         (chunked.run or chunked._start()).send((chunk, by_chunk, None))
-        rest = chunk
-        while rest:
-            ends = []
-            done = (stopped.run or stopped._start()).send((rest, ends, tally))
-            assert (done < 0) == bool(ends) and ends in ([], [stopped.i])
-            by_stop += ends
-            rest = chunk[stopped.i + 1 - k :]
-        for pv in chunk:
-            consumed = stepped.consumed
+        states = []
+        for j, pv in enumerate(chunk, k):
             if stepped.step_pred(pv):
-                by_step.append(k)
-            most_took = max(most_took, stepped.consumed - consumed)
-            most_held = max(most_held, len(stepped.pending))
+                by_step.append(j)
             done = send(pv)
             if done < 0:
-                by_send.append(k)
+                by_send.append(j)
             assert not sent.synced
-            assert abs(done) == stepped.consumed, k
-            assert core_state(sent) == core_state(stepped), k
+            assert abs(done) == stepped.consumed, j
+            states.append(core_state(stepped))
+            assert core_state(sent) == states[-1], j
             assert sent.synced
-            k += 1
-        assert core_state(chunked) == core_state(stopped) == core_state(stepped), k
+        while stopped.i + 1 < k + len(chunk):
+            before = core_state(stopped)
+            ends = len(by_stop)
+            done = send_stop((chunk[stopped.i + 1 - k :], by_stop, True))
+            took = stopped.i - before["i"]
+            assert abs(done) - before["consumed"] == took
+            assert (done < 0) == (ends < len(by_stop))
+            assert by_stop[ends:] in ([], [stopped.i])
+            if took:
+                assert stopped.phase == _IDLE and not stopped.pending
+            else:
+                assert core_state(stopped) == before
+                if send_stop(chunk[stopped.i + 1 - k]) < 0:
+                    by_stop.append(stopped.i)
+                alone += 1
+            assert core_state(stopped) == states[stopped.i - k], stopped.i
+        assert core_state(chunked) == states[-1], k
+        k += len(chunk)
     ends = [s + len(pattern) - 1 for s in want]
     assert by_step == by_chunk == by_stop == by_send == ends != []
-    assert tally[2:] == [most_took, most_held] and most_took > 1 and most_held > 0
-    assert stepped.i == len(preds) - 1 and stepped.pend_peak > 0
+    assert alone > 0 and stepped.pend_peak > 0
+    assert stepped.i == len(preds) - 1
 
 
-def test_a_tallied_chunk_stops_after_a_match_in_the_table():
+def test_a_stop_mode_chunk_stops_after_a_match_in_the_table():
     # A pattern of at most K symbols is the whole table, which reports its
-    # matches.  A chunk sent with a tally returns right after the first
-    # match, as after one on the fast path; sent again from the next
-    # arrival each time, the core finds the oracle's matches, and no
-    # arrival runs the shift machinery, so the tally stays as it was.
+    # matches and never runs the shift machinery.  A chunk sent in stop
+    # mode returns right after the first match, as after one on the fast
+    # path; sent again from the next arrival each time, the core finds the
+    # oracle's matches, and every arrival consumes one symbol.
     rng = random.Random(5)
     pattern = [0, 1, 1, 0, 2]
     text = [rng.randrange(3) for _ in range(300)]
@@ -578,15 +587,14 @@ def test_a_tallied_chunk_stops_after_a_match_in_the_table():
     tracker = LastOccurrence(3)
     preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
     core = DetCore(build_profile(pattern, 3))
-    tally = [-1, 0, 0, 0]
     got = []
     while core.i + 1 < len(preds):
         ends = []
-        done = (core.run or core._start()).send((preds[core.i + 1 :], ends, tally))
+        done = (core.run or core._start()).send((preds[core.i + 1 :], ends, True))
         assert (done < 0) == bool(ends) and ends in ([], [core.i])
+        assert abs(done) == core.consumed == core.i + 1
         got += ends
     assert got == [s + 4 for s in naive_all_matches(pattern, text)] != []
-    assert tally == [-1, 0, 0, 0]
 
 
 def test_copies_taken_between_sends_go_on_like_the_original():

@@ -749,26 +749,26 @@ def periodic_misses():
 
 class StretchLog:
     """Stands in for a matcher's phase-A core generator: passes every send
-    and throw on, and logs each quiet stretch sent as one chunk as (its
-    first arrival, the last it ran, the base-prefix match ends it reported
-    or "raised")."""
+    and throw on, logs each quiet stretch sent as one chunk as (its first
+    arrival, the last it ran, whether a base-prefix match ended it), and
+    each send that raised as (its arrival, whether it was a stretch's)."""
 
     def __init__(self, sm):
         self.core = sm.suba
         self.run = self.core._start()
         self.core.run = self
         self.stretches = []
+        self.raised = []
 
     def send(self, msg):
-        if type(msg) is not tuple:
-            return self.run.send(msg)
         first = self.core.i + 1
         try:
             reply = self.run.send(msg)
         except StructuralViolation:
-            self.stretches.append((first, self.core.i, "raised"))
+            self.raised.append((self.core.i, type(msg) is tuple))
             raise
-        self.stretches.append((first, self.core.i, list(msg[1])))
+        if type(msg) is tuple:
+            self.stretches.append((first, self.core.i, reply < 0))
         return reply
 
     def throw(self, exc):
@@ -803,18 +803,19 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
     # queued behind the head, or with some), before a distance in
     # (m0, m), at a later turn of a level that checks, and before a tail
     # check's mismatch or verdict.  An idle level's turn before its queue
-    # head's deadline is crossed.  A deferral overflow, which the
-    # core raises inside a stretch, stops it: on the periodic stream with
-    # near misses, a near miss of phase A's pattern fails at arrival 1392,
-    # which consumed nothing, and each arrival after it waits, so caps 3,
-    # 4 and 5 overflow at arrivals 1396, 1397 and 1398 of a stretch from
-    # 1281.  A tail budget of 1 never catches a tail check up, and a
-    # quarter of the history expires before a split: both raise where a
-    # stepped run does.  Chunks of 1000
-    # put each boundary inside a chunk; after every call, the whole state
+    # head's deadline is crossed.  A deferral overflow never comes inside
+    # a stretch: on the periodic stream with near misses, a near miss of
+    # phase A's pattern fails at arrival 1392, which ends the stretch from
+    # 1281 and runs alone, and each arrival after it finds the core busy,
+    # runs alone and waits, so caps 3, 4 and 5 overflow at arrivals 1396,
+    # 1397 and 1398, each sent on its own.  A tail budget of 1 never
+    # catches a tail check up, and a quarter of the history expires before
+    # a split: both raise where a stepped run does.  Chunks of 1000 put
+    # each boundary inside a chunk; after every call, the whole state
     # equals a stepped run's, the front end's table, ops and words
     # included.  An error ends both streams at the same arrival, with the
-    # same matches and phase A state, and both refuse to go on.
+    # same state but for the front end's table, which the scan filled
+    # through its chunk, and the same matches, and both refuse to go on.
     if boundary == "long":
         inst = gap_instance(2100, 9000, 4, 8, gap=2100 - 11)
         pattern, text = inst.pattern, inst.text
@@ -875,11 +876,14 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
             elif due is not None:
                 events.setdefault(j, "waiting")
         if errors:
-            # The stepped run has written the raising arrival's base
-            # phase, the stretch has not.
             break
         assert matcher_state(scanned) == matcher_state(stepped), k
         k = scanned.i + 1
+    if errors:
+        # Both ran the raising arrival alone, up to the raise.
+        assert {**matcher_state(scanned), "table": None} == {
+            **matcher_state(stepped), "table": None
+        }
     assert by_scan == by_step
     inside = [
         (first, last, end)
@@ -898,23 +902,13 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
     if boundary == "overflow":
         at = 1393 + cap
         assert errors == [(f"deferral buffer exceeded capacity {cap}", at)] * 2
-        assert (1281, at, "raised") in log.stretches
+        assert (1281, 1391, False) in log.stretches
+        assert log.raised == [(at, False)]
         assert scanned.i == stepped.i == at
-        assert core_state(scanned.suba) == core_state(stepped.suba)
         for sm in (scanned, stepped):
             with pytest.raises(UsageError, match="deferral buffer exceeded"):
                 sm.scan(text[at + 1 :])
             assert sm.i == at
-        # Up to the error, a scanned run's whole state is a stepped one's.
-        before = []
-        for _ in range(2):
-            sm = StreamMatcher(pattern, 4, seed=12)
-            sm.suba.pend_cap = cap
-            before.append(sm)
-        before[0].scan(text[:at])
-        for sym in text[:at]:
-            before[1].step(sym)
-        assert matcher_state(before[0]) == matcher_state(before[1])
     elif cap is not None:
         # The error's arrival ran alone, after stretches that compared
         # tail positions or crossed idle levels' turns before their queue
@@ -928,25 +922,30 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
         assert by_scan == [s + len(pattern) - 1 for s in naive_all_matches(pattern, text)]
 
 
-def test_the_arrival_before_a_stretch_counts_its_own_words():
-    # On the periodic stream with near misses, arrival 1397 leaves the
-    # deferral buffer at its fullest, and every arrival up to 1446 leaves
-    # it emptier.  A chunk that starts there runs 1397 on its own and
-    # 1398 .. 1446 as one stretch; the words gauge still reads 1397's
-    # peak, as a stepped run's does.
+def test_arrivals_that_find_the_core_busy_run_alone():
+    # On the periodic stream with near misses, a near miss of phase A's
+    # pattern fails at arrival 1392 and enters the core's shift machinery,
+    # and the core is busy at each arrival up to 1402, which drains its
+    # deferral buffer.  A chunk that starts at 1397 sends each of 1398 ..
+    # 1402 in a stretch that the core leaves unread, and runs it alone;
+    # from 1403 on, the arrivals run in stretches again.  After the chunk
+    # the whole state equals a stepped run's, the words gauge's peak
+    # included.
     pattern, text = periodic_misses()
     stepped = StreamMatcher(pattern, 4, seed=12)
-    held = []
-    for sym in text[:1447]:
+    busy = []
+    for j, sym in enumerate(text[:1447]):
+        if stepped.suba.phase != _IDLE or stepped.suba.pending:
+            busy.append(j)
         stepped.step(sym)
-        held.append(len(stepped.suba.pending))
-    assert held.index(max(held)) == 1397 and max(held[1398:]) < held[1397]
+    assert [j for j in busy if j > 1300] == list(range(1393, 1403))
     scanned = StreamMatcher(pattern, 4, seed=12)
     log = StretchLog(scanned)
     scanned.scan(text[:1397])
     before = len(log.stretches)
     scanned.scan(text[1397:1447])
-    assert log.stretches[before:] == [(1398, 1446, [])]
+    alone = [(j, j - 1, False) for j in range(1398, 1403)]
+    assert log.stretches[before:] == alone + [(1403, 1404, False), (1406, 1446, False)]
     assert scanned.live_words_peak() == stepped.live_words_peak()
     assert matcher_state(scanned) == matcher_state(stepped)
 
@@ -1256,6 +1255,30 @@ def test_feed_equals_scan_and_retires_the_table():
     with pytest.raises(UsageError):
         fed.scan(text[:5])
     assert matcher_state(fed) == {**matcher_state(scanned), "table": None}
+
+
+@pytest.mark.parametrize("v", [-5, 0])
+@pytest.mark.parametrize("chunk", [7, 2000])
+def test_a_fed_distance_below_one_is_a_first_occurrence(v, chunk):
+    # Both engines read a distance v at window offset j as `v if 0 < v <=
+    # j else 0`.  A fed negative distance inside a plant's window once
+    # entered the randomized engine's block sums, and it missed the match
+    # that the deterministic engine and the oracle report.
+    rng = random.Random(5)
+    pattern = [rng.randrange(3) for _ in range(400)] + [3]
+    pattern += [rng.randrange(4) for _ in range(199)]
+    text = [rng.randrange(4) for _ in range(700)] + pattern
+    text += [rng.randrange(4) for _ in range(700)]
+    tracker = LastOccurrence(4)
+    preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
+    preds[1100] = v
+    want = [s + 599 for s in naive_all_matches(pattern, text)]
+    for mode in ("det", "rand"):
+        sm = StreamMatcher(pattern, 4, mode=mode)
+        got = []
+        for k in range(0, len(preds), chunk):
+            sm.feed(preds[k : k + chunk], got)
+        assert got == want == [1299], mode
 
 
 def test_a_det_routed_matcher_feeds_its_det_engine():
