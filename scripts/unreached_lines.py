@@ -48,7 +48,7 @@ GATED = (
 # opens a block (ends with ":") also covers the block's body.
 ALLOWED = {
     "det_matcher": {
-        # Inside _TEST of the shift machinery in DetCore._arrivals: the
+        # Inside _TEST of the shift machinery in DetCore._body: the
         # machinery completing a match, and its deferred-match check.  The
         # fast path tests `r < q` instead, so the key names this line alone.
         "if r == q:": "CHANGES.md, FOUND line 50",

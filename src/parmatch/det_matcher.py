@@ -61,16 +61,17 @@ that finds the core busy or whose first comparison fails at r >= K,
 which it leaves unread for phase A to send on its own.  So each arrival
 a stop-mode chunk takes consumes one symbol and leaves nothing pending,
 and the count of symbols consumed tells the caller how far it went.
-The state is written back to the core's `state` record only when one of
-its attributes is read, so no send pays for a write-back; the
-attributes are read-only, since no program writes a running core's
-state.  The randomized matcher keeps its phases' scalars the same way,
-with the same `_Live` attributes, write-back and `__getstate__`.  An
-error, the deferral buffer's overflow say, writes the state back at the
-arrival that raised and ends the stream: the core's `run` becomes an
-`errors.Stopped`, and every later arrival raises `UsageError`.  `AlphabetFilter.scan_pred`
-knows the distances for a raw stream, which then needs no dense table at
-all.
+The core and the randomized matcher run on one harness, `_Engine`: it
+starts an engine's generator, which holds the engine only weakly, makes
+each scalar that the class's `_STATE` names a read-only attribute of its
+`state` record, and copies the engine.  The generator writes the record
+back only when one of those attributes is read or the engine copied, so
+no send pays for a write-back; no program writes a running engine's
+state.  An error, the deferral buffer's overflow say, writes the state
+back at the arrival that raised and ends the stream: the core's `run`
+becomes an `errors.Stopped`, and every later arrival raises
+`UsageError`.  `AlphabetFilter.scan_pred` knows the distances for a raw
+stream, which then needs no dense table at all.
 Over a dense alphabet, `step` and `scan` are the shared front end of
 `predecessor.DenseFrontEnd`: a last-occurrence table, and a symbol
 outside the alphabet entering as a fresh one.
@@ -118,16 +119,13 @@ def _write_back(engine) -> None:
 
 class _Live:
     """A read-only state attribute of an engine: entry k of its `state`
-    record, where k is the attribute's place in the class's `_STATE`.
-
-    While a generator runs the engine, the value lives in the generator's
-    locals, so a read writes them back first.
-    """
+    record.  While a generator runs the engine, the value lives in the
+    generator's locals, so a read writes them back first."""
 
     __slots__ = ("k",)
 
-    def __set_name__(self, owner, name):
-        self.k = owner._STATE.index(name)
+    def __init__(self, k: int):
+        self.k = k
 
     def __get__(self, engine, owner=None):
         if engine is None:
@@ -136,19 +134,46 @@ class _Live:
         return engine.state[self.k]
 
 
-def _getstate(engine):
-    """`__getstate__` of both engines.  A generator cannot be copied: the
-    state is written back, every slot is copied, and the copy starts its
-    own generator from that record, unless the original is stopped, whose
-    copy stays stopped."""
-    _write_back(engine)
-    state = {k: getattr(engine, k) for k in engine.__slots__ if k != "__weakref__"}
-    if type(engine.run) is not Stopped:
-        state["run"] = None
-    return None, state
+class _Engine:
+    """The harness of both engines, `DetCore` and `StreamMatcher`.
+
+    An engine runs its arrivals in a generator, `_body`, that holds its
+    state in locals.  The engine keeps the generator in its `run` slot
+    (None until the first arrival, a `Stopped` after an error, which ends
+    the stream), and `synced` tells whether its `state` record holds the
+    generator's scalars: those that the class's own `_STATE` names, in
+    that order.  The base makes each of those names a `_Live` attribute,
+    which writes the generator back when read and cannot be written.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        for k, name in enumerate(cls.__dict__.get("_STATE", ())):
+            setattr(cls, name, _Live(k))
+
+    def _start(self):
+        # The engine holds its generator, so the generator holds the
+        # engine only weakly: a strong reference would make a cycle, and
+        # a dropped engine would wait for the cyclic collector instead of
+        # going at once.
+        run = self.run = type(self)._body(weakref.proxy(self))
+        next(run)
+        return run
+
+    def __getstate__(self):
+        """A generator cannot be copied: the state is written back, every
+        slot is copied, and the copy starts its own generator from that
+        record, unless the original is stopped, whose copy stays
+        stopped."""
+        _write_back(self)
+        state = {k: getattr(self, k) for k in self.__slots__ if k != "__weakref__"}
+        if type(self.run) is not Stopped:
+            state["run"] = None
+        return None, state
 
 
-class DetCore:
+class DetCore(_Engine):
     """The budgeted engine, fed global predecessor values.
 
     Decoupled from symbol handling so the randomized matcher can run it on
@@ -158,13 +183,9 @@ class DetCore:
     `live_words()` besides.  The tables, cursors, counters, the table
     path and the fast path all live here.
 
-    `run` is the generator (None until the first arrival, and a `Stopped`
-    after an error, which ends the stream), and `synced` tells whether the
-    `state` record holds its locals: the attributes that `_STATE` names,
-    in that order.  Those are `_Live`: reading one writes the generator's
-    state back first, and none can be written.  `pend_cap`, the deferral
-    buffer's capacity, is a plain attribute, read when the generator
-    starts.
+    Its generator and the scalars that `_STATE` names are kept by the
+    `_Engine` harness.  `pend_cap`, the deferral buffer's capacity, is a
+    plain attribute, read when the generator starts.
     """
 
     # `i` is the index of the last arrival fed, counted from 0.
@@ -186,18 +207,6 @@ class DetCore:
         "state",
         "__weakref__",
     )
-
-    i = _Live()
-    r = _Live()
-    run_i = _Live()
-    occ_i = _Live()
-    consumed = _Live()
-    phase = _Live()
-    g = _Live()
-    cand = _Live()
-    shifts_last = _Live()
-    units_last = _Live()
-    pend_peak = _Live()
 
     def __init__(self, profile: PatternProfile, pend_cap: int | None = None):
         self.q = profile.m
@@ -231,8 +240,6 @@ class DetCore:
         self.pend_cap = pend_cap
         self.state = (-1, 0, 0, 0, 0, _IDLE, 0, 0, 0, 0, 0)
 
-    __getstate__ = _getstate
-
     def step_pred(self, pv: int) -> bool:
         """Feed the predecessor value of the arriving symbol.
 
@@ -240,13 +247,7 @@ class DetCore:
         """
         return (self.run or self._start()).send(pv) < 0
 
-    def _start(self):
-        run = self._arrivals()
-        next(run)
-        self.run = run
-        return run
-
-    def _arrivals(self):
+    def _body(self):
         """The arrival logic, run over each arrival's distance sent, or
         each chunk of distances sent as (preds, out, stop).
 
@@ -258,12 +259,8 @@ class DetCore:
         start, and written back to the `state` record only when `_Flush`
         is thrown in.  An error writes it back too, with `i` at the
         arrival that raised, and ends the stream: `run` becomes a
-        `Stopped`.
+        `Stopped`.  `_Engine._start` runs it with `self` a weak proxy.
         """
-        # The core holds this generator, so the generator holds the core
-        # only weakly: a strong reference would make a cycle, and a dropped
-        # core would wait for the cyclic collector instead of going at once.
-        self = weakref.proxy(self)
         q = self.q
         rho = self.rho
         runs = self.runs

@@ -91,18 +91,19 @@ beyond the structure lemma's 6*sigma explicit positions and one
 progression, and every push still checks it.
 
 Inside a chunk, after any arrival that ended no base-prefix match and
-left no distance to distribute, the arrivals up to the next due one run
-in bulk, as a stretch that also stops before the first distance in
-(m0, m).  Phase A sends the stretch to the core in one chunk in stop
-mode, which returns right after a base-prefix match (the arrival after
-it pushes, so it runs on its own), and before an arrival that finds the
-core busy or would enter its shift machinery, which runs alone: so the
-machinery never runs inside a stretch, each of its arrivals consumes
-one symbol, and the symbols consumed tell how far it went.  A caught-up
-tail check, whose next position is the next arrival, compares each
-arrival's own distance: the stretch compares its values with the tail's
-in one pass, and ends before the first mismatch and before the verdict
-arrival c_ip + m - 1, which run alone.
+left no distance to distribute and nothing deferred in phase A's core,
+the arrivals up to the next due one run in bulk, as a stretch that also
+stops before the first distance in (m0, m).  Phase A sends the stretch
+to the core in one chunk in stop mode, which returns right after a
+base-prefix match (the arrival after it pushes, so it runs on its own),
+and before an arrival that finds the core busy or would enter its shift
+machinery, which runs alone: so the machinery never runs inside a
+stretch, each of its arrivals consumes one symbol, and the symbols
+consumed tell how far it went.  A caught-up tail check, whose next
+position is the next arrival, compares each arrival's own distance: the
+stretch compares its values with the tail's in one pass, and ends before
+the first mismatch and before the verdict arrival c_ip + m - 1, which
+run alone.
 The base phase adds the arrivals that leave no history entry (all but
 the last H) to their blocks' sums with `sum`, a block at a time, and
 writes the others as a stepped arrival does.  The ops and words
@@ -122,9 +123,8 @@ the distances it is given, one below 1 as a first occurrence, and `step`
 and `scan` those of the shared dense front end
 (`predecessor.DenseFrontEnd`), which looks a chunk's up in a
 last-occurrence table at once.  After each chunk `i` is written
-back; the other scalars are written to the matcher's `state` record only
-when one of them is read or the matcher is copied, as `DetCore`'s are
-(`det_matcher._Live`), so no chunk pays for a write-back, and the calls
+back; the other scalars are kept by the harness `DetCore` runs on too
+(`det_matcher._Engine`), so no chunk pays for a write-back, and the calls
 may be mixed and the matcher copied between them.
 Only the randomized route builds a FieldContext, from `prime_bits` and
 `seed`, and computes the level fingerprints.  The prime binds that route
@@ -146,19 +146,11 @@ whose parameterized period is at most 3*delta, or that are shorter than
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from itertools import compress, count, repeat
 from operator import gt, lt, mul, ne
 
-from .det_matcher import (
-    DetCore,
-    DetMatcher,
-    _Flush,
-    _getstate,
-    _Live,
-    _write_back,
-)
+from .det_matcher import DetCore, DetMatcher, _Engine, _Flush, _write_back
 from .errors import ConfigError, Stopped, StructuralViolation
 from .fingerprint import DEFAULT_PRIME_BITS, context_new, power_table, prime_for_bits
 from .match_queue import MatchQueue
@@ -211,7 +203,7 @@ def _turn(ell, i, ip, queue, wait, s):
     return x + (ell - 1 - x) % s
 
 
-class StreamMatcher(DenseFrontEnd):
+class StreamMatcher(DenseFrontEnd, _Engine):
     """Streaming matcher for one pattern over a dense alphabet.
 
     The stream arrives as distances through `feed`, or as symbols through
@@ -219,12 +211,9 @@ class StreamMatcher(DenseFrontEnd):
     deterministic engine makes a `_DetRouted` matcher instead, which
     passes every call to its `DetMatcher`.
 
-    Its state is kept as `DetCore`'s is: `run` is the phase generator,
-    `synced` tells whether the `state` record holds the generator's
-    scalars that `_STATE` names, and those are `_Live` attributes, which
-    write the generator back when read and cannot be written.  `i` is a
-    plain attribute, written after every chunk: the front end reads it
-    on every `step`.
+    Its phase generator and the scalars that `_STATE` names are kept by
+    the `_Engine` harness, as `DetCore`'s are.  `i` is a plain attribute,
+    written after every chunk: the front end reads it on every `step`.
     """
 
     __slots__ = (
@@ -269,18 +258,6 @@ class StreamMatcher(DenseFrontEnd):
 
     _STATE = ("loc", "a_prev", "bcur", "bnext", "c_ip", "c_k", "mq_words",
               "ops_last", "ops_max", "words_peak", "b_peak")
-
-    loc = _Live()
-    a_prev = _Live()
-    bcur = _Live()
-    bnext = _Live()
-    c_ip = _Live()
-    c_k = _Live()
-    mq_words = _Live()
-    ops_last = _Live()
-    ops_max = _Live()
-    words_peak = _Live()
-    b_peak = _Live()
 
     def __init__(
         self,
@@ -410,8 +387,6 @@ class StreamMatcher(DenseFrontEnd):
         # (level, candidate, computed second-half fingerprint rebased to r^0).
         self.debug_checks = None
 
-    __getstate__ = _getstate
-
     # ------------------------------------------------------------------
 
     def _arrive(self, pv: int) -> bool:
@@ -430,12 +405,7 @@ class StreamMatcher(DenseFrontEnd):
             preds = [v if v > 0 else NEVER for v in preds]
         return super().feed(preds, out)
 
-    def _start(self):
-        run = self.run = self._phases()
-        next(run)
-        return run
-
-    def _phases(self):
+    def _body(self):
         """The four phases, run over each chunk of distances sent as
         (arrivals, out, preds).
 
@@ -448,11 +418,8 @@ class StreamMatcher(DenseFrontEnd):
         back too, with `i` at the arrival that raised, and ends the stream
         (see the module docstring).  Match end indices are appended to
         `out` unless it is None; yields whether the chunk had any.
+        `_Engine._start` runs it with `self` a weak proxy.
         """
-        # The matcher holds this generator, so the generator holds the
-        # matcher only weakly: a dropped matcher goes at once, not by the
-        # cyclic collector.
-        self = weakref.proxy(self)
         sigma = self.sigma
         p = self.p
         H = self.H
@@ -565,7 +532,13 @@ class StreamMatcher(DenseFrontEnd):
                         mq_words += q0.words - w0
                         ops += 3
                         if not w0 and lv_ip[1] < 0:
-                            # A new head of an idle level 1's queue.
+                            # A new head of an idle level 1's queue.  A push
+                            # behind a head would recompute the entry it
+                            # has, so `not w0` only saves that call.  (At an
+                            # arrival where level 1 is due, the entry would
+                            # move a turn later, but `wake` would stay, and
+                            # Bphi pops at 1 + i % s without reading
+                            # lv_next.)
                             x = lv_next[1] = _turn(1, i, -1, segs[0], mlen[1] + delta, s)
                             if x < wake:
                                 wake = x
@@ -697,8 +670,11 @@ class StreamMatcher(DenseFrontEnd):
                                     qn.push(ip, fp % p)
                                     mq_words += qn.words - w0
                                     ops += 2
-                                    # A new head of an idle level's queue.
-                                    # Phase C takes the last level's below.
+                                    # A new head of an idle level's queue;
+                                    # `not w0` only saves the call, as at
+                                    # phase A's push (this is never the
+                                    # next level's turn).  Phase C takes
+                                    # the last level's below.
                                     if ell < s and not w0 and lv_ip[ell + 1] < 0:
                                         lv_next[ell + 1] = _turn(
                                             ell + 1, i, -1, segs[ell], mlen[ell + 1] + delta, s
@@ -778,12 +754,14 @@ class StreamMatcher(DenseFrontEnd):
                         and not a_prev
                         and bcur is None
                         and not bbuf
+                        and not pending
                     ):
                         # An arrival of a chunk that ended no base-prefix
-                        # match: the arrivals after it run in bulk up to the
-                        # next due one (see the module docstring).  A
-                        # caught-up tail check compares one position on
-                        # each, and its verdict runs alone.
+                        # match and left phase A's core nothing deferred:
+                        # the arrivals after it run in bulk up to the next
+                        # due one (see the module docstring).  A caught-up
+                        # tail check compares one position on each, and its
+                        # verdict runs alone.
                         tail = c_at == i + 1 and c_ip >= 0
                         due = c_ip + m - 1 if tail else c_at
                         if wake < due:

@@ -926,11 +926,11 @@ def test_arrivals_that_find_the_core_busy_run_alone():
     # On the periodic stream with near misses, a near miss of phase A's
     # pattern fails at arrival 1392 and enters the core's shift machinery,
     # and the core is busy at each arrival up to 1402, which drains its
-    # deferral buffer.  A chunk that starts at 1397 sends each of 1398 ..
-    # 1402 in a stretch that the core leaves unread, and runs it alone;
-    # from 1403 on, the arrivals run in stretches again.  After the chunk
-    # the whole state equals a stepped run's, the words gauge's peak
-    # included.
+    # deferral buffer.  A chunk that starts at 1397 runs each of 1398 ..
+    # 1402 alone, with no stretch sent while the core has arrivals
+    # deferred; from 1403 on, the arrivals run in stretches again.  After
+    # the chunk the whole state equals a stepped run's, the words gauge's
+    # peak included.
     pattern, text = periodic_misses()
     stepped = StreamMatcher(pattern, 4, seed=12)
     busy = []
@@ -944,10 +944,18 @@ def test_arrivals_that_find_the_core_busy_run_alone():
     scanned.scan(text[:1397])
     before = len(log.stretches)
     scanned.scan(text[1397:1447])
-    alone = [(j, j - 1, False) for j in range(1398, 1403)]
-    assert log.stretches[before:] == alone + [(1403, 1404, False), (1406, 1446, False)]
+    assert log.stretches[before:] == [(1403, 1404, False), (1406, 1446, False)]
     assert scanned.live_words_peak() == stepped.live_words_peak()
     assert matcher_state(scanned) == matcher_state(stepped)
+    # Over the whole stream in chunks of 997, the core leaves a stretch
+    # unread only at an arrival that finds it busy with nothing deferred,
+    # whose phase is read only through a write-back: 10 times.  Sending
+    # stretches while arrivals are deferred too makes it 33.
+    whole = StreamMatcher(pattern, 4, seed=12)
+    log = StretchLog(whole)
+    for k in range(0, len(text), 997):
+        whole.scan(text[k : k + 997])
+    assert sum(last < first for first, last, _ in log.stretches) == 10
 
 
 def test_a_periodic_stream_runs_mostly_in_stretches():
@@ -1854,7 +1862,9 @@ def test_a_violation_mid_chunk_stops_where_a_stepped_run_stops():
 
 
 def test_a_matcher_that_ran_is_freed_without_the_cyclic_collector():
-    # The phase generator holds its matcher only while it runs a chunk.
+    # Every engine's generator holds its engine only weakly: the rand
+    # matcher, phase A's core and a standalone matcher's core go as soon
+    # as their last reference does.
     inst = make_instance("planted", 3000, 9000, 4, seed=5)
     gc.disable()
     try:
@@ -1862,10 +1872,13 @@ def test_a_matcher_that_ran_is_freed_without_the_cyclic_collector():
         assert sm.mode == "rand"
         sm.scan(inst.text[:5000])
         sm.step(inst.text[5000])
-        assert sm.run is not None
-        ref = weakref.ref(sm)
-        del sm
-        assert ref() is None
+        dm = DetMatcher(build_profile(inst.pattern, 4))
+        dm.step(inst.text[0])
+        dm.scan(inst.text[1:5000])
+        assert None not in (sm.run, sm.suba.run, dm.core.run)
+        refs = [weakref.ref(sm), weakref.ref(sm.suba), weakref.ref(dm.core)]
+        del sm, dm
+        assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
 
