@@ -61,6 +61,16 @@ that finds the core busy or whose first comparison fails at r >= K,
 which it leaves unread for phase A to send on its own.  So each arrival
 a stop-mode chunk takes consumes one symbol and leaves nothing pending,
 and the count of symbols consumed tells the caller how far it went.
+Phase A sends a long stretch's chunks with their distances as an int64
+array too.  Idle with nothing pending at r < K, the core then takes the
+arrivals before the first at which the table would reach K in one step,
+which consumes a symbol for each and counts no shift or unit, as the
+table would.  That arrival is the first whose last K distances read
+pred[:K]: a numpy filter finds it, pruning the windows offset by offset,
+once the table, run from r over the chunk's first K - 1 arrivals, has
+not reached K on a window that starts before the chunk.  The longest
+suffix below K that p-matches a prefix then lies in the last K - 1
+arrivals taken, so r is the table's from 0 over them.
 The core and the randomized matcher run on one harness, `_Engine`: it
 starts an engine's generator, which holds the engine only weakly, makes
 each scalar that the class's `_STATE` names a read-only attribute of its
@@ -84,6 +94,8 @@ from __future__ import annotations
 import weakref
 from collections import deque
 
+import numpy as np
+
 from .errors import Stopped, StructuralViolation
 from .pattern import (
     PatternProfile,
@@ -104,6 +116,24 @@ CONSUMES_PER_ARRIVAL = 2
 K = 12
 
 _IDLE, _TEST, _SYNC = 0, 1, 2
+
+
+def _first_window(a, probes, head: int) -> int:
+    """The first index t >= head of the int64 array `a` at which the
+    window a[t - head : t + 1] holds, at each offset k of `probes`, a
+    distance that reads `v if 0 < v <= k else 0` as its c; len(a) if no
+    window does.  The windows are pruned offset by offset, as
+    `oracle.naive_all_matches` does, so after the first the work follows
+    the windows left."""
+    n = len(a) - head
+    s = None
+    for k, c in probes:
+        x = a[k : k + n] if s is None else a[s + k]
+        ok = x == c if c else (x <= 0) | (x > k)
+        s = np.flatnonzero(ok) if s is None else s[ok]
+        if not len(s):
+            return len(a)
+    return head + (0 if s is None else int(s[0]))
 
 
 class _Flush(Exception):
@@ -252,13 +282,14 @@ class DetCore(_Engine):
         each chunk of distances sent as (preds, out, stop).
 
         A chunk appends the index of each arrival at which a match ends to
-        `out`, unless it is None.  With `stop` set, it returns right after
-        the first such arrival, and right before an arrival that would run
-        the shift machinery, which is left unread: `i` stays before it and
-        nothing else changes.  The state is held in locals from the
-        start, and written back to the `state` record only when `_Flush`
-        is thrown in.  An error writes it back too, with `i` at the
-        arrival that raised, and ends the stream: `run` becomes a
+        `out`, unless it is None.  With `stop` True, or the chunk's
+        distances as an int64 array (`preds` then a list), it returns
+        right after the first such arrival, and right before an arrival
+        that would run the shift machinery, which is left unread: `i`
+        stays before it and nothing else changes.  The state is held in
+        locals from the start, and written back to the `state` record only
+        when `_Flush` is thrown in.  An error writes it back too, with `i`
+        at the arrival that raised, and ends the stream: `run` becomes a
         `Stopped`.  `_Engine._start` runs it with `self` a weak proxy.
         """
         q = self.q
@@ -270,7 +301,17 @@ class DetCore(_Engine):
         cp_cs = self.cp_cs
         table = self.table
         top = min(K, q)
+        head = top - 1
         rows = tuple(r * (r + 1) // 2 for r in range(top))
+        # pred[:top] read off the table, where row x goes to x + 1 at
+        # c = pred[x]: a window of `top` arrivals takes the table from 0 to
+        # top exactly when its distances read pred[:top].  Offset 0 reads
+        # 0 from any distance; the others are probed nonzero ones first,
+        # which fewer windows pass.
+        probes = sorted(
+            ((x, table.index(x + 1, rows[x]) - rows[x]) for x in range(1, top)),
+            key=lambda probe: probe[1] == 0,
+        )
         # The cursors' values at r == K, where the fast path takes over.
         run_k = sum(run[2] < K for run in runs[:K])
         occ_k = sum(f <= K for f in occ[1 : K + 1])
@@ -302,7 +343,39 @@ class DetCore(_Engine):
                         out = stop = None
                         if type(pv) is tuple:
                             chunk, out, stop = pv
+                            t = 0
+                            if type(stop) is np.ndarray:
+                                # Stop mode, with the chunk's distances as
+                                # an int64 array: idle below top, take the
+                                # arrivals before the first window of top
+                                # in one step (see the module docstring).
+                                # A window that starts before the chunk
+                                # ends at one of its first `head` arrivals,
+                                # which the table runs from r.
+                                if phase == _IDLE and not pending and r < top < len(chunk):
+                                    x = r
+                                    for v in chunk[:head]:
+                                        x = table[rows[x] + (v if 0 < v <= x else 0)]
+                                        if x == top:
+                                            break
+                                    else:
+                                        t = _first_window(stop, probes, head)
+                                        i += t
+                                        consumed += t
+                                        shifts_last = units_last = 0
+                                        # No arrival before t ends a window
+                                        # of top, so r is now the longest
+                                        # suffix below top that p-matches a
+                                        # prefix, which lies in the last
+                                        # `head` arrivals: the table runs
+                                        # from 0 over them.
+                                        r = 0
+                                        for v in chunk[t - head : t]:
+                                            r = table[rows[r] + (v if 0 < v <= r else 0)]
+                                stop = True
                             chunk = iter(chunk)
+                            if t:
+                                chunk.__setstate__(t)
                             continue
                     i += 1
                     if phase == _IDLE and not pending:

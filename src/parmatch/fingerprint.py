@@ -16,15 +16,17 @@ any value in [0, p) and any prime width from 3 to 62 bits, and Python
 ints combine the blocks.  It reads the sequence in fixed-size chunks, so
 a fingerprint of a long stretch holds no temporary that grows with it.
 
-The streaming matcher does its field arithmetic inline, over blocks of
-32 arrivals: it keeps each block's sum of values times r^0 .. r^31 (from
-`power_table`, reduced only when read) and, for each recent block, the
-prefix fingerprint before it and r^(its first index), so one product
-turns a history entry back into a prefix fingerprint.  It splits by
-subtracting two prefix fingerprints without rebasing (the difference
-still carries the weight r^lo of its first position lo, so it is compared
-with the level target times r^lo), and zeroes a position z by subtracting
-its value times r^z.  A FieldContext is only (p, r, r^-1) and is never
+The streaming matcher works over blocks of 32 arrivals: it keeps each
+block's sum of values times r^0 .. r^31, reduced only when read, and,
+for each recent block, the prefix fingerprint before it and r^(its first
+index), so one product turns a history entry back into a prefix
+fingerprint.  A long stretch of arrivals takes its whole blocks' sums
+from `block_sums`, the kernel `fp_of_sequence` runs on; every other
+arrival adds its product inline, with a power from `power_table`.  It
+splits by subtracting two prefix fingerprints without rebasing (the
+difference still carries the weight r^lo of its first position lo, so it
+is compared with the level target times r^lo), and zeroes a position z
+by subtracting its value times r^z.  A FieldContext is only (p, r, r^-1) and is never
 changed after construction; each randomized matcher builds its own from
 a prime width and a seed.
 """
@@ -162,8 +164,7 @@ def fp_of_sequence(
     powers = power_table(ctx, _BLOCK)
     r_block = powers.pop()
     r_chunk = pow(r_block, _CHUNK // _BLOCK, p)
-    pw = np.array(powers, dtype=np.int64)
-    limbs = [(pw >> k) & ((1 << _LIMB) - 1) for k in range(0, 3 * _LIMB, _LIMB)]
+    limbs = power_limbs(powers)
     acc = 0
     weight = 1  # r^(offset of the chunk in the slice)
     for a in range(span.start, span.stop, _CHUNK):
@@ -180,20 +181,30 @@ def _chunk_fp(chunk: list, p: int, limbs: list[np.ndarray], r_block: int) -> int
     v, top = _chunk_values(chunk, p)
     v = v.reshape(-1, _BLOCK)
     if top >> _VALUE_LIMB:
-        low = _block_sums(v & ((1 << _VALUE_LIMB) - 1), limbs)
-        high = _block_sums(v >> _VALUE_LIMB, limbs)
+        low = block_sums(v & ((1 << _VALUE_LIMB) - 1), limbs)
+        high = block_sums(v >> _VALUE_LIMB, limbs)
         sums = [lo + (hi << _VALUE_LIMB) for lo, hi in zip(low, high)]
     else:
-        sums = _block_sums(v, limbs)
+        sums = block_sums(v, limbs)
     h = 0
     for block in reversed(sums):
         h = (h * r_block + block) % p
     return h
 
 
-def _block_sums(v: np.ndarray, limbs: list[np.ndarray]) -> list[int]:
-    """sum_k v[b, k] * r^k for each row b of v, whose values are below
-    2^31: one exact int64 product per limb of the powers, joined as ints."""
+def power_limbs(powers: list[int]) -> list[np.ndarray]:
+    """The powers r^0 .. r^(w-1), residues below 2^63, as three int64
+    arrays of 21-bit limbs: the right operand of `block_sums`."""
+    pw = np.array(powers, dtype=np.int64)
+    return [(pw >> k) & ((1 << _LIMB) - 1) for k in range(0, 3 * _LIMB, _LIMB)]
+
+
+def block_sums(v: np.ndarray, limbs: list[np.ndarray]) -> list[int]:
+    """sum_k v[b, k] * r^k for each row b of v, exactly, as unreduced ints,
+    for int64 values in [0, 2^31) and rows of at most _BLOCK values, with
+    `limbs` from `power_limbs`: one int64 product per limb of the powers,
+    joined as ints.  The one block-sum kernel: `fp_of_sequence` and the
+    streaming matcher's long stretches both call it."""
     s0, s1, s2 = ((v @ limb).tolist() for limb in limbs)
     return [a + (b << _LIMB) + (c << 2 * _LIMB) for a, b, c in zip(s0, s1, s2)]
 

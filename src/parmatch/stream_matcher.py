@@ -104,11 +104,19 @@ position is the next arrival, compares each arrival's own distance: the
 stretch compares its values with the tail's in one pass, and ends before
 the first mismatch and before the verdict arrival c_ip + m - 1, which
 run alone.
-The base phase adds the arrivals that leave no history entry (all but
-the last H) to their blocks' sums with `sum`, a block at a time, and
-writes the others as a stepped arrival does.  The ops and words
-accounting stays exact.  An arrival of a stretch charges 9 ops, or 10
-with a tail comparison, so a stretch is taken only while `OP_BUDGET`
+A stretch of at least _LONG_STRETCH arrivals, begun with phase A's core
+idle and nothing deferred (it has consumed every arrival fed) and no
+tail check comparing, is read into int64 arrays in pieces that double
+from _LONG_STRETCH, so that the work follows the arrivals taken.  Each
+piece goes to the core with its array, which takes the arrivals below
+K in one step (see `det_matcher`), and the next piece is read only when
+the core took this one whole.  The base phase then takes the sums of
+the whole blocks of arrivals that leave no history entry (all but the
+last H) from the block-sum kernel, `fingerprint.block_sums`, and
+writes every other arrival's entries as a stepped arrival does; a
+shorter stretch, read as a list, writes every arrival so.  The ops and
+words accounting stays exact.  An arrival of a stretch charges 9 ops, or
+10 with a tail comparison, so a stretch is taken only while `OP_BUDGET`
 allows 10 and `_C_BUDGET` one comparison; it holds `static_words` and
 the queued matches' words, with nothing pending.  On the
 `periodic_dense` benchmark workload, whose match queues are never
@@ -150,9 +158,18 @@ from collections import deque
 from itertools import compress, count, repeat
 from operator import gt, lt, mul, ne
 
+import numpy as np
+
 from .det_matcher import DetCore, DetMatcher, _Engine, _Flush, _write_back
 from .errors import ConfigError, Stopped, StructuralViolation
-from .fingerprint import DEFAULT_PRIME_BITS, context_new, power_table, prime_for_bits
+from .fingerprint import (
+    DEFAULT_PRIME_BITS,
+    block_sums,
+    context_new,
+    power_limbs,
+    power_table,
+    prime_for_bits,
+)
 from .match_queue import MatchQueue
 from .pattern import PatternProfile, build_profile, level_fingerprints
 from .predecessor import NEVER, DenseFrontEnd, LastOccurrence
@@ -182,6 +199,15 @@ _C_BUDGET = 5
 # push 2, or a later turn's 1 + 13 entries + push 2), C 7.  Independent of
 # the pattern length by construction; enforced per arrival.
 OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
+# A stretch of at least this many arrivals is read into int64 arrays (see
+# the module docstring).  Scanning the random text of the `planted_512k`
+# and `long_gap` benchmark workloads in chunks of L, one arrival alone and
+# a stretch of L - 1, took per arrival, arrays against lists: 1.26x and
+# 1.03x at L = 64, 0.99x and 0.89x at 128, 0.88x and 0.77x at 256, 0.76x
+# and 0.70x at 512 (CPython 3.11, numpy 2.4, 2-core x86 VM, best of 5).
+# `periodic_dense` has 2 stretches this long in its first 196,608
+# arrivals.
+_LONG_STRETCH = 256
 # The most ops an arrival of a stretch charges: the base phase's flat 7,
 # and phase A's 1 plus its one symbol; nothing pushes.  A caught-up tail
 # check adds 1.
@@ -399,10 +425,12 @@ class StreamMatcher(DenseFrontEnd, _Engine):
     def feed(self, preds, out=None) -> list[int]:
         # The base phase adds every distance below m to its block sum, so a
         # fed one below 1, which every other reader takes as a first
-        # occurrence, becomes one; `step` and `scan` make none.
+        # occurrence, becomes one; so does one above NEVER, which every
+        # reader takes as one already, but which no int64 holds for a long
+        # stretch.  `step` and `scan` make neither.
         preds = list(preds)
-        if min(preds, default=1) < 1:
-            preds = [v if v > 0 else NEVER for v in preds]
+        if preds and not 0 < min(preds) <= max(preds) <= NEVER:
+            preds = [v if 0 < v <= NEVER else NEVER for v in preds]
         return super().feed(preds, out)
 
     def _body(self):
@@ -452,9 +480,13 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         level_fp = self.level_fp
         target = self.tail_target
         static_words = self.static_words
-        # A stretch's values: a distance of m or more times False.
+        # The values of a stretch read as a list: a distance of m or more
+        # times False.
         ms = repeat(m)
         m0s = repeat(m0)
+        # A long stretch is read into int64 arrays, and the block-sum kernel
+        # takes values below 2^31: every distance below m is.
+        long_at = _LONG_STRETCH if m <= 1 << 31 else NEVER
 
         # Phase A sends the core's generator one arrival at a time.
         suba = self.suba
@@ -773,62 +805,89 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                         if edge > i and OP_BUDGET >= _QUIET_OPS and _C_BUDGET > 0:
                             # preds[j + at] is arrival j.
                             at = len(preds) - rest - i - 1
-                            # The stretch's values, read in windows that double
-                            # from four blocks, so that a long distance close
-                            # by costs little: a window whose largest distance
-                            # is at most m0 holds none.
-                            vals = []
                             j = i + 1
-                            w = 4 * _BLOCK
+                            # A long stretch, with phase A's core idle and
+                            # nothing deferred (it has consumed every
+                            # arrival fed), is read into int64 arrays in
+                            # pieces that double from `long_at`, so that the
+                            # work follows the arrivals taken, and the core
+                            # gets each piece's array too.  Any other is
+                            # read as one list.
+                            if edge - i >= long_at and not tail and a_done == i + 1:
+                                parts = []
+                                w = long_at
+                            else:
+                                parts = None
+                                w = edge - i
                             while j <= edge:
                                 z = j + w
                                 if z > edge:
                                     z = edge + 1
-                                win = preds[j + at : z + at]
-                                top = max(win)
-                                if top >= m:
-                                    win = list(map(mul, win, map(gt, ms, win)))
-                                    top = max(win)
-                                if top > m0:
-                                    z = next(compress(count(j), map(lt, m0s, win)))
-                                    vals += win[: z - j]
+                                seg = preds[j + at : z + at]
+                                # The values, a distance of m or more read
+                                # as 0, up to the first in (m0, m).
+                                if parts is not None:
+                                    a = np.fromiter(seg, np.int64, z - j)
+                                    a[a >= m] = 0
+                                    far = np.flatnonzero(a > m0)
+                                    n = int(far[0]) if len(far) else z - j
+                                else:
+                                    a = seg
+                                    top = max(a)
+                                    if top >= m:
+                                        a = list(map(mul, a, map(gt, ms, a)))
+                                        top = max(a)
+                                    n = z - j
+                                    if top > m0:
+                                        n = next(compress(count(), map(lt, m0s, a)))
+                                    if tail and n:
+                                        # Arrival j compares its own distance,
+                                        # read as `v if 0 < v <= j - c_ip else
+                                        # 0`: below m0 < m - H <= j - c_ip, so
+                                        # it is its value (0 for one of m or
+                                        # more).  The first mismatch closes the
+                                        # check and runs alone.
+                                        cut = target[c_k : c_k + n]
+                                        if a[:n] != cut:
+                                            n = next(compress(count(), map(ne, a, cut)))
+                                if not n:
                                     break
-                                vals += win
-                                j = z
-                                w += w
-                            if tail and vals:
-                                # Arrival j compares its own distance, read as
-                                # `v if 0 < v <= j - c_ip else 0`: below m0 <
-                                # m - H <= j - c_ip, so it is its value, which
-                                # vals holds (0 for one of m or more).  The first
-                                # mismatch closes the check and runs alone.
-                                cut = target[c_k : c_k + len(vals)]
-                                if vals != cut:
-                                    vals = vals[: next(compress(count(), map(ne, vals, cut)))]
-                            if vals:
-                                j = i + 1
-                                seg = preds[j + at : j + at + len(vals)]
                                 # In stop mode the core neither defers an
                                 # arrival nor enters its machinery, so this
                                 # send cannot raise.  Each arrival it takes
                                 # consumes one symbol; an empty run (the core
                                 # was busy, or its first comparison failed)
                                 # changes nothing.
-                                done = arrive((seg, None, True))
+                                done = arrive((seg[:n], None, True if parts is None else a[:n]))
                                 a_prev = done < 0
                                 if a_prev:
                                     done = -done
-                                run = done - a_done
+                                took = done - a_done
                                 a_done = done
-                            if vals and run:
-                                last = i + run
+                                j += took
+                                if parts is None:
+                                    break
+                                parts.append(a[:took])
+                                if a_prev or took < len(seg):
+                                    break
+                                w += w
+                            last = j - 1
+                            if last > i:
                                 # Arrivals up to `last - H` leave no history
-                                # entry (later ones take their slots), so a
-                                # block of them only adds to its sum, with
-                                # `sum`; in the other blocks each arrival
-                                # writes its entries, as a stepped one does.
-                                keep = last - H
-                                vals = iter(vals)
+                                # entry (later ones take their slots), so in
+                                # a long stretch the kernel sums their whole
+                                # blocks; every other arrival writes its
+                                # entries, as a stepped one does.
+                                sums = iter(())
+                                j = i + 1
+                                off = j & mask
+                                # From the start of j's block to the last
+                                # block start up to `last - H + 1`.
+                                span = ((last - H + 1) & -_BLOCK) - j + off
+                                if parts and span > off:
+                                    a = np.concatenate([np.zeros(off, np.int64)] + parts)
+                                    a = a[:span].reshape(-1, _BLOCK)
+                                    sums = iter(block_sums(a, power_limbs(rtab[:_BLOCK])))
                                 while j <= last:
                                     off = j & mask
                                     if not off:
@@ -838,14 +897,15 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                         b = 2 * (j // _BLOCK % nb)
                                         blocks[b] = bfp
                                         blocks[b + 1] = bpw
+                                    bsum = next(sums, None)
+                                    if bsum is not None:
+                                        loc += bsum
+                                        j += _BLOCK - off
+                                        continue
                                     z = j - off + _BLOCK
                                     if z > last:
                                         z = last + 1
-                                    if z <= keep + 1:
-                                        loc = sum(map(mul, rtab[off : off + z - j], vals), loc)
-                                        j = z
-                                        continue
-                                    for pv in seg[j - i - 1 : z - i - 1]:
+                                    for pv in preds[j + at : z + at]:
                                         if pv < m:
                                             loc += pv * rtab[off]
                                         slot = j % H
@@ -853,10 +913,10 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                         hist_pred[slot] = pv
                                         off += 1
                                         j += 1
-                                i = last
                                 if tail:
-                                    c_k += run
-                                    c_at = i + 1
+                                    c_k += last - i
+                                    c_at = last + 1
+                                i = last
                                 # Each arrival of the stretch charges 9 ops, or
                                 # 10 with a tail comparison, and holds
                                 # static_words and the queued matches' words.
@@ -868,8 +928,8 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                 # On from the arrival after the stretch.
                                 arrivals.__setstate__(i + 1 + at)
                             # The frame outlives the chunk: drop the stretch's
-                            # lists, and at its end the chunk's.
-                            win = vals = seg = cut = None
+                            # lists and arrays, and at its end the chunk's.
+                            a = seg = cut = parts = sums = None
                 self.i = i
                 arrivals = preds = None
             except GeneratorExit:

@@ -2,11 +2,13 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parmatch import det_matcher
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
-from parmatch.det_matcher import _IDLE, K, DetCore, DetMatcher, _Live
+from parmatch.det_matcher import _IDLE, K, DetCore, DetMatcher, _first_window, _Live
 from parmatch.errors import AlphabetError, Stopped, StructuralViolation, UsageError
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches, naive_pmatch
@@ -670,3 +672,107 @@ def test_a_bare_core_stops_at_its_first_error():
         with pytest.raises(UsageError, match="deferral buffer exceeded capacity 1"):
             c.run.send((preds[at + 1 :], [], None))
         assert c.i == at
+
+
+@pytest.mark.parametrize("q", [40, K, 5])
+def test_a_stop_mode_chunk_with_its_array_equals_step_pred(q, monkeypatch):
+    # A stop-mode chunk sent with its distances as an int64 array, as
+    # phase A sends a long stretch's, takes the arrivals before the first
+    # window that brings the table to top = min(K, q) in one step.  The
+    # streams put that window's end at every chunk offset from 0 to
+    # 2 * top, at the chunk's last arrival, and nowhere; the windows at the
+    # first top - 1 offsets reach before the chunk and are found by the
+    # table from r, the later ones by the array's filter.  Noise and the
+    # window's first occurrences mix NEVER, 0, negative and >= q values.
+    # For q <= K the window is a match, after which the chunk returns.
+    # After every send the core's state equals a stepped twin's at the
+    # same arrival, and so do the matches.
+    rng = random.Random(q)
+    pattern = [rng.randrange(3) for _ in range(q)]
+    profile = build_profile(pattern, 3)
+    pred = pred_string(pattern)
+    top = min(K, q)
+    size = 3 * top + 10
+    found = []
+
+    def spy(*args):
+        found.append(_first_window(*args))
+        return found[-1]
+
+    monkeypatch.setattr(det_matcher, "_first_window", spy)
+    for end in [*range(2 * top + 1), size - 1, None]:
+        while True:
+            noise = [rng.choice((NEVER, 0, -3, q + 5, 1, 2, 3)) for _ in range(30 + size)]
+            if end is not None:
+                at = 30 + end - top + 1
+                noise[at : at + top] = [
+                    c or rng.choice((NEVER, 0, -3, q + 5, k + 1)) for k, c in enumerate(pred[:top])
+                ]
+            stepped = DetCore(profile)
+            states, ends, reach = [], [], None
+            for j, pv in enumerate(noise):
+                if stepped.step_pred(pv):
+                    ends.append(j)
+                if reach is None and j >= 30 and (stepped.r >= top or ends[-1:] == [j]):
+                    reach = j - 30
+                states.append(core_state(stepped))
+            if reach == end:
+                break
+        core = DetCore(profile)
+        for pv in noise[:30]:
+            core.step_pred(pv)
+        got = [j for j in ends if j < 30]
+        first = True
+        while core.i + 1 < len(noise):
+            seg = noise[core.i + 1 :]
+            before = core.i
+            del found[:]
+            core.run.send((seg, got, np.array(seg, np.int64)))
+            if first:
+                # The filter runs unless the table from r reaches top in
+                # the first top - 1 arrivals; it finds the window's end.
+                want = [] if end is not None and end < top - 1 else [size if end is None else end]
+                assert found == want, end
+                first = False
+            if core.i == before and core.run.send(noise[core.i + 1]) < 0:
+                got.append(core.i)
+            assert core_state(core) == states[core.i], (end, core.i)
+        assert got == ends
+
+
+def test_stop_mode_chunks_with_arrays_leave_a_busy_core_to_its_machinery():
+    # Phase A's sends over a binary stream with 20 near misses, whose
+    # comparisons fail at K or more, where the machinery runs, below K too,
+    # and defers arrivals: each stop-mode chunk, of 1-800 distances, goes
+    # with its int64 array from the arrival after the last one taken, and
+    # an arrival that one leaves unread goes alone.  A chunk that finds the
+    # core busy below K, with a test in flight or arrivals deferred, takes
+    # nothing in bulk: after every send the state equals a stepped core's
+    # at the same arrival.
+    inst = make_instance("planted", 600, 6000, 2, seed=3)
+    text = near_misses(inst.pattern, inst.text, range(2), 1, 20)
+    tracker = LastOccurrence(2)
+    preds = [tracker.step(sym, j) for j, sym in enumerate(text)]
+    profile = build_profile(inst.pattern, 2)
+    stepped = DetCore(profile)
+    states = []
+    for pv in preds:
+        stepped.step_pred(pv)
+        states.append(core_state(stepped))
+    core = DetCore(profile)
+    send = core._start().send
+    rng = random.Random(23)
+    ends, busy, waiting = [], 0, 0
+    while core.i + 1 < len(preds):
+        if core.r < K and core.phase != _IDLE and not core.pending:
+            busy += 1
+        elif core.r < K and core.pending:
+            waiting += 1
+        seg = preds[core.i + 1 : core.i + 1 + rng.randint(1, 800)]
+        before = core.i
+        send((seg, ends, np.array(seg, np.int64)))
+        if core.i == before and send(preds[core.i + 1]) < 0:
+            ends.append(core.i)
+        assert core_state(core) == states[core.i], core.i
+    assert ends == [s + 599 for s in naive_all_matches(inst.pattern, text)]
+    assert (busy, waiting) == (2, 61)

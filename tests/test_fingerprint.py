@@ -1,5 +1,7 @@
 import random
+from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from parmatch.fingerprint import (
     FieldContext,
     context_new,
     fp_of_sequence,
+    power_table,
     prime_for_bits,
 )
 
@@ -116,6 +119,33 @@ def test_fp_of_sequence_equals_defining_sum(n, bits, data):
         rpow = rpow * r % p
     assert fp_of_sequence(c, seq) == want
     assert fp_of_sequence(c, iter(seq)) == want
+
+
+EDGES = [2**21 - 1, 2**21, 2**31 - 1, 0]
+
+
+@pytest.mark.parametrize("bits", [3, 5, 7, 13, 17, 19, 31, 61, 62])
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    rows=st.lists(
+        st.lists(
+            st.one_of(st.sampled_from(EDGES), st.integers(0, 2**31 - 1)),
+            min_size=32,
+            max_size=32,
+        ),
+        max_size=3,
+    ),
+)
+def test_block_sums_equal_the_defining_sum(bits, seed, rows):
+    # The one block-sum kernel, as the streaming matcher calls it: rows of
+    # 32 values below 2^31, a row of the limb edges 2^21 - 1, 2^21 and
+    # 2^31 - 1 always among them, against r^0 .. r^31 for a prime of each
+    # width.  Every row's sum of values times powers is exact, unreduced.
+    powers = power_table(context_new(bits, seed), 31)
+    rows = [*rows, EDGES * 8]
+    got = fingerprint.block_sums(np.array(rows, np.int64), fingerprint.power_limbs(powers))
+    assert got == [sum(map(mul, powers, row)) for row in rows]
 
 
 # Lengths: partial blocks (1, 127-389), the block's edges (K - 1 to

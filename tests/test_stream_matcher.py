@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch.alphabet_filter import AlphabetFilter, densify_pattern
-from parmatch.det_matcher import _IDLE, CONSUMES_PER_ARRIVAL, DetCore, DetMatcher
+from parmatch import det_matcher, fingerprint
+from parmatch.det_matcher import _IDLE, CONSUMES_PER_ARRIVAL, K, DetCore, DetMatcher
 from parmatch.errors import AlphabetError, ConfigError, StructuralViolation, UsageError
 from parmatch.fingerprint import (
     FieldContext,
@@ -750,14 +751,16 @@ def periodic_misses():
 class StretchLog:
     """Stands in for a matcher's phase-A core generator: passes every send
     and throw on, logs each quiet stretch sent as one chunk as (its first
-    arrival, the last it ran, whether a base-prefix match ended it), and
-    each send that raised as (its arrival, whether it was a stretch's)."""
+    arrival, the last it ran, whether a base-prefix match ended it), the
+    first and last of those sent with an int64 array, and each send that
+    raised as (its arrival, whether it was a stretch's)."""
 
     def __init__(self, sm):
         self.core = sm.suba
         self.run = self.core._start()
         self.core.run = self
         self.stretches = []
+        self.arrays = []
         self.raised = []
 
     def send(self, msg):
@@ -769,6 +772,8 @@ class StretchLog:
             raise
         if type(msg) is tuple:
             self.stretches.append((first, self.core.i, reply < 0))
+            if msg[2] is not True:
+                self.arrays.append(self.stretches[-1][:2])
         return reply
 
     def throw(self, exc):
@@ -922,6 +927,63 @@ def test_quiet_stretches_end_where_a_stepped_run_leaves_the_quiet_branch(
         assert by_scan == [s + len(pattern) - 1 for s in naive_all_matches(pattern, text)]
 
 
+def test_long_stretches_run_the_kernels_and_keep_the_state_exact(monkeypatch):
+    # Chunks of 1000 from arrival 9 on hold stretches longer than
+    # _LONG_STRETCH that start and end mid-block, read in pieces whose
+    # block sums come from the kernel and whose arrivals phase A's core
+    # takes in bulk below K.  Relabelled copies of phase A's pattern make
+    # windows that bring the core to K: its first K symbols ending at the
+    # fifth arrival of a stretch (the window reaches before it) and at a
+    # stretch's last arrival, and all of it, a base-prefix match, ending
+    # mid-stretch.  After every chunk the whole state equals a stepped
+    # twin's, and so do the answers.
+    rng = random.Random(9)
+    inst = make_instance("planted", 3000, 9000, 4, seed=5)
+    pattern = inst.pattern
+    text = [rng.randrange(4) for _ in range(6000)]
+    scanned, stepped = (StreamMatcher(pattern, 4, seed=12) for _ in range(2))
+    m0 = scanned.m0
+    for end, n in ((1010 + 4, K), (2500, m0 - 1), (3008, K)):
+        relabel = rng.sample(range(4), 4)
+        text[end - n + 1 : end + 1] = [relabel[x] for x in pattern[:n]]
+    sums, windows = [], []
+    find = det_matcher._first_window
+
+    def block_sums(a, limbs):
+        sums.append(len(a))
+        return fingerprint.block_sums(a, limbs)
+
+    def first_window(a, probes, head):
+        windows.append((find(a, probes, head), len(a)))
+        return windows[-1][0]
+
+    monkeypatch.setattr(stream_matcher, "block_sums", block_sums)
+    monkeypatch.setattr(det_matcher, "_first_window", first_window)
+    log = StretchLog(scanned)
+    by_scan, by_step = [], []
+    for k in (0, *range(9, len(text), 1000)):
+        piece = text[k : k + (9 if k == 0 else 1000)]
+        by_scan += scanned.scan(piece)
+        by_step += [k + j for j, sym in enumerate(piece) if stepped.step(sym)]
+        assert matcher_state(scanned) == matcher_state(stepped), k
+    assert by_scan == by_step
+    long = [
+        (first, last)
+        for first, last, _ in log.stretches
+        if last - first >= stream_matcher._LONG_STRETCH
+    ]
+    assert long and all(first % _BLOCK and (last + 1) % _BLOCK for first, last in long)
+    # The table from r finds the window that reaches before its stretch,
+    # and the filter the others: the base's first K symbols, ending 101
+    # arrivals into a piece from 2266, whose stretch ends with the base's
+    # match, and the window at a stretch's last arrival.
+    assert sums and len(windows) > 10
+    assert any(first == 1010 and last >= 1014 for first, last, _ in log.stretches)
+    assert (2500 - (m0 - 1) + K - 2266, 512) in windows
+    assert (2266, 2500, True) in log.stretches
+    assert (3008 - 2957, 52) in windows and (2957, 3008, False) in log.stretches
+
+
 def test_arrivals_that_find_the_core_busy_run_alone():
     # On the periodic stream with near misses, a near miss of phase A's
     # pattern fails at arrival 1392 and enters the core's shift machinery,
@@ -950,12 +1012,15 @@ def test_arrivals_that_find_the_core_busy_run_alone():
     # Over the whole stream in chunks of 997, the core leaves a stretch
     # unread only at an arrival that finds it busy with nothing deferred,
     # whose phase is read only through a write-back: 10 times.  Sending
-    # stretches while arrivals are deferred too makes it 33.
+    # stretches while arrivals are deferred too makes it 33.  None of the
+    # 10 reads its stretch into an array: that waits until the core has
+    # consumed every arrival fed, so every array sent is taken.
     whole = StreamMatcher(pattern, 4, seed=12)
     log = StretchLog(whole)
     for k in range(0, len(text), 997):
         whole.scan(text[k : k + 997])
     assert sum(last < first for first, last, _ in log.stretches) == 10
+    assert log.arrays and all(first <= last for first, last in log.arrays)
 
 
 def test_a_periodic_stream_runs_mostly_in_stretches():
@@ -1287,6 +1352,21 @@ def test_a_fed_distance_below_one_is_a_first_occurrence(v, chunk):
         for k in range(0, len(preds), chunk):
             sm.feed(preds[k : k + chunk], got)
         assert got == want == [1299], mode
+
+
+def test_a_fed_distance_above_never_is_a_first_occurrence():
+    # A first occurrence fed as a distance too large for an int64, in
+    # chunks whose stretches are read into int64 arrays: the answers and
+    # the whole state are those of the same stream fed with NEVER.
+    inst = make_instance("planted", 3000, 9000, 4, seed=5)
+    tracker = LastOccurrence(4)
+    preds = [tracker.step(sym, j) for j, sym in enumerate(inst.text)]
+    huge = [2**70 if v == NEVER else v for v in preds]
+    never, fed = (StreamMatcher(inst.pattern, 4, seed=12) for _ in range(2))
+    for k in range(0, len(preds), 2000):
+        assert fed.feed(huge[k : k + 2000]) == never.feed(preds[k : k + 2000])
+        assert matcher_state(fed) == matcher_state(never)
+    assert huge != preds
 
 
 def test_a_det_routed_matcher_feeds_its_det_engine():
