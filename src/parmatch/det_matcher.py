@@ -39,14 +39,17 @@ symbol is compared at once, the fast path, and a failed comparison goes
 on in the machinery from _SYNC, with the failed length as the first
 candidate.
 
-So the machinery starts only at r >= K with nothing pending, and once
-started it runs, below K too, until it is idle with nothing pending; the
-table takes over only then.  Every deferral falls inside such a busy
-stretch, and a table arrival, which comes only with nothing pending,
-neither adds to the backlog nor delays its draining: the argument that
-the buffer drains before the next match is the machinery's alone, as
-without the table, over busy stretches that each start with an empty
-buffer.
+Every arrival fed is consumed once, waits in the FIFO, or, outside
+_IDLE, is the one in flight, so the core is idle with nothing pending
+exactly when it has consumed every arrival fed: that count is its one
+test of a free core.  So the machinery starts only at r >= K on a free
+core, and once started it runs, below K too, until the core is free
+again; the table takes over only then.  Every deferral falls inside
+such a busy stretch, and a table arrival, which comes only with nothing
+pending, neither adds to the backlog nor delays its draining: the
+argument that the buffer drains before the next match is the
+machinery's alone, as without the table, over busy stretches that each
+start with an empty buffer.
 
 The arrival logic is written once, as a generator that holds the tables,
 cursors and counters in local variables and runs each chunk of distances
@@ -57,20 +60,22 @@ sends a stretch of arrivals where its phases B and C have nothing due as
 one chunk in stop mode, which takes only table and fast-path arrivals:
 it returns right after an arrival where a match ends (the arrival after
 it may push into a queue, so it runs on its own), and before an arrival
-that finds the core busy or whose first comparison fails at r >= K,
-which it leaves unread for phase A to send on its own.  So each arrival
-a stop-mode chunk takes consumes one symbol and leaves nothing pending,
-and the count of symbols consumed tells the caller how far it went.
+that finds the core not free or whose first comparison fails at r >=
+K, which it leaves unread for phase A to send on its own.  So each
+arrival a stop-mode chunk takes consumes one symbol, and the count of
+symbols consumed tells the caller how far it went.
 Phase A sends a long stretch's chunks with their distances as an int64
-array too.  Idle with nothing pending at r < K, the core then takes the
-arrivals before the first at which the table would reach K in one step,
-which consumes a symbol for each and counts no shift or unit, as the
-table would.  That arrival is the first whose last K distances read
-pred[:K]: a numpy filter finds it, pruning the windows offset by offset,
-once the table, run from r over the chunk's first K - 1 arrivals, has
-not reached K on a window that starts before the chunk.  The longest
-suffix below K that p-matches a prefix then lies in the last K - 1
-arrivals taken, so r is the table's from 0 over them.
+array too.  Free at r < K, the core then looks for the first arrival
+at which the table would reach K, the first whose last K distances
+read pred[:K]: a numpy filter finds it,
+pruning the windows offset by offset, once the table, run from r over
+the chunk's first K - 1 arrivals, has not reached K on a window that
+starts before the chunk.  The arrivals before that window (before the
+chunk's last K - 1, if none) are taken in one step, which consumes a
+symbol for each, and r becomes 0; the table path then runs the next K -
+1 arrivals.  No window of K ends before them, so the longest suffix
+below K that p-matches a prefix lies in them, and from 0 the table
+gives it; from 0 they can neither reach K nor stop the chunk.
 The core and the randomized matcher run on one harness, `_Engine`: it
 starts an engine's generator, which holds the engine only weakly, makes
 each scalar that the class's `_STATE` names a read-only attribute of its
@@ -346,39 +351,37 @@ class DetCore(_Engine):
                             t = 0
                             if type(stop) is np.ndarray:
                                 # Stop mode, with the chunk's distances as
-                                # an int64 array: idle below top, take the
+                                # an int64 array: free below top, take the
                                 # arrivals before the first window of top
                                 # in one step (see the module docstring).
                                 # A window that starts before the chunk
                                 # ends at one of its first `head` arrivals,
                                 # which the table runs from r.
-                                if phase == _IDLE and not pending and r < top < len(chunk):
+                                if consumed == i + 1 and r < top < len(chunk):
                                     x = r
                                     for v in chunk[:head]:
                                         x = table[rows[x] + (v if 0 < v <= x else 0)]
                                         if x == top:
                                             break
                                     else:
-                                        t = _first_window(stop, probes, head)
+                                        # No window of top ends before the
+                                        # first one found, so the longest
+                                        # suffix below top that p-matches a
+                                        # prefix lies in the `head` arrivals
+                                        # before it: the table path runs
+                                        # them from 0, and cannot reach top
+                                        # on them.
+                                        t = _first_window(stop, probes, head) - head
                                         i += t
                                         consumed += t
-                                        shifts_last = units_last = 0
-                                        # No arrival before t ends a window
-                                        # of top, so r is now the longest
-                                        # suffix below top that p-matches a
-                                        # prefix, which lies in the last
-                                        # `head` arrivals: the table runs
-                                        # from 0 over them.
                                         r = 0
-                                        for v in chunk[t - head : t]:
-                                            r = table[rows[r] + (v if 0 < v <= r else 0)]
                                 stop = True
                             chunk = iter(chunk)
                             if t:
                                 chunk.__setstate__(t)
                             continue
                     i += 1
-                    if phase == _IDLE and not pending:
+                    if consumed == i:
                         if r < top:
                             # Table path: below K the next matched length
                             # is the automaton's, read at r and the
@@ -425,14 +428,15 @@ class DetCore(_Engine):
                             if stop:
                                 chunk = drained
                             continue
-                    # The core is busy, or the first comparison failed
-                    # at r >= K: the arrival runs the shift machinery,
-                    # unless a chunk in stop mode leaves it unread.
+                    # The core has not consumed every arrival before
+                    # this one, or the first comparison failed at r >= K:
+                    # the arrival runs the shift machinery, unless a chunk
+                    # in stop mode leaves it unread.
                     if stop:
                         i -= 1
                         chunk = drained
                         continue
-                    if phase == _IDLE and not pending:
+                    if consumed == i:
                         # On from _SYNC at cand = r.
                         phase = _SYNC
                         g = pv

@@ -90,24 +90,23 @@ the queue at most one segment more.  That is the budget's one segment
 beyond the structure lemma's 6*sigma explicit positions and one
 progression, and every push still checks it.
 
-Inside a chunk, after any arrival that ended no base-prefix match and
-left no distance to distribute and nothing deferred in phase A's core,
+Inside a chunk, after any arrival that ended no base-prefix match, left
+no distance to distribute, and after which phase A's core has consumed
+every arrival fed (its one test of a free core, see `det_matcher`),
 the arrivals up to the next due one run in bulk, as a stretch that also
 stops before the first distance in (m0, m).  Phase A sends the stretch
 to the core in one chunk in stop mode, which returns right after a
 base-prefix match (the arrival after it pushes, so it runs on its own),
-and before an arrival that finds the core busy or would enter its shift
-machinery, which runs alone: so the machinery never runs inside a
-stretch, each of its arrivals consumes one symbol, and the symbols
-consumed tell how far it went.  A caught-up tail check, whose next
-position is the next arrival, compares each arrival's own distance: the
-stretch compares its values with the tail's in one pass, and ends before
-the first mismatch and before the verdict arrival c_ip + m - 1, which
-run alone.
-A stretch of at least _LONG_STRETCH arrivals, begun with phase A's core
-idle and nothing deferred (it has consumed every arrival fed) and no
-tail check comparing, is read into int64 arrays in pieces that double
-from _LONG_STRETCH, so that the work follows the arrivals taken.  Each
+and before an arrival that would enter its shift machinery, which runs
+alone: so the machinery never runs inside a stretch, each of its
+arrivals consumes one symbol, and the symbols consumed tell how far it
+went.  A caught-up tail check, whose next position is the next
+arrival, compares each arrival's own distance: the stretch compares its
+values with the tail's in one pass, and ends before the first mismatch
+and before the verdict arrival c_ip + m - 1, which run alone.
+A stretch of at least _LONG_STRETCH arrivals with no tail check
+comparing is read into int64 arrays in pieces that double from
+_LONG_STRETCH, so that the work follows the arrivals taken.  Each
 piece goes to the core with its array, which takes the arrivals below
 K in one step (see `det_matcher`), and the next piece is read only when
 the core took this one whole.  The base phase then takes the sums of
@@ -127,8 +126,8 @@ tail check up or close it, or follow a base-prefix match.
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
 local variables and runs one chunk of distances per `send`: `feed` sends
-the distances it is given, one below 1 as a first occurrence, and `step`
-and `scan` those of the shared dense front end
+the distances it is given as Python ints, one below 1 as a first
+occurrence, and `step` and `scan` those of the shared dense front end
 (`predecessor.DenseFrontEnd`), which looks a chunk's up in a
 last-occurrence table at once.  After each chunk `i` is written
 back; the other scalars are kept by the harness `DetCore` runs on too
@@ -156,7 +155,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress, count, repeat
-from operator import gt, lt, mul, ne
+from operator import gt, index, lt, mul, ne
 
 import numpy as np
 
@@ -427,10 +426,10 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         # fed one below 1, which every other reader takes as a first
         # occurrence, becomes one; so does one above NEVER, which every
         # reader takes as one already, but which no int64 holds for a long
-        # stretch.  `step` and `scan` make neither.
-        preds = list(preds)
-        if preds and not 0 < min(preds) <= max(preds) <= NEVER:
-            preds = [v if 0 < v <= NEVER else NEVER for v in preds]
+        # stretch.  Each distance is read as a Python int, so a numpy one
+        # cannot overflow a product and a float is refused before any
+        # arrival runs.  `step` and `scan` make neither.
+        preds = [v if 0 < v <= NEVER else NEVER for v in map(index, preds)]
         return super().feed(preds, out)
 
     def _body(self):
@@ -786,14 +785,14 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                         and not a_prev
                         and bcur is None
                         and not bbuf
-                        and not pending
+                        and a_done == i + 1
                     ):
                         # An arrival of a chunk that ended no base-prefix
-                        # match and left phase A's core nothing deferred:
-                        # the arrivals after it run in bulk up to the next
-                        # due one (see the module docstring).  A caught-up
-                        # tail check compares one position on each, and its
-                        # verdict runs alone.
+                        # match and after which phase A's core has consumed
+                        # every arrival fed: the arrivals after it run in
+                        # bulk up to the next due one (see the module
+                        # docstring).  A caught-up tail check compares one
+                        # position on each, and its verdict runs alone.
                         tail = c_at == i + 1 and c_ip >= 0
                         due = c_ip + m - 1 if tail else c_at
                         if wake < due:
@@ -806,14 +805,13 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                             # preds[j + at] is arrival j.
                             at = len(preds) - rest - i - 1
                             j = i + 1
-                            # A long stretch, with phase A's core idle and
-                            # nothing deferred (it has consumed every
-                            # arrival fed), is read into int64 arrays in
-                            # pieces that double from `long_at`, so that the
-                            # work follows the arrivals taken, and the core
-                            # gets each piece's array too.  Any other is
-                            # read as one list.
-                            if edge - i >= long_at and not tail and a_done == i + 1:
+                            # A long stretch with no tail check comparing
+                            # is read into int64 arrays in pieces that
+                            # double from `long_at`, so that the work
+                            # follows the arrivals taken, and the core gets
+                            # each piece's array too.  Any other is read as
+                            # one list.
+                            if edge - i >= long_at and not tail:
                                 parts = []
                                 w = long_at
                             else:
@@ -855,9 +853,9 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                 # In stop mode the core neither defers an
                                 # arrival nor enters its machinery, so this
                                 # send cannot raise.  Each arrival it takes
-                                # consumes one symbol; an empty run (the core
-                                # was busy, or its first comparison failed)
-                                # changes nothing.
+                                # consumes one symbol; an empty run, which
+                                # only a failed first comparison at r >= K
+                                # makes, changes nothing.
                                 done = arrive((seg[:n], None, True if parts is None else a[:n]))
                                 a_prev = done < 0
                                 if a_prev:

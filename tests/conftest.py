@@ -3,5 +3,4 @@ import hypothesis
 hypothesis.settings.register_profile(
     "default", max_examples=120, deadline=None
 )
-hypothesis.settings.register_profile("fast", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("default")

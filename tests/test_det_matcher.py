@@ -774,5 +774,7 @@ def test_stop_mode_chunks_with_arrays_leave_a_busy_core_to_its_machinery():
         if core.i == before and send(preds[core.i + 1]) < 0:
             ends.append(core.i)
         assert core_state(core) == states[core.i], core.i
+        # The one test of a free core: it has consumed every arrival fed.
+        assert (core.consumed == core.i + 1) == (core.phase == _IDLE and not core.pending)
     assert ends == [s + 599 for s in naive_all_matches(inst.pattern, text)]
     assert (busy, waiting) == (2, 61)

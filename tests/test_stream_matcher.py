@@ -4,6 +4,7 @@ import pickle
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -1009,17 +1010,16 @@ def test_arrivals_that_find_the_core_busy_run_alone():
     assert log.stretches[before:] == [(1403, 1404, False), (1406, 1446, False)]
     assert scanned.live_words_peak() == stepped.live_words_peak()
     assert matcher_state(scanned) == matcher_state(stepped)
-    # Over the whole stream in chunks of 997, the core leaves a stretch
-    # unread only at an arrival that finds it busy with nothing deferred,
-    # whose phase is read only through a write-back: 10 times.  Sending
-    # stretches while arrivals are deferred too makes it 33.  None of the
-    # 10 reads its stretch into an array: that waits until the core has
-    # consumed every arrival fed, so every array sent is taken.
+    # Over the whole stream in chunks of 997, every stretch is sent to a
+    # core that has consumed every arrival fed, and takes at least one
+    # arrival: none begins at a busy core (with nothing deferred, 10 did
+    # while phase A tested only the deferral buffer), and on this stream
+    # none at a failed first comparison.  Every array sent is taken.
     whole = StreamMatcher(pattern, 4, seed=12)
     log = StretchLog(whole)
     for k in range(0, len(text), 997):
         whole.scan(text[k : k + 997])
-    assert sum(last < first for first, last, _ in log.stretches) == 10
+    assert sum(last < first for first, last, _ in log.stretches) == 0
     assert log.arrays and all(first <= last for first, last in log.arrays)
 
 
@@ -1367,6 +1367,32 @@ def test_a_fed_distance_above_never_is_a_first_occurrence():
         assert fed.feed(huge[k : k + 2000]) == never.feed(preds[k : k + 2000])
         assert matcher_state(fed) == matcher_state(never)
     assert huge != preds
+
+
+@pytest.mark.parametrize("kind", ["periodic", "planted"])
+@pytest.mark.parametrize("chunk", [16, 4096])
+def test_numpy_distances_are_fed_as_ints(kind, chunk):
+    # Distances fed as numpy int64s, in an array or a list, answer as the
+    # oracle on both engines.  The randomized engine once took them into
+    # its block sums as numpy ints, whose int64 products overflowed: it
+    # missed matches, every one on the periodic stream, and a long stretch
+    # of the planted one raised OverflowError.  A float is refused before
+    # any arrival runs.
+    inst = make_instance(kind, 3000, 9000, 4, seed=0)
+    tracker = LastOccurrence(4)
+    preds = np.array([tracker.step(sym, j) for j, sym in enumerate(inst.text)], np.int64)
+    want = [s + 2999 for s in naive_all_matches(inst.pattern, inst.text)]
+    for mode in ("det", "rand"):
+        for fed in (preds, list(preds)):
+            sm = StreamMatcher(inst.pattern, 4, seed=12, mode=mode)
+            got = []
+            for k in range(0, len(fed), chunk):
+                sm.feed(fed[k : k + chunk], got)
+            assert got == want != [], mode
+    sm = StreamMatcher(inst.pattern, 4, seed=12, mode="rand")
+    with pytest.raises(TypeError):
+        sm.feed([NEVER, 2.0])
+    assert sm.i == -1
 
 
 def test_a_det_routed_matcher_feeds_its_det_engine():
