@@ -64,18 +64,21 @@ that finds the core not free or whose first comparison fails at r >=
 K, which it leaves unread for phase A to send on its own.  So each
 arrival a stop-mode chunk takes consumes one symbol, and the count of
 symbols consumed tells the caller how far it went.
-Phase A sends a long stretch's chunks with their distances as an int64
-array too.  Free at r < K, the core then looks for the first arrival
+A chunk may come as an int64 array in place of a list: phase A sends
+each piece of a long stretch as a view of the one array it reads its own
+chunk into.  Free at r < K, the core then looks for the first arrival
 at which the table would reach K, the first whose last K distances
 read pred[:K]: a numpy filter finds it,
 pruning the windows offset by offset, once the table, run from r over
 the chunk's first K - 1 arrivals, has not reached K on a window that
 starts before the chunk.  The arrivals before that window (before the
 chunk's last K - 1, if none) are taken in one step, which consumes a
-symbol for each, and r becomes 0; the table path then runs the next K -
-1 arrivals.  No window of K ends before them, so the longest suffix
-below K that p-matches a prefix lies in them, and from 0 the table
-gives it; from 0 they can neither reach K nor stop the chunk.
+symbol for each, and r becomes 0; the rest of the chunk runs from a
+list, the table path first over the next K - 1 arrivals.  No window of
+K ends before them, so the longest suffix below K that p-matches a
+prefix lies in them, and from 0 the table gives it; from 0 they can
+neither reach K nor stop the chunk.  No match ends before them either,
+so the step holds in stop mode or not.
 The core and the randomized matcher run on one harness, `_Engine`: it
 starts an engine's generator, which holds the engine only weakly, makes
 each scalar that the class's `_STATE` names a read-only attribute of its
@@ -286,12 +289,12 @@ class DetCore(_Engine):
         """The arrival logic, run over each arrival's distance sent, or
         each chunk of distances sent as (preds, out, stop).
 
-        A chunk appends the index of each arrival at which a match ends to
-        `out`, unless it is None.  With `stop` True, or the chunk's
-        distances as an int64 array (`preds` then a list), it returns
-        right after the first such arrival, and right before an arrival
-        that would run the shift machinery, which is left unread: `i`
-        stays before it and nothing else changes.  The state is held in
+        `preds` is a list or an int64 array.  A chunk appends the index of
+        each arrival at which a match ends to `out`, unless it is None.
+        With `stop` true it returns right after the first such arrival,
+        and right before an arrival that would run the shift machinery,
+        which is left unread: `i` stays before it and nothing else
+        changes.  The state is held in
         locals from the start, and written back to the `state` record only
         when `_Flush` is thrown in.  An error writes it back too, with `i`
         at the arrival that raised, and ends the stream: `run` becomes a
@@ -348,18 +351,18 @@ class DetCore(_Engine):
                         out = stop = None
                         if type(pv) is tuple:
                             chunk, out, stop = pv
-                            t = 0
-                            if type(stop) is np.ndarray:
-                                # Stop mode, with the chunk's distances as
-                                # an int64 array: free below top, take the
-                                # arrivals before the first window of top
-                                # in one step (see the module docstring).
-                                # A window that starts before the chunk
-                                # ends at one of its first `head` arrivals,
-                                # which the table runs from r.
+                            if type(chunk) is np.ndarray:
+                                # The chunk's distances as an int64 array:
+                                # free below top, take the arrivals before
+                                # the first window of top in one step (see
+                                # the module docstring), and the rest as a
+                                # list.  A window that starts before the
+                                # chunk ends at one of its first `head`
+                                # arrivals, which the table runs from r.
+                                t = 0
                                 if consumed == i + 1 and r < top < len(chunk):
                                     x = r
-                                    for v in chunk[:head]:
+                                    for v in chunk[:head].tolist():
                                         x = table[rows[x] + (v if 0 < v <= x else 0)]
                                         if x == top:
                                             break
@@ -371,14 +374,12 @@ class DetCore(_Engine):
                                         # before it: the table path runs
                                         # them from 0, and cannot reach top
                                         # on them.
-                                        t = _first_window(stop, probes, head) - head
+                                        t = _first_window(chunk, probes, head) - head
                                         i += t
                                         consumed += t
                                         r = 0
-                                stop = True
+                                chunk = chunk[t:].tolist()
                             chunk = iter(chunk)
-                            if t:
-                                chunk.__setstate__(t)
                             continue
                     i += 1
                     if consumed == i:

@@ -105,13 +105,16 @@ arrival, compares each arrival's own distance: the stretch compares its
 values with the tail's in one pass, and ends before the first mismatch
 and before the verdict arrival c_ip + m - 1, which run alone.
 A stretch of at least _LONG_STRETCH arrivals with no tail check
-comparing is read into int64 arrays in pieces that double from
-_LONG_STRETCH, so that the work follows the arrivals taken.  Each
-piece goes to the core with its array, which takes the arrivals below
-K in one step (see `det_matcher`), and the next piece is read only when
-the core took this one whole.  The base phase then takes the sums of
-the whole blocks of arrivals that leave no history entry (all but the
-last H) from the block-sum kernel, `fingerprint.block_sums`, and
+comparing is read from an int64 array of the chunk's distances, made
+once per chunk at its first such stretch, in pieces that double from
+_LONG_STRETCH, so that the core's and the filter's work follows the
+arrivals taken.  Each piece goes to the core as a view of that array,
+and the core takes its arrivals below K in one step (see
+`det_matcher`); the next piece is read only when the core took this one
+whole.  The base phase then takes the sums of the stretch's whole
+blocks of arrivals that leave no history entry (all but the last H),
+from the first block start in the stretch on, from the block-sum
+kernel, `fingerprint.block_sums`, over views of the same array, and
 writes every other arrival's entries as a stepped arrival does; a
 shorter stretch, read as a list, writes every arrival so.  The ops and
 words accounting stays exact.  An arrival of a stretch charges 9 ops, or
@@ -198,12 +201,13 @@ _C_BUDGET = 5
 # push 2, or a later turn's 1 + 13 entries + push 2), C 7.  Independent of
 # the pattern length by construction; enforced per arrival.
 OP_BUDGET = 7 + (1 + 3 + 3) + 5 + (1 + _SCAN_BATCH + 2) + (2 + _C_BUDGET)
-# A stretch of at least this many arrivals is read into int64 arrays (see
-# the module docstring).  Scanning the random text of the `planted_512k`
-# and `long_gap` benchmark workloads in chunks of L, one arrival alone and
-# a stretch of L - 1, took per arrival, arrays against lists: 1.26x and
-# 1.03x at L = 64, 0.99x and 0.89x at 128, 0.88x and 0.77x at 256, 0.76x
-# and 0.70x at 512 (CPython 3.11, numpy 2.4, 2-core x86 VM, best of 5).
+# A stretch of at least this many arrivals is read from its chunk's int64
+# array (see the module docstring).  Scanning the first 196,608 arrivals of
+# the `planted_512k` and `long_gap` benchmark workloads (seed 11) in chunks
+# of L, one arrival alone and a stretch of L - 1, took per arrival, arrays
+# against lists: 1.29x and 1.08x at L = 64, 1.02x and 0.93x at 128, 0.89x
+# and 0.82x at 256, 0.75x and 0.63x at 512 (CPython 3.11, numpy 2.4, 2-core
+# x86 VM, best of 5).
 # `periodic_dense` has 2 stretches this long in its first 196,608
 # arrivals.
 _LONG_STRETCH = 256
@@ -483,9 +487,12 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         # times False.
         ms = repeat(m)
         m0s = repeat(m0)
-        # A long stretch is read into int64 arrays, and the block-sum kernel
+        # A long stretch is read from an int64 array of its chunk's values,
+        # `arr`, read at the chunk's first one, and the block-sum kernel
         # takes values below 2^31: every distance below m is.
         long_at = _LONG_STRETCH if m <= 1 << 31 else NEVER
+        arr = None
+        limbs = power_limbs(rtab[:_BLOCK])
 
         # Phase A sends the core's generator one arrival at a time.
         suba = self.suba
@@ -806,31 +813,28 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                             at = len(preds) - rest - i - 1
                             j = i + 1
                             # A long stretch with no tail check comparing
-                            # is read into int64 arrays in pieces that
-                            # double from `long_at`, so that the work
-                            # follows the arrivals taken, and the core gets
-                            # each piece's array too.  Any other is read as
-                            # one list.
-                            if edge - i >= long_at and not tail:
-                                parts = []
-                                w = long_at
-                            else:
-                                parts = None
-                                w = edge - i
+                            # is read from the chunk's int64 array, in
+                            # pieces that double from `long_at`, so that
+                            # the work follows the arrivals taken; the core
+                            # gets each piece as a view of the array.  Any
+                            # other is read as one list.
+                            long = edge - i >= long_at and not tail
+                            if long and arr is None:
+                                arr = np.fromiter(preds, np.int64, len(preds))
+                                arr[arr >= m] = 0
+                            w = long_at if long else edge - i
                             while j <= edge:
                                 z = j + w
                                 if z > edge:
                                     z = edge + 1
-                                seg = preds[j + at : z + at]
                                 # The values, a distance of m or more read
                                 # as 0, up to the first in (m0, m).
-                                if parts is not None:
-                                    a = np.fromiter(seg, np.int64, z - j)
-                                    a[a >= m] = 0
+                                if long:
+                                    a = arr[j + at : z + at]
                                     far = np.flatnonzero(a > m0)
                                     n = int(far[0]) if len(far) else z - j
                                 else:
-                                    a = seg
+                                    a = preds[j + at : z + at]
                                     top = max(a)
                                     if top >= m:
                                         a = list(map(mul, a, map(gt, ms, a)))
@@ -855,18 +859,16 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                 # send cannot raise.  Each arrival it takes
                                 # consumes one symbol; an empty run, which
                                 # only a failed first comparison at r >= K
-                                # makes, changes nothing.
-                                done = arrive((seg[:n], None, True if parts is None else a[:n]))
+                                # makes, changes nothing.  A distance of m
+                                # or more, sent as 0, is a first occurrence
+                                # to the core too: its pattern is shorter.
+                                done = arrive((a[:n], None, True))
                                 a_prev = done < 0
                                 if a_prev:
                                     done = -done
-                                took = done - a_done
+                                j += done - a_done
                                 a_done = done
-                                j += took
-                                if parts is None:
-                                    break
-                                parts.append(a[:took])
-                                if a_prev or took < len(seg):
+                                if a_prev or j < z:
                                     break
                                 w += w
                             last = j - 1
@@ -874,18 +876,16 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                 # Arrivals up to `last - H` leave no history
                                 # entry (later ones take their slots), so in
                                 # a long stretch the kernel sums their whole
-                                # blocks; every other arrival writes its
-                                # entries, as a stepped one does.
-                                sums = iter(())
+                                # blocks, from the first block start after
+                                # i to the last up to `last - H + 1`; every
+                                # other arrival writes its entries, as a
+                                # stepped one does.
+                                kb = (i + _BLOCK) & -_BLOCK
+                                ke = (last - H + 1) & -_BLOCK if long else kb
+                                if ke > kb:
+                                    a = arr[kb + at : ke + at].reshape(-1, _BLOCK)
+                                    sums = iter(block_sums(a, limbs))
                                 j = i + 1
-                                off = j & mask
-                                # From the start of j's block to the last
-                                # block start up to `last - H + 1`.
-                                span = ((last - H + 1) & -_BLOCK) - j + off
-                                if parts and span > off:
-                                    a = np.concatenate([np.zeros(off, np.int64)] + parts)
-                                    a = a[:span].reshape(-1, _BLOCK)
-                                    sums = iter(block_sums(a, power_limbs(rtab[:_BLOCK])))
                                 while j <= last:
                                     off = j & mask
                                     if not off:
@@ -895,11 +895,10 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                         b = 2 * (j // _BLOCK % nb)
                                         blocks[b] = bfp
                                         blocks[b + 1] = bpw
-                                    bsum = next(sums, None)
-                                    if bsum is not None:
-                                        loc += bsum
-                                        j += _BLOCK - off
-                                        continue
+                                        if kb <= j < ke:
+                                            loc = next(sums)
+                                            j += _BLOCK
+                                            continue
                                     z = j - off + _BLOCK
                                     if z > last:
                                         z = last + 1
@@ -927,9 +926,9 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                 arrivals.__setstate__(i + 1 + at)
                             # The frame outlives the chunk: drop the stretch's
                             # lists and arrays, and at its end the chunk's.
-                            a = seg = cut = parts = sums = None
+                            a = cut = sums = None
                 self.i = i
-                arrivals = preds = None
+                arrivals = preds = arr = None
             except GeneratorExit:
                 # Closed as its matcher is freed: there is nothing to write to.
                 raise

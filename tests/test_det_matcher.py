@@ -674,8 +674,15 @@ def test_a_bare_core_stops_at_its_first_error():
         assert c.i == at
 
 
-@pytest.mark.parametrize("q", [40, K, 5])
-def test_a_stop_mode_chunk_with_its_array_equals_step_pred(q, monkeypatch):
+@pytest.mark.parametrize(
+    "q, view",
+    [
+        pytest.param(q, view, id=f"{q}-view" if view else str(q))
+        for view in (False, True)
+        for q in (40, K, 5)
+    ],
+)
+def test_a_stop_mode_chunk_with_its_array_equals_step_pred(q, view, monkeypatch):
     # A stop-mode chunk sent with its distances as an int64 array, as
     # phase A sends a long stretch's, takes the arrivals before the first
     # window that brings the table to top = min(K, q) in one step.  The
@@ -685,8 +692,9 @@ def test_a_stop_mode_chunk_with_its_array_equals_step_pred(q, monkeypatch):
     # table from r, the later ones by the array's filter.  Noise and the
     # window's first occurrences mix NEVER, 0, negative and >= q values.
     # For q <= K the window is a match, after which the chunk returns.
-    # After every send the core's state equals a stepped twin's at the
-    # same arrival, and so do the matches.
+    # Each array is a fresh one, or, as phase A sends them, a view at an
+    # offset of one larger array.  After every send the core's state
+    # equals a stepped twin's at the same arrival, and so do the matches.
     rng = random.Random(q)
     pattern = [rng.randrange(3) for _ in range(q)]
     profile = build_profile(pattern, 3)
@@ -718,6 +726,7 @@ def test_a_stop_mode_chunk_with_its_array_equals_step_pred(q, monkeypatch):
                 states.append(core_state(stepped))
             if reach == end:
                 break
+        big = np.array([q + 5] * 7 + noise + [NEVER] * 3, np.int64)
         core = DetCore(profile)
         for pv in noise[:30]:
             core.step_pred(pv)
@@ -727,7 +736,8 @@ def test_a_stop_mode_chunk_with_its_array_equals_step_pred(q, monkeypatch):
             seg = noise[core.i + 1 :]
             before = core.i
             del found[:]
-            core.run.send((seg, got, np.array(seg, np.int64)))
+            arr = big[core.i + 8 : len(noise) + 7] if view else np.array(seg, np.int64)
+            core.run.send((arr, got, True))
             if first:
                 # The filter runs unless the table from r reaches top in
                 # the first top - 1 arrivals; it finds the window's end.
@@ -770,7 +780,7 @@ def test_stop_mode_chunks_with_arrays_leave_a_busy_core_to_its_machinery():
             waiting += 1
         seg = preds[core.i + 1 : core.i + 1 + rng.randint(1, 800)]
         before = core.i
-        send((seg, ends, np.array(seg, np.int64)))
+        send((np.array(seg, np.int64), ends, True))
         if core.i == before and send(preds[core.i + 1]) < 0:
             ends.append(core.i)
         assert core_state(core) == states[core.i], core.i

@@ -773,7 +773,7 @@ class StretchLog:
             raise
         if type(msg) is tuple:
             self.stretches.append((first, self.core.i, reply < 0))
-            if msg[2] is not True:
+            if type(msg[0]) is np.ndarray:
                 self.arrays.append(self.stretches[-1][:2])
         return reply
 
@@ -983,6 +983,41 @@ def test_long_stretches_run_the_kernels_and_keep_the_state_exact(monkeypatch):
     assert (2500 - (m0 - 1) + K - 2266, 512) in windows
     assert (2266, 2500, True) in log.stretches
     assert (3008 - 2957, 52) in windows and (2957, 3008, False) in log.stretches
+
+
+def test_a_chunk_is_read_into_one_array():
+    # One chunk of 3000 arrivals whose burst symbols recur every 1200
+    # arrivals, inside (m0, m): each recurrence, and the arrivals that
+    # distribute it, run alone, between long stretches.  Every piece of
+    # every long stretch reaches phase A's core as a view of one int64
+    # array, read once for the chunk and dropped at its end, and the
+    # whole state then equals a stepped twin's.
+    inst = gap_instance(2100, 3000, 4, 8, gap=1200)
+    scanned, stepped = (StreamMatcher(inst.pattern, 4, seed=12) for _ in range(2))
+    assert scanned.mode == "rand" and scanned.m0 < 1200
+    log = StretchLog(scanned)
+    arrays = []
+    send = log.send
+
+    def spy(msg):
+        # Every array a message carries, in whichever field.
+        if type(msg) is tuple:
+            arrays.extend(x for x in msg if type(x) is np.ndarray)
+        return send(msg)
+
+    log.send = spy
+    scanned.scan(inst.text)
+    for sym in inst.text:
+        stepped.step(sym)
+    assert matcher_state(scanned) == matcher_state(stepped)
+    base = arrays[0].base
+    assert base is not None and all(a.base is base for a in arrays)
+    assert len(base) == 3000
+    # Long stretches before, between and after the recurrences.
+    assert {first // 1200 for first, _ in log.arrays} == {0, 1, 2}
+    dropped = weakref.ref(base)
+    del arrays[:], base
+    assert dropped() is None
 
 
 def test_arrivals_that_find_the_core_busy_run_alone():
