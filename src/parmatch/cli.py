@@ -203,9 +203,13 @@ def cmd_match(args) -> int:
         sigma = args.alphabet_size
     else:
         sigma = 256
-    matcher = StreamMatcher(
-        pattern, sigma, mode=args.mode, prime_bits=args.prime_bits, seed=args.seed
-    )
+    try:
+        matcher = StreamMatcher(
+            pattern, sigma, mode=args.mode, prime_bits=args.prime_bits, seed=args.seed
+        )
+    except UsageError as e:
+        # The pattern's content: a symbol outside the alphabet declared.
+        raise _InputError(str(e)) from None
     chunks, fobj = _open_text_stream(args.text, args.raw)
     out = sys.stdout
     arrivals = 0

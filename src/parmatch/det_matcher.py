@@ -35,9 +35,10 @@ symbol, counts no shift and no cursor unit, and never defers.  The
 cursors are not kept below K: when the table hands the core to the fast
 path at K, they take their values there.  A pattern of length q <= K is
 the whole table, where a match is an entry of q.  At r >= K the fresh
-symbol is compared at once, the fast path, and a failed comparison goes
-on in the machinery from _SYNC, with the failed length as the first
-candidate.
+symbol is compared at once, the fast path.  A failed comparison enters
+the machinery as a busy core's arrival does, through the FIFO: popped at
+once, it fails the same comparison at the current length and goes on
+from _SYNC, so the machinery has one entrance.
 
 Every arrival fed is consumed once, waits in the FIFO, or, outside
 _IDLE, is the one in flight, so the core is idle with nothing pending
@@ -82,14 +83,15 @@ so the step holds in stop mode or not.
 The core and the randomized matcher run on one harness, `_Engine`: it
 starts an engine's generator, which holds the engine only weakly, makes
 each scalar that the class's `_STATE` names a read-only attribute of its
-`state` record, and copies the engine.  The generator writes the record
-back only when one of those attributes is read or the engine copied, so
-no send pays for a write-back; no program writes a running engine's
-state.  An error, the deferral buffer's overflow say, writes the state
-back at the arrival that raised and ends the stream: the core's `run`
-becomes an `errors.Stopped`, and every later arrival raises
-`UsageError`.  `AlphabetFilter.scan_pred` knows the distances for a raw
-stream, which then needs no dense table at all.
+`state` record, and copies the engine.  The record is None while the
+generator holds newer values, and the generator writes it back only when
+one of those attributes is read or the engine copied, so no send pays
+for a write-back; no program writes a running engine's state.  An
+error, the deferral buffer's overflow say, writes the state back at the
+arrival that raised and ends the stream: the core's `run` becomes an
+`errors.Stopped`, and every later arrival raises `UsageError`.
+`AlphabetFilter.scan_pred` knows the distances for a raw stream, which
+then needs no dense table at all.
 Over a dense alphabet, `step` and `scan` are the shared front end of
 `predecessor.DenseFrontEnd`: a last-occurrence table, and a symbol
 outside the alphabet entering as a fresh one.
@@ -151,7 +153,7 @@ class _Flush(Exception):
 def _write_back(engine) -> None:
     """Write the state held by `engine`'s generator back to its `state`
     record, unless no arrival has run since the last write-back."""
-    if not engine.synced:
+    if engine.state is None:
         engine.run.throw(_Flush)
 
 
@@ -178,10 +180,11 @@ class _Engine:
     An engine runs its arrivals in a generator, `_body`, that holds its
     state in locals.  The engine keeps the generator in its `run` slot
     (None until the first arrival, a `Stopped` after an error, which ends
-    the stream), and `synced` tells whether its `state` record holds the
-    generator's scalars: those that the class's own `_STATE` names, in
-    that order.  The base makes each of those names a `_Live` attribute,
-    which writes the generator back when read and cannot be written.
+    the stream), and its `state` record holds the generator's scalars,
+    those that the class's own `_STATE` names, in that order, or None
+    while the generator holds newer values.  The base makes each of those
+    names a `_Live` attribute, which writes the generator back when read
+    and cannot be written.
     """
 
     __slots__ = ()
@@ -223,7 +226,9 @@ class DetCore(_Engine):
 
     Its generator and the scalars that `_STATE` names are kept by the
     `_Engine` harness.  `pend_cap`, the deferral buffer's capacity, is a
-    plain attribute, read when the generator starts.
+    plain attribute, read when the generator starts; it must be at least
+    1, since every arrival that runs the shift machinery passes through
+    the buffer, also on a free core.  It defaults to 4(sigma + rho) + 16.
     """
 
     # `i` is the index of the last arrival fed, counted from 0.
@@ -241,7 +246,6 @@ class DetCore(_Engine):
         "pending",
         "pend_cap",
         "run",
-        "synced",
         "state",
         "__weakref__",
     )
@@ -274,7 +278,6 @@ class DetCore(_Engine):
             pend_cap = 4 * (profile.sigma + rho) + 16
         self.pending: deque = deque()
         self.run = None
-        self.synced = True
         self.pend_cap = pend_cap
         self.state = (-1, 0, 0, 0, 0, _IDLE, 0, 0, 0, 0, 0)
 
@@ -347,7 +350,7 @@ class DetCore(_Engine):
                         pv = yield -consumed if hit else consumed
                         hit = False
                         if synced:
-                            synced = self.synced = False
+                            synced = self.state = None
                         out = stop = None
                         if type(pv) is tuple:
                             chunk, out, stop = pv
@@ -431,25 +434,21 @@ class DetCore(_Engine):
                             continue
                     # The core has not consumed every arrival before
                     # this one, or the first comparison failed at r >= K:
-                    # the arrival runs the shift machinery, unless a chunk
-                    # in stop mode leaves it unread.
+                    # the arrival joins the deferral buffer and runs the
+                    # shift machinery, unless a chunk in stop mode leaves
+                    # it unread.  On a free core the machinery pops it at
+                    # once, fails the same comparison at cand = r and goes
+                    # on from _SYNC.
                     if stop:
                         i -= 1
                         chunk = drained
                         continue
-                    if consumed == i:
-                        # On from _SYNC at cand = r.
-                        phase = _SYNC
-                        g = pv
-                        cand = r
-                        consumes = CONSUMES_PER_ARRIVAL - 1
-                    else:
-                        pending.append(pv)
-                        if len(pending) > pend_cap:
-                            raise StructuralViolation(
-                                f"deferral buffer exceeded capacity {pend_cap}"
-                            )
-                        consumes = CONSUMES_PER_ARRIVAL
+                    pending.append(pv)
+                    if len(pending) > pend_cap:
+                        raise StructuralViolation(
+                            f"deferral buffer exceeded capacity {pend_cap}"
+                        )
+                    consumes = CONSUMES_PER_ARRIVAL
                     shifts = SHIFTS_PER_ARRIVAL
                     units = UNITS_PER_ARRIVAL
 
@@ -554,7 +553,7 @@ class DetCore(_Engine):
             except BaseException as e:
                 self.state = (i, r, run_i, occ_i, consumed, phase, g, cand,
                               shifts_last, units_last, pend_peak)
-                synced = self.synced = True
+                synced = True
                 if e.__class__ is not _Flush:
                     self.run = Stopped(e)
                     raise

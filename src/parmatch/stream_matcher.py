@@ -248,7 +248,6 @@ class StreamMatcher(DenseFrontEnd, _Engine):
     __slots__ = (
         "m",
         "sigma",
-        "mode",
         "p",
         "det",
         "delta",
@@ -280,13 +279,14 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         "static_words",
         "debug_checks",
         "run",
-        "synced",
         "state",
         "__weakref__",
     )
 
     _STATE = ("loc", "a_prev", "bcur", "bnext", "c_ip", "c_k", "mq_words",
               "ops_last", "ops_max", "words_peak", "b_peak")
+    # The engine that runs the stream: the class routing chose.
+    mode = "rand"
 
     def __init__(
         self,
@@ -324,10 +324,8 @@ class StreamMatcher(DenseFrontEnd, _Engine):
             # route's `step` and `i` stay the front end's and a slot, with
             # no per-arrival test of the route.
             self.__class__ = _DetRouted
-            self.mode = "det"
             self.det = DetMatcher(profile)
             return
-        self.mode = "rand"
         self.det = None
         ctx = context_new(prime_bits, seed)
         self.p = p
@@ -411,7 +409,6 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         # An empty block sum, no base-prefix match, no distance being
         # distributed, no tail check, and empty queues and gauges.
         self.state = (0, False, None, 1, -1, 0, 0, 0, 0, 0, 0)
-        self.synced = True
         # When set to a list, every completed level check appends
         # (level, candidate, computed second-half fingerprint rebased to r^0).
         self.debug_checks = None
@@ -530,7 +527,7 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                 arrivals, out, preds = yield hit
                 hit = False
                 if synced:
-                    synced = self.synced = False
+                    synced = self.state = None
                 for pv in arrivals:
                     i += 1
                     off = i & mask
@@ -935,7 +932,7 @@ class StreamMatcher(DenseFrontEnd, _Engine):
             except BaseException as e:
                 self.state = (loc, a_prev, bcur, bnext, c_ip, c_k, mq_words,
                               ops_last, ops_max, words_peak, b_peak)
-                synced = self.synced = True
+                synced = True
                 if e.__class__ is not _Flush:
                     # Unless the error was its own, phase A's core holds
                     # its state in its generator: it is written back, and
@@ -971,6 +968,7 @@ class _DetRouted(StreamMatcher):
     """
 
     __slots__ = ()
+    mode = "det"
 
     @property
     def i(self) -> int:
@@ -990,4 +988,4 @@ class _DetRouted(StreamMatcher):
 
     def __getstate__(self):
         # The slots it sets; `i` is its DetMatcher's.
-        return None, {"m": self.m, "sigma": self.sigma, "mode": "det", "det": self.det}
+        return None, {"m": self.m, "sigma": self.sigma, "det": self.det}

@@ -111,6 +111,24 @@ def test_match_alphabet_violation_exit_2(tmp_path):
     assert "index 1" in err
 
 
+@pytest.mark.parametrize(
+    "pattern, flags, where",
+    [
+        ("0 1 5 1", ["--alphabet-size", "3"], "symbol 5 at 2 outside [0, 3)"),
+        ("abc", ["--raw", "--alphabet-size", "98"], "symbol 98 at 1 outside [0, 98)"),
+    ],
+    ids=["tokens", "raw"],
+)
+def test_match_pattern_symbol_outside_the_alphabet_exit_2(tmp_path, pattern, flags, where):
+    # A pattern symbol outside the declared alphabet is an input error, as
+    # a text symbol outside it is.
+    pat = write(tmp_path, "p.txt", pattern)
+    txt = write(tmp_path, "t.txt", "0 1 0")
+    code, out, err = run_cli(["match", "--pattern", pat, "--text", txt, *flags])
+    assert (code, out) == (2, "")
+    assert err == f"input error: pattern {where}\n"
+
+
 def test_match_bad_token_exit_2(tmp_path):
     pat = write(tmp_path, "p.txt", "0 1")
     txt = write(tmp_path, "t.txt", "0 x 1")

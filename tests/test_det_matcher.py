@@ -546,11 +546,11 @@ def test_chunks_and_one_arrival_sends_equal_step_pred():
             done = send(pv)
             if done < 0:
                 by_send.append(j)
-            assert not sent.synced
+            assert sent.state is None
             assert abs(done) == stepped.consumed, j
             states.append(core_state(stepped))
             assert core_state(sent) == states[-1], j
-            assert sent.synced
+            assert sent.state is not None
         while stopped.i + 1 < k + len(chunk):
             before = core_state(stopped)
             ends = len(by_stop)
@@ -609,7 +609,7 @@ def test_copies_taken_between_sends_go_on_like_the_original():
     half = 4200
     for sym in text[:half]:
         dm.step(sym)
-    assert dm.core.pending and not dm.core.synced
+    assert dm.core.pending and dm.core.state is None
     run = dm.core.run
     copies = [copy.deepcopy(dm), pickle.loads(pickle.dumps(dm))]
     assert dm.core.run is run
@@ -635,13 +635,13 @@ def test_state_attributes_are_live_descriptors():
     sm.scan(inst.text[:100])
     for engine in (core, sm):
         cls = type(engine)
-        assert not engine.synced
+        assert engine.state is None
         for k, name in enumerate(cls._STATE):
             assert isinstance(getattr(cls, name), _Live)
             with pytest.raises(AttributeError):
                 setattr(engine, name, 0)
             assert getattr(engine, name) == engine.state[k]
-            assert engine.synced
+            assert engine.state is not None
     assert (core.i, core.r, core.run is not None) == (0, 1, True)
     # A det-routed matcher holds none of the randomized engine's state.
     routed = StreamMatcher(inst.pattern, 4, mode="det")
@@ -766,9 +766,11 @@ def test_stop_mode_chunks_with_arrays_leave_a_busy_core_to_its_machinery():
     profile = build_profile(inst.pattern, 2)
     stepped = DetCore(profile)
     states = []
-    for pv in preds:
+    for i, pv in enumerate(preds):
         stepped.step_pred(pv)
         states.append(core_state(stepped))
+        # Every arrival fed is consumed, deferred or in flight.
+        assert stepped.consumed + len(stepped.pending) + (stepped.phase != _IDLE) == i + 1
     core = DetCore(profile)
     send = core._start().send
     rng = random.Random(23)

@@ -641,7 +641,6 @@ LEFT_OUT = (
     "mq",
     "debug_checks",
     "run",
-    "synced",
     "state",
     "__weakref__",
 )
@@ -1533,10 +1532,10 @@ def test_copies_taken_between_sends_go_on_like_the_original():
     assert sm.mode == "rand"
     sm.scan(text[: cut - 1])
     sm.step(text[cut - 1])
-    assert not sm.synced and not sm.suba.synced
-    run, stale = sm.run, sm.state
+    assert sm.state is None and sm.suba.state is None
+    run = sm.run
     copies = [copy.deepcopy(sm), pickle.loads(pickle.dumps(sm))]
-    assert sm.run is run and sm.synced and sm.state != stale
+    assert sm.run is run and sm.state is not None
     for c in copies:
         assert c.run is None and matcher_state(c) == matcher_state(sm)
     rest = text[cut:]
