@@ -593,9 +593,9 @@ class DetMatcher(DenseFrontEnd):
             self.i = core.i
             raise
 
-    def _run(self, preds, out) -> None:
-        # The core counts the arrivals it takes, also when an error stops
-        # the chunk.
+    def _run(self, preds, out, arr) -> None:
+        # The core takes the list.  It counts the arrivals it takes, also
+        # when an error stops the chunk.
         core = self.core
         try:
             (core.run or core._start()).send((preds, out, None))

@@ -22,21 +22,36 @@ Both engines take a stream only as these distances, through one entry,
 `feed(preds, out=None)`.  `DenseFrontEnd` gives them `step` and `scan`
 over a dense alphabet [0, sigma): a `LastOccurrence` table gives the
 distances, one symbol at a time for `step`, and for `scan` a chunk's at
-once, as a list the engine can cut into stretches.  That list stops
-before the first symbol outside the alphabet, which is rejected once the
-engine has run the symbols before it.  A symbol outside the alphabet, or
-one that is not an int (a float such as 1.5, a string), enters the
-engine as NEVER, a symbol seen nowhere else, so every later window is
-answered as if a fresh symbol stood there; its own verdict is dropped,
-`AlphabetError` names its index, and the stream goes on.  An error out
-of the engine instead ends the stream (see `errors.Stopped`), so the
-table, which has taken the whole chunk, is never read again.  Once
-`feed` has taken distances from elsewhere (the alphabet filter's), the
-table no longer describes the stream: it is dropped, and `step` and
-`scan` raise `UsageError`.
+once, as an int64 array from one stable sort of its symbols.  The engine
+gets that array and its `tolist()`, which it cuts into stretches.
+
+`scan` converts a chunk once, and the conversion is the check that each
+symbol is an int.  `bytes` and `bytearray` are read in place.  Over at
+most 256 symbols a list or tuple goes through `bytes()`, which takes
+exactly the values with an `__index__` in [0, 256): ints, bools and
+numpy ints, and refuses floats, strings and values out of range.  Any
+other chunk goes through `np.asarray` with no dtype (never `bytes()`,
+which would read an int64 array's 8 bytes per value as 8 symbols), and
+only an array of kind `i`, `u` or `b` passes; a dtype would convert 1.5
+to 1 and "2" to 2.  One max (and min) then checks the range.  When the
+conversion or the range check fails, a plain scan with `step`'s test
+finds the first bad symbol, and the distances stop before it: the
+symbol is rejected once the engine has run the symbols before it.
+
+A symbol outside the alphabet, or one that is not an int (a float such
+as 1.5, a string), enters the engine as NEVER, a symbol seen nowhere
+else, so every later window is answered as if a fresh symbol stood
+there; its own verdict is dropped, `AlphabetError` names its index, and
+the stream goes on.  An error out of the engine instead ends the stream
+(see `errors.Stopped`), so the table, which has taken the whole chunk,
+is never read again.  Once `feed` has taken distances from elsewhere
+(the alphabet filter's), the table no longer describes the stream: it
+is dropped, and `step` and `scan` raise `UsageError`.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 import numpy as np
 
@@ -112,32 +127,83 @@ class LastOccurrence:
         self.table[sym] = i
         return i - t if t >= 0 else NEVER
 
-    def preds(self, text, i: int) -> tuple[list[int], AlphabetError | None]:
+    def preds(self, text, i: int) -> tuple[np.ndarray, AlphabetError | None]:
         """`step` over `text`, its first symbol at index i + 1.
 
         Returns the distances up to the first symbol outside the alphabet,
-        or not an int, and that symbol's `AlphabetError` (None when there
-        is none); the table has taken the symbols before it.
+        or not an int, as an int64 array, and that symbol's
+        `AlphabetError` (None when there is none); the table has taken the
+        symbols before it.
         """
-        # `step` written out: a call per arrival would cost more than the
-        # lookup itself.
-        table = self.table
         sigma = self.sigma
-        out = []
-        append = out.append
-        for sym in text:
-            i += 1
-            try:
-                if 0 <= sym < sigma:
-                    t = table[sym]
-                    table[sym] = i
-                    append(i - t if t >= 0 else NEVER)
-                    continue
-            except TypeError:
-                # A string fails the comparison, a float such as 1.5 the index.
-                pass
-            return out, AlphabetError(sym, i, sigma)
-        return out, None
+        a = _symbols(text, sigma)
+        bad = None
+        if a is None:
+            # A plain scan with `step`'s test finds the first bad symbol.
+            good = []
+            for sym in text:
+                try:
+                    if 0 <= sym < sigma:
+                        good.append(index(sym))
+                        continue
+                except TypeError:
+                    # A string fails the comparison, a float such as 1.5
+                    # the index.
+                    pass
+                bad = AlphabetError(sym, i + 1 + len(good), sigma)
+                break
+            a = np.array(good, np.int64)
+        n = len(a)
+        out = np.empty(n, np.int64)
+        if not n:
+            return out, bad
+        # A stable sort by symbol puts each symbol's occurrences next to
+        # each other in increasing position, as in `_pred_gaps`, so a
+        # symbol's distances in the chunk are the differences of its run.
+        # The sort is numpy's radix sort of 8-bit keys, or of 16-bit
+        # digits, least significant first (`lexsort`'s last key is its
+        # primary one).
+        if sigma <= 256:
+            keys = (a.astype(np.uint8, copy=False),)
+        else:
+            bits = (sigma - 1).bit_length()
+            keys = [(a >> s).astype(np.uint16) for s in range(0, bits, 16)]
+        order = np.lexsort(keys)
+        srt = a[order]
+        starts = np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]])
+        out[order[1:]] = np.diff(order)
+        # Each symbol's first arrival in the chunk reads the table, and its
+        # last is written there.
+        heads = order[starts]
+        syms = srt[starts].tolist()
+        table = self.table
+        last = np.array([table[s] for s in syms], np.int64)
+        out[heads] = np.where(last >= 0, heads + (i + 1) - last, NEVER)
+        tails = order[np.r_[starts[1:], n] - 1] + (i + 1)
+        for s, t in zip(syms, tails.tolist()):
+            table[s] = t
+        return out, bad
+
+
+def _symbols(text, sigma: int) -> np.ndarray | None:
+    """A chunk's symbols as a 1-D integer array, or None unless each is an
+    int in [0, sigma)."""
+    try:
+        if isinstance(text, (bytes, bytearray)):
+            a = np.frombuffer(text, np.uint8)
+        elif sigma <= 256 and isinstance(text, (list, tuple)):
+            # `bytes` takes exactly the values with an `__index__` in
+            # [0, 256), and refuses the rest.
+            a = np.frombuffer(bytes(text), np.uint8)
+        else:
+            a = np.asarray(text)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != 1 or a.dtype.kind not in "iub":
+        return None
+    if len(a) and (a.max() >= sigma or a.min() < 0):
+        return None
+    return a
 
 
 _FED = "the matcher is fed predecessor distances: use feed, not step or scan"
@@ -148,9 +214,10 @@ class DenseFrontEnd:
 
     The engine holds `tracker` (a `LastOccurrence`) and the index `i` of
     its last arrival.  It takes distances through `_arrive(pv)`, which
-    returns whether a match ends at that arrival, and `_run(preds, out)`,
-    which appends the indices of the matches ending at the next arrivals
-    to `out`.
+    returns whether a match ends at that arrival, and `_run(preds, out,
+    arr)`, which appends the indices of the matches ending at the next
+    arrivals to `out`: `preds` is a list of their distances, and `arr` the
+    int64 array that `scan` read it from, or None for `feed`'s.
     """
 
     __slots__ = ()
@@ -182,8 +249,8 @@ class DenseFrontEnd:
             raise UsageError(_FED)
         if out is None:
             out = []
-        preds, bad = tracker.preds(text, self.i)
-        self._run(preds, out)
+        arr, bad = tracker.preds(text, self.i)
+        self._run(arr.tolist(), out, arr)
         if bad is not None:
             self._arrive(NEVER)
             raise bad
@@ -198,6 +265,6 @@ class DenseFrontEnd:
         """
         if out is None:
             out = []
-        self._run(preds, out)
+        self._run(preds, out, None)
         self.tracker = None
         return out

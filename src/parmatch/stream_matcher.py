@@ -105,8 +105,9 @@ arrival, compares each arrival's own distance: the stretch compares its
 values with the tail's in one pass, and ends before the first mismatch
 and before the verdict arrival c_ip + m - 1, which run alone.
 A stretch of at least _LONG_STRETCH arrivals with no tail check
-comparing is read from an int64 array of the chunk's distances, made
-once per chunk at its first such stretch, in pieces that double from
+comparing is read from an int64 array of the chunk's distances, the
+one the front end made for `scan` (for `feed`, one made at the chunk's
+first such stretch), in pieces that double from
 _LONG_STRETCH, so that the core's and the filter's work follows the
 arrivals taken.  Each piece goes to the core as a view of that array,
 and the core takes its arrivals below K in one step (see
@@ -416,11 +417,12 @@ class StreamMatcher(DenseFrontEnd, _Engine):
     # ------------------------------------------------------------------
 
     def _arrive(self, pv: int) -> bool:
-        return (self.run or self._start()).send(((pv,), None, None))
+        return (self.run or self._start()).send(((pv,), None, None, None))
 
-    def _run(self, preds, out) -> None:
-        # `preds` is a list: the front end's, or the one `feed` makes.
-        (self.run or self._start()).send((iter(preds), out, preds))
+    def _run(self, preds, out, arr) -> None:
+        # `preds` is a list: the front end's, with `arr` the int64 array it
+        # was read from, or the one `feed` makes, with `arr` None.
+        (self.run or self._start()).send((iter(preds), out, preds, arr))
 
     def feed(self, preds, out=None) -> list[int]:
         # The base phase adds every distance below m to its block sum, so a
@@ -435,18 +437,19 @@ class StreamMatcher(DenseFrontEnd, _Engine):
 
     def _body(self):
         """The four phases, run over each chunk of distances sent as
-        (arrivals, out, preds).
+        (arrivals, out, preds, src).
 
-        A chunk is one arrival's distance in a tuple, with `out` and
-        `preds` None, or an iterator over the list `preds`.  Every table
-        and scalar of the matcher is held in this frame's locals between
-        chunks.  `i` is written back after each chunk; the scalars that
-        `_STATE` names are written back to the `state` record only when
-        `_Flush` is thrown in, as `DetCore`'s are.  An error writes them
-        back too, with `i` at the arrival that raised, and ends the stream
-        (see the module docstring).  Match end indices are appended to
-        `out` unless it is None; yields whether the chunk had any.
-        `_Engine._start` runs it with `self` a weak proxy.
+        A chunk is one arrival's distance in a tuple, with `out`, `preds`
+        and `src` None, or an iterator over the list `preds`, with `src`
+        the int64 array the front end read that list from (None for a fed
+        chunk).  Every table and scalar of the matcher is held in this
+        frame's locals between chunks.  `i` is written back after each
+        chunk; the scalars that `_STATE` names are written back to the
+        `state` record only when `_Flush` is thrown in, as `DetCore`'s are.
+        An error writes them back too, with `i` at the arrival that raised,
+        and ends the stream (see the module docstring).  Match end indices
+        are appended to `out` unless it is None; yields whether the chunk
+        had any.  `_Engine._start` runs it with `self` a weak proxy.
         """
         sigma = self.sigma
         p = self.p
@@ -485,8 +488,10 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         ms = repeat(m)
         m0s = repeat(m0)
         # A long stretch is read from an int64 array of its chunk's values,
-        # `arr`, read at the chunk's first one, and the block-sum kernel
-        # takes values below 2^31: every distance below m is.
+        # `arr`: at the chunk's first one, the front end's array, or one
+        # read from a fed chunk's list, with each distance of m or more
+        # zeroed in place (the list keeps it).  The block-sum kernel takes
+        # values below 2^31: every distance below m is.
         long_at = _LONG_STRETCH if m <= 1 << 31 else NEVER
         arr = None
         limbs = power_limbs(rtab[:_BLOCK])
@@ -524,7 +529,7 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         hit = False
         while True:
             try:
-                arrivals, out, preds = yield hit
+                arrivals, out, preds, src = yield hit
                 hit = False
                 if synced:
                     synced = self.state = None
@@ -817,7 +822,9 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                             # other is read as one list.
                             long = edge - i >= long_at and not tail
                             if long and arr is None:
-                                arr = np.fromiter(preds, np.int64, len(preds))
+                                arr = src if src is not None else np.fromiter(
+                                    preds, np.int64, len(preds)
+                                )
                                 arr[arr >= m] = 0
                             w = long_at if long else edge - i
                             while j <= edge:
@@ -925,7 +932,7 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                             # lists and arrays, and at its end the chunk's.
                             a = cut = sums = None
                 self.i = i
-                arrivals = preds = arr = None
+                arrivals = preds = arr = src = None
             except GeneratorExit:
                 # Closed as its matcher is freed: there is nothing to write to.
                 raise

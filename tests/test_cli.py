@@ -518,6 +518,31 @@ def test_text_file_longer_than_three_reads(tmp_path):
     assert out == "".join(f"{s}\n" for s in want)
 
 
+@pytest.mark.parametrize("mode", ["rand", "det"])
+def test_raw_file_longer_than_three_reads(tmp_path, mode):
+    # Real 64 KiB reads of bytes, each scanned as one chunk, with a
+    # relabelled plant across each of the first four read boundaries.
+    rng = random.Random(11)
+    # Over 256 symbols the rand route needs m > 14 delta = 60,928 here.
+    m = 66000
+    pattern = bytes(rng.choice(b"abcdef") for _ in range(m))
+    text = bytearray(rng.choice(b"abcdefgh") for _ in range(4 * 65536 + 9000))
+    for at in (65536 - 100, 3 * 65536 - 1):
+        text[at : at + m] = pattern.translate(bytes.maketrans(b"abcdef", b"hgfedc"))
+    pat = tmp_path / "p.bin"
+    pat.write_bytes(pattern)
+    txt = tmp_path / "t.bin"
+    txt.write_bytes(text)
+    code, out, err = run_cli(
+        ["match", "--pattern", str(pat), "--text", str(txt), "--raw", "--mode", mode,
+         "--stats"]
+    )
+    want = naive_all_matches(list(pattern), list(text))
+    assert len(want) >= 2 and code == 0
+    assert out == "".join(f"{s}\n" for s in want)
+    assert f"mode={mode}\narrivals={len(text)}\n" in err
+
+
 def zipf_token_stream(m, distinct, n, seed, plants=5):
     """Zipf token IDs over a wide vocabulary, with relabelled plants of an
     m-token pattern over `distinct` IDs; popular tokens are evicted from

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,7 +101,7 @@ def test_a_chunk_s_distances_are_step_s(seq, data):
         if sym == bad:
             break
         want.append(stepped.step(sym, i))
-    assert got == want
+    assert got.dtype == np.int64 and got.tolist() == want
     assert (err is None) == (bad is None)
     if err is not None:
         assert err.index == head + len(want)
@@ -168,3 +169,87 @@ def test_pred_equality_iff_relabelling(a, b):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
     assert (pred_string(a) == pred_string(b)) == relabelling_pmatch(a, b)
+
+
+def loop_preds(tracker, text, i):
+    """The dense front end's chunk pass as a plain loop: `step` written out
+    over `text`, its first symbol at index i + 1, up to the first symbol
+    outside the alphabet or not an int.  The reference for
+    `LastOccurrence.preds`."""
+    table = tracker.table
+    sigma = tracker.sigma
+    out = []
+    for sym in text:
+        i += 1
+        try:
+            if 0 <= sym < sigma:
+                t = table[sym]
+                table[sym] = i
+                out.append(i - t if t >= 0 else NEVER)
+                continue
+        except TypeError:
+            pass
+        return out, AlphabetError(sym, i, sigma)
+    return out, None
+
+
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "iter": iter,
+    # Symbols of kind O: the array pass finds none valid by its kind.
+    "objects": lambda piece: np.array(piece, dtype=object),
+}
+
+
+def chunk_of(tracker, piece, k, how):
+    """The distances of `piece`, its first symbol at stream index k, up to
+    its first bad symbol, and that symbol's error as (index, message)."""
+    if how == "loop":
+        got, err = loop_preds(tracker, piece, k - 1)
+    elif how == "step":
+        got, err = [], None
+        for sym in piece:
+            try:
+                got.append(tracker.step(sym, k + len(got)))
+            except AlphabetError as e:
+                err = e
+                break
+    else:
+        arr, err = tracker.preds(CONTAINERS[how](piece), k - 1)
+        assert arr.dtype == np.int64
+        got = arr.tolist()
+    return got, None if err is None else (err.index, str(err))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 4, 255, 256, 257, 1024, 1 << 20]), st.data())
+def test_the_array_pass_equals_the_loop_and_step(sigma, data):
+    # A stream cut anywhere, its chunks taken by `preds` from a list, a
+    # tuple, an iterator or an object array, or by `step`, with bad symbols
+    # anywhere: each chunk's distances, the
+    # index of its first bad symbol and the table after it are those of the
+    # plain loop and of `step`.  The stream goes on after a bad symbol.
+    pool = data.draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=6))
+    # Numpy ints and bools are ints to `step`.
+    pool += [np.int64(s) for s in pool] + [s == 1 for s in pool if s < 2]
+    text = data.draw(st.lists(st.sampled_from(pool), max_size=60))
+    bads = [-1, sigma, 256, 2**63, 1.5, 2.0, np.float64(2.0), "1", None]
+    for _ in range(data.draw(st.integers(0, 3))):
+        text.insert(data.draw(st.integers(0, len(text))), data.draw(st.sampled_from(bads)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=5)))
+    pieces = [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
+    array, loop, stepped = (LastOccurrence(sigma) for _ in range(3))
+    k = 0
+    for piece in pieces:
+        how = data.draw(st.sampled_from(["step", *CONTAINERS]))
+        while piece:
+            want = chunk_of(stepped, piece, k, "step")
+            assert chunk_of(loop, piece, k, "loop") == want
+            assert chunk_of(array, piece, k, how) == want, how
+            assert array.table == loop.table == stepped.table
+            got, err = want
+            k += len(got)
+            assert err is None or err[0] == k
+            piece = piece[len(got) + 1 :] if err else []
+            k += err is not None

@@ -1,4 +1,5 @@
 import copy
+from array import array
 import gc
 import pickle
 import random
@@ -1427,6 +1428,64 @@ def test_numpy_distances_are_fed_as_ints(kind, chunk):
     with pytest.raises(TypeError):
         sm.feed([NEVER, 2.0])
     assert sm.i == -1
+
+
+CHUNK_KINDS = {
+    "int64": lambda c: np.array(c, np.int64),
+    "array": lambda c: array("q", c),
+    "memoryview": lambda c: memoryview(array("q", c)),
+    "bytearray": bytearray,
+    "range": lambda c: c,
+    "tuple": tuple,
+    "generator": lambda c: (x for x in c),
+}
+
+
+@pytest.mark.parametrize("mode", ["rand", "det"])
+@pytest.mark.parametrize("kind", list(CHUNK_KINDS))
+def test_a_chunk_in_any_container_scans_as_a_list(kind, mode):
+    # `bytes` of an int64 array, an array('q') or a memoryview of one
+    # would read 8 bytes per symbol: each container is read by its values,
+    # and a matcher scanning it answers and moves as one scanning lists.
+    # The text is made of ranges, so that each can be a chunk of its own;
+    # the other containers take runs of them, long stretches included.
+    rng = random.Random(3)
+    segs = []
+    for _ in range(6000):
+        a = rng.randrange(4)
+        segs.append(range(a, rng.randrange(a + 1, 5)))
+    plant = segs[100:1100]
+    for at in (1500, 3000, 4500):
+        segs[at:at] = plant
+    pattern = [x for seg in plant for x in seg]
+    text = [x for seg in segs for x in seg]
+    if kind == "range":
+        chunks = segs
+    else:
+        chunks, k = [], 0
+        while k < len(segs):
+            n = rng.randrange(1, 600)
+            chunks.append([x for seg in segs[k : k + n] for x in seg])
+            k += n
+    as_list, as_kind = (StreamMatcher(pattern, 4, mode=mode, seed=7) for _ in range(2))
+    assert as_kind.mode == mode
+
+    def state(sm):
+        if mode == "rand":
+            return matcher_state(sm)
+        return {"i": sm.i, "table": list(sm.det.tracker.table), "core": core_state(sm.det.core)}
+
+    ends = []
+    for j, chunk in enumerate(chunks):
+        got = as_kind.scan(CHUNK_KINDS[kind](chunk))
+        assert got == as_list.scan(list(chunk))
+        ends += got
+        if j % 97 == 0:
+            assert state(as_kind) == state(as_list), j
+    assert state(as_kind) == state(as_list)
+    m = len(pattern)
+    assert [e - m + 1 for e in ends] == naive_all_matches(pattern, text)
+    assert len(ends) >= 4 and as_kind.i == len(text) - 1
 
 
 def test_a_det_routed_matcher_feeds_its_det_engine():
