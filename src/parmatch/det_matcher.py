@@ -55,31 +55,32 @@ start with an empty buffer.
 The arrival logic is written once, as a generator that holds the tables,
 cursors and counters in local variables and runs each chunk of distances
 sent to it through the table, the fast path and the machinery.
-`DetMatcher.feed` and `scan` send it a whole chunk; `step`, `step_pred`
-and the randomized matcher's phase A send one arrival.  Phase A also
-sends a stretch of arrivals where its phases B and C have nothing due as
-one chunk in stop mode, which takes only table and fast-path arrivals:
-it returns right after an arrival where a match ends (the arrival after
-it may push into a queue, so it runs on its own), and before an arrival
-that finds the core not free or whose first comparison fails at r >=
-K, which it leaves unread for phase A to send on its own.  So each
-arrival a stop-mode chunk takes consumes one symbol, and the count of
-symbols consumed tells the caller how far it went.
-A chunk may come as an int64 array in place of a list: phase A sends
-each piece of a long stretch as a view of the one array it reads its own
-chunk into.  Free at r < K, the core then looks for the first arrival
-at which the table would reach K, the first whose last K distances
-read pred[:K]: a numpy filter finds it,
-pruning the windows offset by offset, once the table, run from r over
-the chunk's first K - 1 arrivals, has not reached K on a window that
-starts before the chunk.  The arrivals before that window (before the
-chunk's last K - 1, if none) are taken in one step, which consumes a
+`DetMatcher.feed` and `scan` send it a whole chunk, as the one int64
+array the front end hands them; `step`, `step_pred` and the randomized
+matcher's phase A send one arrival.  Phase A also sends a stretch of
+arrivals where its phases B and C have nothing due as one chunk in stop
+mode, which takes only table and fast-path arrivals: it returns right
+after an arrival where a match ends (the arrival after it may push into
+a queue, so it runs on its own), and before an arrival that finds the
+core not free or whose first comparison fails at r >= K, which it leaves
+unread for phase A to send on its own.  So each arrival a stop-mode
+chunk takes consumes one symbol, and the count of symbols consumed tells
+the caller how far it went.
+A chunk comes as a list or as an int64 array.  Phase A sends a short
+stretch as a list, and each piece of a long stretch as a view of its
+chunk's array; `DetMatcher` sends every chunk as an array.  Free at r <
+K, the core then looks for the first arrival at which the table would
+reach K, the first whose last K distances read pred[:K]: a numpy filter
+finds it, pruning the windows offset by offset, once the table, run from
+r over the chunk's first K - 1 arrivals, has not reached K on a window
+that starts before the chunk.  The arrivals before that window (before
+the chunk's last K - 1, if none) are taken in one step, which consumes a
 symbol for each, and r becomes 0; the rest of the chunk runs from a
-list, the table path first over the next K - 1 arrivals.  No window of
-K ends before them, so the longest suffix below K that p-matches a
-prefix lies in them, and from 0 the table gives it; from 0 they can
-neither reach K nor stop the chunk.  No match ends before them either,
-so the step holds in stop mode or not.
+list, the table path first over the next K - 1 arrivals.  No window of K
+ends before them, so the longest suffix below K that p-matches a prefix
+lies in them, and from 0 the table gives it; from 0 they can neither
+reach K nor stop the chunk.  No match ends before them either, so the
+step holds in stop mode or not.
 The core and the randomized matcher run on one harness, `_Engine`: it
 starts an engine's generator, which holds the engine only weakly, makes
 each scalar that the class's `_STATE` names a read-only attribute of its
@@ -593,12 +594,12 @@ class DetMatcher(DenseFrontEnd):
             self.i = core.i
             raise
 
-    def _run(self, preds, out, arr) -> None:
-        # The core takes the list.  It counts the arrivals it takes, also
-        # when an error stops the chunk.
+    def _run(self, arr, out) -> None:
+        # The core takes the array, through its bulk step below K.  It
+        # counts the arrivals it takes, also when an error stops the chunk.
         core = self.core
         try:
-            (core.run or core._start()).send((preds, out, None))
+            (core.run or core._start()).send((arr, out, None))
         finally:
             self.i = core.i
 

@@ -22,21 +22,27 @@ Both engines take a stream only as these distances, through one entry,
 `feed(preds, out=None)`.  `DenseFrontEnd` gives them `step` and `scan`
 over a dense alphabet [0, sigma): a `LastOccurrence` table gives the
 distances, one symbol at a time for `step`, and for `scan` a chunk's at
-once, as an int64 array from one stable sort of its symbols.  The engine
-gets that array and its `tolist()`, which it cuts into stretches.
+once, as an int64 array from one stable sort of its symbols.  Whichever
+call made it, a chunk reaches the engine in one form, `_run(arr, out)`:
+a new int64 array of distances in [1, NEVER], which the engine may
+write in.
 
-`scan` converts a chunk once, and the conversion is the check that each
-symbol is an int.  `bytes` and `bytearray` are read in place.  Over at
-most 256 symbols a list or tuple goes through `bytes()`, which takes
-exactly the values with an `__index__` in [0, 256): ints, bools and
-numpy ints, and refuses floats, strings and values out of range.  Any
-other chunk goes through `np.asarray` with no dtype (never `bytes()`,
-which would read an int64 array's 8 bytes per value as 8 symbols), and
-only an array of kind `i`, `u` or `b` passes; a dtype would convert 1.5
-to 1 and "2" to 2.  One max (and min) then checks the range.  When the
-conversion or the range check fails, a plain scan with `step`'s test
-finds the first bad symbol, and the distances stop before it: the
-symbol is rejected once the engine has run the symbols before it.
+`scan` and `feed` each convert a chunk once, and the conversion is the
+check that each value is an int (`_ints`).  `bytes` and `bytearray` are
+read in place.  For `scan` over at most 256 symbols a list or tuple goes
+through `bytes()`, which takes exactly the values with an `__index__` in
+[0, 256): ints, bools and numpy ints, and refuses floats, strings and
+values out of range.  Any other chunk goes through `np.asarray` with no
+dtype (never `bytes()`, which would read an int64 array's 8 bytes per
+value as 8 symbols), and only an array of kind `i`, `u` or `b` passes; a
+dtype would convert 1.5 to 1 and "2" to 2.  `scan` then checks the
+range with one max (and min).  When its conversion or range check
+fails, a plain scan with `step`'s test finds the first bad symbol, and
+the distances stop before it: the symbol is rejected once the engine
+has run the symbols before it.  `feed` reads a distance below 1 or
+above NEVER as NEVER; when its conversion fails, it reads the chunk one
+value at a time through `operator.index`, so a float or a str is
+refused before any arrival runs.
 
 A symbol outside the alphabet, or one that is not an int (a float such
 as 1.5, a string), enters the engine as NEVER, a symbol seen nowhere
@@ -188,21 +194,42 @@ class LastOccurrence:
 def _symbols(text, sigma: int) -> np.ndarray | None:
     """A chunk's symbols as a 1-D integer array, or None unless each is an
     int in [0, sigma)."""
+    a = _ints(text, sigma <= 256)
+    if a is not None and len(a) and (a.max() >= sigma or a.min() < 0):
+        return None
+    return a
+
+
+def _ints(x, small: bool = False) -> np.ndarray | None:
+    """`x` as a 1-D array of kind `i`, `u` or `b`, converted as the module
+    docstring says, or None when it does not convert to one.  With
+    `small`, a list or tuple goes through `bytes()`."""
     try:
-        if isinstance(text, (bytes, bytearray)):
-            a = np.frombuffer(text, np.uint8)
-        elif sigma <= 256 and isinstance(text, (list, tuple)):
-            # `bytes` takes exactly the values with an `__index__` in
-            # [0, 256), and refuses the rest.
-            a = np.frombuffer(bytes(text), np.uint8)
+        if isinstance(x, (bytes, bytearray)):
+            a = np.frombuffer(x, np.uint8)
+        elif small and isinstance(x, (list, tuple)):
+            a = np.frombuffer(bytes(x), np.uint8)
         else:
-            a = np.asarray(text)
+            a = np.asarray(x)
     except (TypeError, ValueError, OverflowError):
         return None
-    if a.ndim != 1 or a.dtype.kind not in "iub":
-        return None
-    if len(a) and (a.max() >= sigma or a.min() < 0):
-        return None
+    return a if a.ndim == 1 and a.dtype.kind in "iub" else None
+
+
+def _distances(preds) -> np.ndarray:
+    """Fed distances as a new int64 array, one below 1 or above NEVER read
+    as NEVER.  A chunk that is not all ints is read one value at a time
+    through `operator.index`, which refuses a float or a str with
+    `TypeError` (before any arrival runs) and takes an int past int64 as
+    it is, so that it too becomes NEVER.  A uint64 past int64 wraps below
+    1 in the conversion, and so becomes NEVER as well."""
+    a = _ints(preds)
+    if a is None:
+        return np.array(
+            [v if 0 < v <= NEVER else NEVER for v in map(index, preds)], np.int64
+        )
+    a = a.astype(np.int64)
+    a[(a < 1) | (a > NEVER)] = NEVER
     return a
 
 
@@ -214,10 +241,10 @@ class DenseFrontEnd:
 
     The engine holds `tracker` (a `LastOccurrence`) and the index `i` of
     its last arrival.  It takes distances through `_arrive(pv)`, which
-    returns whether a match ends at that arrival, and `_run(preds, out,
-    arr)`, which appends the indices of the matches ending at the next
-    arrivals to `out`: `preds` is a list of their distances, and `arr` the
-    int64 array that `scan` read it from, or None for `feed`'s.
+    returns whether a match ends at that arrival, and `_run(arr, out)`,
+    which appends the indices of the matches ending at the next arrivals
+    to `out`: `arr` is a new int64 array of their distances, each in [1,
+    NEVER], which the engine may write in.
     """
 
     __slots__ = ()
@@ -250,7 +277,7 @@ class DenseFrontEnd:
         if out is None:
             out = []
         arr, bad = tracker.preds(text, self.i)
-        self._run(arr.tolist(), out, arr)
+        self._run(arr, out)
         if bad is not None:
             self._arrive(NEVER)
             raise bad
@@ -261,10 +288,13 @@ class DenseFrontEnd:
 
         The distances come from elsewhere (`AlphabetFilter.scan_pred`), so
         the last-occurrence table is dropped, and `step` and `scan` refuse
-        to run after the first call.
+        to run after the first call.  The whole chunk is read before its
+        first arrival runs: a distance below 1 or above NEVER is a first
+        occurrence, and one that is not an int (a float, a str) raises
+        `TypeError` with the matcher as it was.
         """
         if out is None:
             out = []
-        self._run(preds, out, None)
+        self._run(_distances(preds), out)
         self.tracker = None
         return out

@@ -8,10 +8,11 @@ step:
   prefix fingerprints of the predecessor string (delta = |alphabet| *
   ceil(log2 m) is the scheduling slack).  Every reader reads a distance
   v at window offset j < m as `v if 0 < v <= j else 0`, so a distance of
-  at least m is a first occurrence in every window that holds it: it
-  adds no fingerprint term and enters no buffer, and any distance, one
-  of p or more included, is valid input.  The stream is cut into blocks
-  of 32 arrivals: a history entry holds only its block's sum of values
+  at least m is a first occurrence in every window that holds it: the
+  engine takes it as 0 on arrival, so it adds no fingerprint term,
+  enters no buffer and is kept as 0 in the history, and any distance,
+  one of p or more included, is valid input.  The stream is cut into
+  blocks of 32 arrivals: a history entry holds only its block's sum of values
   times r^0 .. r^31, left unreduced, and a ring over the last
   4*delta/32 + 2 blocks holds each block's offset fingerprint and
   r^(its first index).  One small product per arrival, and two per
@@ -105,10 +106,8 @@ arrival, compares each arrival's own distance: the stretch compares its
 values with the tail's in one pass, and ends before the first mismatch
 and before the verdict arrival c_ip + m - 1, which run alone.
 A stretch of at least _LONG_STRETCH arrivals with no tail check
-comparing is read from an int64 array of the chunk's distances, the
-one the front end made for `scan` (for `feed`, one made at the chunk's
-first such stretch), in pieces that double from
-_LONG_STRETCH, so that the core's and the filter's work follows the
+comparing is read from the chunk's int64 array, in pieces that double
+from _LONG_STRETCH, so that the core's and the filter's work follows the
 arrivals taken.  Each piece goes to the core as a view of that array,
 and the core takes its arrivals below K in one step (see
 `det_matcher`); the next piece is read only when the core took this one
@@ -129,14 +128,14 @@ tail check up or close it, or follow a base-prefix match.
 
 The phases read only predecessor distances.  They are written once, as
 the body of a generator that holds the matcher's tables and scalars in
-local variables and runs one chunk of distances per `send`: `feed` sends
-the distances it is given as Python ints, one below 1 as a first
-occurrence, and `step` and `scan` those of the shared dense front end
-(`predecessor.DenseFrontEnd`), which looks a chunk's up in a
-last-occurrence table at once.  After each chunk `i` is written
-back; the other scalars are kept by the harness `DetCore` runs on too
-(`det_matcher._Engine`), so no chunk pays for a write-back, and the calls
-may be mixed and the matcher copied between them.
+local variables and runs one chunk of distances per `send`.  `step`
+sends one distance; `scan` and `feed` alike get a chunk's from the
+shared dense front end (`predecessor.DenseFrontEnd`) as one int64 array,
+in which `_run` zeroes each distance of m or more before its one
+`tolist()`.  After each chunk `i` is written back; the other scalars are
+kept by the harness `DetCore` runs on too (`det_matcher._Engine`), so no
+chunk pays for a write-back, and the calls may be mixed and the matcher
+copied between them.
 Only the randomized route builds a FieldContext, from `prime_bits` and
 `seed`, and computes the level fingerprints.  The prime binds that route
 alone: a pattern longer than the prime, whose distances would not stay
@@ -159,7 +158,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress, count, repeat
-from operator import gt, index, lt, mul, ne
+from operator import lt, ne
 
 import numpy as np
 
@@ -419,31 +418,23 @@ class StreamMatcher(DenseFrontEnd, _Engine):
     def _arrive(self, pv: int) -> bool:
         return (self.run or self._start()).send(((pv,), None, None, None))
 
-    def _run(self, preds, out, arr) -> None:
-        # `preds` is a list: the front end's, with `arr` the int64 array it
-        # was read from, or the one `feed` makes, with `arr` None.
+    def _run(self, arr, out) -> None:
+        # A distance of m or more is a first occurrence in every window,
+        # which every reader reads as 0: it is zeroed once, in the array
+        # that long stretches read and in the list the others read.
+        arr[arr >= self.m] = 0
+        preds = arr.tolist()
         (self.run or self._start()).send((iter(preds), out, preds, arr))
-
-    def feed(self, preds, out=None) -> list[int]:
-        # The base phase adds every distance below m to its block sum, so a
-        # fed one below 1, which every other reader takes as a first
-        # occurrence, becomes one; so does one above NEVER, which every
-        # reader takes as one already, but which no int64 holds for a long
-        # stretch.  Each distance is read as a Python int, so a numpy one
-        # cannot overflow a product and a float is refused before any
-        # arrival runs.  `step` and `scan` make neither.
-        preds = [v if 0 < v <= NEVER else NEVER for v in map(index, preds)]
-        return super().feed(preds, out)
 
     def _body(self):
         """The four phases, run over each chunk of distances sent as
-        (arrivals, out, preds, src).
+        (arrivals, out, preds, arr).
 
         A chunk is one arrival's distance in a tuple, with `out`, `preds`
-        and `src` None, or an iterator over the list `preds`, with `src`
-        the int64 array the front end read that list from (None for a fed
-        chunk).  Every table and scalar of the matcher is held in this
-        frame's locals between chunks.  `i` is written back after each
+        and `arr` None, or an iterator over the list `preds`, with `arr`
+        the int64 array it was read from, in which, as in the list, each
+        distance of m or more is 0.  Every table and scalar of the matcher
+        is held in this frame's locals between chunks.  `i` is written back after each
         chunk; the scalars that `_STATE` names are written back to the
         `state` record only when `_Flush` is thrown in, as `DetCore`'s are.
         An error writes them back too, with `i` at the arrival that raised,
@@ -483,17 +474,11 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         level_fp = self.level_fp
         target = self.tail_target
         static_words = self.static_words
-        # The values of a stretch read as a list: a distance of m or more
-        # times False.
-        ms = repeat(m)
         m0s = repeat(m0)
-        # A long stretch is read from an int64 array of its chunk's values,
-        # `arr`: at the chunk's first one, the front end's array, or one
-        # read from a fed chunk's list, with each distance of m or more
-        # zeroed in place (the list keeps it).  The block-sum kernel takes
-        # values below 2^31: every distance below m is.
+        # A long stretch is read from its chunk's int64 array.  The
+        # block-sum kernel takes values below 2^31: every distance below m
+        # is.
         long_at = _LONG_STRETCH if m <= 1 << 31 else NEVER
-        arr = None
         limbs = power_limbs(rtab[:_BLOCK])
 
         # Phase A sends the core's generator one arrival at a time.
@@ -529,7 +514,7 @@ class StreamMatcher(DenseFrontEnd, _Engine):
         hit = False
         while True:
             try:
-                arrivals, out, preds, src = yield hit
+                arrivals, out, preds, arr = yield hit
                 hit = False
                 if synced:
                     synced = self.state = None
@@ -546,9 +531,10 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                         blocks[b] = bfp
                         blocks[b + 1] = bpw
                     # A distance of m or more is a first occurrence in
-                    # every window: no term.  The history keeps it as is.
-                    if pv < m:
-                        loc += pv * rtab[off]
+                    # every window: 0, as `_run` makes it in a chunk.
+                    if pv >= m:
+                        pv = 0
+                    loc += pv * rtab[off]
                     slot = i % H
                     hist_fp[slot] = loc
                     hist_pred[slot] = pv
@@ -592,11 +578,11 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                         or bbuf
                         or i >= wake
                         or i >= c_at
-                        or m0 < pv < m
+                        or pv > m0
                     ):
                         # Phase Bdelta: buffer long-distance arrivals,
                         # distribute one level.
-                        if m0 < pv < m:
+                        if pv > m0:
                             bbuf.append((i, pv, bpw * rtab[off] % p))
                             lb = len(bbuf)
                             if lb > sigma:
@@ -821,30 +807,20 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                             # gets each piece as a view of the array.  Any
                             # other is read as one list.
                             long = edge - i >= long_at and not tail
-                            if long and arr is None:
-                                arr = src if src is not None else np.fromiter(
-                                    preds, np.int64, len(preds)
-                                )
-                                arr[arr >= m] = 0
                             w = long_at if long else edge - i
                             while j <= edge:
                                 z = j + w
                                 if z > edge:
                                     z = edge + 1
-                                # The values, a distance of m or more read
-                                # as 0, up to the first in (m0, m).
+                                # The values up to the first in (m0, m).
                                 if long:
                                     a = arr[j + at : z + at]
                                     far = np.flatnonzero(a > m0)
                                     n = int(far[0]) if len(far) else z - j
                                 else:
                                     a = preds[j + at : z + at]
-                                    top = max(a)
-                                    if top >= m:
-                                        a = list(map(mul, a, map(gt, ms, a)))
-                                        top = max(a)
                                     n = z - j
-                                    if top > m0:
+                                    if max(a) > m0:
                                         n = next(compress(count(), map(lt, m0s, a)))
                                     if tail and n:
                                         # Arrival j compares its own distance,
@@ -907,8 +883,7 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                                     if z > last:
                                         z = last + 1
                                     for pv in preds[j + at : z + at]:
-                                        if pv < m:
-                                            loc += pv * rtab[off]
+                                        loc += pv * rtab[off]
                                         slot = j % H
                                         hist_fp[slot] = loc
                                         hist_pred[slot] = pv
@@ -932,7 +907,7 @@ class StreamMatcher(DenseFrontEnd, _Engine):
                             # lists and arrays, and at its end the chunk's.
                             a = cut = sums = None
                 self.i = i
-                arrivals = preds = arr = src = None
+                arrivals = preds = arr = None
             except GeneratorExit:
                 # Closed as its matcher is freed: there is nothing to write to.
                 raise

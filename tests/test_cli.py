@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from parmatch import cli
-from parmatch.alphabet_filter import AlphabetFilter
 from parmatch.cli import _COMMANDS, build_parser, main
+from parmatch.det_matcher import DetMatcher
 from parmatch.errors import AlphabetError, StructuralViolation
 from parmatch.gen import make_instance
 from parmatch.oracle import naive_all_matches
@@ -374,10 +374,10 @@ def test_engine_error_inside_a_read_keeps_earlier_matches(tmp_path):
 
 
 def test_structural_violation_exit_3_keeps_earlier_matches(tmp_path, monkeypatch):
-    # No valid stream breaches a bound, so the alphabet filter's distances
-    # are made to raise five arrivals after the second plant's match,
-    # inside the only read, while the engine runs that read's chunk:
-    # exit 3, and the matches reported before it are printed.
+    # No valid stream breaches a bound, so the det engine is made to raise
+    # at arrival 745, five arrivals after the second plant's match, inside
+    # the only read, while it runs that read's chunk: exit 3, and the
+    # matches reported before it are printed.
     rng = random.Random(7)
     pattern = [rng.randrange(3) for _ in range(40)]
     text = [rng.randrange(5) for _ in range(2000)]
@@ -386,21 +386,13 @@ def test_structural_violation_exit_3_keeps_earlier_matches(tmp_path, monkeypatch
         text[at : at + 40] = [perm[x] for x in pattern]
     want = naive_all_matches(pattern, text)
     assert want == [100, 700, 1500]
-    fed = 0
-    scan_pred = AlphabetFilter.scan_pred
+    run = DetMatcher._run
 
-    def breaking(filt, raws):
-        def preds():
-            nonlocal fed
-            for pv in scan_pred(filt, raws):
-                fed += 1
-                if fed == 700 + 40 + 5:
-                    raise StructuralViolation("injected")
-                yield pv
+    def breaking(dm, arr, out):
+        run(dm, arr[: 700 + 40 + 4], out)
+        raise StructuralViolation("injected")
 
-        return preds()
-
-    monkeypatch.setattr(AlphabetFilter, "scan_pred", breaking)
+    monkeypatch.setattr(DetMatcher, "_run", breaking)
     pat = write(tmp_path, "p.txt", " ".join(map(str, pattern)))
     txt = write(tmp_path, "t.txt", " ".join(map(str, text)))
     code, out, err = run_cli(["match", "--pattern", pat, "--text", txt])

@@ -1499,6 +1499,113 @@ def test_a_det_routed_matcher_feeds_its_det_engine():
         sm.scan([0])
 
 
+FED = make_instance("planted", 3000, 9000, 4, seed=5)
+
+
+def fed_engine(kind):
+    """A matcher of FED's pattern fed through one of the three routes,
+    and a function that reads its whole state."""
+    if kind == "DetMatcher":
+        sm = dm = DetMatcher(build_profile(FED.pattern, 4))
+    else:
+        sm = StreamMatcher(FED.pattern, 4, mode=kind, seed=12)
+        assert sm.mode == kind
+        if kind == "rand":
+            return sm, lambda: matcher_state(sm)
+        dm = sm.det
+    return sm, lambda: {
+        "i": dm.i,
+        "table": dm.tracker and list(dm.tracker.table),
+        "core": core_state(dm.core),
+    }
+
+
+def fed_preds():
+    tracker = LastOccurrence(4)
+    return [tracker.step(sym, j) for j, sym in enumerate(FED.text)]
+
+
+FED_KINDS = ["DetMatcher", "det", "rand"]
+
+
+@pytest.mark.parametrize("kind", FED_KINDS)
+def test_a_fed_chunk_that_is_not_all_ints_is_refused_before_any_arrival(kind):
+    # The det route once ran a fed chunk's arrivals up to a float and read
+    # it as a distance; every route now reads the whole chunk first and
+    # refuses it with the matcher as it was, table included.  After that a
+    # valid chunk answers as it would on a fresh matcher.
+    preds = fed_preds()
+    sm, state = fed_engine(kind)
+    fresh, fresh_state = fed_engine(kind)
+    before = state()
+    for bad in (
+        [NEVER, NEVER, 2.0, 1.0, 2.5],
+        preds[:3000] + ["2"] + preds[3001:4000],
+        np.array(preds[:100], np.float64),
+        [[1], [1, 2]],
+    ):
+        with pytest.raises(TypeError):
+            sm.feed(bad)
+        assert sm.i == -1
+        assert state() == before
+    for k in range(0, len(preds), 3000):
+        assert sm.feed(preds[k : k + 3000]) == fresh.feed(preds[k : k + 3000])
+        assert state() == fresh_state()
+    assert sm.i == len(preds) - 1
+
+
+@pytest.mark.parametrize("kind", FED_KINDS)
+def test_feeding_an_array_leaves_it_as_it_was(kind):
+    # The rand engine zeroes each distance of m or more in the array it
+    # reads; a fed array is converted into one of its own first.
+    preds = np.array(fed_preds(), np.int64)
+    kept = preds.copy()
+    sm, _ = fed_engine(kind)
+    got = []
+    for k in range(0, len(preds), 3000):
+        sm.feed(preds[k : k + 3000], got)
+    assert [e - 2999 for e in got] == naive_all_matches(FED.pattern, FED.text) != []
+    assert np.array_equal(preds, kept)
+
+
+@pytest.mark.parametrize("kind", FED_KINDS)
+@pytest.mark.parametrize(
+    "first",
+    [
+        [0],
+        [-7],
+        [2**64],
+        np.array([2**64 - 1], np.uint64),
+        np.array([2**63], np.uint64),
+        np.array([NEVER + 1], np.uint64),
+        [False],
+    ],
+    ids=["zero", "negative", "past_uint64", "uint64_max", "uint64_2_63", "uint64_past_never", "false"],
+)
+def test_a_fed_first_occurrence_reads_as_never_in_any_form(kind, first):
+    # Fed for every first occurrence, in chunks in the form of `first`, a
+    # distance below 1 or above NEVER gives the answers and the whole
+    # state of NEVER; a True reads as 1.
+    preds = fed_preds()
+    never, never_state = fed_engine(kind)
+    fed, fed_state = fed_engine(kind)
+    assert preds.count(NEVER) >= 4 and preds.count(1) > 100
+    for k in range(0, len(preds), 1500):
+        chunk = preds[k : k + 1500]
+        form = [first[0] if v == NEVER else v for v in chunk]
+        if first[0] is False:
+            form = [True if v == 1 else v for v in form]
+        elif type(first) is np.ndarray:
+            form = np.array(form, first.dtype)
+        assert fed.feed(form) == never.feed(chunk)
+        assert fed_state() == never_state()
+    assert never.i == len(preds) - 1
+    # A chunk that is all bools is read as ints too.
+    (bools, bools_state), (ints, ints_state) = fed_engine(kind), fed_engine(kind)
+    assert bools.feed(np.array([False, True, False])) == ints.feed([NEVER, 1, NEVER])
+    assert bools_state() == ints_state()
+
+
 def test_history_entries_stay_below_the_block_bound():
     # A history entry is a block's unreduced sum of values below m <= p
     # times powers below p, so below _BLOCK * m * p.  With m = 6000 and
